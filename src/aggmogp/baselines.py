@@ -9,6 +9,10 @@ implementations, so their numbers are directly comparable:
 * the point-observation baseline keeps the multi-output coupling of one
   domain but collapses every support to a point observation at its
   centroid, discarding the aggregation structure.
+
+:func:`training_view` is the one rule for which records each method
+(baseline or main model) trains on; fitting, refinement from a saved
+model and the experiment harness all rebuild their data through it.
 """
 
 from __future__ import annotations
@@ -24,10 +28,12 @@ from .model import (
     override_length_scales,
 )
 
+METHODS = ("agp", "slfm", "amogp", "amogp-trans")
+
 
 @dataclass
 class BaselineFit:
-    """A fitted baseline together with the restricted dataset it saw.
+    """A fitted model together with the restricted dataset it saw.
 
     The dataset view keeps the parent's normalization transforms, so
     predictions denormalize into the parent's units.
@@ -71,6 +77,64 @@ def restrict_to_domain(
     )
 
 
+def training_view(
+    dataset: AggregatedDataset,
+    method: str,
+    domain_id: str | None = None,
+    attribute_id: str | None = None,
+) -> AggregatedDataset:
+    """The records a method trains on; the one place that rule lives.
+
+    * ``agp``: one (domain, attribute) series;
+    * ``slfm``: one domain, recast as centroid point observations;
+    * ``amogp``: one domain;
+    * ``amogp-trans``: every domain.
+
+    Without selectors the dataset must already hold exactly one series
+    (``agp``) or records on one domain (``slfm``, ``amogp``).
+    """
+    if method not in METHODS:
+        raise DataError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method == "amogp-trans":
+        return dataset
+    if method == "agp":
+        if domain_id is None or attribute_id is None:
+            if len(dataset.records) != 1:
+                raise DataError(
+                    "single-series baseline needs exactly one record; got"
+                    f" {len(dataset.records)} (pass a domain and attribute to"
+                    " select one)"
+                )
+            domain_id, attribute_id = dataset.records[0].key
+        return restrict_to_series(dataset, domain_id, attribute_id)
+    if domain_id is None:
+        order = dataset.domain_order()
+        if len(order) != 1:
+            raise DataError(
+                f"method {method} is single-domain; got records on"
+                f" {len(order)} domains (pass a domain id to select one, or"
+                " use amogp-trans for cross-domain training)"
+            )
+        domain_id = order[0]
+    view = restrict_to_domain(dataset, domain_id)
+    return view.as_point_observations() if method == "slfm" else view
+
+
+def fit_view(
+    view: AggregatedDataset,
+    num_latents: int,
+    config: TrainConfig | None = None,
+    init_seed: int = 0,
+    init_length_scales=None,
+) -> BaselineFit:
+    """Initialize and train on a :func:`training_view`."""
+    init = init_state(view, num_latents, seed=init_seed)
+    if init_length_scales is not None:
+        override_length_scales(init, init_length_scales)
+    state, trace = fit(view, config or TrainConfig(), init)
+    return BaselineFit(state=state, trace=trace, dataset=view)
+
+
 def fit_agp(
     dataset: AggregatedDataset,
     domain_id: str | None = None,
@@ -84,22 +148,8 @@ def fit_agp(
     Without a (domain, attribute) selector the dataset must already
     contain exactly one record.
     """
-    if domain_id is None or attribute_id is None:
-        if len(dataset.records) != 1:
-            raise DataError(
-                "single-series baseline needs exactly one record; got"
-                f" {len(dataset.records)} (pass a domain and attribute to"
-                " select one)"
-            )
-        rec = dataset.records[0]
-        domain_id, attribute_id = rec.key
-    sub = restrict_to_series(dataset, domain_id, attribute_id)
-    config = config or TrainConfig()
-    init = init_state(sub, 1, seed=init_seed)
-    if init_length_scales is not None:
-        override_length_scales(init, init_length_scales)
-    state, trace = fit(sub, config, init)
-    return BaselineFit(state=state, trace=trace, dataset=sub)
+    view = training_view(dataset, "agp", domain_id, attribute_id)
+    return fit_view(view, 1, config, init_seed, init_length_scales)
 
 
 def fit_slfm(
@@ -114,18 +164,5 @@ def fit_slfm(
 
     Without a domain selector the dataset must be single-domain.
     """
-    if domain_id is None:
-        order = dataset.domain_order()
-        if len(order) != 1:
-            raise DataError(
-                "point-observation baseline is single-domain; got records on"
-                f" {len(order)} domains (pass a domain id to select one)"
-            )
-        domain_id = order[0]
-    sub = restrict_to_domain(dataset, domain_id).as_point_observations()
-    config = config or TrainConfig()
-    init = init_state(sub, num_latents, seed=init_seed)
-    if init_length_scales is not None:
-        override_length_scales(init, init_length_scales)
-    state, trace = fit(sub, config, init)
-    return BaselineFit(state=state, trace=trace, dataset=sub)
+    view = training_view(dataset, "slfm", domain_id)
+    return fit_view(view, num_latents, config, init_seed, init_length_scales)

@@ -18,15 +18,13 @@ import numpy as np
 from . import baselines, dataio, svgplot
 from .errors import AggmogpError, CholeskyFailure, DataError, NonFiniteELBO
 from .evaluation import (
-    METHODS,
     ExperimentSpec,
     SynthConfig,
     cv_select_L,
     run_experiment,
     synth_generate,
 )
-from .inference import fit
-from .model import AggregatedDataset, init_state, override_length_scales, uniform_rules
+from .model import AggregatedDataset, uniform_rules
 from .prediction import predict_grid, predict_supports
 
 
@@ -54,12 +52,6 @@ def _parse_latents(text: str):
     return value
 
 
-def _check_method(name: str) -> str:
-    if name not in METHODS:
-        raise DataError(f"unknown method {name!r}; expected one of {METHODS}")
-    return name
-
-
 # ---------------------------------------------------------------------------
 # fit
 
@@ -85,44 +77,26 @@ def _resolve_latents(args, cfg, dataset):
 
 
 def _cmd_fit(args) -> None:
-    method = _check_method(args.method)
     ds = dataio.load_dataset_file(args.dataset)
     cfg = dataio.load_config_file(args.config)
-    dataset = ds.dataset
-    config = cfg.training_with_seed(args.seed)
-    scales = cfg.init_length_scales
-    if method == "agp":
-        if args.latents and _parse_latents(args.latents) not in (1, "cv"):
+    method = args.method
+    if method == "agp" and args.latents:
+        if _parse_latents(args.latents) not in (1, "cv"):
             raise DataError("the single-series baseline uses one latent process")
-        bf = baselines.fit_agp(
-            dataset, config=config, init_seed=args.seed, init_length_scales=scales
-        )
-        state, trace, used = bf.state, bf.trace, bf.dataset
-        chosen = 1
-    elif method == "slfm":
-        chosen = _resolve_latents(args, cfg, dataset)
-        bf = baselines.fit_slfm(
-            dataset,
-            chosen,
-            config=config,
-            init_seed=args.seed,
-            init_length_scales=scales,
-        )
-        state, trace, used = bf.state, bf.trace, bf.dataset
-    else:
-        if method == "amogp" and len(dataset.domain_order()) != 1:
-            raise DataError(
-                "method amogp is single-domain; use amogp-trans for"
-                " cross-domain training or supply a single-domain dataset"
-            )
-        chosen = _resolve_latents(args, cfg, dataset)
-        init = init_state(dataset, chosen, seed=args.seed)
-        if scales is not None:
-            override_length_scales(init, scales)
-        state, trace = fit(dataset, config, init)
-        used = dataset
+    # The view comes first so that a method the dataset does not suit
+    # fails before any cross-validation runs.
+    view = baselines.training_view(ds.dataset, method)
+    chosen = 1 if method == "agp" else _resolve_latents(args, cfg, ds.dataset)
+    bf = baselines.fit_view(
+        view,
+        chosen,
+        cfg.training_with_seed(args.seed),
+        init_seed=args.seed,
+        init_length_scales=cfg.init_length_scales,
+    )
+    trace = bf.trace
     doc = dataio.model_to_doc(
-        state, used.transforms, method, args.seed, ds.sha, cfg.sha, trace
+        bf.state, view.transforms, method, args.seed, ds.sha, cfg.sha, trace
     )
     dataio.write_json(args.out, doc)
     if args.trace_out:
@@ -138,25 +112,6 @@ def _cmd_fit(args) -> None:
 # refine
 
 
-def _model_view(bundle: dataio.ModelBundle, dataset: AggregatedDataset):
-    """Rebuild the restricted dataset a saved model was trained on."""
-    method = bundle.method
-    if method == "agp":
-        v = bundle.state.domain_ids[0]
-        s = bundle.state.domain_attributes[v][0]
-        view = baselines.restrict_to_series(dataset, v, s)
-    elif method == "slfm":
-        v = bundle.state.domain_ids[0]
-        view = baselines.restrict_to_domain(dataset, v).as_point_observations()
-    elif method == "amogp":
-        view = baselines.restrict_to_domain(dataset, bundle.state.domain_ids[0])
-    else:
-        view = dataset
-    return AggregatedDataset(
-        view.domains, view.attributes, view.records, transforms=bundle.transforms
-    )
-
-
 def _cmd_refine(args) -> None:
     ds = dataio.load_dataset_file(args.dataset)
     mb = dataio.load_model_file(args.model)
@@ -168,7 +123,14 @@ def _cmd_refine(args) -> None:
             f" (known: {sorted(ds.partitions)})"
         )
     part, rules = entry
-    view = _model_view(mb, ds.dataset)
+    # Rebuild the view the saved model was trained on, in its units.
+    v = mb.state.domain_ids[0]
+    view = baselines.training_view(
+        ds.dataset, mb.method, v, mb.state.domain_attributes[v][0]
+    )
+    view = AggregatedDataset(
+        view.domains, view.attributes, view.records, transforms=mb.transforms
+    )
     pred = predict_supports(part, mb.state, view, args.tp, args.seed, rules=rules)
     values, variances = view.denormalize(
         part.domain_id, part.attribute_id, pred.values, pred.variances

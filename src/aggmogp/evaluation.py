@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import baselines, geometry, utils
+from .baselines import METHODS
 from .errors import (
     AggmogpError,
     CrossValidationError,
@@ -44,8 +45,6 @@ from .model import (
     uniform_rules,
 )
 from .prediction import predict_supports
-
-METHODS = ("agp", "slfm", "amogp", "amogp-trans")
 
 
 def mape(y_true, y_pred) -> float:
@@ -474,34 +473,6 @@ def _pick_latents(spec: ExperimentSpec, dataset: AggregatedDataset, config):
     return result.chosen
 
 
-def _fit_method(spec: ExperimentSpec, dataset, L, config, seed):
-    if spec.method == "agp":
-        bf = baselines.fit_agp(
-            dataset,
-            spec.target_domain,
-            spec.target_attribute,
-            config=config,
-            init_seed=seed,
-        )
-        return bf.state, bf.trace, bf.dataset
-    if spec.method == "slfm":
-        bf = baselines.fit_slfm(
-            dataset,
-            L,
-            domain_id=spec.target_domain,
-            config=config,
-            init_seed=seed,
-        )
-        return bf.state, bf.trace, bf.dataset
-    if spec.method == "amogp":
-        sub = baselines.restrict_to_domain(dataset, spec.target_domain)
-    else:
-        sub = dataset
-    init = init_state(sub, L, seed=seed)
-    state, trace = fit(sub, config, init)
-    return state, trace, sub
-
-
 def run_experiment(spec: ExperimentSpec, synth_cfg: SynthConfig) -> ExperimentReport:
     """Train per the spec on generated data and score the fine level.
 
@@ -522,7 +493,11 @@ def run_experiment(spec: ExperimentSpec, synth_cfg: SynthConfig) -> ExperimentRe
             train = _training_dataset(spec, res)
             config = replace(spec.train_config, seed=seed)
             L = _pick_latents(spec, train, config)
-            state, trace, used = _fit_method(spec, train, L, config, seed)
+            view = baselines.training_view(
+                train, spec.method, spec.target_domain, spec.target_attribute
+            )
+            bf = baselines.fit_view(view, L, config, seed)
+            state, trace, used = bf.state, bf.trace, bf.dataset
             test_part = res.partitions[spec.test_level][
                 (spec.target_domain, spec.target_attribute)
             ]

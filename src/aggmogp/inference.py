@@ -381,7 +381,9 @@ def fit(
     A non-finite value, gradient or failed factorization halves the
     learning rate, restores the previous iterate and retries, at most
     five times across the run; the sixth failure raises
-    :class:`NonFiniteELBO` with the iteration index. Stops early when two
+    :class:`NonFiniteELBO` with the iteration index. A start point or
+    returned iterate whose re-scoring fails to factorize raises it too,
+    with iteration 0 or the returned iterate's index. Stops early when two
     adjacent moving-average windows of the ELBO agree to
     ``convergence_tol`` (relative). The returned state is the iterate
     with the best recorded estimate, re-scored with 256 fresh draws in
@@ -461,7 +463,12 @@ def fit(
                 break
         it += 1
     best_state = state.unpack(best_theta)
-    trace.final_elbo = refined_elbo(dataset, best_state, config.seed)
+    try:
+        trace.final_elbo = refined_elbo(dataset, best_state, config.seed)
+    except CholeskyFailure as e:
+        raise NonFiniteELBO(
+            trace.best_iteration, f"best iterate not evaluable: {e}"
+        ) from e
     trace.improvement = trace.final_elbo - trace.init_elbo
     trace.wall_time = time.perf_counter() - t_start
     return best_state, trace

@@ -9,10 +9,11 @@ weights is handled by Monte Carlo: draw weight samples from the fitted
 variational posterior, condition per sample, then pool the Gaussian
 components into a single mean and covariance (mixture moments).
 
-Aggregated predictions pool the point posterior over a target support's
-member grid points with the target rule's weights. Pooled covariance
-blocks are computed per support, so the full query-cross-query matrix is
-only materialized when a caller asks for it.
+Every helper conditions each draw in one function and pools the draws
+in another. Support predictions pool each support's member columns of
+the cross covariance before the solve, and compute each support's
+prior ``wᵀ K_l w`` once per call, not per draw. Only the full
+covariance of point queries materializes a query-cross-query matrix.
 
 Weight draws for prediction come from substream 3 of the prediction
 seed: one (local attributes, latents) standard-normal block per
@@ -120,19 +121,6 @@ def cross_cov_H(
     return H
 
 
-def _prior_gram(query, W, attr_indices, kernels):
-    """Prior covariance of query values across selected attributes."""
-    n_q = query.shape[0]
-    n_a = attr_indices.size
-    d2 = _sq_dists(query, query)
-    out = np.zeros((n_a * n_q, n_a * n_q))
-    for l, scale in enumerate(kernels.length_scales):
-        G_l = se_value(d2, scale)
-        w = W[attr_indices, l]
-        out += np.kron(np.outer(w, w), G_l)
-    return out
-
-
 @dataclass
 class ConditionalPosterior:
     """Gaussian posterior over query values for one weight sample.
@@ -170,6 +158,78 @@ def _local_attr_indices(state, domain_data, attributes):
     return np.asarray(idx, dtype=np.int64), tuple(wanted)
 
 
+def _support_priors(points, members, weights, kernels: KernelSet) -> np.ndarray:
+    """Entry (l, n) is ``wᵀ K_l w`` over the member points of support n."""
+    out = np.empty((len(kernels), len(members)))
+    for n, (idx, w) in enumerate(zip(members, weights)):
+        d2 = _sq_dists(points[idx], points[idx])
+        for l, scale in enumerate(kernels.length_scales):
+            out[l, n] = w @ se_value(d2, scale) @ w
+    return out
+
+
+def _variances(spread: np.ndarray) -> np.ndarray:
+    """Writable view of the variances in a covariance or variance vector."""
+    return np.einsum("ii->i", spread) if spread.ndim == 2 else spread
+
+
+def _condition(dd, state, W, query, attr_idx, priors, pool=None):
+    """Gaussian posterior of the targets for one weight draw.
+
+    Targets are the selected attributes at the query points,
+    attribute-major, or with ``pool = (weights, starts)`` (one attribute)
+    the weighted sums over runs of query points beginning at ``starts``.
+    ``priors`` holds each latent's unit-weight prior covariance of the
+    targets, (latents, n, n), or only its diagonal, (latents, n); the
+    result is ``(mean, covariance)`` or ``(mean, variances)`` to match,
+    with variances floored at zero.
+    """
+    W = np.asarray(W, dtype=float)
+    kernels = state.kernels
+    full = priors.ndim == 3
+    n = attr_idx.size * priors.shape[1]
+    spread = np.zeros((n, n) if full else n)
+    for l, block in enumerate(priors):
+        w = W[attr_idx, l]
+        spread += np.kron(np.outer(w, w) if full else w * w, block)
+    if dd.n_obs == 0:
+        mean = np.zeros(n)
+    else:
+        C = assemble_C(dd, W, kernels, state.noise_log_var[dd.domain.id])
+        chol, _ = chol_with_jitter(C)
+        H = cross_cov_H(query, dd, W, kernels, attr_idx)
+        if pool is not None:
+            weights, starts = pool
+            H = np.add.reduceat(H * weights, starts, axis=1)
+        alpha = scipy.linalg.cho_solve((chol, True), dd.y, check_finite=False)
+        solved = scipy.linalg.cho_solve((chol, True), H, check_finite=False)
+        mean = H.T @ alpha
+        spread -= H.T @ solved if full else np.sum(H * solved, axis=0)
+    var = _variances(spread)
+    np.maximum(var, 0.0, out=var)
+    return mean, spread
+
+
+def _pool(means, spreads):
+    """Mixture moments of equally weighted Gaussian components.
+
+    ``spreads`` are covariances or variances. Returns ``(mean, spread,
+    clamped)``; pooled variances below the clamp tolerance are counted
+    in ``clamped``, and every negative one is floored at zero.
+    """
+    square = np.outer if spreads[0].ndim == 2 else np.multiply
+    mean = np.mean(means, axis=0)
+    second = np.zeros_like(spreads[0])
+    for m, s in zip(means, spreads):
+        second += s + square(m, m)
+    second /= len(means)
+    pooled = second - square(mean, mean)
+    var = _variances(pooled)
+    clamped = int(np.sum(var < _CLAMP_TOL))
+    np.maximum(var, 0.0, out=var)
+    return mean, pooled, clamped
+
+
 def conditional_posterior(
     query_points,
     weights: np.ndarray,
@@ -187,25 +247,9 @@ def conditional_posterior(
     dd = dataset.prepared(domain_id)
     query = _as_query_array(query_points, dd.domain)
     attr_idx, attr_ids = _local_attr_indices(state, dd, attributes)
-    kernels = state.kernels
-    W = np.asarray(weights, dtype=float)
-    prior = _prior_gram(query, W, attr_idx, kernels)
-    if dd.n_obs == 0:
-        return ConditionalPosterior(
-            mean=np.zeros(prior.shape[0]),
-            cov=prior,
-            n_query=query.shape[0],
-            attr_ids=attr_ids,
-        )
-    C = assemble_C(dd, W, kernels, state.noise_log_var[domain_id])
-    chol, _ = chol_with_jitter(C)
-    H = cross_cov_H(query, dd, W, kernels, attr_idx)
-    alpha = scipy.linalg.cho_solve((chol, True), dd.y, check_finite=False)
-    solved = scipy.linalg.cho_solve((chol, True), H, check_finite=False)
-    mean = H.T @ alpha
-    cov = prior - H.T @ solved
-    diag = np.diag(cov).copy()
-    np.fill_diagonal(cov, np.maximum(diag, 0.0))
+    d2 = _sq_dists(query, query)
+    grams = np.stack([se_value(d2, s) for s in state.kernels.length_scales])
+    mean, cov = _condition(dd, state, weights, query, attr_idx, grams)
     return ConditionalPosterior(
         mean=mean, cov=cov, n_query=query.shape[0], attr_ids=attr_ids
     )
@@ -252,27 +296,15 @@ def predictive_mixture(
     """Monte Carlo predictive distribution over query values."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    samples = draw_weight_samples(state, domain_id, n_samples, seed)
-    # Components are independent given their draws; pooling below keeps
-    # the fixed component order regardless of worker count.
     components = tuple(
-        utils.parallel_map(
-            lambda W: conditional_posterior(
-                query_points, W, state, dataset, domain_id, attributes
-            ),
-            samples,
+        conditional_posterior(
+            query_points, W, state, dataset, domain_id, attributes
         )
+        for W in draw_weight_samples(state, domain_id, n_samples, seed)
     )
-    means = np.stack([c.mean for c in components])
-    pooled_mean = means.mean(axis=0)
-    second = np.zeros_like(components[0].cov)
-    for c in components:
-        second += c.cov + np.outer(c.mean, c.mean)
-    second /= n_samples
-    pooled_cov = second - np.outer(pooled_mean, pooled_mean)
-    diag = np.diag(pooled_cov).copy()
-    clamped = int(np.sum(diag < _CLAMP_TOL))
-    np.fill_diagonal(pooled_cov, np.maximum(diag, 0.0))
+    pooled_mean, pooled_cov, clamped = _pool(
+        [c.mean for c in components], [c.cov for c in components]
+    )
     return PredictiveMixture(
         components=components,
         pooled_mean=pooled_mean,
@@ -300,73 +332,38 @@ def predict_supports(
 ) -> SupportPrediction:
     """Predict aggregated values and variances on a target partition.
 
-    Pooling happens on the domain grid: each target support contributes
-    its member points as queries, and the posterior is averaged (or
-    summed, per rule) with the support's aggregation weights. Variances
-    aggregate the pooled covariance block of each support, so nested
-    refinements stay consistent with direct coarse predictions.
+    Each target support contributes its member grid points as queries,
+    and the posterior is averaged (or summed, per rule) over them with
+    the support's aggregation weights. Variances are those of the
+    weighted sums, so nested refinements stay consistent with direct
+    coarse predictions.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     domain_id = target.domain_id
     dd = dataset.prepared(domain_id)
-    domain = dd.domain
-    geometry.validate(domain, [target])
+    grid = dd.domain.grid
+    geometry.validate(dd.domain, [target])
     if rules is None:
         rules = tuple(geometry.AVERAGE for _ in target.supports)
     rules = tuple(rules)
     if len(rules) != len(target.supports):
         raise DataError("one aggregation rule per target support required")
     attr_idx, _ = _local_attr_indices(state, dd, [target.attribute_id])
-    kernels = state.kernels
-    pool_w = []
-    coords = []
-    slices = []
-    start = 0
-    for support, rule in zip(target.supports, rules):
-        w = geometry.weight_vector(support, domain.grid, rule)
-        members = geometry.membership(support, domain.grid)
-        pts = domain.grid.points[members]
-        pool_w.append(w)
-        coords.append(pts)
-        slices.append(slice(start, start + members.size))
-        start += members.size
-    query = np.vstack(coords)
-    n_support = len(target.supports)
-    samples = draw_weight_samples(state, domain_id, n_samples, seed)
-    vals = np.zeros((n_samples, n_support))
-    block_vars = np.zeros((n_samples, n_support))
-    for t, W in enumerate(samples):
-        prior_blocks = []
-        w_sel = W[attr_idx[0]]
-        for sl in slices:
-            pts = query[sl]
-            d2 = _sq_dists(pts, pts)
-            Kb = np.zeros((pts.shape[0], pts.shape[0]))
-            for l, scale in enumerate(kernels.length_scales):
-                Kb += (w_sel[l] * w_sel[l]) * se_value(d2, scale)
-            prior_blocks.append(Kb)
-        if dd.n_obs:
-            C = assemble_C(dd, W, kernels, state.noise_log_var[domain_id])
-            chol, _ = chol_with_jitter(C)
-            H = cross_cov_H(query, dd, W, kernels, attr_idx)
-            alpha = scipy.linalg.cho_solve((chol, True), dd.y, check_finite=False)
-            solved = scipy.linalg.cho_solve((chol, True), H, check_finite=False)
-            mean = H.T @ alpha
-        else:
-            H = solved = None
-            mean = np.zeros(query.shape[0])
-        for n, (sl, w) in enumerate(zip(slices, pool_w)):
-            vals[t, n] = w @ mean[sl]
-            cov_block = prior_blocks[n]
-            if H is not None:
-                cov_block = cov_block - H[:, sl].T @ solved[:, sl]
-            block_vars[t, n] = w @ cov_block @ w
-    values = vals.mean(axis=0)
-    second = (block_vars + vals * vals).mean(axis=0)
-    variances = second - values * values
-    clamped = int(np.sum(variances < _CLAMP_TOL))
-    variances = np.maximum(variances, 0.0)
+    members = [geometry.membership(s, grid) for s in target.supports]
+    weights = [
+        geometry.weight_vector(s, grid, rule)
+        for s, rule in zip(target.supports, rules)
+    ]
+    query = grid.points[np.concatenate(members)]
+    starts = np.cumsum([0] + [idx.size for idx in members[:-1]])
+    priors = _support_priors(grid.points, members, weights, state.kernels)
+    pool = (np.concatenate(weights), starts)
+    draws = [
+        _condition(dd, state, W, query, attr_idx, priors, pool)
+        for W in draw_weight_samples(state, domain_id, n_samples, seed)
+    ]
+    values, variances, clamped = _pool(*zip(*draws))
     return SupportPrediction(values=values, variances=variances, clamped=clamped)
 
 
@@ -392,27 +389,11 @@ def predict_grid(
     else:
         query = _as_query_array(query_points, dd.domain)
     attr_idx, _ = _local_attr_indices(state, dd, [attribute_id])
-    kernels = state.kernels
-    samples = draw_weight_samples(state, domain_id, n_samples, seed)
-    n_q = query.shape[0]
-    means = np.zeros((n_samples, n_q))
-    var_diag = np.zeros((n_samples, n_q))
-    for t, W in enumerate(samples):
-        w_sel = W[attr_idx[0]]
-        prior_diag = float(np.sum(w_sel * w_sel)) * np.ones(n_q)
-        if dd.n_obs:
-            C = assemble_C(dd, W, kernels, state.noise_log_var[domain_id])
-            chol, _ = chol_with_jitter(C)
-            H = cross_cov_H(query, dd, W, kernels, attr_idx)
-            alpha = scipy.linalg.cho_solve((chol, True), dd.y, check_finite=False)
-            solved = scipy.linalg.cho_solve((chol, True), H, check_finite=False)
-            means[t] = H.T @ alpha
-            var_diag[t] = prior_diag - np.sum(H * solved, axis=0)
-        else:
-            var_diag[t] = prior_diag
-    mean = means.mean(axis=0)
-    second = (var_diag + means * means).mean(axis=0)
-    variance = second - mean * mean
-    clamped = int(np.sum(variance < _CLAMP_TOL))
-    variance = np.maximum(variance, 0.0)
+    # Unit-weight point variances: every kernel is one at zero distance.
+    priors = np.ones((state.num_latents, query.shape[0]))
+    draws = [
+        _condition(dd, state, W, query, attr_idx, priors)
+        for W in draw_weight_samples(state, domain_id, n_samples, seed)
+    ]
+    mean, variance, clamped = _pool(*zip(*draws))
     return query, mean, variance, clamped

@@ -302,6 +302,29 @@ class TestFit:
         # Five halvings are allowed; the sixth consecutive failure aborts.
         assert info.value.iteration == 5
 
+    def test_final_rescoring_failure_raises_structured_error(self, monkeypatch):
+        from aggmogp import inference
+        from aggmogp.errors import CholeskyFailure
+
+        real = inference.refined_elbo
+        calls = {"n": 0}
+
+        def fails_after_training(dataset, state, seed):
+            calls["n"] += 1
+            if calls["n"] > 1:
+                raise CholeskyFailure("staged")
+            return real(dataset, state, seed)
+
+        monkeypatch.setattr(inference, "refined_elbo", fails_after_training)
+        _, dataset, _ = two_series_instance()
+        init = init_state(dataset, 2, seed=0)
+        with pytest.raises(NonFiniteELBO) as info:
+            fit(dataset, self.small_config(max_iters=10), init)
+        # Only the final re-scoring of the best iterate failed.
+        assert calls["n"] == 2
+        assert isinstance(info.value.__cause__, CholeskyFailure)
+        assert 0 <= info.value.iteration < 10
+
     def test_transient_failure_recovers_with_halved_rate(self, monkeypatch):
         from aggmogp import inference
         from aggmogp.errors import CholeskyFailure

@@ -6,6 +6,8 @@ with plain solves; the library must reproduce its means and covariances
 to tight tolerance for fixed weight samples.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -15,12 +17,23 @@ from conftest import (
     field_gram,
     interval_support,
     single_series_dataset,
+    square_grid_domain,
     two_series_instance,
     unit_grid_domain,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aggmogp.errors import DataError, DimensionMismatch, OutOfBounds
-from aggmogp.geometry import AVERAGE, SUM, Partition, grid_block_partition
+from aggmogp.geometry import (
+    AVERAGE,
+    SUM,
+    AggregationRule,
+    Partition,
+    grid_block_partition,
+    membership,
+)
+from aggmogp.model import AggregatedDataset, DatasetRecord, uniform_rules
 from aggmogp.model import (
     JITTER_BASE,
     init_state,
@@ -475,3 +488,106 @@ class TestPredictSupports:
             predict_supports(
                 target, state, dataset, n_samples=1, seed=0, rules=(AVERAGE,)
             )
+
+
+def block_instance(domain, blocks, seed=0):
+    """Attributes a0 and a1 observed on cell blocks of the given shapes."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for attr, shape in zip(("a0", "a1"), blocks):
+        part = grid_block_partition(domain, attr, shape, id_prefix=f"{attr}b")
+        records.append(
+            DatasetRecord(
+                domain_id="d0",
+                attribute_id=attr,
+                partition=part,
+                rules=uniform_rules(part),
+                values=rng.standard_normal(len(part.supports)),
+            )
+        )
+    return AggregatedDataset({"d0": domain}, ("a0", "a1"), records)
+
+
+PROPERTY_WORLDS = {
+    1: (unit_grid_domain(12), ((3,), (4,)), (2.0, 1.0)),
+    2: (square_grid_domain(6), ((2, 2), (3, 3)), (0.4, 0.2)),
+}
+
+
+@st.composite
+def target_partitions(draw, ndim):
+    """Disjoint supports on a small grid, each with a drawn rule.
+
+    Cell sets group arbitrary (not necessarily adjacent) cells; on the
+    1-D grid intervals cover drawn runs of consecutive cell centers.
+    """
+    domain = PROPERTY_WORLDS[ndim][0]
+    n_points = domain.grid.n_points
+    attr = draw(st.sampled_from(("a0", "a1")))
+    if ndim == 1 and draw(st.booleans()):
+        cuts = draw(st.sets(st.integers(1, n_points - 1)))
+        bounds = [0, *sorted(cuts), n_points]
+        runs = [(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        kept = [r for r in runs if draw(st.booleans())] or runs[:1]
+        supports = [
+            interval_support(lo + 0.25, hi - 0.25, f"t{k}")
+            for k, (lo, hi) in enumerate(kept)
+        ]
+    else:
+        labels = draw(
+            st.lists(st.integers(0, 4), min_size=n_points, max_size=n_points)
+        )
+        groups = sorted(set(labels) - {0}) or [0]
+        supports = [
+            cells_support([i for i, lab in enumerate(labels) if lab == g], f"t{g}")
+            for g in groups
+        ]
+    part = Partition(attribute_id=attr, domain_id="d0", supports=tuple(supports))
+    rules = []
+    for support in part.supports:
+        kind = draw(st.sampled_from(("average", "sum", "custom")))
+        if kind == "custom":
+            n = membership(support, domain.grid).size
+            weights = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+            rules.append(AggregationRule(AggregationRule.CUSTOM, tuple(weights)))
+        else:
+            rules.append(AVERAGE if kind == "average" else SUM)
+    return part, tuple(rules)
+
+
+class TestSupportsMatchPooledGridMixture:
+    """Support predictions equal the grid mixture pooled through A.
+
+    For every draw the support posterior is the point posterior pushed
+    through the explicit aggregation matrix, and mixture moments commute
+    with that linear map, so values are ``A m`` and variances
+    ``diag(A S Aᵀ)`` of the pooled grid mixture ``(m, S)``.
+    """
+
+    def check(self, ndim, target, seed):
+        domain, blocks, scales = PROPERTY_WORLDS[ndim]
+        dataset = block_instance(domain, blocks)
+        state = reference_state(dataset, scales=scales)
+        part, rules = target
+        pred = predict_supports(part, state, dataset, 3, seed, rules=rules)
+        mix = predictive_mixture(
+            domain.grid.points, state, dataset, "d0", 3, seed,
+            attributes=[part.attribute_id],
+        )
+        target_rec = SimpleNamespace(partition=part, rules=rules)
+        A = aggregation_matrix(domain, [target_rec])
+        values = A @ mix.pooled_mean
+        variances = np.einsum("ij,jk,ik->i", A, mix.pooled_cov, A)
+        assert pred.clamped == 0 and mix.clamped == 0
+        np.testing.assert_allclose(pred.values, values, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(pred.variances, variances, rtol=1e-9, atol=1e-9)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(target=target_partitions(1), seed=st.integers(0, 2**16))
+    def test_one_dimensional_grid(self, target, seed):
+        self.check(1, target, seed)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(target=target_partitions(2), seed=st.integers(0, 2**16))
+    def test_two_dimensional_grid(self, target, seed):
+        self.check(2, target, seed)
