@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 
 import numpy as np
@@ -426,6 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # Training progress (``log_every``) is printed as bare lines.
+    progress = logging.getLogger("aggmogp.inference")
+    handler = logging.StreamHandler(sys.stdout)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    level = progress.level
+    progress.addHandler(handler)
+    progress.setLevel(logging.INFO)
     try:
         args = parser.parse_args(argv)
         args.handler(args)
@@ -435,6 +443,9 @@ def main(argv=None) -> int:
     except AggmogpError as exc:
         _emit_error(exc)
         return 1
+    finally:
+        progress.removeHandler(handler)
+        progress.setLevel(level)
     return 0
 
 

@@ -327,6 +327,14 @@ class ConfigBundle:
 def load_config_file(path: str) -> ConfigBundle:
     doc = _load_json(path)
     _check_version(doc, path)
+    try:
+        return _config_from_doc(doc, path)
+    except (TypeError, ValueError) as e:
+        # A value of the wrong type or range, e.g. "max_iters": "abc".
+        raise DataError(f"{path}: invalid config value: {e}") from e
+
+
+def _config_from_doc(doc: dict, path: str) -> ConfigBundle:
     model = doc.get("model", {})
     num_latents = model.get("num_latents", 1)
     if num_latents != "cv":

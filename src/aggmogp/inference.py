@@ -12,6 +12,12 @@ covariance parameter is trace(G dC/dtheta); the weight, length-scale and
 noise derivatives below specialize that trace to the low-rank structure
 of C. Factorization jitter is treated as constant.
 
+The per-latent support covariances S_l and their length-scale
+derivatives depend on the kernels alone, not on the weight draw, so one
+evaluation builds each domain's once, before fanning the (draw, domain)
+terms out; each term only mixes them with its weights, factors and
+solves.
+
 Randomness is a counter-based Philox stream keyed by the training seed.
 Substream 1 drives the per-iteration eps draws, in the order: for every
 sampled weight matrix, domains in catalogue order, each drawn as a
@@ -22,6 +28,7 @@ reported in the trace. Identical seeds give bit-identical trajectories.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 
@@ -42,6 +49,7 @@ from .model import (
 )
 
 _LOG_2PI = np.log(2.0 * np.pi)
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -53,7 +61,10 @@ class TrainConfig:
     estimate, each ``convergence_window`` steps wide, against
     ``convergence_tol`` relative change. ``fixed_eps`` freezes the first
     eps draw for every step, which makes the objective deterministic
-    (useful for optimizer diagnostics).
+    (useful for optimizer diagnostics). ``log_every`` sends a progress
+    line every that many iterations to the ``aggmogp.inference`` logger
+    at INFO level; ``snapshot_every`` records the parameter vector every
+    that many iterations. Zero turns either off.
     """
 
     learning_rate: float = 0.001
@@ -75,6 +86,12 @@ class TrainConfig:
             raise ValueError("num_elbo_samples must be >= 1")
         if self.convergence_window < 1:
             raise ValueError("convergence_window must be >= 1")
+        if self.convergence_tol < 0:
+            raise ValueError("convergence_tol must be >= 0")
+        if self.snapshot_every < 0:
+            raise ValueError("snapshot_every must be >= 0")
+        if self.log_every < 0:
+            raise ValueError("log_every must be >= 0")
 
 
 @dataclass
@@ -158,19 +175,28 @@ def draw_eps(state: ModelState, rng: np.random.Generator, n_samples: int):
     ]
 
 
-def _domain_loglik(domain_data, weights, length_scales, noise_log_var, want_grad):
+def _latent_blocks(domain_data, length_scales, want_grad):
+    """Per-latent support covariances ``[S_l]`` of one domain.
+
+    Returns ``(latents, dlatents)``; ``dlatents`` holds the log length
+    scale derivatives ``[dS_l]`` when ``want_grad`` is set, else None.
+    Neither depends on the weight draw.
+    """
+    if not want_grad:
+        return [domain_data.cov.latent_cov(s) for s in length_scales], None
+    pairs = [domain_data.cov.latent_cov(s, with_grad=True) for s in length_scales]
+    return [p[0] for p in pairs], [p[1] for p in pairs]
+
+
+def _domain_loglik(domain_data, weights, latents, dlatents, noise_log_var):
     """Gaussian log likelihood of one domain, optionally with gradients.
 
-    Returns (loglik, grad_weights, grad_log_scales, grad_noise_log_var);
-    gradient slots are None when not requested.
+    ``latents`` and ``dlatents`` come from :func:`_latent_blocks`; the
+    gradients are computed when ``dlatents`` is given. Returns (loglik,
+    grad_weights, grad_log_scales, grad_noise_log_var); gradient slots
+    are None when not requested.
     """
-    L = length_scales.size
-    if want_grad:
-        pairs = [domain_data.cov.latent_cov(s, with_grad=True) for s in length_scales]
-        latents = [p[0] for p in pairs]
-        dlatents = [p[1] for p in pairs]
-    else:
-        latents = [domain_data.cov.latent_cov(s) for s in length_scales]
+    L = len(latents)
     C = assemble_from_latents(domain_data, weights, latents, noise_log_var)
     chol, _ = chol_with_jitter(C)
     y = domain_data.y
@@ -178,7 +204,7 @@ def _domain_loglik(domain_data, weights, length_scales, noise_log_var, want_grad
     ll = float(
         -0.5 * y @ alpha - np.sum(np.log(np.diag(chol))) - 0.5 * y.size * _LOG_2PI
     )
-    if not want_grad:
+    if dlatents is None:
         return ll, None, None, None
     n = y.size
     C_inv = scipy.linalg.cho_solve((chol, True), np.eye(n), check_finite=False)
@@ -253,15 +279,16 @@ def _elbo_impl(dataset, state, eps_draws, want_grad):
             },
         }
 
+    blocks = {
+        v: _latent_blocks(dataset.prepared(v), scales, want_grad)
+        for v in state.domain_ids
+    }
+
     def one_term(args):
         v, eps = args
         W = state.draw_weights(v, eps)
         return _domain_loglik(
-            dataset.prepared(v),
-            W,
-            scales,
-            state.noise_log_var[v],
-            want_grad,
+            dataset.prepared(v), W, *blocks[v], state.noise_log_var[v]
         )
 
     tasks = [(v, eps_t[v]) for eps_t in eps_draws for v in state.domain_ids]
@@ -443,7 +470,7 @@ def fit(
         if config.snapshot_every and it % config.snapshot_every == 0:
             trace.snapshots.append((it, theta.copy()))
         if config.log_every and it % config.log_every == 0:
-            print(f"iter {it:6d}  elbo {value: .6f}  lr {adam.learning_rate:g}")
+            _log.info("iter %6d  elbo % .6f  lr %g", it, value, adam.learning_rate)
         if value > best_value:
             best_value = value
             best_theta = theta.copy()

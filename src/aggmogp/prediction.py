@@ -10,10 +10,13 @@ variational posterior, condition per sample, then pool the Gaussian
 components into a single mean and covariance (mixture moments).
 
 Every helper conditions each draw in one function and pools the draws
-in another. Support predictions pool each support's member columns of
-the cross covariance before the solve, and compute each support's
-prior ``wᵀ K_l w`` once per call, not per draw. Only the full
-covariance of point queries materializes a query-cross-query matrix.
+in another. What no draw changes is built once per call: the
+per-latent support covariances ``S_l``, the point–support integrals
+``h_l`` and each target support's prior ``wᵀ K_l w``. Each draw only
+mixes them with its weights, factors and solves. Support predictions
+pool each support's member columns of the cross covariance before the
+solve. Only the full covariance of point queries materializes a
+query-cross-query matrix.
 
 Weight draws for prediction come from substream 3 of the prediction
 seed: one (local attributes, latents) standard-normal block per
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import geometry, utils
+from . import geometry, model, utils
 from .errors import DataError, DimensionMismatch, OutOfBounds
 from .geometry import Domain, Partition
 from .kernels import KernelSet, se_point_interval, se_value
@@ -36,7 +39,6 @@ from .model import (
     AggregatedDataset,
     DomainData,
     ModelState,
-    assemble_C,
     chol_with_jitter,
 )
 
@@ -92,28 +94,26 @@ def latent_point_support(
 
 
 def cross_cov_H(
-    query_points,
+    point_support,
     domain_data: DomainData,
     weights: np.ndarray,
-    kernels: KernelSet,
     attr_indices=None,
 ) -> np.ndarray:
     """Covariance between observation rows and query values.
 
-    Columns are attribute-major: for each selected local attribute
-    (default all, in order) one block of ``len(query_points)`` columns.
-    ``attr_indices`` selects local attribute rows of ``weights``.
+    ``point_support`` holds one :func:`latent_point_support` array per
+    latent, all over the same query points. Columns are attribute-major:
+    for each selected local attribute (default all, in order) one block
+    of one column per query point. ``attr_indices`` selects local
+    attribute rows of ``weights``.
     """
     W = np.asarray(weights, dtype=float)
-    query = _as_query_array(query_points, domain_data.domain)
     if attr_indices is None:
         attr_indices = np.arange(domain_data.n_attrs)
     attr_indices = np.asarray(attr_indices, dtype=np.int64)
-    n_q = query.shape[0]
+    n_q = point_support[0].shape[1]
     H = np.zeros((domain_data.n_obs, attr_indices.size * n_q))
-    scales = kernels.length_scales
-    for l in range(len(kernels)):
-        h_l = latent_point_support(domain_data, query, scales[l])
+    for l, h_l in enumerate(point_support):
         u_l = domain_data.expand_rows(W[:, l])
         weighted = u_l[:, None] * h_l
         for k, s_idx in enumerate(attr_indices):
@@ -173,31 +173,51 @@ def _variances(spread: np.ndarray) -> np.ndarray:
     return np.einsum("ii->i", spread) if spread.ndim == 2 else spread
 
 
-def _condition(dd, state, W, query, attr_idx, priors, pool=None):
+def _draw_invariants(dd, query, kernels: KernelSet):
+    """Per-latent blocks of one call that no weight draw changes.
+
+    Returns ``(latents, point_support)``: the support covariances
+    ``[S_l]`` and the point–support integrals ``[h_l]`` at ``query``,
+    both functions of the length scales alone. A domain without
+    observations needs neither and gets None.
+    """
+    if dd.n_obs == 0:
+        return None
+    scales = kernels.length_scales
+    latents = [dd.cov.latent_cov(s) for s in scales]
+    point_support = [latent_point_support(dd, query, s) for s in scales]
+    return latents, point_support
+
+
+def _condition(dd, state, W, blocks, attr_idx, priors, pool=None):
     """Gaussian posterior of the targets for one weight draw.
 
-    Targets are the selected attributes at the query points,
-    attribute-major, or with ``pool = (weights, starts)`` (one attribute)
-    the weighted sums over runs of query points beginning at ``starts``.
-    ``priors`` holds each latent's unit-weight prior covariance of the
-    targets, (latents, n, n), or only its diagonal, (latents, n); the
-    result is ``(mean, covariance)`` or ``(mean, variances)`` to match,
-    with variances floored at zero.
+    Targets are the selected attributes at the query points of
+    ``blocks`` (from :func:`_draw_invariants`), attribute-major, or with
+    ``pool = (weights, starts)`` (one attribute) the weighted sums over
+    runs of query points beginning at ``starts``. ``priors`` holds each
+    latent's unit-weight prior covariance of the targets, (latents, n,
+    n), or only its diagonal, (latents, n); the result is ``(mean,
+    covariance)`` or ``(mean, variances)`` to match, with variances
+    floored at zero.
     """
     W = np.asarray(W, dtype=float)
-    kernels = state.kernels
     full = priors.ndim == 3
     n = attr_idx.size * priors.shape[1]
     spread = np.zeros((n, n) if full else n)
     for l, block in enumerate(priors):
         w = W[attr_idx, l]
         spread += np.kron(np.outer(w, w) if full else w * w, block)
-    if dd.n_obs == 0:
+    if blocks is None:
         mean = np.zeros(n)
     else:
-        C = assemble_C(dd, W, kernels, state.noise_log_var[dd.domain.id])
+        latents, point_support = blocks
+        noise = state.noise_log_var[dd.domain.id]
+        # Called through its module, so layer tracing that rebinds
+        # ``model.assemble_from_latents`` still sees prediction's calls.
+        C = model.assemble_from_latents(dd, W, latents, noise)
         chol, _ = chol_with_jitter(C)
-        H = cross_cov_H(query, dd, W, kernels, attr_idx)
+        H = cross_cov_H(point_support, dd, W, attr_idx)
         if pool is not None:
             weights, starts = pool
             H = np.add.reduceat(H * weights, starts, axis=1)
@@ -230,6 +250,24 @@ def _pool(means, spreads):
     return mean, pooled, clamped
 
 
+def _point_posteriors(query_points, draws, state, dataset, domain_id, attributes):
+    """One :class:`ConditionalPosterior` at the query points per weight draw."""
+    dd = dataset.prepared(domain_id)
+    query = _as_query_array(query_points, dd.domain)
+    attr_idx, attr_ids = _local_attr_indices(state, dd, attributes)
+    d2 = _sq_dists(query, query)
+    grams = np.stack([se_value(d2, s) for s in state.kernels.length_scales])
+    blocks = _draw_invariants(dd, query, state.kernels)
+    return [
+        ConditionalPosterior(
+            *_condition(dd, state, W, blocks, attr_idx, grams),
+            n_query=query.shape[0],
+            attr_ids=attr_ids,
+        )
+        for W in draws
+    ]
+
+
 def conditional_posterior(
     query_points,
     weights: np.ndarray,
@@ -244,15 +282,9 @@ def conditional_posterior(
     Small negative diagonal entries from the subtraction are clamped to
     zero.
     """
-    dd = dataset.prepared(domain_id)
-    query = _as_query_array(query_points, dd.domain)
-    attr_idx, attr_ids = _local_attr_indices(state, dd, attributes)
-    d2 = _sq_dists(query, query)
-    grams = np.stack([se_value(d2, s) for s in state.kernels.length_scales])
-    mean, cov = _condition(dd, state, weights, query, attr_idx, grams)
-    return ConditionalPosterior(
-        mean=mean, cov=cov, n_query=query.shape[0], attr_ids=attr_ids
-    )
+    return _point_posteriors(
+        query_points, [weights], state, dataset, domain_id, attributes
+    )[0]
 
 
 @dataclass
@@ -297,10 +329,14 @@ def predictive_mixture(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     components = tuple(
-        conditional_posterior(
-            query_points, W, state, dataset, domain_id, attributes
+        _point_posteriors(
+            query_points,
+            draw_weight_samples(state, domain_id, n_samples, seed),
+            state,
+            dataset,
+            domain_id,
+            attributes,
         )
-        for W in draw_weight_samples(state, domain_id, n_samples, seed)
     )
     pooled_mean, pooled_cov, clamped = _pool(
         [c.mean for c in components], [c.cov for c in components]
@@ -359,8 +395,9 @@ def predict_supports(
     starts = np.cumsum([0] + [idx.size for idx in members[:-1]])
     priors = _support_priors(grid.points, members, weights, state.kernels)
     pool = (np.concatenate(weights), starts)
+    blocks = _draw_invariants(dd, query, state.kernels)
     draws = [
-        _condition(dd, state, W, query, attr_idx, priors, pool)
+        _condition(dd, state, W, blocks, attr_idx, priors, pool)
         for W in draw_weight_samples(state, domain_id, n_samples, seed)
     ]
     values, variances, clamped = _pool(*zip(*draws))
@@ -391,8 +428,9 @@ def predict_grid(
     attr_idx, _ = _local_attr_indices(state, dd, [attribute_id])
     # Unit-weight point variances: every kernel is one at zero distance.
     priors = np.ones((state.num_latents, query.shape[0]))
+    blocks = _draw_invariants(dd, query, state.kernels)
     draws = [
-        _condition(dd, state, W, query, attr_idx, priors)
+        _condition(dd, state, W, blocks, attr_idx, priors)
         for W in draw_weight_samples(state, domain_id, n_samples, seed)
     ]
     mean, variance, clamped = _pool(*zip(*draws))

@@ -137,6 +137,49 @@ class TestFit:
         assert record["error"] == "DataError"
         assert "usage" in record["message"]
 
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {"training": {"learning_rate": -1}},
+            {"training": {"max_iters": "abc"}},
+            {"model": {"num_latents": "abc"}},
+            {"prediction": {"n_samples": [20]}},
+        ],
+    )
+    def test_bad_config_value_exits_one(self, workspace, capsys, section):
+        tmp, ds, _ = workspace
+        cfg = str(tmp / "bad.json")
+        dataio.write_json(cfg, {"format_version": 1, **section})
+        code = main(
+            ["fit", "--dataset", ds, "--config", cfg, "--out",
+             str(tmp / "m.json")]
+        )
+        assert code == 1
+        record = last_error_record(capsys)
+        assert record["error"] == "DataError"
+        assert cfg in record["message"]
+
+    def test_progress_lines_on_stdout(self, workspace, capsys):
+        tmp, ds, _ = workspace
+        cfg = str(tmp / "logged.json")
+        dataio.write_json(
+            cfg, {"format_version": 1, "model": {"num_latents": 2},
+                  "training": {"learning_rate": 0.02, "max_iters": 30,
+                               "log_every": 10}}
+        )
+        code = main(
+            ["fit", "--dataset", ds, "--config", cfg, "--out",
+             str(tmp / "m.json")]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        progress = [ln for ln in lines if ln.startswith("iter")]
+        assert [ln[:11] for ln in progress] == [
+            "iter      0", "iter     10", "iter     20"
+        ]
+        assert all(re.fullmatch(r"iter +\d+  elbo [ -]\d+\.\d{6}  lr 0\.02", ln)
+                   for ln in progress)
+
 
 class TestRefine:
     def fit_model(self, workspace):

@@ -5,6 +5,8 @@ held fixed, so the stochastic objective is a deterministic function of
 the parameters and central differences apply directly.
 """
 
+import logging
+
 import numpy as np
 import pytest
 from conftest import (
@@ -31,6 +33,7 @@ from aggmogp.inference import (
     refined_elbo,
 )
 from aggmogp.model import (
+    SupportCovTable,
     assemble_C,
     init_state,
     kl_weights,
@@ -185,6 +188,38 @@ class TestElboValue:
         a = refined_elbo(dataset, state, seed=11, n_samples=32)
         b = refined_elbo(dataset, state, seed=11, n_samples=32)
         assert a == b
+
+
+class TestLatentCovOncePerEvaluation:
+    """Support covariances depend on the length scales only, so one
+    evaluation builds each domain's once per latent, whatever the number
+    of weight draws."""
+
+    def counted(self, monkeypatch):
+        calls = []
+        real = SupportCovTable.latent_cov
+
+        def latent_cov(table, length_scale, with_grad=False):
+            calls.append(with_grad)
+            return real(table, length_scale, with_grad)
+
+        monkeypatch.setattr(SupportCovTable, "latent_cov", latent_cov)
+        return calls
+
+    def test_refined_elbo(self, monkeypatch):
+        dataset = two_domain_instance()
+        state = init_state(dataset, 3, seed=0)
+        calls = self.counted(monkeypatch)
+        refined_elbo(dataset, state, seed=0, n_samples=256)
+        assert calls == [False] * (2 * 3)
+
+    def test_elbo_with_grad(self, monkeypatch):
+        dataset = two_domain_instance()
+        state = init_state(dataset, 3, seed=0)
+        calls = self.counted(monkeypatch)
+        eps = draw_eps(state, np.random.default_rng(0), 4)
+        elbo_with_grad(dataset, state, eps)
+        assert calls == [True] * (2 * 3)
 
 
 class TestStationaryPoint:
@@ -364,6 +399,18 @@ class TestFit:
         _, trace = fit(dataset, self.small_config(max_iters=10, snapshot_every=4), init)
         assert [it for it, _ in trace.snapshots] == [0, 4, 8]
 
+    def test_progress_goes_to_the_logger_not_stdout(self, caplog, capsys):
+        _, dataset, _ = two_series_instance()
+        init = init_state(dataset, 2, seed=0)
+        caplog.set_level(logging.INFO, logger="aggmogp.inference")
+        fit(dataset, self.small_config(max_iters=10, log_every=4), init)
+        records = [r for r in caplog.records if r.name == "aggmogp.inference"]
+        assert [r.getMessage()[:11] for r in records] == [
+            "iter      0", "iter      4", "iter      8"
+        ]
+        assert all(r.levelno == logging.INFO for r in records)
+        assert capsys.readouterr().out == ""
+
 
 class TestOrientationAlignment:
     def misaligned_state(self):
@@ -435,6 +482,15 @@ class TestTrainConfigValidation:
             TrainConfig(num_elbo_samples=0)
         with pytest.raises(ValueError):
             TrainConfig(convergence_window=0)
+        with pytest.raises(ValueError):
+            TrainConfig(convergence_tol=-1e-6)
+        with pytest.raises(ValueError):
+            TrainConfig(snapshot_every=-3)
+        with pytest.raises(ValueError):
+            TrainConfig(log_every=-1)
+        # Zero stays valid: it turns snapshots, logging and the
+        # convergence stop off.
+        TrainConfig(convergence_tol=0.0, snapshot_every=0, log_every=0)
 
 
 class TestAdam:

@@ -24,6 +24,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aggmogp import prediction
 from aggmogp.errors import DataError, DimensionMismatch, OutOfBounds
 from aggmogp.geometry import (
     AVERAGE,
@@ -36,6 +37,7 @@ from aggmogp.geometry import (
 from aggmogp.model import AggregatedDataset, DatasetRecord, uniform_rules
 from aggmogp.model import (
     JITTER_BASE,
+    SupportCovTable,
     init_state,
     override_length_scales,
 )
@@ -183,8 +185,11 @@ class TestCrossCov:
         domain, dataset, _ = two_series_instance()
         dd = dataset.prepared("d0")
         state = reference_state(dataset)
+        query = np.array([[1.0], [2.0]])
         H = cross_cov_H(
-            np.array([[1.0], [2.0]]), dd, np.zeros((2, 2)), state.kernels
+            [latent_point_support(dd, query, s) for s in state.kernels.length_scales],
+            dd,
+            np.zeros((2, 2)),
         )
         assert H.shape == (12, 4)
         assert np.all(H == 0.0)
@@ -408,6 +413,61 @@ class TestPredictGrid:
         assert query.shape == (2, 1)
         assert mean.shape == (2,)
         assert np.all(var >= 0.0)
+
+
+class TestDrawInvariantBlocks:
+    """The support covariances and point-support integrals depend on the
+    length scales only, so each call builds them once per latent however
+    many weight draws it conditions on, and not at all without data."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"point_support": [], "latent_cov": []}
+        real_point = prediction.latent_point_support
+        real_cov = SupportCovTable.latent_cov
+
+        def point_support(dd, query, length_scale):
+            counts["point_support"].append(length_scale)
+            return real_point(dd, query, length_scale)
+
+        def latent_cov(table, length_scale, with_grad=False):
+            counts["latent_cov"].append(length_scale)
+            return real_cov(table, length_scale, with_grad)
+
+        monkeypatch.setattr(prediction, "latent_point_support", point_support)
+        monkeypatch.setattr(SupportCovTable, "latent_cov", latent_cov)
+        return counts
+
+    def calls(self, run, counts, with_data):
+        _, dataset, recs = two_series_instance()
+        state = reference_state(dataset)
+        if not with_data:
+            dataset = dataset.replace_records(())
+        run(state, dataset, recs)
+        return counts["point_support"], counts["latent_cov"]
+
+    HELPERS = {
+        "predict_supports": lambda state, ds, recs: predict_supports(
+            recs[0].partition, state, ds, n_samples=5, seed=1
+        ),
+        "predict_grid": lambda state, ds, recs: predict_grid(
+            state, ds, "d0", "a0", n_samples=5, seed=1
+        ),
+        "predictive_mixture": lambda state, ds, recs: predictive_mixture(
+            [[0.5], [4.0]], state, ds, "d0", 5, seed=1
+        ),
+        "conditional_posterior": lambda state, ds, recs: conditional_posterior(
+            [[0.5], [4.0]], np.ones((2, 2)), state, ds, "d0"
+        ),
+    }
+
+    @pytest.mark.parametrize("with_data", [True, False])
+    @pytest.mark.parametrize("helper", sorted(HELPERS))
+    def test_once_per_latent_per_call(self, counts, helper, with_data):
+        point, cov = self.calls(self.HELPERS[helper], counts, with_data)
+        expected = [1.2, 0.6] if with_data else []
+        assert point == expected
+        assert cov == expected
 
 
 def pinned_state(dataset, seed=0, scales=(0.8, 0.5)):
