@@ -334,8 +334,16 @@ def load_config_file(path: str) -> ConfigBundle:
         raise DataError(f"{path}: invalid config value: {e}") from e
 
 
+def _section(doc: dict, name: str, path: str) -> dict:
+    """One top-level config section, which must be a JSON object."""
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise DataError(f"{path}: the {name!r} section must be a JSON object")
+    return section
+
+
 def _config_from_doc(doc: dict, path: str) -> ConfigBundle:
-    model = doc.get("model", {})
+    model = _section(doc, "model", path)
     num_latents = model.get("num_latents", 1)
     if num_latents != "cv":
         num_latents = int(num_latents)
@@ -346,14 +354,14 @@ def _config_from_doc(doc: dict, path: str) -> ConfigBundle:
         scales = tuple(float(s) for s in scales)
         if any(s <= 0 for s in scales):
             raise DataError(f"{path}: length_scales must be positive")
-    training = doc.get("training", {})
+    training = _section(doc, "training", path)
     unknown = set(training) - _TRAINING_KEYS
     if unknown:
         raise DataError(
             f"{path}: unknown training options {sorted(unknown)}"
         )
     config = TrainConfig(**training)
-    prediction = doc.get("prediction", {})
+    prediction = _section(doc, "prediction", path)
     n_pred = int(prediction.get("n_samples", 100))
     if n_pred < 1:
         raise DataError(f"{path}: prediction n_samples must be >= 1")

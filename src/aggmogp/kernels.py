@@ -12,6 +12,14 @@ covariance primitives are provided:
   (``support_cov_bucketed``), which is exact because the kernel only sees
   the distance.
 
+The model and prediction modules use the vectorized building blocks
+(``sq_dists``, ``se_value``, ``se_value_dlog``, ``se_antideriv2``,
+``se_antideriv2_dlog`` and ``se_point_interval``); the model's support
+covariance table builds grid sums from per-axis grams instead of
+distance histograms. The scalar primitives, ``support_cov_grid``,
+``DistanceHistogram`` and ``support_cov_bucketed`` are tested reference
+implementations.
+
 The closed forms build on the identity that
 ``F(z) = sqrt(pi/2) * b * z * erf(z / (sqrt(2) b)) + b^2 * exp(-z^2 / (2 b^2))``
 has second derivative ``exp(-z^2 / (2 b^2))``, so the rectangle integral is
@@ -101,6 +109,11 @@ class KernelSet:
 # Vectorized building blocks. These accept arrays and are shared by the
 # scalar primitives below and the batched covariance assembly in the model
 # module, so both routes evaluate the same expressions.
+
+
+def sq_dists(a, b):
+    """Squared distances between the rows of two (n, ndim) point arrays."""
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
 
 
 def se_value(sq_dist, length_scale):

@@ -15,9 +15,17 @@ weights. Weight rows get a Gaussian prior shared across domains; training
 maximizes the evidence lower bound over a factorized Gaussian posterior
 for the weights (see the inference module).
 
-Average-rule interval supports on 1-D domains use the closed-form erf
-integrals; every other support goes through grid sums, grouped by exact
-squared distance where the weights are constant.
+Every support covariance goes through one aggregation operator
+(:class:`SupportCovTable`). Average-rule interval supports on 1-D domains
+pair with each other through the closed-form erf integrals (the kernels
+module's ``se_antideriv2`` and ``se_antideriv2_dlog``, evaluated once per
+distinct argument). Every other grid support is a row of a sparse weight
+matrix ``A`` over the grid cells, and its covariances are ``A K Aᵀ`` with
+the grid gram ``K`` applied as a Kronecker product of per-axis grams
+(``se_value`` and ``se_value_dlog`` on each axis). Point observations at
+support centroids evaluate ``se_value`` directly. The kernels module's
+``support_cov_grid``, ``DistanceHistogram`` and ``support_cov_bucketed``
+are not used here; the tests keep them as reference primitives.
 """
 
 from __future__ import annotations
@@ -31,12 +39,12 @@ from . import geometry, utils
 from .errors import CholeskyFailure, DataError, DimensionMismatch
 from .geometry import AggregationRule, Domain, Interval, Partition
 from .kernels import (
-    DistanceHistogram,
     KernelSet,
     se_antideriv2,
     se_antideriv2_dlog,
     se_value,
     se_value_dlog,
+    sq_dists,
 )
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -211,21 +219,9 @@ def uniform_rules(partition: Partition, rule: AggregationRule | None = None):
 class _SupportGeom:
     """Cached per-support geometry used by covariance assembly."""
 
-    __slots__ = (
-        "support",
-        "rule",
-        "closed_form",
-        "interval",
-        "members",
-        "coords",
-        "weights",
-        "const_weight",
-        "index_based",
-    )
+    __slots__ = ("closed_form", "interval", "members", "coords", "weights")
 
     def __init__(self, domain: Domain, support, rule: AggregationRule, as_point: bool):
-        self.support = support
-        self.rule = rule
         if as_point:
             # Point observation at the centroid; weights collapse to one.
             self.closed_form = False
@@ -233,18 +229,11 @@ class _SupportGeom:
             self.members = None
             self.coords = geometry.centroid(support, domain.grid)[None, :]
             self.weights = np.ones(1)
-            self.const_weight = 1.0
-            self.index_based = False
             return
         members = geometry.membership(support, domain.grid)
-        weights = geometry.weight_vector(support, domain.grid, rule)
         self.members = members
         self.coords = domain.grid.points[members]
-        self.weights = weights
-        self.index_based = True
-        self.const_weight = (
-            float(weights[0]) if rule.constant_weight else None
-        )
+        self.weights = geometry.weight_vector(support, domain.grid, rule)
         body = support.body
         self.closed_form = (
             domain.ndim == 1
@@ -254,111 +243,206 @@ class _SupportGeom:
         self.interval = body if isinstance(body, Interval) else None
 
 
-class SupportCovTable:
-    """Precomputed pair structure for one domain's support covariances.
+def _mode_product(factor: np.ndarray, tensor: np.ndarray, axis: int) -> np.ndarray:
+    """``factor`` applied along one axis of ``tensor``, shape kept."""
+    shape = tensor.shape
+    pre = int(np.prod(shape[:axis], dtype=np.int64))
+    return (factor @ tensor.reshape(pre, shape[axis], -1)).reshape(shape)
 
-    Pairs where both sides are closed-form (1-D averaged intervals) store
-    the four antiderivative arguments; every other pair is reduced to
-    coefficients over distinct squared distances, using exact index
-    arithmetic whenever both sides live on the grid with constant
-    weights.
+
+class GridKernel:
+    """The SE kernel over a domain's regular grid as per-axis factors.
+
+    On the cell centres the kernel factorizes over the axes, ``K = G_1 ⊗
+    … ⊗ G_D`` with ``G_d`` the 1-D gram of axis d (C order: the last axis
+    varies fastest), and its log-length-scale derivative follows by the
+    product rule. Only the D small grams are ever evaluated.
+    """
+
+    def __init__(self, grid):
+        self.grid = grid
+
+    def factors(self, length_scale: float, with_grad: bool = False):
+        """Per-axis grams ``[G_d]``, and ``[dG_d]`` when ``with_grad``."""
+        # Recomputed per call: kept on every table, they raised the peak
+        # memory of runs that rebuild datasets, and they cost little.
+        axes = [self.grid.axis_coords(d)[:, None] for d in range(self.grid.ndim)]
+        sq = [sq_dists(x, x) for x in axes]
+        grams = [se_value(d2, length_scale) for d2 in sq]
+        if not with_grad:
+            return grams, None
+        return grams, [se_value_dlog(d2, length_scale) for d2 in sq]
+
+    def block(self, cells, grams) -> np.ndarray:
+        """Dense gram among the given flat cells, from :meth:`factors`."""
+        multi = self.grid.multi_index(cells)
+        out = grams[0][np.ix_(multi[:, 0], multi[:, 0])]
+        for d in range(1, len(grams)):
+            out = out * grams[d][np.ix_(multi[:, d], multi[:, d])]
+        return out
+
+
+class WeightRows:
+    """Aggregation weights of grid supports as a sparse matrix ``A``.
+
+    Row r holds one support's weights over the flat grid cells (CSR), so
+    the average, sum and custom rules share one representation. The
+    first ``n_cols`` rows are the columns of :meth:`kernel_times`; the
+    others are only multiplied against its result.
+    """
+
+    def __init__(self, kernel: GridKernel, geoms, n_cols: int):
+        # Imported here, on the grid branch only: scipy.sparse adds about
+        # 1.6 MiB to the peak memory of every process that loads it.
+        from scipy.sparse import csr_matrix
+
+        grid = kernel.grid
+        self.kernel = kernel
+        self.n_cols = n_cols
+        cells = np.concatenate([g.members for g in geoms])
+        vals = np.concatenate([g.weights for g in geoms])
+        sizes = [g.members.size for g in geoms]
+        ptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        shape = (len(geoms), grid.n_points)
+        self.matrix = csr_matrix((vals, cells, ptr), shape=shape)
+        # Along the last grid axis Aᵀ is sparse: the column rows' entries
+        # group into fibres, one per (cell over the leading axes, row),
+        # each a short vector over the last axis.
+        n_entries = int(ptr[n_cols])
+        lead, last = np.divmod(cells[:n_entries], grid.shape[-1])
+        row = np.repeat(np.arange(n_cols), sizes[:n_cols])
+        key, fibre = np.unique(lead * n_cols + row, return_inverse=True)
+        self.fibre_lead, self.fibre_row = np.divmod(key, max(n_cols, 1))
+        self.fibres = np.zeros((key.size, grid.shape[-1]))
+        self.fibres[fibre.ravel(), last] = vals[:n_entries]
+
+    def kernel_times(self, length_scale: float, with_grad: bool = False):
+        """``K Aᵀ`` over the column rows, an (all cells, n_cols) array.
+
+        Returns ``(KAᵀ, dKAᵀ)``, the derivative with respect to the log
+        length scale or None. The last axis acts on the fibres of ``Aᵀ``;
+        every other axis is a dense mode product.
+        """
+        grid = self.kernel.grid
+        grams, dgrams = self.kernel.factors(length_scale, with_grad)
+        n_last = grid.shape[-1]
+
+        def scatter(fibre_vals):
+            out = np.zeros((grid.n_points // n_last, n_last, self.n_cols))
+            out[self.fibre_lead, :, self.fibre_row] = fibre_vals
+            return out.reshape(grid.shape + (self.n_cols,))
+
+        value = scatter(self.fibres @ grams[-1])
+        deriv = scatter(self.fibres @ dgrams[-1]) if with_grad else None
+        for axis in range(grid.ndim - 2, -1, -1):
+            if with_grad:
+                deriv = _mode_product(grams[axis], deriv, axis)
+                deriv += _mode_product(dgrams[axis], value, axis)
+            value = _mode_product(grams[axis], value, axis)
+        flat = (grid.n_points, self.n_cols)
+        return value.reshape(flat), deriv.reshape(flat) if with_grad else None
+
+
+class SupportCovTable:
+    """One domain's support covariances ``S_l``, for any length scale.
+
+    Rows come in three kinds:
+
+    * closed-form rows (1-D intervals with the average rule): pairs of
+      them take the erf double integral, with the antiderivative F
+      evaluated once per distinct ``|z|`` and gathered (F is even, so
+      this is exact);
+    * every other grid support is a row of the weight matrix ``A``
+      (:class:`WeightRows`), and its entries are ``A K Aᵀ`` with ``K``
+      applied through per-axis factors (:class:`GridKernel`); a
+      closed-form row paired with a grid or point row counts as its row
+      of ``A``;
+    * point rows (``as_points`` centroids) evaluate the kernel directly.
     """
 
     def __init__(self, domain: Domain, geoms: list[_SupportGeom]):
         self.n = len(geoms)
-        cf_rows, cf_cols, cf_z, cf_norm = [], [], [], []
-        fl_rows, fl_cols = [], []
-        fl_d2, fl_coef, fl_len = [], [], []
-        for i in range(self.n):
-            gi = geoms[i]
-            for j in range(i, self.n):
-                gj = geoms[j]
-                if gi.closed_form and gj.closed_form:
-                    a, b = gi.interval.lo, gi.interval.hi
-                    c, d = gj.interval.lo, gj.interval.hi
-                    cf_rows.append(i)
-                    cf_cols.append(j)
-                    cf_z.append((b - c, a - c, b - d, a - d))
-                    cf_norm.append(1.0 / (gi.interval.length * gj.interval.length))
-                    continue
-                if (
-                    gi.index_based
-                    and gj.index_based
-                    and gi.const_weight is not None
-                    and gj.const_weight is not None
-                ):
-                    hist = DistanceHistogram.from_member_indices(
-                        domain.grid, gi.members, gj.members
-                    )
-                    d2 = hist.sq_dists
-                    coef = hist.counts * (gi.const_weight * gj.const_weight)
-                else:
-                    diff = gi.coords[:, None, :] - gj.coords[None, :, :]
-                    d2_full = (diff * diff).sum(axis=2)
-                    pair_w = np.outer(gi.weights, gj.weights)
-                    d2, inverse = np.unique(d2_full.ravel(), return_inverse=True)
-                    coef = np.bincount(
-                        inverse, weights=pair_w.ravel(), minlength=d2.size
-                    )
-                fl_rows.append(i)
-                fl_cols.append(j)
-                fl_d2.append(d2)
-                fl_coef.append(coef)
-                fl_len.append(d2.size)
-        self.cf_rows = np.array(cf_rows, dtype=np.int64)
-        self.cf_cols = np.array(cf_cols, dtype=np.int64)
-        self.cf_z = (
-            np.array(cf_z, dtype=float).T if cf_z else np.zeros((4, 0))
-        )
-        self.cf_norm = np.array(cf_norm, dtype=float)
-        self.fl_rows = np.array(fl_rows, dtype=np.int64)
-        self.fl_cols = np.array(fl_cols, dtype=np.int64)
-        if fl_d2:
-            self.fl_d2 = np.concatenate(fl_d2)
-            self.fl_coef = np.concatenate(fl_coef)
-            self.fl_ptr = np.concatenate([[0], np.cumsum(fl_len)]).astype(np.int64)
-        else:
-            self.fl_d2 = np.zeros(0)
-            self.fl_coef = np.zeros(0)
-            self.fl_ptr = np.zeros(1, dtype=np.int64)
+        cf = [i for i, g in enumerate(geoms) if g.closed_form]
+        points = [i for i, g in enumerate(geoms) if g.members is None]
+        grid_rows = [
+            i
+            for i, g in enumerate(geoms)
+            if not g.closed_form and g.members is not None
+        ]
+        self.kernel = GridKernel(domain.grid)
+        i, j = np.triu_indices(len(cf))
+        self.cf_rows = np.asarray(cf, dtype=np.int64)[i]
+        self.cf_cols = np.asarray(cf, dtype=np.int64)[j]
+        lo = np.array([geoms[k].interval.lo for k in cf])
+        hi = np.array([geoms[k].interval.hi for k in cf])
+        z = np.stack([hi[i] - lo[j], lo[i] - lo[j], hi[i] - hi[j], lo[i] - hi[j]])
+        self.cf_norm = 1.0 / ((hi - lo)[i] * (hi - lo)[j])
+        self.cf_abs_z, inverse = np.unique(np.abs(z).ravel(), return_inverse=True)
+        self.cf_inverse = inverse.reshape(z.shape)
+        self.grid_rows = np.asarray(grid_rows, dtype=np.int64)
+        self.point_rows = np.asarray(points, dtype=np.int64)
+        # Closed-form rows join A only to meet grid or point rows.
+        a_rows = grid_rows + (cf if grid_rows or points else [])
+        self.a_rows = np.asarray(a_rows, dtype=np.int64)
+        self.A = None
+        if a_rows:
+            a_geoms = [geoms[k] for k in a_rows]
+            self.A = WeightRows(self.kernel, a_geoms, len(grid_rows))
+        if points:
+            centroids = np.concatenate([geoms[k].coords for k in points])
+            self.point_sq_dists = sq_dists(centroids, centroids)
+            if self.A is not None:
+                self.point_grid_sq_dists = sq_dists(centroids, domain.grid.points)
 
-    def _fill(self, out, rows, cols, vals):
-        out[rows, cols] = vals
-        out[cols, rows] = vals
+    def _fill(self, S, antideriv, profile, length_scale):
+        """Closed-form and point pairs of S for one kernel primitive pair."""
+        if self.cf_rows.size:
+            f = antideriv(self.cf_abs_z, length_scale)[self.cf_inverse]
+            vals = ((f[0] + f[3]) - (f[1] + f[2])) * self.cf_norm
+            S[self.cf_rows, self.cf_cols] = vals
+            S[self.cf_cols, self.cf_rows] = vals
+        if self.point_rows.size:
+            S[np.ix_(self.point_rows, self.point_rows)] = profile(
+                self.point_sq_dists, length_scale
+            )
+            if self.A is not None:
+                to_grid = profile(self.point_grid_sq_dists, length_scale)
+                cross = self.A.matrix @ to_grid.T
+                S[np.ix_(self.a_rows, self.point_rows)] = cross
+                S[np.ix_(self.point_rows, self.a_rows)] = cross.T
+
+    def _fill_grid(self, S, KAt):
+        """Rows of ``A`` against grid rows, from ``K Aᵀ`` (or its derivative)."""
+        block = self.A.matrix @ KAt
+        k = self.grid_rows.size
+        # The grid rows lead a_rows; average their block with its
+        # transpose so S is exactly symmetric.
+        block[:k] = 0.5 * (block[:k] + block[:k].T)
+        S[np.ix_(self.a_rows, self.grid_rows)] = block
+        S[np.ix_(self.grid_rows, self.a_rows)] = block.T
 
     def latent_cov(self, length_scale: float, with_grad: bool = False):
         """Support covariance matrix for one kernel, optionally with its
         derivative with respect to the log length scale."""
         S = np.zeros((self.n, self.n))
-        dS = np.zeros((self.n, self.n)) if with_grad else None
-        if self.cf_rows.size:
-            z1, z2, z3, z4 = self.cf_z
-            vals = (
-                (se_antideriv2(z1, length_scale) + se_antideriv2(z4, length_scale))
-                - (se_antideriv2(z2, length_scale) + se_antideriv2(z3, length_scale))
-            ) * self.cf_norm
-            self._fill(S, self.cf_rows, self.cf_cols, vals)
+        self._fill(S, se_antideriv2, se_value, length_scale)
+        if with_grad:
+            dS = np.zeros((self.n, self.n))
+            self._fill(dS, se_antideriv2_dlog, se_value_dlog, length_scale)
+        if self.grid_rows.size:
+            KAt, dKAt = self.A.kernel_times(length_scale, with_grad)
+            self._fill_grid(S, KAt)
             if with_grad:
-                dvals = (
-                    (
-                        se_antideriv2_dlog(z1, length_scale)
-                        + se_antideriv2_dlog(z4, length_scale)
-                    )
-                    - (
-                        se_antideriv2_dlog(z2, length_scale)
-                        + se_antideriv2_dlog(z3, length_scale)
-                    )
-                ) * self.cf_norm
-                self._fill(dS, self.cf_rows, self.cf_cols, dvals)
-        if self.fl_rows.size:
-            contrib = self.fl_coef * se_value(self.fl_d2, length_scale)
-            sums = np.add.reduceat(contrib, self.fl_ptr[:-1])
-            self._fill(S, self.fl_rows, self.fl_cols, sums)
-            if with_grad:
-                dcontrib = self.fl_coef * se_value_dlog(self.fl_d2, length_scale)
-                dsums = np.add.reduceat(dcontrib, self.fl_ptr[:-1])
-                self._fill(dS, self.fl_rows, self.fl_cols, dsums)
+                self._fill_grid(dS, dKAt)
         return (S, dS) if with_grad else S
+
+    def grid_cross(self, cells, length_scale: float) -> np.ndarray:
+        """Integrals of one kernel against each grid row's weights at flat
+        grid cells: ``(K Aᵀ)[cells]ᵀ``, a (grid rows, cells) array."""
+        if not self.grid_rows.size:
+            return np.zeros((0, len(cells)))
+        KAt, _ = self.A.kernel_times(length_scale)
+        return KAt[cells].T
 
 
 class DomainData:

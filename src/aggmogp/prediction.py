@@ -12,11 +12,15 @@ components into a single mean and covariance (mixture moments).
 Every helper conditions each draw in one function and pools the draws
 in another. What no draw changes is built once per call: the
 per-latent support covariances ``S_l``, the point–support integrals
-``h_l`` and each target support's prior ``wᵀ K_l w``. Each draw only
-mixes them with its weights, factors and solves. Support predictions
-pool each support's member columns of the cross covariance before the
-solve. Only the full covariance of point queries materializes a
-query-cross-query matrix.
+``h_l`` and each target support's prior ``wᵀ K_l w``. At grid cells (the
+member cells of target supports and the default query of
+:func:`predict_grid`) the integrals are columns of the covariance
+table's ``K Aᵀ`` and the priors come from its per-axis kernel factors;
+other query points sum the kernel over member points. Each draw only
+mixes these blocks with its weights, factors and solves. Support
+predictions pool each support's member columns of the cross covariance
+before the solve. Only the full covariance of point queries
+materializes a query-cross-query matrix.
 
 Weight draws for prediction come from substream 3 of the prediction
 seed: one (local attributes, latents) standard-normal block per
@@ -34,7 +38,7 @@ import scipy.linalg
 from . import geometry, model, utils
 from .errors import DataError, DimensionMismatch, OutOfBounds
 from .geometry import Domain, Partition
-from .kernels import KernelSet, se_point_interval, se_value
+from .kernels import KernelSet, se_point_interval, se_value, sq_dists
 from .model import (
     AggregatedDataset,
     DomainData,
@@ -44,10 +48,6 @@ from .model import (
 
 # Pooled variances below this are reported through the clamp counter.
 _CLAMP_TOL = -1e-10
-
-
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
 
 
 def _as_query_array(query_points, domain: Domain) -> np.ndarray:
@@ -74,13 +74,23 @@ def latent_point_support(
 ) -> np.ndarray:
     """Integrals of one kernel against every observation row's weights.
 
-    Returns an (observation rows, query points) array; closed-form rows
-    use the erf integral, everything else sums the kernel over member
-    points.
+    ``query`` is an (n, ndim) array of points, or a 1-D integer array of
+    flat grid cells. Returns an (observation rows, query) array.
+    Closed-form rows use the erf integral. At grid cells the grid
+    supports' rows are columns of the table's ``K Aᵀ``
+    (:meth:`SupportCovTable.grid_cross`); at other points, and for point
+    rows, the kernel is summed over member points.
     """
-    n_q = query.shape[0]
-    out = np.empty((domain_data.n_obs, n_q))
-    for row, geom in enumerate(domain_data.geoms):
+    query = np.asarray(query)
+    out = np.empty((domain_data.n_obs, query.shape[0]))
+    rows = range(domain_data.n_obs)
+    if np.issubdtype(query.dtype, np.integer):
+        table = domain_data.cov
+        out[table.grid_rows] = table.grid_cross(query, length_scale)
+        rows = np.setdiff1d(rows, table.grid_rows)
+        query = domain_data.domain.grid.points[query]
+    for row in rows:
+        geom = domain_data.geoms[row]
         if geom.closed_form:
             iv = geom.interval
             out[row] = (
@@ -88,7 +98,7 @@ def latent_point_support(
                 / iv.length
             )
         else:
-            vals = se_value(_sq_dists(geom.coords, query), length_scale)
+            vals = se_value(sq_dists(geom.coords, query), length_scale)
             out[row] = geom.weights @ vals
     return out
 
@@ -158,13 +168,14 @@ def _local_attr_indices(state, domain_data, attributes):
     return np.asarray(idx, dtype=np.int64), tuple(wanted)
 
 
-def _support_priors(points, members, weights, kernels: KernelSet) -> np.ndarray:
-    """Entry (l, n) is ``wᵀ K_l w`` over the member points of support n."""
+def _support_priors(grid_kernel, members, weights, kernels: KernelSet) -> np.ndarray:
+    """Entry (l, n) is ``wᵀ K_l w`` over the member cells of support n,
+    from the per-axis factors of ``grid_kernel``."""
     out = np.empty((len(kernels), len(members)))
-    for n, (idx, w) in enumerate(zip(members, weights)):
-        d2 = _sq_dists(points[idx], points[idx])
-        for l, scale in enumerate(kernels.length_scales):
-            out[l, n] = w @ se_value(d2, scale) @ w
+    for l, scale in enumerate(kernels.length_scales):
+        grams, _ = grid_kernel.factors(scale)
+        for n, (idx, w) in enumerate(zip(members, weights)):
+            out[l, n] = w @ grid_kernel.block(idx, grams) @ w
     return out
 
 
@@ -177,8 +188,9 @@ def _draw_invariants(dd, query, kernels: KernelSet):
     """Per-latent blocks of one call that no weight draw changes.
 
     Returns ``(latents, point_support)``: the support covariances
-    ``[S_l]`` and the point–support integrals ``[h_l]`` at ``query``,
-    both functions of the length scales alone. A domain without
+    ``[S_l]`` and the point–support integrals ``[h_l]`` at ``query``
+    (points or grid cells, see :func:`latent_point_support`), both
+    functions of the length scales alone. A domain without
     observations needs neither and gets None.
     """
     if dd.n_obs == 0:
@@ -255,7 +267,7 @@ def _point_posteriors(query_points, draws, state, dataset, domain_id, attributes
     dd = dataset.prepared(domain_id)
     query = _as_query_array(query_points, dd.domain)
     attr_idx, attr_ids = _local_attr_indices(state, dd, attributes)
-    d2 = _sq_dists(query, query)
+    d2 = sq_dists(query, query)
     grams = np.stack([se_value(d2, s) for s in state.kernels.length_scales])
     blocks = _draw_invariants(dd, query, state.kernels)
     return [
@@ -391,9 +403,9 @@ def predict_supports(
         geometry.weight_vector(s, grid, rule)
         for s, rule in zip(target.supports, rules)
     ]
-    query = grid.points[np.concatenate(members)]
+    query = np.concatenate(members)
     starts = np.cumsum([0] + [idx.size for idx in members[:-1]])
-    priors = _support_priors(grid.points, members, weights, state.kernels)
+    priors = _support_priors(dd.cov.kernel, members, weights, state.kernels)
     pool = (np.concatenate(weights), starts)
     blocks = _draw_invariants(dd, query, state.kernels)
     draws = [
@@ -423,12 +435,13 @@ def predict_grid(
     dd = dataset.prepared(domain_id)
     if query_points is None:
         query = dd.domain.grid.points
+        at = np.arange(query.shape[0])
     else:
-        query = _as_query_array(query_points, dd.domain)
+        query = at = _as_query_array(query_points, dd.domain)
     attr_idx, _ = _local_attr_indices(state, dd, [attribute_id])
     # Unit-weight point variances: every kernel is one at zero distance.
     priors = np.ones((state.num_latents, query.shape[0]))
-    blocks = _draw_invariants(dd, query, state.kernels)
+    blocks = _draw_invariants(dd, at, state.kernels)
     draws = [
         _condition(dd, state, W, blocks, attr_idx, priors)
         for W in draw_weight_samples(state, domain_id, n_samples, seed)

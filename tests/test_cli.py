@@ -144,6 +144,9 @@ class TestFit:
             {"training": {"max_iters": "abc"}},
             {"model": {"num_latents": "abc"}},
             {"prediction": {"n_samples": [20]}},
+            {"model": 5},
+            {"training": []},
+            {"prediction": "x"},
         ],
     )
     def test_bad_config_value_exits_one(self, workspace, capsys, section):

@@ -414,6 +414,40 @@ class TestPredictGrid:
         assert mean.shape == (2,)
         assert np.all(var >= 0.0)
 
+    def test_grid_cells_match_member_sums(self):
+        # The default query takes the point-support integrals from the
+        # table's K Aᵀ at grid cells; explicit query points sum the kernel
+        # over member points. Custom weights exercise the general rows.
+        domain = square_grid_domain(6)
+        rng = np.random.default_rng(5)
+        records = []
+        for attr, shape in (("a0", (2, 2)), ("a1", (3, 2))):
+            part = grid_block_partition(domain, attr, shape, id_prefix=f"{attr}b")
+            rules = [
+                AggregationRule(
+                    AggregationRule.CUSTOM,
+                    tuple(rng.uniform(0.2, 2.0, len(s.body.cells))),
+                )
+                for s in part.supports
+            ]
+            records.append(
+                DatasetRecord(
+                    domain_id="d0", attribute_id=attr, partition=part,
+                    rules=tuple(rules),
+                    values=rng.standard_normal(len(part.supports)),
+                )
+            )
+        dataset = AggregatedDataset({"d0": domain}, ("a0", "a1"), records)
+        state = reference_state(dataset, scales=(0.4, 0.2))
+        query, mean, var, clamped = predict_grid(state, dataset, "d0", "a1", 4, 2)
+        q2, mean2, var2, clamped2 = predict_grid(
+            state, dataset, "d0", "a1", 4, 2, query_points=domain.grid.points
+        )
+        np.testing.assert_array_equal(query, q2)
+        np.testing.assert_allclose(mean, mean2, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(var, var2, rtol=1e-12, atol=1e-12)
+        assert clamped == clamped2
+
 
 class TestDrawInvariantBlocks:
     """The support covariances and point-support integrals depend on the

@@ -1,0 +1,312 @@
+"""Support covariances against explicit aggregation matrices.
+
+``SupportCovTable.latent_cov`` builds ``S_l`` from per-axis kernel
+factors, a sparse weight matrix and distinct-argument closed forms. The
+oracle here shares none of that: it writes every observation row as a
+dense weight row over the grid points and the support centroids, builds
+the full gram over those points, and takes ``W K Wᵀ``; pairs of
+closed-form rows (1-D intervals with the average rule) take the erf
+double integral pair by pair.
+"""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+from conftest import cells_support, interval_support
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import erf
+
+import aggmogp
+from aggmogp.geometry import (
+    AVERAGE,
+    SUM,
+    AggregationRule,
+    Domain,
+    GridSpec,
+    Interval,
+    Partition,
+    centroid,
+    membership,
+    weight_vector,
+)
+from aggmogp.kernels import se_antideriv2_dlog, se_double_interval
+from aggmogp.model import DatasetRecord, DomainData
+
+TOL = 1e-12
+
+
+def domain_data(domain, records):
+    return DomainData(domain, records, [r.values for r in records])
+
+
+def closed_form_rows(domain, records):
+    """Interval per observation row, or None where the row is not closed form."""
+    out = []
+    for rec in records:
+        for support, rule in zip(rec.partition.supports, rec.rules):
+            closed = (
+                domain.ndim == 1
+                and isinstance(support.body, Interval)
+                and rule.kind == AggregationRule.AVERAGE
+                and not rec.as_points
+            )
+            out.append(support.body if closed else None)
+    return out
+
+
+def oracle_latent_cov(domain, records, length_scale):
+    """``(S, dS, scale)`` from dense weight rows over grid points and centroids.
+
+    ``scale`` is the largest entry of ``|W| K |W|ᵀ``, the size of the
+    terms each entry sums, against which cancellation is measured.
+    """
+    grid = domain.grid
+    rows, centroids = [], []
+    for rec in records:
+        for support, rule in zip(rec.partition.supports, rec.rules):
+            if rec.as_points:
+                centroids.append(centroid(support, grid))
+                rows.append(("point", len(centroids) - 1))
+            else:
+                members = membership(support, grid)
+                rows.append(("grid", members, weight_vector(support, grid, rule)))
+    points = np.vstack([grid.points] + [c[None, :] for c in centroids])
+    W = np.zeros((len(rows), points.shape[0]))
+    for r, row in enumerate(rows):
+        if row[0] == "point":
+            W[r, grid.n_points + row[1]] = 1.0
+        else:
+            W[r, row[1]] = row[2]
+    diff = points[:, None, :] - points[None, :, :]
+    d2 = (diff * diff).sum(axis=2)
+    b2 = length_scale * length_scale
+    K = np.exp(-d2 / (2.0 * b2))
+    dK = K * d2 / b2
+    S, dS = W @ K @ W.T, W @ dK @ W.T
+    scale = float(np.max(np.abs(W) @ K @ np.abs(W).T))
+    intervals = closed_form_rows(domain, records)
+    for i, a in enumerate(intervals):
+        for j, c in enumerate(intervals):
+            if a is None or c is None:
+                continue
+            norm = 1.0 / (a.length * c.length)
+            S[i, j] = se_double_interval(a.lo, a.hi, c.lo, c.hi, length_scale) * norm
+            f = [
+                se_antideriv2_dlog(z, length_scale)
+                for z in (a.hi - c.lo, a.lo - c.lo, a.hi - c.hi, a.lo - c.hi)
+            ]
+            dS[i, j] = ((f[0] + f[3]) - (f[1] + f[2])) * norm
+    return S, dS, scale
+
+
+def check_against_oracle(domain, records, length_scale):
+    S, dS = domain_data(domain, records).cov.latent_cov(length_scale, with_grad=True)
+    S_o, dS_o, scale = oracle_latent_cov(domain, records, length_scale)
+    np.testing.assert_allclose(S, S_o, rtol=TOL, atol=TOL * scale)
+    np.testing.assert_allclose(dS, dS_o, rtol=TOL, atol=TOL * scale)
+    np.testing.assert_array_equal(S, S.T)
+    np.testing.assert_array_equal(dS, dS.T)
+
+
+@st.composite
+def grid_domains(draw, ndim):
+    """A grid with drawn shape, unequal cell sizes and origin."""
+    top = 6 if ndim < 3 else 4
+    shape = tuple(draw(st.integers(2, top)) for _ in range(ndim))
+    cell = tuple(draw(st.floats(0.25, 2.0)) for _ in range(ndim))
+    origin = tuple(draw(st.floats(-3.0, 3.0)) for _ in range(ndim))
+    grid = GridSpec(origin=origin, cell_size=cell, shape=shape)
+    return Domain(id="d0", extent=grid.extent_box(), grid=grid)
+
+
+@st.composite
+def rule_for(draw, support, grid, kinds=("average", "sum", "custom")):
+    kind = draw(st.sampled_from(kinds))
+    if kind == "custom":
+        n = membership(support, grid).size
+        weights = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+        return AggregationRule(AggregationRule.CUSTOM, tuple(weights))
+    return AVERAGE if kind == "average" else SUM
+
+
+def record(attr, supports, rules, as_points=False):
+    part = Partition(attribute_id=attr, domain_id="d0", supports=tuple(supports))
+    return DatasetRecord(
+        domain_id="d0",
+        attribute_id=attr,
+        partition=part,
+        rules=tuple(rules),
+        values=np.zeros(len(supports)),
+        as_points=as_points,
+    )
+
+
+@st.composite
+def cell_set_records(draw, domain, points=False):
+    """One or two records of disjoint, not necessarily adjacent, cell sets."""
+    n = domain.grid.n_points
+    records = []
+    for attr in ("a0", "a1")[: draw(st.integers(1, 2))]:
+        labels = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        groups = sorted(set(labels) - {0}) or [0]
+        supports = [
+            cells_support(
+                [i for i, lab in enumerate(labels) if lab == g], f"{attr}s{g}"
+            )
+            for g in groups
+        ]
+        rules = [draw(rule_for(s, domain.grid)) for s in supports]
+        as_points = points and draw(st.booleans())
+        records.append(record(attr, supports, rules, as_points))
+    return records
+
+
+@st.composite
+def interval_records(draw, domain, points=False):
+    """Intervals over drawn runs of cell centres, average rule (closed
+    form) or sum rule, in one or two records."""
+    grid = domain.grid
+    h, o, n = grid.cell_size[0], grid.origin[0], grid.shape[0]
+    records = []
+    for attr in ("a0", "a1")[: draw(st.integers(1, 2))]:
+        cuts = draw(st.sets(st.integers(1, n - 1)))
+        bounds = [0, *sorted(cuts), n]
+        runs = [r for r in zip(bounds, bounds[1:]) if draw(st.booleans())]
+        supports = [
+            interval_support(o + (lo - 0.25) * h, o + (hi - 0.75) * h, f"{attr}i{k}")
+            for k, (lo, hi) in enumerate(runs or [(0, n)])
+        ]
+        rules = [draw(rule_for(s, grid, ("average", "sum"))) for s in supports]
+        as_points = points and draw(st.booleans())
+        records.append(record(attr, supports, rules, as_points))
+    return records
+
+
+@st.composite
+def cell_set_worlds(draw, ndim):
+    domain = draw(grid_domains(ndim))
+    return domain, draw(cell_set_records(domain)), draw(st.floats(0.3, 4.0))
+
+
+@st.composite
+def interval_worlds(draw, points=False):
+    domain = draw(grid_domains(1))
+    return domain, draw(interval_records(domain, points)), draw(st.floats(0.3, 4.0))
+
+
+@st.composite
+def point_worlds(draw):
+    """Records drawn as point observations at their centroids or not."""
+    if draw(st.booleans()):
+        return draw(interval_worlds(points=True))
+    domain = draw(grid_domains(2))
+    records = draw(cell_set_records(domain, points=True))
+    return domain, records, draw(st.floats(0.3, 4.0))
+
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+class TestLatentCovMatchesAggregationOracle:
+    """Values and log-length-scale derivatives equal ``W K Wᵀ``."""
+
+    @PROPERTY
+    @given(world=cell_set_worlds(1))
+    def test_cell_sets_on_a_line(self, world):
+        check_against_oracle(*world)
+
+    @PROPERTY
+    @given(world=cell_set_worlds(2))
+    def test_cell_sets_on_a_plane(self, world):
+        check_against_oracle(*world)
+
+    @PROPERTY
+    @given(world=cell_set_worlds(3))
+    def test_cell_sets_in_three_dimensions(self, world):
+        check_against_oracle(*world)
+
+    @PROPERTY
+    @given(world=interval_worlds())
+    def test_closed_form_and_sum_rule_intervals(self, world):
+        check_against_oracle(*world)
+
+    @PROPERTY
+    @given(world=point_worlds())
+    def test_point_observations(self, world):
+        check_against_oracle(*world)
+
+    def test_all_point_dataset(self):
+        grid = GridSpec(origin=(0.25, 0.5), cell_size=(0.5, 1.0), shape=(4, 3))
+        domain = Domain(id="d0", extent=grid.extent_box(), grid=grid)
+        cells = ([0, 1, 4], [5], [7, 11])
+        supports = [cells_support(c, f"s{k}") for k, c in enumerate(cells)]
+        rec = record("a0", supports, [AVERAGE, SUM, AVERAGE], as_points=True)
+        check_against_oracle(domain, [rec], 0.7)
+
+
+class TestClosedFormIsBitIdentical:
+    """Closed-form entries gather F from distinct ``|z|``; that is exact
+    only because F is even and scipy's erf is bitwise odd."""
+
+    def test_entries_equal_double_interval_pair_by_pair(self):
+        grid = GridSpec(origin=(1.0 / 64,), cell_size=(1.0 / 32,), shape=(96,))
+        domain = Domain(id="d0", extent=((0.0, 3.0),), grid=grid)
+        records = []
+        for attr, n_bins in (("a0", 9), ("a1", 20), ("a2", 7)):
+            edges = np.linspace(0.0, 3.0, n_bins + 1)
+            supports = [
+                interval_support(lo, hi, f"{attr}b{k}")
+                for k, (lo, hi) in enumerate(zip(edges, edges[1:]))
+            ]
+            records.append(record(attr, supports, [AVERAGE] * n_bins))
+        table = domain_data(domain, records).cov
+        bodies = [s.body for r in records for s in r.partition.supports]
+        lo = np.array([b.lo for b in bodies])[:, None]
+        hi = np.array([b.hi for b in bodies])[:, None]
+        for length_scale in (0.013, 0.08, 0.3, 2.5):
+            expected = se_double_interval(lo, hi, lo.T, hi.T, length_scale) * (
+                1.0 / ((hi - lo) * (hi - lo).T)
+            )
+            assert np.array_equal(table.latent_cov(length_scale), expected)
+
+    def test_erf_is_bitwise_odd(self):
+        rng = np.random.default_rng(0)
+        x = np.concatenate(
+            [
+                rng.standard_normal(200_000) * 10.0 ** rng.integers(-8, 3, 200_000),
+                np.linspace(0.0, 8.0, 100_001),
+                [0.0, 5e-324, 1e-300, 0.5, 1.0, 6.0, 30.0, np.inf],
+            ]
+        )
+        assert np.array_equal((-erf(x)).view(np.int64), erf(-x).view(np.int64))
+
+
+def test_closed_form_fit_never_loads_scipy_sparse():
+    """Only grid supports need the sparse weight matrix; a process that
+    fits closed-form intervals alone must not pay for scipy.sparse."""
+    script = """
+import sys
+import numpy as np
+import aggmogp, aggmogp.cli
+from aggmogp import geometry, inference, model
+
+grid = geometry.GridSpec(origin=(0.0625,), cell_size=(0.125,), shape=(16,))
+dom = geometry.Domain(id="d0", extent=((0.0, 2.0),), grid=grid)
+part = geometry.interval_bins(dom, "a0", 4)
+rec = model.DatasetRecord("d0", "a0", part, model.uniform_rules(part),
+                          np.array([1.0, 2.0, 0.5, 1.5]))
+ds = model.AggregatedDataset({"d0": dom}, ("a0",), (rec,))
+config = inference.TrainConfig(max_iters=3, seed=0)
+inference.fit(ds, config, model.init_state(ds, 1, seed=0))
+print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(aggmogp.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert out.stdout.strip().splitlines()[-1] == "[]"
