@@ -1,9 +1,10 @@
 """Choose the number of latent functions by leave-one-out error.
 
 Four attributes on one domain are generated from exactly two latent
-functions. Leave-one-support-out refitting scores candidate latent
-counts on held-out coarse observations; the two-latent model should win
-(ties go to the smaller count).
+functions. Leave-one-support-out prediction, at each candidate's fit to
+all the data, scores candidate latent counts on held-out coarse
+observations; the two-latent model should win (ties go to the smaller
+count).
 """
 
 import argparse

@@ -87,7 +87,7 @@ def _cmd_fit(args) -> None:
     # The view comes first so that a method the dataset does not suit
     # fails before any cross-validation runs.
     view = baselines.training_view(ds.dataset, method)
-    chosen = 1 if method == "agp" else _resolve_latents(args, cfg, ds.dataset)
+    chosen = 1 if method == "agp" else _resolve_latents(args, cfg, view)
     bf = baselines.fit_view(
         view,
         chosen,

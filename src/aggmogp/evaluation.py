@@ -44,7 +44,7 @@ from .model import (
     init_state,
     uniform_rules,
 )
-from .prediction import predict_supports
+from .prediction import predict_left_out, predict_supports
 
 
 def mape(y_true, y_pred) -> float:
@@ -93,20 +93,41 @@ class CVResult:
     fold_count: int
 
 
-def _cv_folds(dataset: AggregatedDataset, target):
+def _cv_records(dataset: AggregatedDataset, target):
+    """Records that fold (two or more supports); zero values refused."""
     if target is None:
         records = dataset.records
     else:
         records = (dataset.record_for(*target),)
-    folds = []
-    for rec in records:
-        n = len(rec.partition.supports)
-        if n < 2:
-            continue
-        folds.extend((rec.domain_id, rec.attribute_id, k) for k in range(n))
-    if not folds:
+    records = [rec for rec in records if len(rec.partition.supports) >= 2]
+    if not records:
         raise DataError("no cross-validation folds: every record has a single support")
-    return folds
+    for rec in records:
+        zero = np.flatnonzero(rec.values == 0.0)
+        if zero.size:
+            v, s = rec.key
+            raise ZeroTruth(
+                (int(zero[0]),),
+                f"held-out value of ({v}, {s}) support {zero[0]} is zero;"
+                " percentage error undefined",
+            )
+    return records
+
+
+def _refit_fold(dataset, v, s, k, L, config, n_pred_samples) -> float:
+    """Normalized prediction of support k after refitting without it."""
+    reduced, held = dataset.drop_observation(v, s, k)
+    try:
+        state, _ = fit(reduced, config, init_state(reduced, L, seed=config.seed))
+        pred = predict_supports(
+            held.partition, state, reduced, n_pred_samples, config.seed,
+            rules=held.rules,
+        )
+    except AggmogpError as e:
+        raise CrossValidationError(
+            f"fold ({v}, {s}, support {k}) with {L} latents failed: {e}"
+        ) from e
+    return pred.values[0]
 
 
 def cv_select_L(
@@ -115,73 +136,57 @@ def cv_select_L(
     config: TrainConfig,
     target: tuple[str, str] | None = None,
     exact: bool = False,
-    warm_fraction: float = 0.2,
     n_pred_samples: int = 100,
 ) -> CVResult:
     """Choose the latent count by leave-one-out over coarse observations.
 
-    Per candidate the full training data is fit once; each fold then
-    drops one observation and refits warm-started from the full fit with
-    ``warm_fraction`` of the iteration budget (``exact`` refits from
-    scratch with the full budget instead). The held-out value is
-    predicted on its own support and scored by absolute percentage
-    error in original units. ``target`` limits folds to one (domain,
-    attribute) pair; fine-grained data never enters.
+    Per candidate the full training data is fit once. Each fold holds
+    out one support of a record and predicts it from all the other
+    observations at the full fit's parameters and weight draws, the
+    closed form of conditioning on all but one observation
+    (:func:`~aggmogp.prediction.predict_left_out`); nothing is refit
+    per fold. ``exact`` instead refits every fold from scratch with the
+    full budget and predicts on the reduced dataset. Each held-out value
+    is scored by absolute percentage error in original units.
+    ``target`` limits folds to one (domain, attribute) pair; fine-grained
+    data never enters.
     """
     cands = sorted(set(int(c) for c in candidates))
     if not cands:
         raise DataError("no candidate latent counts supplied")
     if any(c < 1 for c in cands):
         raise DataError("latent counts must be >= 1")
-    folds = _cv_folds(dataset, target)
-    warm_iters = max(1, math.ceil(warm_fraction * config.max_iters))
+    records = _cv_records(dataset, target)
     mean_errors = []
     for L in cands:
-        init = init_state(dataset, L, seed=config.seed)
-        if exact:
-            base = None
-            fold_config = config
-        else:
-            base, _ = fit(dataset, config, init)
-            fold_config = replace(config, max_iters=warm_iters)
+        if not exact:
+            state, _ = fit(dataset, config, init_state(dataset, L, seed=config.seed))
         errs = []
-        for v, s, k in folds:
-            reduced, held = dataset.drop_observation(v, s, k)
-            try:
-                fold_init = (
-                    init_state(reduced, L, seed=config.seed)
-                    if base is None
-                    else base
-                )
-                state, _ = fit(reduced, fold_config, fold_init)
-                pred = predict_supports(
-                    held.partition,
-                    state,
-                    reduced,
-                    n_pred_samples,
-                    config.seed,
-                    rules=held.rules,
-                )
-            except AggmogpError as e:
-                raise CrossValidationError(
-                    f"fold ({v}, {s}, support {k}) with {L} latents failed: {e}"
-                ) from e
-            value = reduced.denormalize(v, s, pred.values)[0]
-            truth = float(held.values[0])
-            if truth == 0.0:
-                raise ZeroTruth(
-                    (k,),
-                    f"held-out value of ({v}, {s}) support {k} is zero;"
-                    " percentage error undefined",
-                )
-            errs.append(abs((truth - value) / truth))
+        for rec in records:
+            v, s = rec.key
+            if exact:
+                pred = [
+                    _refit_fold(dataset, v, s, k, L, config, n_pred_samples)
+                    for k in range(rec.values.size)
+                ]
+            else:
+                try:
+                    pred = predict_left_out(
+                        state, dataset, v, s, n_pred_samples, config.seed
+                    ).values
+                except AggmogpError as e:
+                    raise CrossValidationError(
+                        f"record ({v}, {s}) with {L} latents failed: {e}"
+                    ) from e
+            values = dataset.denormalize(v, s, pred)
+            errs.extend(np.abs((rec.values - values) / rec.values))
         mean_errors.append(float(np.mean(errs)))
     best = argmin_first(mean_errors)
     return CVResult(
         chosen=cands[best],
         candidates=tuple(cands),
         errors=tuple(mean_errors),
-        fold_count=len(folds),
+        fold_count=sum(len(rec.partition.supports) for rec in records),
     )
 
 
@@ -492,10 +497,10 @@ def run_experiment(spec: ExperimentSpec, synth_cfg: SynthConfig) -> ExperimentRe
             res = synth_generate(replace(synth_cfg, seed=seed))
             train = _training_dataset(spec, res)
             config = replace(spec.train_config, seed=seed)
-            L = _pick_latents(spec, train, config)
             view = baselines.training_view(
                 train, spec.method, spec.target_domain, spec.target_attribute
             )
+            L = _pick_latents(spec, view, config)
             bf = baselines.fit_view(view, L, config, seed)
             state, trace, used = bf.state, bf.trace, bf.dataset
             test_part = res.partitions[spec.test_level][

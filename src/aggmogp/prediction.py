@@ -20,7 +20,9 @@ other query points sum the kernel over member points. Each draw only
 mixes these blocks with its weights, factors and solves. Support
 predictions pool each support's member columns of the cross covariance
 before the solve. Only the full covariance of point queries
-materializes a query-cross-query matrix.
+materializes a query-cross-query matrix. Leave-one-out predictions of a
+record's own supports (:func:`predict_left_out`) come from the inverse
+of each draw's full ``C`` rather than one factorization per fold.
 
 Weight draws for prediction come from substream 3 of the prediction
 seed: one (local attributes, latents) standard-normal block per
@@ -201,6 +203,22 @@ def _draw_invariants(dd, query, kernels: KernelSet):
     return latents, point_support
 
 
+def _factor_and_cross(dd, state, W, blocks, attr_idx, pool):
+    """Cholesky factor of ``C`` and cross covariance ``H`` of one draw,
+    ``H`` pooled over support runs when ``pool = (weights, starts)``."""
+    latents, point_support = blocks
+    noise = state.noise_log_var[dd.domain.id]
+    # Called through its module, so layer tracing that rebinds
+    # ``model.assemble_from_latents`` still sees prediction's calls.
+    C = model.assemble_from_latents(dd, W, latents, noise)
+    chol, _ = chol_with_jitter(C)
+    H = cross_cov_H(point_support, dd, W, attr_idx)
+    if pool is not None:
+        weights, starts = pool
+        H = np.add.reduceat(H * weights, starts, axis=1)
+    return chol, H
+
+
 def _condition(dd, state, W, blocks, attr_idx, priors, pool=None):
     """Gaussian posterior of the targets for one weight draw.
 
@@ -223,16 +241,7 @@ def _condition(dd, state, W, blocks, attr_idx, priors, pool=None):
     if blocks is None:
         mean = np.zeros(n)
     else:
-        latents, point_support = blocks
-        noise = state.noise_log_var[dd.domain.id]
-        # Called through its module, so layer tracing that rebinds
-        # ``model.assemble_from_latents`` still sees prediction's calls.
-        C = model.assemble_from_latents(dd, W, latents, noise)
-        chol, _ = chol_with_jitter(C)
-        H = cross_cov_H(point_support, dd, W, attr_idx)
-        if pool is not None:
-            weights, starts = pool
-            H = np.add.reduceat(H * weights, starts, axis=1)
+        chol, H = _factor_and_cross(dd, state, W, blocks, attr_idx, pool)
         alpha = scipy.linalg.cho_solve((chol, True), dd.y, check_finite=False)
         solved = scipy.linalg.cho_solve((chol, True), H, check_finite=False)
         mean = H.T @ alpha
@@ -361,6 +370,29 @@ def predictive_mixture(
     )
 
 
+def _support_targets(target: Partition, rules, state, dd):
+    """Validated set-up of the support predictors: ``(attr_idx, query,
+    priors, pool)`` with the supports' member cells as ``query``, their
+    unit-weight priors ``wᵀ K_l w`` and ``pool`` for :func:`_condition`."""
+    grid = dd.domain.grid
+    geometry.validate(dd.domain, [target])
+    if rules is None:
+        rules = tuple(geometry.AVERAGE for _ in target.supports)
+    rules = tuple(rules)
+    if len(rules) != len(target.supports):
+        raise DataError("one aggregation rule per target support required")
+    attr_idx, _ = _local_attr_indices(state, dd, [target.attribute_id])
+    members = [geometry.membership(s, grid) for s in target.supports]
+    weights = [
+        geometry.weight_vector(s, grid, rule)
+        for s, rule in zip(target.supports, rules)
+    ]
+    query = np.concatenate(members)
+    starts = np.cumsum([0] + [idx.size for idx in members[:-1]])
+    priors = _support_priors(dd.cov.kernel, members, weights, state.kernels)
+    return attr_idx, query, priors, (np.concatenate(weights), starts)
+
+
 @dataclass
 class SupportPrediction:
     """Aggregated predictions on a target partition (normalized units)."""
@@ -388,30 +420,60 @@ def predict_supports(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    domain_id = target.domain_id
-    dd = dataset.prepared(domain_id)
-    grid = dd.domain.grid
-    geometry.validate(dd.domain, [target])
-    if rules is None:
-        rules = tuple(geometry.AVERAGE for _ in target.supports)
-    rules = tuple(rules)
-    if len(rules) != len(target.supports):
-        raise DataError("one aggregation rule per target support required")
-    attr_idx, _ = _local_attr_indices(state, dd, [target.attribute_id])
-    members = [geometry.membership(s, grid) for s in target.supports]
-    weights = [
-        geometry.weight_vector(s, grid, rule)
-        for s, rule in zip(target.supports, rules)
-    ]
-    query = np.concatenate(members)
-    starts = np.cumsum([0] + [idx.size for idx in members[:-1]])
-    priors = _support_priors(dd.cov.kernel, members, weights, state.kernels)
-    pool = (np.concatenate(weights), starts)
+    dd = dataset.prepared(target.domain_id)
+    attr_idx, query, priors, pool = _support_targets(target, rules, state, dd)
     blocks = _draw_invariants(dd, query, state.kernels)
     draws = [
         _condition(dd, state, W, blocks, attr_idx, priors, pool)
-        for W in draw_weight_samples(state, domain_id, n_samples, seed)
+        for W in draw_weight_samples(state, target.domain_id, n_samples, seed)
     ]
+    values, variances, clamped = _pool(*zip(*draws))
+    return SupportPrediction(values=values, variances=variances, clamped=clamped)
+
+
+def predict_left_out(
+    state: ModelState,
+    dataset: AggregatedDataset,
+    domain_id: str,
+    attribute_id: str,
+    n_samples: int,
+    seed: int,
+) -> SupportPrediction:
+    """Leave-one-out predictions on every support of one record.
+
+    Entry k is :func:`predict_supports` on support k of the (domain,
+    attribute) record given every other observation (the dataset of
+    ``drop_observation``), at the same state and weight draws, up to
+    roundoff and the jitter's dependence on ``mean(diag C)``. Per draw
+    ``C`` is factored once; with ``P = C⁻¹``, ``α = P y`` and held-out
+    row r, the mean is ``hᵀ(α - P[:, r] α_r / P_rr)`` and the variance
+    ``prior - (hᵀ P h - (hᵀ P[:, r])² / P_rr)`` (block inversion;
+    Rasmussen & Williams, GPML §5.4.2). Both hold for any ``h_r``, which
+    is zeroed so that no term cancels against the held-out row's own.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    dd = dataset.prepared(domain_id)
+    rec = dataset.record_for(domain_id, attribute_id)
+    rows = np.arange(dd.n_obs)[dd.blocks[dd.attr_ids.index(attribute_id)]]
+    attr_idx, query, priors, pool = _support_targets(
+        rec.partition, rec.rules, state, dd
+    )
+    blocks = _draw_invariants(dd, query, state.kernels)
+    identity = np.eye(dd.n_obs)
+    draws = []
+    for W in draw_weight_samples(state, domain_id, n_samples, seed):
+        chol, H = _factor_and_cross(dd, state, W, blocks, attr_idx, pool)
+        H[rows, np.arange(rows.size)] = 0.0
+        P = scipy.linalg.cho_solve((chol, True), identity, check_finite=False)
+        alpha = P @ dd.y
+        held = np.diagonal(P)[rows]
+        cross = np.sum(H * P[:, rows], axis=0)
+        mean = H.T @ alpha - cross * alpha[rows] / held
+        var = W[attr_idx[0]] ** 2 @ priors - (
+            np.sum(H * (P @ H), axis=0) - cross * cross / held
+        )
+        draws.append((mean, np.maximum(var, 0.0)))
     values, variances, clamped = _pool(*zip(*draws))
     return SupportPrediction(values=values, variances=variances, clamped=clamped)
 

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from conftest import two_series_instance
 
-from aggmogp import dataio
+from aggmogp import cli, dataio
 from aggmogp.cli import main
+from aggmogp.evaluation import CVResult
 from aggmogp.geometry import grid_block_partition
 from aggmogp.model import uniform_rules
 
@@ -182,6 +183,30 @@ class TestFit:
         ]
         assert all(re.fullmatch(r"iter +\d+  elbo [ -]\d+\.\d{6}  lr 0\.02", ln)
                    for ln in progress)
+
+    @pytest.mark.parametrize(
+        "method, as_points", [("slfm", True), ("amogp-trans", False)]
+    )
+    def test_cv_scores_the_training_view(
+        self, workspace, monkeypatch, method, as_points
+    ):
+        tmp, ds, cfg = workspace
+        seen = []
+
+        def capture(dataset, cands, config, **kwargs):
+            seen.append((dataset, tuple(cands)))
+            return CVResult(1, tuple(cands), (0.0,) * len(cands), 1)
+
+        monkeypatch.setattr(cli, "cv_select_L", capture)
+        code = main(
+            ["fit", "--dataset", ds, "--config", cfg, "--out", str(tmp / "m.json"),
+             "--method", method, "--latents", "cv"]
+        )
+        assert code == 0
+        [(dataset, cands)] = seen
+        assert cands == (1, 2)
+        assert [r.key for r in dataset.records] == [("d0", "a0"), ("d0", "a1")]
+        assert all(r.as_points == as_points for r in dataset.records)
 
 
 class TestRefine:

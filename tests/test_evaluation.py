@@ -15,8 +15,9 @@ from conftest import (
     unit_grid_domain,
 )
 
-from aggmogp import evaluation
+from aggmogp import evaluation, prediction
 from aggmogp.errors import (
+    CholeskyFailure,
     CrossValidationError,
     DataError,
     ZeroTruth,
@@ -278,9 +279,49 @@ class TestCvSelectL:
                 (1,),
                 TrainConfig(max_iters=2, seed=0),
                 target=("d0", "a0"),
+                exact=True,
                 n_pred_samples=2,
             )
         assert "support 0" in str(info.value)
+
+    def test_closed_form_failure_is_wrapped(self, monkeypatch):
+        data = selection_dataset(0)
+
+        def boom(C):
+            raise CholeskyFailure("staged failure")
+
+        monkeypatch.setattr(prediction, "chol_with_jitter", boom)
+        with pytest.raises(CrossValidationError) as info:
+            cv_select_L(
+                data,
+                (1, 2),
+                TrainConfig(max_iters=2, seed=0),
+                target=("d0", "a1"),
+                n_pred_samples=2,
+            )
+        assert "(d0, a1)" in str(info.value)
+        assert "1 latents" in str(info.value)
+        assert isinstance(info.value.__cause__, CholeskyFailure)
+
+    def test_one_fit_per_candidate(self, monkeypatch):
+        data = selection_dataset(0)
+        calls = []
+        real_fit = evaluation.fit
+
+        def counted(dataset, config, init):
+            calls.append((dataset, init.num_latents))
+            return real_fit(dataset, config, init)
+
+        monkeypatch.setattr(evaluation, "fit", counted)
+        res = cv_select_L(
+            data,
+            (1, 3),
+            TrainConfig(learning_rate=0.02, max_iters=3, seed=0),
+            n_pred_samples=3,
+        )
+        assert res.fold_count == 32
+        assert [L for _, L in calls] == [1, 3]
+        assert all(ds is data for ds, _ in calls)
 
     def test_single_support_records_cannot_fold(self):
         dom = unit_grid_domain(8, 0.0, 2.0)
@@ -311,6 +352,25 @@ class TestCvSelectL:
                 hits += 1
         assert hits >= 7, f"chose {chosen}"
 
+    def test_recovers_latent_count_region_without_refits(self):
+        # The same worlds, budget and bar as the refitting test above,
+        # with folds scored in closed form at the full fit's state.
+        hits = 0
+        chosen = []
+        for seed in range(10):
+            data = selection_dataset(seed)
+            res = cv_select_L(
+                data,
+                (1, 2, 3, 4),
+                TrainConfig(learning_rate=0.03, max_iters=120, seed=seed),
+                target=("d0", "a0"),
+                n_pred_samples=100,
+            )
+            chosen.append(res.chosen)
+            if res.chosen in (2, 3):
+                hits += 1
+        assert hits >= 7, f"chose {chosen}"
+
 
 def harness_cfg():
     doms = tuple(
@@ -331,6 +391,41 @@ def harness_cfg():
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize(
+        "method, as_points, domains, candidates",
+        [
+            ("slfm", True, {"d0"}, (1, 2)),
+            ("amogp-trans", False, {"d0", "d1"}, (1, 2, 3, 4)),
+        ],
+    )
+    def test_cv_scores_the_training_view(
+        self, monkeypatch, method, as_points, domains, candidates
+    ):
+        seen = []
+
+        def capture(dataset, cands, config, **kwargs):
+            seen.append((dataset, tuple(cands)))
+            return evaluation.CVResult(1, tuple(cands), (0.0,) * len(cands), 1)
+
+        monkeypatch.setattr(evaluation, "cv_select_L", capture)
+        spec = ExperimentSpec(
+            target_domain="d0",
+            target_attribute="a0",
+            method=method,
+            train_level="coarse",
+            test_level="fine",
+            num_latents="cv",
+            seeds=(0,),
+            n_pred_samples=5,
+            train_config=TrainConfig(learning_rate=0.02, max_iters=3),
+        )
+        report = run_experiment(spec, harness_cfg())
+        assert report.failures == ()
+        [(dataset, cands)] = seen
+        assert cands == candidates
+        assert {r.domain_id for r in dataset.records} == domains
+        assert all(r.as_points == as_points for r in dataset.records)
+
     def test_empty_seed_list(self):
         spec = ExperimentSpec(
             target_domain="d0",

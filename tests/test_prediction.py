@@ -6,6 +6,7 @@ with plain solves; the library must reproduce its means and covariances
 to tight tolerance for fixed weight samples.
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,17 +22,20 @@ from conftest import (
     two_series_instance,
     unit_grid_domain,
 )
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_support_cov import cell_set_records, grid_domains, interval_records
 
-from aggmogp import prediction
+from aggmogp import model, prediction
 from aggmogp.errors import DataError, DimensionMismatch, OutOfBounds
+from aggmogp.inference import TrainConfig, fit
 from aggmogp.geometry import (
     AVERAGE,
     SUM,
     AggregationRule,
     Partition,
     grid_block_partition,
+    interval_bins,
     membership,
 )
 from aggmogp.model import AggregatedDataset, DatasetRecord, uniform_rules
@@ -47,6 +51,7 @@ from aggmogp.prediction import (
     draw_weight_samples,
     latent_point_support,
     predict_grid,
+    predict_left_out,
     predict_supports,
     predictive_mixture,
 )
@@ -685,3 +690,148 @@ class TestSupportsMatchPooledGridMixture:
     @given(target=target_partitions(2), seed=st.integers(0, 2**16))
     def test_two_dimensional_grid(self, target, seed):
         self.check(2, target, seed)
+
+
+def loo_dataset(domain, records, seed=0):
+    """Records with seeded standard-normal values over one domain."""
+    rng = np.random.default_rng(seed)
+    records = [
+        replace(rec, values=rng.standard_normal(len(rec.partition.supports)))
+        for rec in records
+    ]
+    attrs = tuple(rec.attribute_id for rec in records)
+    return AggregatedDataset({domain.id: domain}, attrs, records)
+
+
+def fitted_state(dataset, latents=2, iters=25):
+    config = TrainConfig(learning_rate=0.03, max_iters=iters, seed=0)
+    state, _ = fit(dataset, config, init_state(dataset, latents, seed=0))
+    return state
+
+
+def mixed_rule_records(domain, shapes, seed=0):
+    """One block record per shape; rules cycle average, sum and custom."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for attr, shape in zip(("a0", "a1", "a2"), shapes):
+        part = grid_block_partition(domain, attr, shape, id_prefix=f"{attr}b")
+        rules = []
+        for k, support in enumerate(part.supports):
+            if k % 3 == 2:
+                n = membership(support, domain.grid).size
+                custom = tuple(rng.uniform(-2.0, 2.0, n))
+                rules.append(AggregationRule(AggregationRule.CUSTOM, custom))
+            else:
+                rules.append(AVERAGE if k % 3 == 0 else SUM)
+        records.append(
+            DatasetRecord(
+                domain_id="d0",
+                attribute_id=attr,
+                partition=part,
+                rules=tuple(rules),
+                values=np.zeros(len(part.supports)),
+            )
+        )
+    return records
+
+
+@st.composite
+def loo_worlds(draw):
+    """Random supports and rules in one or two records, some drawn as
+    point observations, with a drawn state; at least one record folds."""
+    ndim = draw(st.integers(1, 2))
+    domain = draw(grid_domains(ndim))
+    if ndim == 1 and draw(st.booleans()):
+        records = draw(interval_records(domain, points=True))
+    else:
+        records = draw(cell_set_records(domain, points=True))
+    assume(any(len(r.partition.supports) >= 2 for r in records))
+    dataset = loo_dataset(domain, records, seed=draw(st.integers(0, 2**16)))
+    latents = draw(st.integers(1, 3))
+    state = init_state(dataset, latents, seed=draw(st.integers(0, 99)))
+    scales = [draw(st.floats(0.3, 4.0)) for _ in range(state.num_latents)]
+    override_length_scales(state, scales)
+    noise = [draw(st.floats(1e-3, 0.3)) for _ in records]
+    state.noise_log_var["d0"] = np.log(np.asarray(noise))
+    return state, dataset
+
+
+class TestLeftOutMatchesRefactoredFolds:
+    """``predict_left_out`` equals ``predict_supports`` on each of
+    ``drop_observation``'s reduced datasets, at the same state and
+    weight draws, to 1e-9 of the largest value and variance.
+
+    The sides differ by design in one thing: each fold factors its own
+    reduced ``C`` with jitter ``JITTER_BASE · mean(diag)`` of that
+    matrix. Holding out a sum- or custom-rule row, whose prior variance
+    is far from the mean, moves that jitter enough to shift a fold by a
+    few 1e-9 relative, so ``jitter_free`` checks compare the identity
+    itself at a negligible base jitter, and one check bounds the gap at
+    the production jitter by 1e-8.
+    """
+
+    def check(
+        self, state, dataset, n_samples=5, seed=3, tol=1e-9, jitter_free=True
+    ):
+        with pytest.MonkeyPatch.context() as mp:
+            if jitter_free:
+                mp.setattr(model, "JITTER_BASE", 1e-300)
+            return self._check(state, dataset, n_samples, seed, tol)
+
+    def _check(self, state, dataset, n_samples, seed, tol):
+        folded = 0
+        for rec in dataset.records:
+            n = len(rec.partition.supports)
+            if n < 2:
+                continue
+            pred = predict_left_out(state, dataset, *rec.key, n_samples, seed)
+            folds = []
+            for k in range(n):
+                reduced, held = dataset.drop_observation(*rec.key, k)
+                fold = predict_supports(
+                    held.partition, state, reduced, n_samples, seed, rules=held.rules
+                )
+                folds.append((fold.values[0], fold.variances[0]))
+            for got, want in zip((pred.values, pred.variances), np.array(folds).T):
+                scale = np.max(np.abs(want))
+                np.testing.assert_allclose(got, want, rtol=0, atol=tol * scale)
+            folded += 1
+        return folded
+
+    def test_closed_form_intervals_with_several_attributes(self):
+        domain = unit_grid_domain(48, 0.0, 4.0)
+        records = [
+            DatasetRecord(
+                domain_id="d0",
+                attribute_id=attr,
+                partition=part,
+                rules=uniform_rules(part),
+                values=np.zeros(len(part.supports)),
+            )
+            for attr, bins in (("a0", 8), ("a1", 6), ("a2", 4))
+            for part in [interval_bins(domain, attr, bins, id_prefix=attr)]
+        ]
+        dataset = loo_dataset(domain, records)
+        assert all(g.closed_form for g in dataset.prepared("d0").geoms)
+        state = fitted_state(dataset)
+        assert self.check(state, dataset) == 3
+        assert self.check(state, dataset, jitter_free=False) == 3
+
+    def test_grid_blocks_with_average_sum_and_custom_rules(self):
+        domain = square_grid_domain(8)
+        dataset = loo_dataset(domain, mixed_rule_records(domain, ((2, 2), (4, 2))))
+        state = fitted_state(dataset)
+        assert self.check(state, dataset) == 2
+        assert self.check(state, dataset, tol=1e-8, jitter_free=False) == 2
+
+    def test_point_record(self):
+        domain = square_grid_domain(8)
+        blocks, points = mixed_rule_records(domain, ((2, 4), (4, 2)))
+        dataset = loo_dataset(domain, [blocks, replace(points, as_points=True)])
+        assert self.check(fitted_state(dataset), dataset) == 2
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(world=loo_worlds(), seed=st.integers(0, 2**16))
+    def test_random_partitions(self, world, seed):
+        state, dataset = world
+        assert self.check(state, dataset, seed=seed) >= 1

@@ -33,7 +33,14 @@ from aggmogp.geometry import (
     weight_vector,
 )
 from aggmogp.kernels import se_antideriv2_dlog, se_double_interval
-from aggmogp.model import DatasetRecord, DomainData
+from aggmogp.model import (
+    JITTER_BASE,
+    DatasetRecord,
+    DomainData,
+    assemble_from_latents,
+    chol_with_jitter,
+    floor_var,
+)
 
 TOL = 1e-12
 
@@ -310,3 +317,39 @@ print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
         timeout=120, check=True,
     )
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+@st.composite
+def covariance_draws(draw):
+    """Random supports and rules with a random weight draw, length
+    scales and noise variances."""
+    domain, records, _ = draw(
+        st.one_of(
+            cell_set_worlds(1), cell_set_worlds(2), interval_worlds(), point_worlds()
+        )
+    )
+    L = draw(st.integers(1, 3))
+    scales = [draw(st.floats(0.3, 4.0)) for _ in range(L)]
+    W = np.array([[draw(st.floats(-3.0, 3.0)) for _ in range(L)] for _ in records])
+    noise = np.array([draw(st.floats(1e-3, 1.0)) for _ in records])
+    return domain, records, scales, W, noise
+
+
+class TestAssembledCovariance:
+    """``C`` is exactly symmetric, its noise-free part is positive
+    semidefinite, and it factors at the base jitter, so every diagonal
+    entry of ``C⁻¹`` that leave-one-out divides by is positive."""
+
+    @PROPERTY
+    @given(draw=covariance_draws())
+    def test_symmetric_and_factors_at_base_jitter(self, draw):
+        domain, records, scales, W, noise = draw
+        dd = domain_data(domain, records)
+        latents = [dd.cov.latent_cov(s) for s in scales]
+        C = assemble_from_latents(dd, W, latents, np.log(noise))
+        np.testing.assert_array_equal(C, C.T)
+        signal = C - np.diag(dd.expand_rows(floor_var(np.log(noise))))
+        bound = 1e-12 * dd.n_obs * np.max(np.abs(C))
+        assert np.linalg.eigvalsh(signal).min() >= -bound
+        _, jitter = chol_with_jitter(C)
+        assert jitter == JITTER_BASE * np.mean(np.diag(C))
