@@ -102,6 +102,9 @@ class TrainTrace:
     completed iteration (at most ``max_iters`` entries). ``init_elbo``
     and ``final_elbo`` are 256-draw estimates of the initial state and of
     the returned best snapshot; ``improvement`` is their difference.
+    ``stop_reason`` is ``"converged"`` when two adjacent ELBO windows
+    agreed to the tolerance, else ``"budget"``: every one of
+    ``max_iters`` iterations ran, backoffs included.
     """
 
     iterations: list = field(default_factory=list)
@@ -115,6 +118,7 @@ class TrainTrace:
     snapshot_every: int = 0
     snapshots: list = field(default_factory=list)
     backoffs: int = 0
+    stop_reason: str = "budget"
 
     def rows(self):
         """(iteration, elbo, learning rate) triples for the trace file."""
@@ -386,6 +390,15 @@ def _align_orientation(state: ModelState, theta: np.ndarray, adam: AdamOptimizer
     return current.pack()
 
 
+def _log_stop(trace: TrainTrace, iterations: int) -> None:
+    _log.debug(
+        "stopped after %d iterations (%d backoffs): %s",
+        iterations,
+        trace.backoffs,
+        trace.stop_reason,
+    )
+
+
 def fit(
     dataset: AggregatedDataset, config: TrainConfig, init: ModelState
 ) -> tuple[ModelState, TrainTrace]:
@@ -414,7 +427,8 @@ def fit(
     adjacent moving-average windows of the ELBO agree to
     ``convergence_tol`` (relative). The returned state is the iterate
     with the best recorded estimate, re-scored with 256 fresh draws in
-    the trace.
+    the trace. Why the loop ended goes to ``trace.stop_reason`` and, once,
+    to the ``aggmogp.inference`` logger at DEBUG level.
     """
     t_start = time.perf_counter()
     state = init.copy()
@@ -425,6 +439,7 @@ def fit(
         # Backoff cannot rescue a start point that does not evaluate.
         raise NonFiniteELBO(0, f"initial state not evaluable: {e}") from e
     if config.max_iters == 0:
+        _log_stop(trace, 0)
         trace.final_elbo = trace.init_elbo
         trace.improvement = 0.0
         trace.wall_time = time.perf_counter() - t_start
@@ -486,9 +501,11 @@ def fit(
             older = np.mean(trace.elbo[n_done - 2 * window : n_done - window])
             denom = max(1.0, abs(older))
             if abs(recent - older) / denom < config.convergence_tol:
+                trace.stop_reason = "converged"
                 it += 1
                 break
         it += 1
+    _log_stop(trace, it)
     best_state = state.unpack(best_theta)
     try:
         trace.final_elbo = refined_elbo(dataset, best_state, config.seed)

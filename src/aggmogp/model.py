@@ -22,14 +22,16 @@ module's ``se_antideriv2`` and ``se_antideriv2_dlog``, evaluated once per
 distinct argument). Every other grid support is a row of a sparse weight
 matrix ``A`` over the grid cells, and its covariances are ``A K Aᵀ`` with
 the grid gram ``K`` applied as a Kronecker product of per-axis grams
-(``se_value`` and ``se_value_dlog`` on each axis). Point observations at
-support centroids evaluate ``se_value`` directly. The kernels module's
-``support_cov_grid``, ``DistanceHistogram`` and ``support_cov_bucketed``
-are not used here; the tests keep them as reference primitives.
+(``se_value`` and ``se_value_dlog`` on each axis), a block of columns of
+``K Aᵀ`` at a time in work arrays each table keeps (see
+:class:`WeightRows`). Point observations at support centroids evaluate
+``se_value`` directly.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,6 +58,9 @@ LOG_VARIANCE_FLOOR = float(np.log(VARIANCE_FLOOR))
 # Base jitter relative to the mean diagonal, escalated tenfold on failure.
 JITTER_BASE = 1e-8
 JITTER_MAX = 1e-4
+
+# Bytes of work arrays per grid covariance table (see WeightRows).
+WORK_BYTES = 1 << 20
 
 
 def floor_var(log_var):
@@ -243,11 +248,17 @@ class _SupportGeom:
         self.interval = body if isinstance(body, Interval) else None
 
 
-def _mode_product(factor: np.ndarray, tensor: np.ndarray, axis: int) -> np.ndarray:
-    """``factor`` applied along one axis of ``tensor``, shape kept."""
+def _mode_product(factor: np.ndarray, tensor: np.ndarray, axis: int, out: np.ndarray):
+    """``factor`` applied along one axis of ``tensor``, written to ``out``
+    (same shape as ``tensor``), which is returned."""
     shape = tensor.shape
-    pre = int(np.prod(shape[:axis], dtype=np.int64))
-    return (factor @ tensor.reshape(pre, shape[axis], -1)).reshape(shape)
+    pre = math.prod(shape[:axis])
+    np.matmul(
+        factor,
+        tensor.reshape(pre, shape[axis], -1),
+        out=out.reshape(pre, shape[axis], -1),
+    )
+    return out
 
 
 class GridKernel:
@@ -287,8 +298,13 @@ class WeightRows:
 
     Row r holds one support's weights over the flat grid cells (CSR), so
     the average, sum and custom rules share one representation. The
-    first ``n_cols`` rows are the columns of :meth:`kernel_times`; the
-    others are only multiplied against its result.
+    first ``n_cols`` rows are the column rows of ``K Aᵀ``; the others
+    are only multiplied against it.
+
+    ``K Aᵀ`` is never held whole: :meth:`_chunks` builds it a block of
+    columns at a time in work arrays that the first call allocates,
+    within :data:`WORK_BYTES`, and every later call reuses. A lock gives
+    them to one caller at a time.
     """
 
     def __init__(self, kernel: GridKernel, geoms, n_cols: int):
@@ -306,8 +322,8 @@ class WeightRows:
         shape = (len(geoms), grid.n_points)
         self.matrix = csr_matrix((vals, cells, ptr), shape=shape)
         # Along the last grid axis Aᵀ is sparse: the column rows' entries
-        # group into fibres, one per (cell over the leading axes, row),
-        # each a short vector over the last axis.
+        # group into fibres, one per (cell over the leading axes, column
+        # row), each a short vector over the last axis.
         n_entries = int(ptr[n_cols])
         lead, last = np.divmod(cells[:n_entries], grid.shape[-1])
         row = np.repeat(np.arange(n_cols), sizes[:n_cols])
@@ -315,32 +331,107 @@ class WeightRows:
         self.fibre_lead, self.fibre_row = np.divmod(key, max(n_cols, 1))
         self.fibres = np.zeros((key.size, grid.shape[-1]))
         self.fibres[fibre.ravel(), last] = vals[:n_entries]
+        self._lock = threading.Lock()
+        self._work = None
 
-    def kernel_times(self, length_scale: float, with_grad: bool = False):
-        """``K Aᵀ`` over the column rows, an (all cells, n_cols) array.
+    def _work_arrays(self):
+        """``(chunks, products, plan)``, made on first use.
 
-        Returns ``(KAᵀ, dKAᵀ)``, the derivative with respect to the log
-        length scale or None. The last axis acts on the fibres of ``Aᵀ``;
-        every other axis is a dense mode product.
+        ``products`` holds the fibres times the last axis's gram and its
+        derivative. Each row of ``chunks`` holds ``width`` columns over
+        the grid: the value and derivative scatter targets (zero outside
+        the fibres they receive), a scratch, and per further grid axis up
+        to two ping-pong pairs for the mode products. ``width`` is as many
+        columns as the rest of :data:`WORK_BYTES` allows, and at least
+        two. ``plan`` holds per chunk its columns, its fibres, and their
+        leading-axes cells and rows within the chunk.
+        """
+        if self._work is None:
+            grid = self.kernel.grid
+            products = np.zeros((2,) + self.fibres.shape)
+            n_work = 3 + 2 * min(grid.ndim - 1, 2)
+            width = (WORK_BYTES - products.nbytes) // (n_work * grid.n_points * 8)
+            width = min(max(2, width), self.n_cols)
+            order = np.argsort(self.fibre_row, kind="stable")
+            bounds = np.searchsorted(
+                self.fibre_row[order], np.arange(self.n_cols + 1)
+            )
+            plan = []
+            for start in range(0, self.n_cols, width):
+                # One column would take numpy's and scipy's matrix-vector
+                # paths, which round differently from the matrix products
+                # of wider chunks; a last chunk of one repeats a column.
+                start = max(min(start, self.n_cols - 2), 0)
+                stop = min(start + width, self.n_cols)
+                fibres = order[bounds[start] : bounds[stop]]
+                at = self.fibre_lead[fibres], self.fibre_row[fibres] - start
+                plan.append((slice(start, stop), fibres, at))
+            chunks = np.zeros((n_work, grid.n_points * width))
+            self._work = chunks, products, plan
+        return self._work
+
+    def _chunks(self, length_scale: float, with_grad: bool):
+        """``K Aᵀ`` over the column rows, one chunk of columns at a time.
+
+        Yields ``(cols, KAᵀ[:, cols], dKAᵀ[:, cols])``, the derivative with
+        respect to the log length scale or None, as (all cells, chunk)
+        views into the work arrays that the next chunk overwrites. The
+        caller holds the lock. The last axis acts on the fibres of
+        ``Aᵀ``; every other axis is a dense mode product.
         """
         grid = self.kernel.grid
         grams, dgrams = self.kernel.factors(length_scale, with_grad)
-        n_last = grid.shape[-1]
+        chunks, products, plan = self._work_arrays()
+        lasts = [grams[-1], dgrams[-1]] if with_grad else [grams[-1]]
+        products = products[: len(lasts)]
+        # Every fibre in one product: a subset of a matrix product's rows
+        # can round differently from the same rows of the whole product.
+        for product, gram in zip(products, lasts):
+            np.matmul(self.fibres, gram, out=product)
+        for cols, fibres, (lead, rows) in plan:
+            n = cols.stop - cols.start
+            views = [c[: grid.n_points * n].reshape(grid.shape + (n,)) for c in chunks]
+            value, deriv, scratch, *pairs = views
+            targets = [v.reshape(-1, grid.shape[-1], n) for v in views[: len(lasts)]]
+            try:
+                for target, product in zip(targets, products):
+                    target[lead, :, rows] = product[fibres]
+                for step, axis in enumerate(range(grid.ndim - 2, -1, -1)):
+                    v_out, d_out = pairs[2 * (step % 2) : 2 * (step % 2) + 2]
+                    if with_grad:
+                        _mode_product(grams[axis], deriv, axis, d_out)
+                        d_out += _mode_product(dgrams[axis], value, axis, scratch)
+                        deriv = d_out
+                    value = _mode_product(grams[axis], value, axis, v_out)
+                flat = (grid.n_points, n)
+                yield (
+                    cols,
+                    value.reshape(flat),
+                    deriv.reshape(flat) if with_grad else None,
+                )
+            finally:
+                for target in targets:
+                    target[lead, :, rows] = 0.0
 
-        def scatter(fibre_vals):
-            out = np.zeros((grid.n_points // n_last, n_last, self.n_cols))
-            out[self.fibre_lead, :, self.fibre_row] = fibre_vals
-            return out.reshape(grid.shape + (self.n_cols,))
+    def gram(self, length_scale: float, with_grad: bool = False):
+        """``A K Aᵀ`` against the column rows, an (all rows, n_cols)
+        array, and its log-length-scale derivative or None."""
+        n_rows = self.matrix.shape[0]
+        value = np.empty((n_rows, self.n_cols))
+        deriv = np.empty((n_rows, self.n_cols)) if with_grad else None
+        with self._lock:
+            for cols, KAt, dKAt in self._chunks(length_scale, with_grad):
+                value[:, cols] = self.matrix @ KAt
+                if with_grad:
+                    deriv[:, cols] = self.matrix @ dKAt
+        return value, deriv
 
-        value = scatter(self.fibres @ grams[-1])
-        deriv = scatter(self.fibres @ dgrams[-1]) if with_grad else None
-        for axis in range(grid.ndim - 2, -1, -1):
-            if with_grad:
-                deriv = _mode_product(grams[axis], deriv, axis)
-                deriv += _mode_product(dgrams[axis], value, axis)
-            value = _mode_product(grams[axis], value, axis)
-        flat = (grid.n_points, self.n_cols)
-        return value.reshape(flat), deriv.reshape(flat) if with_grad else None
+    def cross_at(self, cells, length_scale: float, out, rows) -> None:
+        """Writes ``(K Aᵀ)[cells]ᵀ``, one row per column row, into rows
+        ``rows`` of ``out``."""
+        with self._lock:
+            for cols, KAt, _ in self._chunks(length_scale, False):
+                out[rows[cols]] = KAt[cells].T
 
 
 class SupportCovTable:
@@ -411,9 +502,8 @@ class SupportCovTable:
                 S[np.ix_(self.a_rows, self.point_rows)] = cross
                 S[np.ix_(self.point_rows, self.a_rows)] = cross.T
 
-    def _fill_grid(self, S, KAt):
-        """Rows of ``A`` against grid rows, from ``K Aᵀ`` (or its derivative)."""
-        block = self.A.matrix @ KAt
+    def _fill_grid(self, S, block):
+        """Rows of ``A`` against grid rows, from ``A K Aᵀ`` (or its derivative)."""
         k = self.grid_rows.size
         # The grid rows lead a_rows; average their block with its
         # transpose so S is exactly symmetric.
@@ -430,19 +520,18 @@ class SupportCovTable:
             dS = np.zeros((self.n, self.n))
             self._fill(dS, se_antideriv2_dlog, se_value_dlog, length_scale)
         if self.grid_rows.size:
-            KAt, dKAt = self.A.kernel_times(length_scale, with_grad)
-            self._fill_grid(S, KAt)
+            block, dblock = self.A.gram(length_scale, with_grad)
+            self._fill_grid(S, block)
             if with_grad:
-                self._fill_grid(dS, dKAt)
+                self._fill_grid(dS, dblock)
         return (S, dS) if with_grad else S
 
-    def grid_cross(self, cells, length_scale: float) -> np.ndarray:
+    def grid_cross(self, cells, length_scale: float, out: np.ndarray) -> None:
         """Integrals of one kernel against each grid row's weights at flat
-        grid cells: ``(K Aᵀ)[cells]ᵀ``, a (grid rows, cells) array."""
-        if not self.grid_rows.size:
-            return np.zeros((0, len(cells)))
-        KAt, _ = self.A.kernel_times(length_scale)
-        return KAt[cells].T
+        grid cells, ``(K Aᵀ)[cells]ᵀ``, written into the grid rows of
+        ``out``, an (all rows, cells) array; other rows are untouched."""
+        if self.grid_rows.size:
+            self.A.cross_at(cells, length_scale, out, self.grid_rows)
 
 
 class DomainData:

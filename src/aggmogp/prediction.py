@@ -88,7 +88,7 @@ def latent_point_support(
     rows = range(domain_data.n_obs)
     if np.issubdtype(query.dtype, np.integer):
         table = domain_data.cov
-        out[table.grid_rows] = table.grid_cross(query, length_scale)
+        table.grid_cross(query, length_scale, out)
         rows = np.setdiff1d(rows, table.grid_rows)
         query = domain_data.domain.grid.points[query]
     for row in rows:
@@ -105,11 +105,21 @@ def latent_point_support(
     return out
 
 
+def _buffer(work: dict, name: str, shape, order="C") -> np.ndarray:
+    """Array ``name`` of one prediction call's ``work`` dict, allocated
+    on first request and reused by every later draw."""
+    key = (name, tuple(shape), order)
+    if key not in work:
+        work[key] = np.empty(shape, order=order)
+    return work[key]
+
+
 def cross_cov_H(
     point_support,
     domain_data: DomainData,
     weights: np.ndarray,
     attr_indices=None,
+    work=None,
 ) -> np.ndarray:
     """Covariance between observation rows and query values.
 
@@ -117,19 +127,25 @@ def cross_cov_H(
     latent, all over the same query points. Columns are attribute-major:
     for each selected local attribute (default all, in order) one block
     of one column per query point. ``attr_indices`` selects local
-    attribute rows of ``weights``.
+    attribute rows of ``weights``. With a ``work`` dict (see
+    :func:`_buffer`) the result and its one scratch array are reused
+    from an earlier call.
     """
     W = np.asarray(weights, dtype=float)
     if attr_indices is None:
         attr_indices = np.arange(domain_data.n_attrs)
     attr_indices = np.asarray(attr_indices, dtype=np.int64)
+    work = {} if work is None else work
     n_q = point_support[0].shape[1]
-    H = np.zeros((domain_data.n_obs, attr_indices.size * n_q))
+    H = _buffer(work, "H", (domain_data.n_obs, attr_indices.size * n_q))
+    H.fill(0.0)
+    scratch = _buffer(work, "scratch", (domain_data.n_obs, n_q))
     for l, h_l in enumerate(point_support):
         u_l = domain_data.expand_rows(W[:, l])
-        weighted = u_l[:, None] * h_l
         for k, s_idx in enumerate(attr_indices):
-            H[:, k * n_q : (k + 1) * n_q] += W[s_idx, l] * weighted
+            np.multiply(u_l[:, None], h_l, out=scratch)
+            scratch *= W[s_idx, l]
+            H[:, k * n_q : (k + 1) * n_q] += scratch
     return H
 
 
@@ -203,23 +219,27 @@ def _draw_invariants(dd, query, kernels: KernelSet):
     return latents, point_support
 
 
-def _factor_and_cross(dd, state, W, blocks, attr_idx, pool):
+def _factor_and_cross(dd, state, W, blocks, attr_idx, pool, work):
     """Cholesky factor of ``C`` and cross covariance ``H`` of one draw,
-    ``H`` pooled over support runs when ``pool = (weights, starts)``."""
+    ``H`` pooled over support runs when ``pool = (weights, starts)``.
+    ``H`` is an array of the call's ``work`` dict, overwritten by the
+    next draw."""
     latents, point_support = blocks
     noise = state.noise_log_var[dd.domain.id]
     # Called through its module, so layer tracing that rebinds
     # ``model.assemble_from_latents`` still sees prediction's calls.
     C = model.assemble_from_latents(dd, W, latents, noise)
     chol, _ = chol_with_jitter(C)
-    H = cross_cov_H(point_support, dd, W, attr_idx)
+    H = cross_cov_H(point_support, dd, W, attr_idx, work)
     if pool is not None:
         weights, starts = pool
-        H = np.add.reduceat(H * weights, starts, axis=1)
+        H *= weights
+        pooled = _buffer(work, "pooled", (H.shape[0], starts.size))
+        H = np.add.reduceat(H, starts, axis=1, out=pooled)
     return chol, H
 
 
-def _condition(dd, state, W, blocks, attr_idx, priors, pool=None):
+def _condition(dd, state, W, blocks, attr_idx, priors, work, pool=None):
     """Gaussian posterior of the targets for one weight draw.
 
     Targets are the selected attributes at the query points of
@@ -229,7 +249,8 @@ def _condition(dd, state, W, blocks, attr_idx, priors, pool=None):
     latent's unit-weight prior covariance of the targets, (latents, n,
     n), or only its diagonal, (latents, n); the result is ``(mean,
     covariance)`` or ``(mean, variances)`` to match, with variances
-    floored at zero.
+    floored at zero. ``work`` is the call's dict of arrays reused by every
+    draw (see :func:`_buffer`).
     """
     W = np.asarray(W, dtype=float)
     full = priors.ndim == 3
@@ -241,11 +262,20 @@ def _condition(dd, state, W, blocks, attr_idx, priors, pool=None):
     if blocks is None:
         mean = np.zeros(n)
     else:
-        chol, H = _factor_and_cross(dd, state, W, blocks, attr_idx, pool)
+        chol, H = _factor_and_cross(dd, state, W, blocks, attr_idx, pool, work)
         alpha = scipy.linalg.cho_solve((chol, True), dd.y, check_finite=False)
-        solved = scipy.linalg.cho_solve((chol, True), H, check_finite=False)
+        # LAPACK solves in Fortran order; the copy it would make is reused.
+        solved = _buffer(work, "solved", H.shape, order="F")
+        solved[...] = H
+        solved = scipy.linalg.cho_solve(
+            (chol, True), solved, overwrite_b=True, check_finite=False
+        )
         mean = H.T @ alpha
-        spread -= H.T @ solved if full else np.sum(H * solved, axis=0)
+        if full:
+            spread -= H.T @ solved
+        else:
+            H *= solved
+            spread -= np.sum(H, axis=0)
     var = _variances(spread)
     np.maximum(var, 0.0, out=var)
     return mean, spread
@@ -279,9 +309,10 @@ def _point_posteriors(query_points, draws, state, dataset, domain_id, attributes
     d2 = sq_dists(query, query)
     grams = np.stack([se_value(d2, s) for s in state.kernels.length_scales])
     blocks = _draw_invariants(dd, query, state.kernels)
+    work = {}
     return [
         ConditionalPosterior(
-            *_condition(dd, state, W, blocks, attr_idx, grams),
+            *_condition(dd, state, W, blocks, attr_idx, grams, work),
             n_query=query.shape[0],
             attr_ids=attr_ids,
         )
@@ -423,8 +454,9 @@ def predict_supports(
     dd = dataset.prepared(target.domain_id)
     attr_idx, query, priors, pool = _support_targets(target, rules, state, dd)
     blocks = _draw_invariants(dd, query, state.kernels)
+    work = {}
     draws = [
-        _condition(dd, state, W, blocks, attr_idx, priors, pool)
+        _condition(dd, state, W, blocks, attr_idx, priors, work, pool)
         for W in draw_weight_samples(state, target.domain_id, n_samples, seed)
     ]
     values, variances, clamped = _pool(*zip(*draws))
@@ -461,9 +493,10 @@ def predict_left_out(
     )
     blocks = _draw_invariants(dd, query, state.kernels)
     identity = np.eye(dd.n_obs)
+    work = {}
     draws = []
     for W in draw_weight_samples(state, domain_id, n_samples, seed):
-        chol, H = _factor_and_cross(dd, state, W, blocks, attr_idx, pool)
+        chol, H = _factor_and_cross(dd, state, W, blocks, attr_idx, pool, work)
         H[rows, np.arange(rows.size)] = 0.0
         P = scipy.linalg.cho_solve((chol, True), identity, check_finite=False)
         alpha = P @ dd.y
@@ -504,8 +537,9 @@ def predict_grid(
     # Unit-weight point variances: every kernel is one at zero distance.
     priors = np.ones((state.num_latents, query.shape[0]))
     blocks = _draw_invariants(dd, at, state.kernels)
+    work = {}
     draws = [
-        _condition(dd, state, W, blocks, attr_idx, priors)
+        _condition(dd, state, W, blocks, attr_idx, priors, work)
         for W in draw_weight_samples(state, domain_id, n_samples, seed)
     ]
     mean, variance, clamped = _pool(*zip(*draws))

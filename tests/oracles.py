@@ -1,0 +1,120 @@
+"""Reference kernel primitives that only the tests use.
+
+The model builds support covariances from per-axis grams and closed
+forms (see ``aggmogp.model``). These are the literal constructions the
+unit tests check those against: the kernel between two points, a
+weighted double sum over two member-point sets, and the same sum
+grouped by exact squared distance.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from aggmogp.errors import DimensionMismatch, LengthMismatch
+from aggmogp.geometry import GridSpec
+from aggmogp.kernels import SEKernel, se_value
+
+
+def kernel_eval(kernel: SEKernel, x, x2) -> float:
+    """Kernel value between two points of equal dimension."""
+    a = np.atleast_1d(np.asarray(x, dtype=float))
+    b = np.atleast_1d(np.asarray(x2, dtype=float))
+    if a.shape != b.shape or a.ndim != 1:
+        raise DimensionMismatch(
+            f"points of dimension {a.shape} and {b.shape} are not comparable"
+        )
+    d2 = float(np.sum((a - b) ** 2))
+    return float(se_value(d2, kernel.length_scale))
+
+
+def support_cov_grid(
+    kernel: SEKernel, weights_n, points_n, weights_m, points_m
+) -> float:
+    """Weighted double sum of kernel values over two member-point sets."""
+    wn = np.asarray(weights_n, dtype=float)
+    wm = np.asarray(weights_m, dtype=float)
+    pn = np.asarray(points_n, dtype=float)
+    pm = np.asarray(points_m, dtype=float)
+    if pn.ndim == 1:
+        pn = pn[:, None]
+    if pm.ndim == 1:
+        pm = pm[:, None]
+    if pn.shape[1] != pm.shape[1]:
+        raise DimensionMismatch(
+            f"point sets of dimension {pn.shape[1]} and {pm.shape[1]}"
+        )
+    if wn.shape[0] != pn.shape[0] or wm.shape[0] != pm.shape[0]:
+        raise LengthMismatch("weight vectors must match their point sets")
+    d2 = ((pn[:, None, :] - pm[None, :, :]) ** 2).sum(axis=2)
+    return float(wn @ se_value(d2, kernel.length_scale) @ wm)
+
+
+@dataclass(frozen=True)
+class DistanceHistogram:
+    """Pair counts grouped by exact squared distance.
+
+    Grid regularity makes equal index offsets produce bit-identical
+    squared distances, so grouping by the float value itself is safe. The
+    counts must account for every pair of member points.
+    """
+
+    sq_dists: np.ndarray
+    counts: np.ndarray
+    n_left: int
+    n_right: int
+
+    def __post_init__(self):
+        sq = np.asarray(self.sq_dists, dtype=float)
+        ct = np.asarray(self.counts, dtype=np.int64)
+        object.__setattr__(self, "sq_dists", sq)
+        object.__setattr__(self, "counts", ct)
+        if sq.shape != ct.shape or sq.ndim != 1:
+            raise ValueError("sq_dists and counts must be 1-D and aligned")
+        if int(ct.sum()) != self.n_left * self.n_right:
+            raise ValueError(
+                f"histogram counts sum to {int(ct.sum())}, expected"
+                f" {self.n_left * self.n_right}"
+            )
+
+    @classmethod
+    def from_member_indices(cls, grid: GridSpec, left, right) -> "DistanceHistogram":
+        """Build from two member-index sets on one grid.
+
+        Index offsets are grouped exactly (integer arithmetic), then each
+        distinct offset contributes a single squared distance, so equal
+        offsets share one float value bit for bit.
+        """
+        li = grid.multi_index(np.asarray(left, dtype=np.int64))
+        ri = grid.multi_index(np.asarray(right, dtype=np.int64))
+        diff = np.abs(li[:, None, :] - ri[None, :, :])
+        key = np.ravel_multi_index(
+            tuple(diff[:, :, d].ravel() for d in range(grid.ndim)), grid.shape
+        )
+        uniq, counts = np.unique(key, return_counts=True)
+        offs = np.stack(np.unravel_index(uniq, grid.shape), axis=1)
+        cell = np.asarray(grid.cell_size)
+        sq = ((offs * cell) ** 2).sum(axis=1)
+        order = np.argsort(sq, kind="stable")
+        return cls(
+            sq_dists=sq[order],
+            counts=counts[order],
+            n_left=li.shape[0],
+            n_right=ri.shape[0],
+        )
+
+    def as_dict(self) -> dict:
+        return {float(d): int(c) for d, c in zip(self.sq_dists, self.counts)}
+
+
+def support_cov_bucketed(
+    kernel: SEKernel, hist: DistanceHistogram, norm_left: float, norm_right: float
+) -> float:
+    """Constant-weight support covariance from a distance histogram.
+
+    ``norm_left`` and ``norm_right`` are the per-point weights (1/count
+    for averaging, 1 for summation); constant weights are what makes the
+    distance grouping exact.
+    """
+    vals = se_value(hist.sq_dists, kernel.length_scale)
+    return float(norm_left * norm_right * (hist.counts @ vals))

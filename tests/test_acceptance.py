@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from conftest import (
     aggregation_matrix,
+    cells_support,
     field_gram,
     interval_support,
     oracle_covariance,
@@ -29,7 +30,14 @@ from scipy.special import logsumexp
 
 from aggmogp import baselines, utils
 from aggmogp.evaluation import SynthConfig, mape, synth_generate
-from aggmogp.geometry import GridSpec, Interval, grid_block_partition
+from aggmogp.geometry import (
+    AVERAGE,
+    Domain,
+    GridSpec,
+    Interval,
+    Partition,
+    grid_block_partition,
+)
 from aggmogp.inference import (
     TrainConfig,
     draw_eps,
@@ -39,18 +47,11 @@ from aggmogp.inference import (
     pack_grads,
     refined_elbo,
 )
-from aggmogp.kernels import (
-    DistanceHistogram,
-    KernelSet,
-    SEKernel,
-    double_integral_interval,
-    integral_point_interval,
-    support_cov_bucketed,
-    support_cov_grid,
-)
+from aggmogp.kernels import KernelSet, se_double_interval, se_point_interval
 from aggmogp.model import (
     JITTER_BASE,
     AggregatedDataset,
+    DatasetRecord,
     assemble_C,
     floor_var,
     init_state,
@@ -206,8 +207,7 @@ def test_criterion_03_kernel_integral_oracle():
     ]
     worst_quad = 0.0
     for x, iv, b in point_cases:
-        k = SEKernel.from_length_scale(b)
-        got = integral_point_interval(k, x, iv)
+        got = se_point_interval(x, iv.lo, iv.hi, b)
         want, _ = quad(
             lambda t: np.exp(-((x - t) ** 2) / (2.0 * b * b)),
             iv.lo,
@@ -222,8 +222,7 @@ def test_criterion_03_kernel_integral_oracle():
         (Interval(-1.0, 0.0), Interval(1.0, 2.5), 0.7),
     ]
     for iv1, iv2, b in double_cases:
-        k = SEKernel.from_length_scale(b)
-        got = double_integral_interval(k, iv1, iv2)
+        got = se_double_interval(iv1.lo, iv1.hi, iv2.lo, iv2.hi, b)
         want, _ = dblquad(
             lambda s, t: np.exp(-((s - t) ** 2) / (2.0 * b * b)),
             iv1.lo,
@@ -240,19 +239,18 @@ def test_criterion_03_kernel_integral_oracle():
         n2 = max(2, int(round(iv2.length * per_unit)))
         p1 = iv1.lo + (np.arange(n1) + 0.5) * (iv1.length / n1)
         p2 = iv2.lo + (np.arange(n2) + 0.5) * (iv2.length / n2)
-        k = SEKernel.from_length_scale(b)
-        return support_cov_grid(
-            k, np.full(n1, 1.0 / n1), p1, np.full(n2, 1.0 / n2), p2
-        )
+        return np.full(n1, 1.0 / n1) @ se_cross(p1, p2, b) @ np.full(n2, 1.0 / n2)
+
+    def closed_average(iv1, iv2, b):
+        got = se_double_interval(iv1.lo, iv1.hi, iv2.lo, iv2.hi, b)
+        return got / (iv1.length * iv2.length)
 
     worst_grid = 0.0
     for iv1, iv2, b in double_cases:
-        k = SEKernel.from_length_scale(b)
-        closed = double_integral_interval(k, iv1, iv2) / (iv1.length * iv2.length)
+        closed = closed_average(iv1, iv2, b)
         worst_grid = max(worst_grid, abs(grid_average(iv1, iv2, b, 1000) - closed))
     iv1, iv2, b = double_cases[0]
-    k = SEKernel.from_length_scale(b)
-    closed = double_integral_interval(k, iv1, iv2) / (iv1.length * iv2.length)
+    closed = closed_average(iv1, iv2, b)
     errs = [
         abs(grid_average(iv1, iv2, b, per_unit) - closed)
         for per_unit in (250, 500, 1000, 2000)
@@ -417,29 +415,42 @@ def test_criterion_07_aggregation_consistency():
     assert worst_nest < 1e-6
 
 
-def test_criterion_08_bucketed_assembly_equivalence():
+def test_criterion_08_grid_assembly_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(77)
     grid = GridSpec(origin=(0.0, 0.0), cell_size=(0.25, 0.6), shape=(10, 8))
+    domain = Domain(id="d0", extent=grid.extent_box(), grid=grid)
     pts = grid.points
     worst = 0.0
     for _ in range(50):
-        k = SEKernel.from_length_scale(float(rng.uniform(0.2, 3.0)))
+        b = float(rng.uniform(0.2, 3.0))
         left = rng.choice(80, size=int(rng.integers(1, 15)), replace=False)
         right = rng.choice(80, size=int(rng.integers(1, 15)), replace=False)
-        hist = DistanceHistogram.from_member_indices(grid, left, right)
-        nl = 1.0 / left.size
-        nr = 1.0 / right.size
-        got = support_cov_bucketed(k, hist, nl, nr)
-        want = support_cov_grid(
-            k, np.full(left.size, nl), pts[left], np.full(right.size, nr), pts[right]
+        records = [
+            DatasetRecord(
+                "d0",
+                attr,
+                Partition(attr, "d0", (cells_support(cells, f"{attr}s"),)),
+                (AVERAGE,),
+                np.zeros(1),
+            )
+            for attr, cells in (("a0", left), ("a1", right))
+        ]
+        dataset = AggregatedDataset({"d0": domain}, ("a0", "a1"), records)
+        got = dataset.prepared("d0").cov.latent_cov(b)[0, 1]
+        # The weighted double sum over both member sets, written out.
+        want = sum(
+            np.exp(-np.sum((pts[i] - pts[j]) ** 2) / (2.0 * b * b))
+            / (left.size * right.size)
+            for i in left
+            for j in right
         )
         worst = max(worst, abs(got - want) / abs(want))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-12 and elapsed < 10.0
     report(
         8,
-        "bucketed assembly equivalence",
+        "grid assembly equivalence",
         ok,
         f"worst rel err {worst:.2e} over 50 pairs, {elapsed:.2f}s",
     )

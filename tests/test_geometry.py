@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import cells_support, interval_support, unit_grid_domain
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aggmogp import geometry
 from aggmogp.errors import (
@@ -304,6 +306,109 @@ class TestValidate:
             supports=(cells_support([7, 8], "s"),),
         )
         with pytest.raises(OutOfBounds):
+            validate(dom, [part])
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def quarter_intervals(draw, lo=0, hi=32):
+    """An interval with endpoints on the quarter grid ``[lo/4, hi/4]``,
+    exact in floating point so touching endpoints compare equal."""
+    a = draw(st.integers(lo, hi - 1))
+    b = draw(st.integers(a + 1, hi))
+    return a / 4.0, b / 4.0
+
+
+@st.composite
+def interval_and_cells(draw):
+    """A quarter-grid interval and a set of unit cells, half of the time
+    drawn only from the cells the interval does not enter, so that many
+    examples touch without overlapping."""
+    a, b = draw(quarter_intervals())
+    cells = draw(st.sets(st.integers(0, 7), min_size=1))
+    clear = [k for k in range(8) if b <= k or k + 1 <= a]
+    if clear and draw(st.booleans()):
+        cells = draw(st.sets(st.sampled_from(clear), min_size=1))
+    return (a, b), cells
+
+
+def pair(first, second):
+    return Partition(attribute_id="a", domain_id="d0", supports=(first, second))
+
+
+class TestPartitionValidationProperties:
+    """On the domain [0, 8] with unit cells, partitions are rejected
+    exactly when two supports share a half-open stretch or a cell, or a
+    support leaves the domain; supports that only touch pass."""
+
+    @PROPERTY
+    @given(first=quarter_intervals(), second=quarter_intervals())
+    def test_interval_pairs(self, first, second):
+        (a, b), (c, d) = first, second
+        supports = interval_support(a, b, "s0"), interval_support(c, d, "s1")
+        if a < d and c < b:
+            with pytest.raises(OverlapError):
+                pair(*supports)
+        else:
+            validate(unit_grid_domain(8, 0.0, 8.0), [pair(*supports)])
+
+    @PROPERTY
+    @given(
+        first=st.sets(st.integers(0, 7), min_size=1),
+        second=st.sets(st.integers(0, 7), min_size=1),
+    )
+    def test_cell_set_pairs(self, first, second):
+        supports = cells_support(first, "s0"), cells_support(second, "s1")
+        if first & second:
+            with pytest.raises(OverlapError):
+                pair(*supports)
+        else:
+            validate(unit_grid_domain(8, 0.0, 8.0), [pair(*supports)])
+
+    @PROPERTY
+    @given(world=interval_and_cells())
+    def test_interval_against_cells(self, world):
+        # Cell k covers [k, k + 1); touching its edge is no overlap.
+        (a, b), cells = world
+        part = pair(interval_support(a, b, "iv"), cells_support(cells, "cs"))
+        dom = unit_grid_domain(8, 0.0, 8.0)
+        if any(max(a, k) < min(b, k + 1) for k in cells):
+            with pytest.raises(OverlapError):
+                validate(dom, [part])
+        else:
+            validate(dom, [part])
+
+    @PROPERTY
+    @given(interval=quarter_intervals(-8, 40))
+    def test_intervals_leaving_the_domain(self, interval):
+        a, b = interval
+        part = Partition(
+            attribute_id="a", domain_id="d0", supports=(interval_support(a, b, "s"),)
+        )
+        dom = unit_grid_domain(8, 0.0, 8.0)
+        if a < 0.0 or b > 8.0:
+            with pytest.raises(OutOfBounds):
+                validate(dom, [part])
+        else:
+            validate(dom, [part])
+
+    @PROPERTY
+    @given(cells=st.sets(st.integers(-3, 12), min_size=1))
+    def test_cells_outside_the_grid(self, cells):
+        if min(cells) < 0:
+            with pytest.raises(OutOfBounds):
+                cells_support(cells, "s")
+            return
+        part = Partition(
+            attribute_id="a", domain_id="d0", supports=(cells_support(cells, "s"),)
+        )
+        dom = unit_grid_domain(8, 0.0, 8.0)
+        if max(cells) >= 8:
+            with pytest.raises(OutOfBounds):
+                validate(dom, [part])
+        else:
             validate(dom, [part])
 
 

@@ -312,6 +312,34 @@ class TestFit:
         _, trace = fit(dataset, cfg, init)
         # The first comparison fires as soon as both windows exist.
         assert len(trace.elbo) == 20
+        assert trace.stop_reason == "converged"
+
+    @pytest.mark.parametrize("max_iters", [0, 12])
+    def test_budget_stop_is_reported(self, max_iters):
+        _, dataset, _ = two_series_instance()
+        init = init_state(dataset, 2, seed=0)
+        cfg = self.small_config(max_iters=max_iters, convergence_tol=0.0)
+        _, trace = fit(dataset, cfg, init)
+        assert len(trace.elbo) + trace.backoffs == max_iters
+        assert trace.stop_reason == "budget"
+
+    @pytest.mark.parametrize(
+        "tol, reason, iters", [(1e30, "converged", 4), (0.0, "budget", 6)]
+    )
+    def test_stop_reason_logged_once(self, caplog, tol, reason, iters):
+        _, dataset, _ = two_series_instance()
+        init = init_state(dataset, 2, seed=0)
+        caplog.set_level(logging.DEBUG, logger="aggmogp.inference")
+        cfg = self.small_config(
+            max_iters=6, convergence_window=2, convergence_tol=tol
+        )
+        _, trace = fit(dataset, cfg, init)
+        records = [r for r in caplog.records if r.name == "aggmogp.inference"]
+        assert [r.getMessage() for r in records] == [
+            f"stopped after {iters} iterations (0 backoffs): {reason}"
+        ]
+        assert records[0].levelno == logging.DEBUG
+        assert trace.stop_reason == reason
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unusable_init_raises_structured_error(self):

@@ -12,14 +12,18 @@ double integral pair by pair.
 import os
 import subprocess
 import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from conftest import cells_support, interval_support
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
 import aggmogp
+from aggmogp import model
 from aggmogp.geometry import (
     AVERAGE,
     SUM,
@@ -35,12 +39,15 @@ from aggmogp.geometry import (
 from aggmogp.kernels import se_antideriv2_dlog, se_double_interval
 from aggmogp.model import (
     JITTER_BASE,
+    AggregatedDataset,
     DatasetRecord,
     DomainData,
     assemble_from_latents,
     chol_with_jitter,
     floor_var,
+    init_state,
 )
+from aggmogp.prediction import predict_grid
 
 TOL = 1e-12
 
@@ -353,3 +360,208 @@ class TestAssembledCovariance:
         assert np.linalg.eigvalsh(signal).min() >= -bound
         _, jitter = chol_with_jitter(C)
         assert jitter == JITTER_BASE * np.mean(np.diag(C))
+
+
+def budget_for(domain_data, width):
+    """A ``model.WORK_BYTES`` that gives the table's chunks ``width``
+    columns: the fibre products, then ``width`` columns of every work
+    row (two scatter targets, a scratch, ping-pong pairs)."""
+    A = domain_data.cov.A
+    rows = 3 + 2 * min(domain_data.domain.ndim - 1, 2)
+    return 2 * A.fibres.nbytes + rows * domain_data.domain.grid.n_points * 8 * width
+
+
+def labelled_supports(rng, n_cells, n_groups, prefix):
+    """Cell-set supports from a random labelling of the grid cells."""
+    labels = rng.integers(0, n_groups, n_cells)
+    return [
+        cells_support(np.flatnonzero(labels == g).tolist(), f"{prefix}{g}")
+        for g in np.unique(labels)
+    ]
+
+
+def custom_rules(rng, supports, grid):
+    return [
+        AggregationRule(
+            AggregationRule.CUSTOM,
+            tuple(rng.uniform(-2.0, 2.0, membership(s, grid).size)),
+        )
+        for s in supports
+    ]
+
+
+def cell_set_world(shape, seed, points=False):
+    """Average, sum and custom-rule cell sets; with ``points`` the sum
+    record is observed at its support centroids instead."""
+    rng = np.random.default_rng(seed)
+    ndim = len(shape)
+    grid = GridSpec(
+        origin=tuple(rng.uniform(-1.0, 1.0, ndim)),
+        cell_size=tuple(rng.uniform(0.3, 1.2, ndim)),
+        shape=shape,
+    )
+    domain = Domain(id="d0", extent=grid.extent_box(), grid=grid)
+    n = grid.n_points
+    avg = labelled_supports(rng, n, 6, "a")
+    summed = labelled_supports(rng, n, 5, "s")
+    custom = labelled_supports(rng, n, 5, "c")
+    records = [
+        record("a0", avg, [AVERAGE] * len(avg)),
+        record("a1", summed, [SUM] * len(summed), as_points=points),
+        record("a2", custom, custom_rules(rng, custom, grid)),
+    ]
+    return domain, records
+
+
+def line_world(seed):
+    """Closed-form intervals meeting sum-rule intervals, custom-rule cell
+    sets and centroid points on one line."""
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(origin=(0.0625,), cell_size=(0.125,), shape=(48,))
+    domain = Domain(id="d0", extent=((0.0, 6.0),), grid=grid)
+
+    def bins(attr, n):
+        edges = np.linspace(0.0, 6.0, n + 1)
+        return [
+            interval_support(lo, hi, f"{attr}{k}")
+            for k, (lo, hi) in enumerate(zip(edges, edges[1:]))
+        ]
+
+    closed, summed, points = bins("a", 8), bins("s", 6), bins("p", 4)
+    custom = labelled_supports(rng, grid.n_points, 5, "c")
+    records = [
+        record("a0", closed, [AVERAGE] * 8),
+        record("a1", summed, [SUM] * 6),
+        record("a2", custom, custom_rules(rng, custom, grid)),
+        record("a3", points, [AVERAGE] * 4, as_points=True),
+    ]
+    return domain, records
+
+
+CHUNKED_WORLDS = {
+    "plane": lambda: cell_set_world((9, 7), 1),
+    "cube": lambda: cell_set_world((5, 4, 3), 2),
+    "plane_with_points": lambda: cell_set_world((8, 6), 3, points=True),
+    "line_with_closed_forms": lambda: line_world(4),
+}
+
+
+def ragged_width(n_cols):
+    """The narrowest width of at least two columns that splits ``n_cols``
+    into three or more chunks, the last of two or more columns but
+    narrower than the rest."""
+    for width in range(2, n_cols):
+        if -(-n_cols // width) >= 3 and n_cols % width >= 2:
+            return width
+    raise AssertionError(f"{n_cols} columns have no ragged split")
+
+
+class TestChunkedOperator:
+    """``K Aᵀ`` built a few columns at a time, across chunk boundaries,
+    equals the whole-grid oracles."""
+
+    @pytest.mark.parametrize("world", sorted(CHUNKED_WORLDS))
+    @pytest.mark.parametrize("ragged", [True, False])
+    def test_latent_cov_and_grid_cross(self, world, ragged):
+        domain, records = CHUNKED_WORLDS[world]()
+        n_cols = domain_data(domain, records).cov.grid_rows.size
+        # A width of two leaves a last chunk of one column on an odd
+        # count; that chunk then repeats a column of the one before.
+        width = ragged_width(n_cols) if ragged else 2
+        dd = domain_data(domain, records)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "WORK_BYTES", budget_for(dd, width))
+            for length_scale in (0.4, 1.3):
+                S, dS = dd.cov.latent_cov(length_scale, with_grad=True)
+                S_o, dS_o, scale = oracle_latent_cov(domain, records, length_scale)
+                np.testing.assert_allclose(S, S_o, rtol=TOL, atol=TOL * scale)
+                np.testing.assert_allclose(dS, dS_o, rtol=TOL, atol=TOL * scale)
+                np.testing.assert_array_equal(S, dd.cov.latent_cov(length_scale))
+                check_grid_cross(dd, length_scale)
+        widths = [cols.stop - cols.start for cols, _, _ in dd.cov.A._work[2]]
+        assert len(widths) >= 3 and min(widths) >= 2
+        assert widths[:-1] == [width] * (len(widths) - 1)
+        if ragged:
+            assert 2 <= widths[-1] < width
+        assert max(cols.stop for cols, _, _ in dd.cov.A._work[2]) == n_cols
+
+
+def check_grid_cross(dd, length_scale):
+    """``grid_cross`` against ``K Aᵀ`` from the dense grid gram, gathered
+    at shuffled cells; rows that are not grid rows stay untouched."""
+    grid = dd.domain.grid
+    A = np.zeros((dd.cov.grid_rows.size, grid.n_points))
+    for r, row in enumerate(dd.cov.grid_rows):
+        A[r, dd.geoms[row].members] = dd.geoms[row].weights
+    diff = grid.points[:, None, :] - grid.points[None, :, :]
+    K = np.exp(-(diff * diff).sum(axis=2) / (2.0 * length_scale**2))
+    cells = np.random.default_rng(0).permutation(grid.n_points)[: grid.n_points // 2]
+    want = (K @ A.T)[cells].T
+    out = np.full((dd.n_obs, cells.size), np.nan)
+    dd.cov.grid_cross(cells, length_scale, out)
+    scale = float(np.max(np.abs(K) @ np.abs(A.T)))
+    np.testing.assert_allclose(
+        out[dd.cov.grid_rows], want, rtol=TOL, atol=TOL * scale
+    )
+    others = np.setdiff1d(np.arange(dd.n_obs), dd.cov.grid_rows)
+    assert np.all(np.isnan(out[others]))
+
+
+class TestSharedWorkArrays:
+    """Concurrent callers of one table take turns with its work arrays."""
+
+    def test_threads_match_sequential_calls(self):
+        domain, records = cell_set_world((12, 10), 5)
+        rng = np.random.default_rng(5)
+        records = [
+            replace(r, values=rng.standard_normal(r.values.size)) for r in records
+        ]
+        dataset = AggregatedDataset({"d0": domain}, ("a0", "a1", "a2"), records)
+        state = init_state(dataset, 2, seed=0)
+        table = dataset.prepared("d0").cov
+        scales = (0.5, 0.9, 1.7)
+
+        def covariances():
+            return [table.latent_cov(s, with_grad=True) for s in scales]
+
+        def grid():
+            return predict_grid(state, dataset, "d0", "a0", 3, seed=1)
+
+        # Three threads on two cores, switching often, over many chunks.
+        jobs = [(covariances, 30), (covariances, 30), (grid, 10)]
+        results = [[] for _ in jobs]
+        start = threading.Barrier(len(jobs))
+
+        def run(job, repeats, out):
+            start.wait()
+            out.extend(job() for _ in range(repeats))
+
+        interval = sys.getswitchinterval()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "WORK_BYTES", budget_for(dataset.prepared("d0"), 2))
+            want = {covariances: covariances(), grid: grid()}
+            threads = [
+                threading.Thread(target=run, args=(job, repeats, out))
+                for (job, repeats), out in zip(jobs, results)
+            ]
+            try:
+                sys.setswitchinterval(1e-6)
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for (job, repeats), out in zip(jobs, results):
+            assert len(out) == repeats
+            for got in out:
+                for g, w in zip(flat_arrays(got), flat_arrays(want[job])):
+                    np.testing.assert_array_equal(g, w)
+
+
+def flat_arrays(result):
+    """The arrays of a ``latent_cov`` list or a ``predict_grid`` tuple."""
+    if isinstance(result, tuple):
+        return [np.asarray(r) for r in result]
+    return [a for pair in result for a in pair]
