@@ -61,12 +61,9 @@ def _resolve_latents(args, cfg, dataset):
     choice = _parse_latents(args.latents) if args.latents else cfg.num_latents
     if choice != "cv":
         return int(choice)
-    candidates = cfg.cv_candidates or tuple(
-        range(1, dataset.total_attribute_count + 1)
-    )
     result = cv_select_L(
         dataset,
-        candidates,
+        cfg.cv_candidates,
         cfg.training_with_seed(args.seed),
         n_pred_samples=cfg.n_pred_samples,
     )
@@ -164,12 +161,9 @@ def _cmd_refine(args) -> None:
 def _cmd_cv(args) -> None:
     ds = dataio.load_dataset_file(args.dataset)
     cfg = dataio.load_config_file(args.config)
-    candidates = cfg.cv_candidates or tuple(
-        range(1, ds.dataset.total_attribute_count + 1)
-    )
     result = cv_select_L(
         ds.dataset,
-        candidates,
+        cfg.cv_candidates,
         cfg.training_with_seed(args.seed),
         n_pred_samples=cfg.n_pred_samples,
     )

@@ -42,7 +42,6 @@ _TRAINING_KEYS = {
     "num_elbo_samples",
     "convergence_tol",
     "convergence_window",
-    "snapshot_every",
     "log_every",
 }
 
@@ -183,6 +182,14 @@ class DatasetBundle:
 def load_dataset_file(path: str) -> DatasetBundle:
     doc = _load_json(path)
     _check_version(doc, path)
+    try:
+        return _dataset_from_doc(doc, path)
+    except (TypeError, ValueError) as e:
+        # A value of the wrong type or shape, e.g. "values": ["abc"].
+        raise DataError(f"{path}: invalid dataset value: {e}") from e
+
+
+def _dataset_from_doc(doc: dict, path: str) -> DatasetBundle:
     domains = {}
     for entry in _require(doc, "domains", path):
         dom = parse_domain(entry, path)
@@ -238,22 +245,34 @@ def _support_to_json(support: Support) -> dict:
     return {"id": support.id, "cells": [int(c) for c in support.body.cells]}
 
 
-def _series_to_json(rec: DatasetRecord) -> dict:
-    kinds = {r.kind for r in rec.rules}
+def _partition_to_json(part: Partition, rules) -> dict:
+    """Owner, aggregation kind and supports of a partition.
+
+    A document spells one aggregation kind per partition, so rules of
+    mixed kinds are refused rather than saved as the first one.
+    """
+    kinds = {r.kind for r in rules}
     if len(kinds) != 1:
-        raise DataError("series with mixed aggregation kinds cannot be saved")
+        raise DataError(
+            f"partition ({part.domain_id}, {part.attribute_id}) mixes"
+            f" aggregation kinds {sorted(kinds)} and cannot be saved"
+        )
     kind = kinds.pop()
-    supports = [_support_to_json(s) for s in rec.partition.supports]
+    supports = [_support_to_json(s) for s in part.supports]
     if kind == AggregationRule.CUSTOM:
-        for s_doc, rule in zip(supports, rec.rules):
+        for s_doc, rule in zip(supports, rules):
             s_doc["weights"] = [float(w) for w in rule.weights]
-    out = {
-        "domain_id": rec.domain_id,
-        "attribute_id": rec.attribute_id,
+    return {
+        "domain_id": part.domain_id,
+        "attribute_id": part.attribute_id,
         "aggregation": kind,
         "supports": supports,
-        "values": [float(v) for v in rec.values],
     }
+
+
+def _series_to_json(rec: DatasetRecord) -> dict:
+    out = _partition_to_json(rec.partition, rec.rules)
+    out["values"] = [float(v) for v in rec.values]
     if rec.label is not None:
         out["label"] = rec.label
     return out
@@ -285,20 +304,10 @@ def dataset_to_doc(dataset: AggregatedDataset, partitions=None) -> dict:
         "datasets": [_series_to_json(r) for r in dataset.records],
     }
     if partitions:
-        reg = []
-        for pid, (part, rules) in partitions.items():
-            entry = {
-                "id": pid,
-                "domain_id": part.domain_id,
-                "attribute_id": part.attribute_id,
-                "aggregation": rules[0].kind,
-                "supports": [_support_to_json(s) for s in part.supports],
-            }
-            if rules[0].kind == AggregationRule.CUSTOM:
-                for s_doc, rule in zip(entry["supports"], rules):
-                    s_doc["weights"] = [float(w) for w in rule.weights]
-            reg.append(entry)
-        doc["partitions"] = reg
+        doc["partitions"] = [
+            {"id": pid, **_partition_to_json(part, rules)}
+            for pid, (part, rules) in partitions.items()
+        ]
     return doc
 
 
@@ -480,21 +489,24 @@ def load_model_file(path: str) -> ModelBundle:
                 for v, a in doc["noise_log_var"].items()
             },
         )
+        transforms = {}
+        for v, per_attr in doc.get("transforms", {}).items():
+            for s, (mean, scale) in per_attr.items():
+                transforms[(v, s)] = (float(mean), float(scale))
+        return ModelBundle(
+            state=state,
+            transforms=transforms,
+            method=str(doc.get("method", "amogp-trans")),
+            seed=int(doc.get("seed", 0)),
+            dataset_sha=str(doc.get("dataset_sha", "")),
+            config_sha=str(doc.get("config_sha", "")),
+            trace_summary=dict(doc.get("trace", {})),
+        )
     except KeyError as e:
         raise DataError(f"{path}: missing model field {e}") from e
-    transforms = {}
-    for v, per_attr in doc.get("transforms", {}).items():
-        for s, (mean, scale) in per_attr.items():
-            transforms[(v, s)] = (float(mean), float(scale))
-    return ModelBundle(
-        state=state,
-        transforms=transforms,
-        method=str(doc.get("method", "amogp-trans")),
-        seed=int(doc.get("seed", 0)),
-        dataset_sha=str(doc.get("dataset_sha", "")),
-        config_sha=str(doc.get("config_sha", "")),
-        trace_summary=dict(doc.get("trace", {})),
-    )
+    except (TypeError, ValueError) as e:
+        # A value of the wrong type or shape, e.g. "num_latents": "x".
+        raise DataError(f"{path}: invalid model value: {e}") from e
 
 
 def check_model_compatible(bundle: ModelBundle, dataset_sha: str) -> None:

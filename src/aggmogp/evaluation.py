@@ -114,28 +114,11 @@ def _cv_records(dataset: AggregatedDataset, target):
     return records
 
 
-def _refit_fold(dataset, v, s, k, L, config, n_pred_samples) -> float:
-    """Normalized prediction of support k after refitting without it."""
-    reduced, held = dataset.drop_observation(v, s, k)
-    try:
-        state, _ = fit(reduced, config, init_state(reduced, L, seed=config.seed))
-        pred = predict_supports(
-            held.partition, state, reduced, n_pred_samples, config.seed,
-            rules=held.rules,
-        )
-    except AggmogpError as e:
-        raise CrossValidationError(
-            f"fold ({v}, {s}, support {k}) with {L} latents failed: {e}"
-        ) from e
-    return pred.values[0]
-
-
 def cv_select_L(
     dataset: AggregatedDataset,
     candidates,
     config: TrainConfig,
     target: tuple[str, str] | None = None,
-    exact: bool = False,
     n_pred_samples: int = 100,
 ) -> CVResult:
     """Choose the latent count by leave-one-out over coarse observations.
@@ -145,12 +128,13 @@ def cv_select_L(
     observations at the full fit's parameters and weight draws, the
     closed form of conditioning on all but one observation
     (:func:`~aggmogp.prediction.predict_left_out`); nothing is refit
-    per fold. ``exact`` instead refits every fold from scratch with the
-    full budget and predicts on the reduced dataset. Each held-out value
-    is scored by absolute percentage error in original units.
-    ``target`` limits folds to one (domain, attribute) pair; fine-grained
-    data never enters.
+    per fold. Each held-out value is scored by absolute percentage error
+    in original units. ``candidates`` of None means every count from 1 to
+    the dataset's attribute count. ``target`` limits folds to one
+    (domain, attribute) pair; fine-grained data never enters.
     """
+    if candidates is None:
+        candidates = range(1, dataset.total_attribute_count + 1)
     cands = sorted(set(int(c) for c in candidates))
     if not cands:
         raise DataError("no candidate latent counts supplied")
@@ -159,25 +143,18 @@ def cv_select_L(
     records = _cv_records(dataset, target)
     mean_errors = []
     for L in cands:
-        if not exact:
-            state, _ = fit(dataset, config, init_state(dataset, L, seed=config.seed))
+        state, _ = fit(dataset, config, init_state(dataset, L, seed=config.seed))
         errs = []
         for rec in records:
             v, s = rec.key
-            if exact:
-                pred = [
-                    _refit_fold(dataset, v, s, k, L, config, n_pred_samples)
-                    for k in range(rec.values.size)
-                ]
-            else:
-                try:
-                    pred = predict_left_out(
-                        state, dataset, v, s, n_pred_samples, config.seed
-                    ).values
-                except AggmogpError as e:
-                    raise CrossValidationError(
-                        f"record ({v}, {s}) with {L} latents failed: {e}"
-                    ) from e
+            try:
+                pred = predict_left_out(
+                    state, dataset, v, s, n_pred_samples, config.seed
+                ).values
+            except AggmogpError as e:
+                raise CrossValidationError(
+                    f"record ({v}, {s}) with {L} latents failed: {e}"
+                ) from e
             values = dataset.denormalize(v, s, pred)
             errs.extend(np.abs((rec.values - values) / rec.values))
         mean_errors.append(float(np.mean(errs)))
@@ -465,12 +442,9 @@ def _pick_latents(spec: ExperimentSpec, dataset: AggregatedDataset, config):
         return 1
     if spec.num_latents != "cv":
         return int(spec.num_latents)
-    cands = spec.cv_candidates or tuple(
-        range(1, dataset.total_attribute_count + 1)
-    )
     result = cv_select_L(
         dataset,
-        cands,
+        spec.cv_candidates,
         config,
         target=(spec.target_domain, spec.target_attribute),
         n_pred_samples=spec.n_pred_samples,

@@ -59,12 +59,9 @@ class TrainConfig:
     ``num_elbo_samples`` is the Monte Carlo sample count per step.
     Convergence compares two adjacent moving averages of the ELBO
     estimate, each ``convergence_window`` steps wide, against
-    ``convergence_tol`` relative change. ``fixed_eps`` freezes the first
-    eps draw for every step, which makes the objective deterministic
-    (useful for optimizer diagnostics). ``log_every`` sends a progress
+    ``convergence_tol`` relative change. ``log_every`` sends a progress
     line every that many iterations to the ``aggmogp.inference`` logger
-    at INFO level; ``snapshot_every`` records the parameter vector every
-    that many iterations. Zero turns either off.
+    at INFO level; zero turns it off.
     """
 
     learning_rate: float = 0.001
@@ -73,8 +70,6 @@ class TrainConfig:
     seed: int = 0
     convergence_tol: float = 1e-6
     convergence_window: int = 50
-    snapshot_every: int = 0
-    fixed_eps: bool = False
     log_every: int = 0
 
     def __post_init__(self):
@@ -88,8 +83,6 @@ class TrainConfig:
             raise ValueError("convergence_window must be >= 1")
         if self.convergence_tol < 0:
             raise ValueError("convergence_tol must be >= 0")
-        if self.snapshot_every < 0:
-            raise ValueError("snapshot_every must be >= 0")
         if self.log_every < 0:
             raise ValueError("log_every must be >= 0")
 
@@ -115,8 +108,6 @@ class TrainTrace:
     init_elbo: float = np.nan
     final_elbo: float = np.nan
     improvement: float = np.nan
-    snapshot_every: int = 0
-    snapshots: list = field(default_factory=list)
     backoffs: int = 0
     stop_reason: str = "budget"
 
@@ -249,18 +240,13 @@ def estimate_elbo(dataset: AggregatedDataset, state: ModelState, eps_draws) -> f
     return value
 
 
-def grad_elbo(dataset: AggregatedDataset, state: ModelState, eps_draws) -> dict:
-    """Exact gradient of :func:`estimate_elbo` at the same fixed draws.
-
-    Returns arrays keyed by parameter group, shaped like the state's own
-    arrays. Floored variances contribute zero gradient.
-    """
-    _, grads = _elbo_impl(dataset, state, eps_draws, want_grad=True)
-    return grads
-
-
 def elbo_with_grad(dataset: AggregatedDataset, state: ModelState, eps_draws):
-    """ELBO estimate and its gradient in one pass."""
+    """:func:`estimate_elbo` and its exact gradient at the same draws.
+
+    The gradient is a :class:`ModelState` whose parameter arrays hold the
+    derivatives, so ``.pack()`` flattens it in the parameter vector
+    layout. Floored variances contribute zero gradient.
+    """
     return _elbo_impl(dataset, state, eps_draws, want_grad=True)
 
 
@@ -270,18 +256,7 @@ def _elbo_impl(dataset, state, eps_draws, want_grad):
         raise ValueError("need at least one eps draw")
     scales = np.exp(state.log_length_scales)
     if want_grad:
-        acc = {
-            "log_length_scales": np.zeros_like(state.log_length_scales),
-            "prior_mean": np.zeros_like(state.prior_mean),
-            "prior_log_var": np.zeros_like(state.prior_log_var),
-            "q_mean": {v: np.zeros_like(state.q_mean[v]) for v in state.domain_ids},
-            "q_log_var": {
-                v: np.zeros_like(state.q_log_var[v]) for v in state.domain_ids
-            },
-            "noise_log_var": {
-                v: np.zeros_like(state.noise_log_var[v]) for v in state.domain_ids
-            },
-        }
+        acc = state.unpack(np.zeros_like(state.pack()))
 
     blocks = {
         v: _latent_blocks(dataset.prepared(v), scales, want_grad)
@@ -302,60 +277,42 @@ def _elbo_impl(dataset, state, eps_draws, want_grad):
         ll, grad_W, grad_scales, grad_noise = res
         total_ll += ll
         if want_grad:
-            acc["log_length_scales"] += grad_scales
-            acc["q_mean"][v] += grad_W
-            acc["q_log_var"][v] += grad_W * eps
-            acc["noise_log_var"][v] += grad_noise
+            acc.log_length_scales += grad_scales
+            acc.q_mean[v] += grad_W
+            acc.q_log_var[v] += grad_W * eps
+            acc.noise_log_var[v] += grad_noise
     total_ll /= n_samples
     value = total_ll - _kl_total(state)
     if not want_grad:
         return value, None
     inv = 1.0 / n_samples
-    acc["log_length_scales"] *= inv
+    acc.log_length_scales *= inv
     for v in state.domain_ids:
-        acc["noise_log_var"][v] *= inv
-        acc["q_mean"][v] *= inv
+        acc.noise_log_var[v] *= inv
+        acc.q_mean[v] *= inv
         # Chain through w = mean + eps sqrt(var): d w / d log var is
         # eps sqrt(var) / 2, masked at the floor.
         sqrt_v = np.sqrt(floor_var(state.q_log_var[v]))
-        acc["q_log_var"][v] *= inv * 0.5 * sqrt_v * floor_active(state.q_log_var[v])
+        acc.q_log_var[v] *= inv * 0.5 * sqrt_v * floor_active(state.q_log_var[v])
     # KL gradients; the ELBO subtracts the KL.
     for v in state.domain_ids:
         rows = state.attr_rows(v)
         vq = floor_var(state.q_log_var[v])
         vp = floor_var(state.prior_log_var[rows])
         dm = state.q_mean[v] - state.prior_mean[rows]
-        acc["q_mean"][v] -= dm / vp
-        acc["q_log_var"][v] -= (
+        acc.q_mean[v] -= dm / vp
+        acc.q_log_var[v] -= (
             0.5 * (vq / vp - 1.0) * floor_active(state.q_log_var[v])
         )
-        np.add.at(acc["prior_mean"], rows, dm / vp)
+        np.add.at(acc.prior_mean, rows, dm / vp)
         np.add.at(
-            acc["prior_log_var"],
+            acc.prior_log_var,
             rows,
             0.5
             * ((vq + dm * dm) / vp - 1.0)
             * floor_active(state.prior_log_var[rows]),
         )
     return value, acc
-
-
-def pack_grads(state: ModelState, grads: dict) -> np.ndarray:
-    """Flatten a gradient dict in the state's parameter vector layout."""
-    parts = [
-        grads["log_length_scales"].ravel(),
-        grads["prior_mean"].ravel(),
-        grads["prior_log_var"].ravel(),
-    ]
-    for v in state.domain_ids:
-        parts.extend(
-            [
-                grads["q_mean"][v].ravel(),
-                grads["q_log_var"][v].ravel(),
-                grads["noise_log_var"][v].ravel(),
-            ]
-        )
-    return np.concatenate(parts)
 
 
 _REFINED_DRAWS = 256
@@ -432,7 +389,7 @@ def fit(
     """
     t_start = time.perf_counter()
     state = init.copy()
-    trace = TrainTrace(snapshot_every=config.snapshot_every)
+    trace = TrainTrace()
     try:
         trace.init_elbo = refined_elbo(dataset, init, config.seed)
     except CholeskyFailure as e:
@@ -451,21 +408,15 @@ def fit(
     prev_adam = adam.snapshot()
     best_value = -np.inf
     best_theta = theta.copy()
-    frozen_eps = None
     window = config.convergence_window
     it = 0
     while it < config.max_iters:
-        if config.fixed_eps:
-            if frozen_eps is None:
-                frozen_eps = draw_eps(state, rng, config.num_elbo_samples)
-            eps = frozen_eps
-        else:
-            eps = draw_eps(state, rng, config.num_elbo_samples)
+        eps = draw_eps(state, rng, config.num_elbo_samples)
         current = state.unpack(theta)
         failed = False
         try:
             value, grads = elbo_with_grad(dataset, current, eps)
-            flat_grad = pack_grads(current, grads)
+            flat_grad = grads.pack()
             if not (np.isfinite(value) and np.all(np.isfinite(flat_grad))):
                 failed = True
         except CholeskyFailure:
@@ -482,8 +433,6 @@ def fit(
         trace.iterations.append(it)
         trace.elbo.append(value)
         trace.learning_rate.append(adam.learning_rate)
-        if config.snapshot_every and it % config.snapshot_every == 0:
-            trace.snapshots.append((it, theta.copy()))
         if config.log_every and it % config.log_every == 0:
             _log.info("iter %6d  elbo % .6f  lr %g", it, value, adam.learning_rate)
         if value > best_value:

@@ -839,7 +839,7 @@ class ModelState:
 
         def take(shape):
             nonlocal pos
-            size = int(np.prod(shape))
+            size = math.prod(shape)
             chunk = vector[pos : pos + size].reshape(shape).copy()
             pos += size
             return chunk

@@ -1,37 +1,17 @@
-"""Small shared helpers: worker pools and deterministic RNG streams."""
+"""Small shared helpers: an in-order map and deterministic RNG streams."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
-
-THREADS_ENV = "AGGMOGP_THREADS"
-
-
-def worker_count() -> int:
-    """Worker cap from the AGGMOGP_THREADS env var; defaults to 1."""
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 def parallel_map(fn, items):
-    """Map preserving order, threaded when the worker cap allows.
+    """Apply ``fn`` to each item, in input order.
 
-    Items are independent; results are collected in input order, so the
-    outcome does not depend on scheduling.
+    Training fans its (draw, domain) likelihood terms out through this one
+    name so the benchmark's tracer can count them; it runs them serially.
     """
-    items = list(items)
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def stream(seed: int, *spawn_key: int) -> np.random.Generator:

@@ -9,7 +9,6 @@ from conftest import two_series_instance
 
 from aggmogp import cli, dataio
 from aggmogp.cli import main
-from aggmogp.evaluation import CVResult
 from aggmogp.geometry import grid_block_partition
 from aggmogp.model import uniform_rules
 
@@ -193,9 +192,12 @@ class TestFit:
         tmp, ds, cfg = workspace
         seen = []
 
+        real = cli.cv_select_L
+
         def capture(dataset, cands, config, **kwargs):
-            seen.append((dataset, tuple(cands)))
-            return CVResult(1, tuple(cands), (0.0,) * len(cands), 1)
+            result = real(dataset, cands, config, **kwargs)
+            seen.append((dataset, result.candidates))
+            return result
 
         monkeypatch.setattr(cli, "cv_select_L", capture)
         code = main(
@@ -579,3 +581,39 @@ class TestValidationExitCodes:
         assert code == 1
         record = last_error_record(capsys)
         assert record["error"] == "OverlapError"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("supports", [{"id": "s0", "interval": [0, 0.5, 0.7]}]), ("values", ["abc"])],
+    )
+    def test_malformed_dataset_value_exits_one(
+        self, workspace, capsys, field, value
+    ):
+        tmp, ds, cfg = workspace
+        doc = json.load(open(ds))
+        doc["datasets"][0][field] = value
+        bad = str(tmp / "bad.json")
+        dataio.write_json(bad, doc)
+        code = main(
+            ["fit", "--dataset", bad, "--config", cfg, "--out", str(tmp / "m.json")]
+        )
+        assert code == 1
+        record = last_error_record(capsys)
+        assert record["error"] == "DataError"
+        assert bad in record["message"]
+
+    def test_malformed_model_value_exits_one(self, workspace, capsys):
+        tmp, ds, cfg = workspace
+        model = str(tmp / "model.json")
+        assert main(["fit", "--dataset", ds, "--config", cfg, "--out", model]) == 0
+        doc = json.load(open(model))
+        doc["num_latents"] = "x"
+        dataio.write_json(model, doc)
+        code = main(
+            ["refine", "--dataset", ds, "--model", model,
+             "--target-partition", "targets", "--out", str(tmp / "x.csv")]
+        )
+        assert code == 1
+        record = last_error_record(capsys)
+        assert record["error"] == "DataError"
+        assert model in record["message"]

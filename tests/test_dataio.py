@@ -10,9 +10,12 @@ from conftest import (
     cells_support,
     interval_support,
     single_series_dataset,
+    square_grid_domain,
     two_series_instance,
     unit_grid_domain,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aggmogp.dataio import (
     FORMAT_VERSION,
@@ -32,7 +35,13 @@ from aggmogp.dataio import (
     write_trace_csv,
 )
 from aggmogp.errors import DataError, IncompatibleModel
-from aggmogp.geometry import AggregationRule, Partition
+from aggmogp.geometry import (
+    AggregationRule,
+    Partition,
+    grid_block_partition,
+    interval_bins,
+    membership,
+)
 from aggmogp.inference import TrainConfig, fit
 from aggmogp.model import AggregatedDataset, DatasetRecord, init_state
 
@@ -132,6 +141,36 @@ class TestDatasetRoundTrip:
         assert got.attribute_id == "a0"
         assert all(r.kind == AggregationRule.AVERAGE for r in got_rules)
 
+    @pytest.mark.parametrize("in_registry", [False, True])
+    @pytest.mark.parametrize(
+        "rules",
+        [
+            (
+                AggregationRule(AggregationRule.AVERAGE),
+                AggregationRule(AggregationRule.SUM),
+            ),
+            (
+                AggregationRule(AggregationRule.CUSTOM, (0.5, 0.25, 0.25)),
+                AggregationRule(AggregationRule.AVERAGE),
+            ),
+        ],
+        ids=["average-sum", "custom-average"],
+    )
+    def test_mixed_kind_partition_refused(self, in_registry, rules):
+        # A document spells one aggregation kind per partition, so a
+        # mixed partition must not be saved as its first rule's kind.
+        domain = unit_grid_domain(8, 0.0, 2.0)
+        sup = [cells_support([0, 1, 2], "c0"), cells_support([5, 6], "c1")]
+        if in_registry:
+            dataset = single_series_dataset(domain, sup, [1.0, 2.0])
+            part = dataset.records[0].partition
+            with pytest.raises(DataError, match="mixes aggregation kinds"):
+                dataset_to_doc(dataset, partitions={"targets": (part, rules)})
+        else:
+            dataset = single_series_dataset(domain, sup, [1.0, 2.0], rules=rules)
+            with pytest.raises(DataError, match="mixes aggregation kinds"):
+                dataset_to_doc(dataset)
+
     def test_series_id_registers_its_partition(self, tmp_path):
         _, dataset, _ = two_series_instance()
         doc = dataset_to_doc(dataset)
@@ -160,6 +199,80 @@ class TestDatasetRoundTrip:
         write_json(path, doc)
         with pytest.raises(DataError):
             load_dataset_file(path)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+KINDS = (AggregationRule.AVERAGE, AggregationRule.SUM, AggregationRule.CUSTOM)
+
+
+@st.composite
+def tiling(draw, domain, attribute_id, prefix):
+    """Interval bins (1-D) or cell blocks (2-D) over the whole domain,
+    all with one drawn aggregation kind; custom weights per member."""
+    if domain.ndim == 1:
+        n = domain.grid.shape[0]
+        bins = draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
+        part = interval_bins(domain, attribute_id, bins, id_prefix=prefix)
+    else:
+        block = tuple(draw(st.integers(1, n)) for n in domain.grid.shape)
+        part = grid_block_partition(domain, attribute_id, block, id_prefix=prefix)
+    kind = draw(st.sampled_from(KINDS))
+    if kind != AggregationRule.CUSTOM:
+        return part, tuple(AggregationRule(kind) for _ in part.supports)
+    rules = []
+    for support in part.supports:
+        m = membership(support, domain.grid).size
+        weights = draw(st.lists(FINITE, min_size=m, max_size=m))
+        rules.append(AggregationRule(kind, tuple(weights)))
+    return part, tuple(rules)
+
+
+@st.composite
+def documents(draw):
+    """A dataset of 1-D and 2-D domains plus a partition registry."""
+    domains = {}
+    dims = draw(st.lists(st.sampled_from((1, 2)), min_size=1, max_size=2))
+    for k, ndim in enumerate(dims):
+        lo = draw(st.floats(-1e3, 1e3))
+        hi = lo + draw(st.floats(0.1, 1e3))
+        make = unit_grid_domain if ndim == 1 else square_grid_domain
+        domains[f"d{k}"] = make(draw(st.integers(1, 6)), lo, hi, domain_id=f"d{k}")
+    attributes = ("a0", "a1")
+    records = []
+    for v, dom in domains.items():
+        for a in draw(st.sampled_from([("a0",), ("a1",), attributes])):
+            part, rules = draw(tiling(dom, a, f"{v}-{a}-"))
+            n = len(part.supports)
+            records.append(
+                DatasetRecord(
+                    domain_id=v,
+                    attribute_id=a,
+                    partition=part,
+                    rules=rules,
+                    values=draw(st.lists(FINITE, min_size=n, max_size=n)),
+                    label=draw(st.none() | st.text(max_size=4)),
+                )
+            )
+    registry = {}
+    for i in range(draw(st.integers(0, 2))):
+        v = draw(st.sampled_from(sorted(domains)))
+        registry[f"r{i}"] = draw(tiling(domains[v], "a0", f"r{i}-"))
+    return AggregatedDataset(domains, attributes, records), registry
+
+
+class TestDatasetRoundTripProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(world=documents())
+    def test_resave_is_byte_stable(self, tmp_path_factory, world):
+        dataset, registry = world
+        tmp = tmp_path_factory.mktemp("doc")
+        first, second = str(tmp / "a.json"), str(tmp / "b.json")
+        write_json(first, dataset_to_doc(dataset, partitions=registry))
+        bundle = load_dataset_file(first)
+        write_json(second, dataset_to_doc(bundle.dataset, partitions=bundle.partitions))
+        with open(first, "rb") as fa, open(second, "rb") as fb:
+            assert fa.read() == fb.read()
+        assert load_dataset_file(second).sha == bundle.sha
 
 
 class TestVersionGate:

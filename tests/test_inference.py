@@ -28,8 +28,6 @@ from aggmogp.inference import (
     elbo_with_grad,
     estimate_elbo,
     fit,
-    grad_elbo,
-    pack_grads,
     refined_elbo,
 )
 from aggmogp.model import (
@@ -109,7 +107,7 @@ class TestGradients:
             state = randomized_state(dataset, 2, seed=point)
             rng = utils.stream(123 + point, 1)
             eps = draw_eps(state, rng, 1)
-            analytic = pack_grads(state, grad_elbo(dataset, state, eps))
+            analytic = elbo_with_grad(dataset, state, eps)[1].pack()
             numeric = fd_gradient(dataset, state, eps)
             for name, sl in group_slices(state):
                 a = analytic[sl]
@@ -125,9 +123,9 @@ class TestGradients:
         state.prior_log_var[:] = -60.0
         rng = utils.stream(5, 1)
         eps = draw_eps(state, rng, 1)
-        grads = grad_elbo(dataset, state, eps)
-        np.testing.assert_array_equal(grads["q_log_var"]["d0"], 0.0)
-        np.testing.assert_array_equal(grads["prior_log_var"], 0.0)
+        grads = elbo_with_grad(dataset, state, eps)[1]
+        np.testing.assert_array_equal(grads.q_log_var["d0"], 0.0)
+        np.testing.assert_array_equal(grads.prior_log_var, 0.0)
 
     def test_duplicate_draws_match_single(self):
         _, dataset, _ = two_series_instance()
@@ -138,9 +136,7 @@ class TestGradients:
         v1, g1 = elbo_with_grad(dataset, state, eps)
         v2, g2 = elbo_with_grad(dataset, state, doubled)
         np.testing.assert_allclose(v2, v1, rtol=1e-14)
-        np.testing.assert_allclose(
-            pack_grads(state, g2), pack_grads(state, g1), rtol=1e-12, atol=1e-14
-        )
+        np.testing.assert_allclose(g2.pack(), g1.pack(), rtol=1e-12, atol=1e-14)
 
     def test_prior_mean_gradient_hand_case(self):
         # The prior mean only enters the KL, so its ELBO gradient is
@@ -151,8 +147,8 @@ class TestGradients:
         state.prior_mean[:] = 0.0
         state.prior_log_var[:] = 0.0
         eps = draw_eps(state, utils.stream(0, 1), 1)
-        grads = grad_elbo(dataset, state, eps)
-        np.testing.assert_allclose(grads["prior_mean"], np.ones((2, 2)), atol=1e-12)
+        grads = elbo_with_grad(dataset, state, eps)[1]
+        np.testing.assert_allclose(grads.prior_mean, np.ones((2, 2)), atol=1e-12)
 
 
 class TestElboValue:
@@ -250,8 +246,8 @@ class TestStationaryPoint:
         )
         opt = state.copy()
         opt.log_length_scales = np.array([res.x])
-        grads = grad_elbo(ds, opt, eps)
-        assert abs(grads["log_length_scales"][0]) < 1e-6
+        grads = elbo_with_grad(ds, opt, eps)[1]
+        assert abs(grads.log_length_scales[0]) < 1e-6
 
 
 class TestFit:
@@ -293,14 +289,21 @@ class TestFit:
         assert trace.elbo[trace.best_iteration] == max(trace.elbo)
 
     def test_fixed_eps_windows_non_decreasing(self):
+        # Adam on one frozen draw ascends a deterministic objective, so
+        # the estimate 100 steps on is never lower.
         _, dataset, _ = two_series_instance()
-        init = init_state(dataset, 2, seed=0)
-        cfg = self.small_config(max_iters=300, fixed_eps=True, learning_rate=0.005)
-        _, trace = fit(dataset, cfg, init)
-        assert trace.backoffs == 0
-        elbo = np.array(trace.elbo)
+        state = init_state(dataset, 2, seed=0)
+        eps = draw_eps(state, utils.stream(0, 1), 1)
+        adam = AdamOptimizer(0.005)
+        theta = state.pack()
+        elbo = []
+        for _ in range(300):
+            value, grads = elbo_with_grad(dataset, state.unpack(theta), eps)
+            elbo.append(value)
+            theta = adam.step(theta, -grads.pack())
+        elbo = np.array(elbo)
         lag = 100
-        assert elbo.size > lag
+        assert np.all(np.isfinite(elbo))
         assert np.all(elbo[lag:] >= elbo[:-lag] - 1e-9)
 
     def test_convergence_stops_early(self):
@@ -421,12 +424,6 @@ class TestFit:
         assert rows[0][0] == 0
         assert rows[0][2] == 0.01
 
-    def test_snapshots_recorded(self):
-        _, dataset, _ = two_series_instance()
-        init = init_state(dataset, 2, seed=0)
-        _, trace = fit(dataset, self.small_config(max_iters=10, snapshot_every=4), init)
-        assert [it for it, _ in trace.snapshots] == [0, 4, 8]
-
     def test_progress_goes_to_the_logger_not_stdout(self, caplog, capsys):
         _, dataset, _ = two_series_instance()
         init = init_state(dataset, 2, seed=0)
@@ -513,12 +510,9 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(convergence_tol=-1e-6)
         with pytest.raises(ValueError):
-            TrainConfig(snapshot_every=-3)
-        with pytest.raises(ValueError):
             TrainConfig(log_every=-1)
-        # Zero stays valid: it turns snapshots, logging and the
-        # convergence stop off.
-        TrainConfig(convergence_tol=0.0, snapshot_every=0, log_every=0)
+        # Zero stays valid: it turns logging and the convergence stop off.
+        TrainConfig(convergence_tol=0.0, log_every=0)
 
 
 class TestAdam:
