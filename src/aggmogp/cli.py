@@ -13,15 +13,15 @@ import argparse
 import json
 import logging
 import sys
-
-import numpy as np
+from dataclasses import replace
 
 from . import baselines, dataio, svgplot
 from .errors import AggmogpError, CholeskyFailure, DataError, NonFiniteELBO
 from .evaluation import (
     ExperimentSpec,
-    SynthConfig,
+    choose_latents,
     cv_select_L,
+    latent_request,
     run_experiment,
     synth_generate,
 )
@@ -36,59 +36,44 @@ class _Parser(argparse.ArgumentParser):
         raise DataError(f"usage: {message}")
 
 
+def _latents_flag(text: str):
+    return latent_request(text, "--latents")
+
+
 def _emit_error(exc: AggmogpError) -> None:
     record = {"error": type(exc).__name__, "message": str(exc)}
     print(json.dumps(record), file=sys.stderr)
-
-
-def _parse_latents(text: str):
-    if text == "cv":
-        return "cv"
-    try:
-        value = int(text)
-    except ValueError:
-        raise DataError(f"--latents takes an integer or 'cv', got {text!r}")
-    if value < 1:
-        raise DataError("--latents must be >= 1")
-    return value
 
 
 # ---------------------------------------------------------------------------
 # fit
 
 
-def _resolve_latents(args, cfg, dataset):
-    choice = _parse_latents(args.latents) if args.latents else cfg.num_latents
-    if choice != "cv":
-        return int(choice)
-    result = cv_select_L(
-        dataset,
-        cfg.cv_candidates,
-        cfg.training_with_seed(args.seed),
-        n_pred_samples=cfg.n_pred_samples,
-    )
-    print(
-        f"cross-validation chose {result.chosen} latents"
-        f" (candidates {list(result.candidates)})"
-    )
-    return result.chosen
-
-
 def _cmd_fit(args) -> None:
     ds = dataio.load_dataset_file(args.dataset)
     cfg = dataio.load_config_file(args.config)
     method = args.method
-    if method == "agp" and args.latents:
-        if _parse_latents(args.latents) not in (1, "cv"):
-            raise DataError("the single-series baseline uses one latent process")
+    requested = args.latents or cfg.num_latents
     # The view comes first so that a method the dataset does not suit
     # fails before any cross-validation runs.
     view = baselines.training_view(ds.dataset, method)
-    chosen = 1 if method == "agp" else _resolve_latents(args, cfg, view)
+    config = cfg.training_with_seed(args.seed)
+    chosen, cv = choose_latents(
+        view, method, requested, config, cfg.cv_candidates, cfg.n_pred_samples
+    )
+    if args.latents and requested not in ("cv", chosen):
+        raise DataError(
+            f"method {method!r} trains {chosen} latent process, not {requested}"
+        )
+    if cv is not None:
+        print(
+            f"cross-validation chose {cv.chosen} latents"
+            f" (candidates {list(cv.candidates)})"
+        )
     bf = baselines.fit_view(
         view,
         chosen,
-        cfg.training_with_seed(args.seed),
+        config,
         init_seed=args.seed,
         init_length_scales=cfg.init_length_scales,
     )
@@ -187,72 +172,13 @@ def _cmd_cv(args) -> None:
 # synth
 
 
-def _synth_config(raw: dict, seed_override) -> SynthConfig:
-    sec = raw.get("synth")
-    if sec is None:
-        raise DataError("config has no 'synth' section")
-    domains = tuple(
-        dataio.parse_domain(entry, "synth config") for entry in sec.get("domains", ())
-    )
-    if not domains:
-        raise DataError("synth config needs at least one domain")
-    attributes = tuple(str(a) for a in sec.get("attributes", ()))
-    if not attributes:
-        raise DataError("synth config needs at least one attribute")
-    scales = tuple(float(s) for s in sec.get("length_scales", ()))
-    if not scales:
-        raise DataError("synth config needs length_scales")
-    levels_raw = sec.get("levels")
-    if not levels_raw:
-        raise DataError("synth config needs a 'levels' section")
-    levels: dict[str, dict[str, object]] = {}
-    for label, per_domain in levels_raw.items():
-        levels[label] = {
-            v: (int(spec) if isinstance(spec, int) else tuple(int(b) for b in spec))
-            for v, spec in per_domain.items()
-        }
-    noise = sec.get("noise_var", 0.0)
-    if isinstance(noise, dict):
-        noise = {
-            (v, s): float(val)
-            for v, per_attr in noise.items()
-            for s, val in per_attr.items()
-        }
-    else:
-        noise = float(noise)
-    offset = sec.get("value_offset", 0.0)
-    if isinstance(offset, dict):
-        offset = {s: float(val) for s, val in offset.items()}
-    else:
-        offset = float(offset)
-    weights = sec.get("weights")
-    if weights is not None:
-        weights = {v: np.asarray(w, dtype=float) for v, w in weights.items()}
-    prior_mean = sec.get("prior_mean")
-    prior_var = sec.get("prior_var")
-    domain_attributes = sec.get("domain_attributes")
-    if domain_attributes is not None:
-        domain_attributes = {
-            v: tuple(str(a) for a in t) for v, t in domain_attributes.items()
-        }
-    return SynthConfig(
-        domains=domains,
-        attributes=attributes,
-        length_scales=scales,
-        levels=levels,
-        domain_attributes=domain_attributes,
-        weights=weights,
-        prior_mean=None if prior_mean is None else np.asarray(prior_mean, float),
-        prior_var=None if prior_var is None else np.asarray(prior_var, float),
-        noise_var=noise,
-        value_offset=offset,
-        seed=int(sec.get("seed", 0)) if seed_override is None else seed_override,
-    )
-
-
 def _cmd_synth(args) -> None:
     cfg = dataio.load_config_file(args.config)
-    synth_cfg = _synth_config(cfg.raw, args.seed)
+    if cfg.synth is None:
+        raise DataError("config has no 'synth' section")
+    synth_cfg = cfg.synth
+    if args.seed is not None:
+        synth_cfg = replace(synth_cfg, seed=args.seed)
     res = synth_generate(synth_cfg)
     for label, dataset in res.datasets.items():
         registry = {}
@@ -287,41 +213,21 @@ def _cmd_synth(args) -> None:
 # eval
 
 
-def _experiment_spec(args, cfg: dataio.ConfigBundle) -> ExperimentSpec:
-    sec = cfg.raw.get("experiment")
-    if sec is None:
-        raise DataError("config has no 'experiment' section")
-    method = args.method or sec.get("method", "amogp-trans")
-    latents = (
-        _parse_latents(args.latents)
-        if args.latents
-        else sec.get("num_latents", 2)
-    )
-    tp = args.tp if args.tp is not None else int(sec.get("n_pred_samples", 100))
-    cands = sec.get("cv_candidates")
-    try:
-        return ExperimentSpec(
-            target_domain=str(sec["target_domain"]),
-            target_attribute=str(sec["target_attribute"]),
-            method=str(method),
-            train_level=str(sec["train_level"]),
-            test_level=str(sec["test_level"]),
-            aux_level=sec.get("aux_level"),
-            num_latents=latents,
-            seeds=tuple(int(s) for s in sec.get("seeds", [0])),
-            n_pred_samples=tp,
-            cv_candidates=None if cands is None else tuple(int(c) for c in cands),
-            train_config=cfg.training,
-        )
-    except KeyError as e:
-        raise DataError(f"experiment section is missing {e}") from e
-
-
 def _cmd_eval(args) -> None:
     cfg = dataio.load_config_file(args.config)
-    spec = _experiment_spec(args, cfg)
-    synth_cfg = _synth_config(cfg.raw, None)
-    report = run_experiment(spec, synth_cfg)
+    if cfg.experiment is None:
+        raise DataError("config has no 'experiment' section")
+    fields = dict(cfg.experiment)
+    if args.method:
+        fields["method"] = args.method
+    if args.latents:
+        fields["num_latents"] = args.latents
+    if args.tp is not None:
+        fields["n_pred_samples"] = args.tp
+    spec = ExperimentSpec(**fields)
+    if cfg.synth is None:
+        raise DataError("config has no 'synth' section")
+    report = run_experiment(spec, cfg.synth)
     dataio.write_json(args.out, report.to_dict())
     if report.mape_mean is None:
         print(f"{spec.method}: no successful seeds -> {args.out}")
@@ -378,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--trace-out")
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--method", default="amogp-trans")
-    p_fit.add_argument("--latents", help="latent count or 'cv'")
+    p_fit.add_argument("--latents", type=_latents_flag, help="latent count or 'cv'")
     p_fit.set_defaults(handler=_cmd_fit)
 
     p_ref = sub.add_parser("refine", help="predict onto a target partition")
@@ -408,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--config", required=True)
     p_eval.add_argument("--out", required=True)
     p_eval.add_argument("--method", default=None)
-    p_eval.add_argument("--latents", default=None, help="latent count or 'cv'")
+    p_eval.add_argument("--latents", type=_latents_flag, help="latent count or 'cv'")
     p_eval.add_argument("--tp", type=int, default=None)
     p_eval.set_defaults(handler=_cmd_eval)
 

@@ -17,11 +17,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import DataError, IncompatibleModel
+from .evaluation import SynthConfig, latent_request
 from .geometry import (
     AggregationRule,
     CellSet,
@@ -36,14 +37,8 @@ from .model import AggregatedDataset, DatasetRecord, ModelState
 
 FORMAT_VERSION = 1
 
-_TRAINING_KEYS = {
-    "learning_rate",
-    "max_iters",
-    "num_elbo_samples",
-    "convergence_tol",
-    "convergence_window",
-    "log_every",
-}
+# The seed comes from the command line, never from a config document.
+_TRAINING_KEYS = {f.name for f in fields(TrainConfig)} - {"seed"}
 
 
 def canonical_json(obj) -> str:
@@ -176,7 +171,6 @@ class DatasetBundle:
     dataset: AggregatedDataset
     partitions: dict[str, tuple[Partition, tuple[AggregationRule, ...]]]
     sha: str
-    raw: dict
 
 
 def load_dataset_file(path: str) -> DatasetBundle:
@@ -234,9 +228,7 @@ def _dataset_from_doc(doc: dict, path: str) -> DatasetBundle:
             entry, domain_id, attribute_id, f"{ctx} {pid!r}"
         )
     dataset = AggregatedDataset(domains, attributes, records)
-    return DatasetBundle(
-        dataset=dataset, partitions=partitions, sha=sha256_of(doc), raw=doc
-    )
+    return DatasetBundle(dataset=dataset, partitions=partitions, sha=sha256_of(doc))
 
 
 def _support_to_json(support: Support) -> dict:
@@ -317,19 +309,24 @@ def dataset_to_doc(dataset: AggregatedDataset, partitions=None) -> dict:
 
 @dataclass
 class ConfigBundle:
-    """Parsed configuration: model, training, prediction and raw extras."""
+    """Parsed configuration document.
+
+    ``synth`` is the generator section and ``experiment`` the keyword
+    arguments of an :class:`~aggmogp.evaluation.ExperimentSpec`, each
+    None when absent; the spec, built after command-line overrides,
+    checks the method.
+    """
 
     num_latents: object
     init_length_scales: tuple[float, ...] | None
     training: TrainConfig
     n_pred_samples: int
     cv_candidates: tuple[int, ...] | None
-    raw: dict
+    synth: SynthConfig | None
+    experiment: dict | None
     sha: str
 
     def training_with_seed(self, seed: int) -> TrainConfig:
-        from dataclasses import replace
-
         return replace(self.training, seed=seed)
 
 
@@ -343,26 +340,54 @@ def load_config_file(path: str) -> ConfigBundle:
         raise DataError(f"{path}: invalid config value: {e}") from e
 
 
+def _object(value, what: str, path: str) -> dict:
+    """A map in a document, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise DataError(f"{path}: {what} must be a JSON object")
+    return value
+
+
 def _section(doc: dict, name: str, path: str) -> dict:
-    """One top-level config section, which must be a JSON object."""
-    section = doc.get(name, {})
-    if not isinstance(section, dict):
-        raise DataError(f"{path}: the {name!r} section must be a JSON object")
-    return section
+    """One top-level config section; absent means empty."""
+    return _object(doc.get(name, {}), f"the {name!r} section", path)
+
+
+def _optional(sec: dict, key: str, convert):
+    """``convert(sec[key])``, or None when the key is absent or null."""
+    value = sec.get(key)
+    return None if value is None else convert(value)
+
+
+def _entries(value, what: str, path: str, convert) -> dict:
+    """``{key: convert(item)}`` over a JSON object."""
+    return {k: convert(v) for k, v in _object(value, what, path).items()}
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
+def _floats(values) -> np.ndarray:
+    return np.asarray(values, dtype=float)
+
+
+def _strs(values) -> tuple[str, ...]:
+    return tuple(str(v) for v in values)
+
+
+def _positive_scales(values, what: str, path: str) -> tuple[float, ...]:
+    scales = tuple(float(s) for s in values)
+    if any(not s > 0 for s in scales):
+        raise DataError(f"{path}: {what} must be positive")
+    return scales
 
 
 def _config_from_doc(doc: dict, path: str) -> ConfigBundle:
     model = _section(doc, "model", path)
-    num_latents = model.get("num_latents", 1)
-    if num_latents != "cv":
-        num_latents = int(num_latents)
-        if num_latents < 1:
-            raise DataError(f"{path}: num_latents must be >= 1 or 'cv'")
-    scales = model.get("length_scales")
-    if scales is not None:
-        scales = tuple(float(s) for s in scales)
-        if any(s <= 0 for s in scales):
-            raise DataError(f"{path}: length_scales must be positive")
+    num_latents = latent_request(model.get("num_latents", 1), f"{path}: num_latents")
+    scales = _optional(
+        model, "length_scales", lambda v: _positive_scales(v, "length_scales", path)
+    )
     training = _section(doc, "training", path)
     unknown = set(training) - _TRAINING_KEYS
     if unknown:
@@ -374,18 +399,96 @@ def _config_from_doc(doc: dict, path: str) -> ConfigBundle:
     n_pred = int(prediction.get("n_samples", 100))
     if n_pred < 1:
         raise DataError(f"{path}: prediction n_samples must be >= 1")
-    cv_candidates = model.get("cv_candidates")
-    if cv_candidates is not None:
-        cv_candidates = tuple(int(c) for c in cv_candidates)
     return ConfigBundle(
         num_latents=num_latents,
         init_length_scales=scales,
         training=config,
         n_pred_samples=n_pred,
-        cv_candidates=cv_candidates,
-        raw=doc,
+        cv_candidates=_optional(model, "cv_candidates", _ints),
+        synth=_optional(doc, "synth", lambda sec: _synth_from_doc(sec, path)),
+        experiment=_optional(
+            doc, "experiment", lambda sec: _experiment_from_doc(sec, config, path)
+        ),
         sha=sha256_of(doc),
     )
+
+
+def _level_spec(spec):
+    """Equal interval bins (an int) or a cell-block shape."""
+    return int(spec) if isinstance(spec, int) else _ints(spec)
+
+
+def _synth_from_doc(sec, path: str) -> SynthConfig:
+    sec = _object(sec, "the 'synth' section", path)
+    ctx = f"{path}: synth config"
+    domains = tuple(parse_domain(entry, ctx) for entry in sec.get("domains", ()))
+    attributes = _strs(sec.get("attributes", ()))
+    scales = _positive_scales(
+        sec.get("length_scales", ()), "synth length_scales", path
+    )
+    levels = {
+        label: _entries(per_domain, f"synth level {label!r}", path, _level_spec)
+        for label, per_domain in _section(sec, "levels", path).items()
+    }
+    for what, given in (
+        ("at least one domain", domains),
+        ("at least one attribute", attributes),
+        ("length_scales", scales),
+        ("a 'levels' section", levels),
+    ):
+        if not given:
+            raise DataError(f"{ctx} needs {what}")
+    noise = sec.get("noise_var", 0.0)
+    if isinstance(noise, dict):
+        noise = {
+            (v, s): val
+            for v, per in noise.items()
+            for s, val in _entries(per, f"synth noise_var {v!r}", path, float).items()
+        }
+    offset = sec.get("value_offset", 0.0)
+    if isinstance(offset, dict):
+        offset = _entries(offset, "synth value_offset", path, float)
+    return SynthConfig(
+        domains=domains,
+        attributes=attributes,
+        length_scales=scales,
+        levels=levels,
+        domain_attributes=_optional(
+            sec,
+            "domain_attributes",
+            lambda m: _entries(m, "synth domain_attributes", path, _strs),
+        ),
+        weights=_optional(
+            sec, "weights", lambda m: _entries(m, "synth weights", path, _floats)
+        ),
+        prior_mean=_optional(sec, "prior_mean", _floats),
+        prior_var=_optional(sec, "prior_var", _floats),
+        noise_var=noise if isinstance(noise, dict) else float(noise),
+        value_offset=offset if isinstance(offset, dict) else float(offset),
+        seed=int(sec.get("seed", 0)),
+    )
+
+
+def _experiment_from_doc(sec, training: TrainConfig, path: str) -> dict:
+    sec = _object(sec, "the 'experiment' section", path)
+    try:
+        return dict(
+            target_domain=str(sec["target_domain"]),
+            target_attribute=str(sec["target_attribute"]),
+            method=str(sec.get("method", "amogp-trans")),
+            train_level=str(sec["train_level"]),
+            test_level=str(sec["test_level"]),
+            aux_level=sec.get("aux_level"),
+            num_latents=latent_request(
+                sec.get("num_latents", 2), f"{path}: experiment num_latents"
+            ),
+            seeds=_ints(sec.get("seeds", [0])),
+            n_pred_samples=int(sec.get("n_pred_samples", 100)),
+            cv_candidates=_optional(sec, "cv_candidates", _ints),
+            train_config=training,
+        )
+    except KeyError as e:
+        raise DataError(f"{path}: experiment section is missing {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -470,28 +573,22 @@ def load_model_file(path: str) -> ModelBundle:
         state = ModelState(
             attributes=tuple(doc["attributes"]),
             domain_ids=tuple(doc["domain_ids"]),
-            domain_attributes={
-                v: tuple(t) for v, t in doc["domain_attributes"].items()
-            },
+            domain_attributes=_entries(
+                doc["domain_attributes"], "domain_attributes", path, tuple
+            ),
             num_latents=int(doc["num_latents"]),
-            log_length_scales=np.asarray(doc["log_length_scales"], dtype=float),
-            prior_mean=np.asarray(doc["prior_mean"], dtype=float),
-            prior_log_var=np.asarray(doc["prior_log_var"], dtype=float),
-            q_mean={
-                v: np.asarray(a, dtype=float) for v, a in doc["q_mean"].items()
-            },
-            q_log_var={
-                v: np.asarray(a, dtype=float)
-                for v, a in doc["q_log_var"].items()
-            },
-            noise_log_var={
-                v: np.asarray(a, dtype=float)
-                for v, a in doc["noise_log_var"].items()
-            },
+            log_length_scales=_floats(doc["log_length_scales"]),
+            prior_mean=_floats(doc["prior_mean"]),
+            prior_log_var=_floats(doc["prior_log_var"]),
+            q_mean=_entries(doc["q_mean"], "q_mean", path, _floats),
+            q_log_var=_entries(doc["q_log_var"], "q_log_var", path, _floats),
+            noise_log_var=_entries(
+                doc["noise_log_var"], "noise_log_var", path, _floats
+            ),
         )
         transforms = {}
-        for v, per_attr in doc.get("transforms", {}).items():
-            for s, (mean, scale) in per_attr.items():
+        for v, per in _object(doc.get("transforms", {}), "transforms", path).items():
+            for s, (mean, scale) in _object(per, f"transforms {v!r}", path).items():
                 transforms[(v, s)] = (float(mean), float(scale))
         return ModelBundle(
             state=state,

@@ -367,8 +367,7 @@ class ExperimentSpec:
             raise DataError(
                 f"unknown method {self.method!r}; expected one of {METHODS}"
             )
-        if self.num_latents != "cv" and int(self.num_latents) < 1:
-            raise DataError("num_latents must be >= 1 or 'cv'")
+        object.__setattr__(self, "num_latents", latent_request(self.num_latents))
 
 
 @dataclass
@@ -437,19 +436,37 @@ def _training_dataset(spec: ExperimentSpec, res: SynthResult) -> AggregatedDatas
     return AggregatedDataset(domains, cfg.attributes, records)
 
 
-def _pick_latents(spec: ExperimentSpec, dataset: AggregatedDataset, config):
-    if spec.method == "agp":
-        return 1
-    if spec.num_latents != "cv":
-        return int(spec.num_latents)
+def latent_request(value, what: str = "num_latents"):
+    """A requested latent count: an integer >= 1, or ``"cv"`` for leave-one-out."""
+    if value == "cv":
+        return "cv"
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = 0
+    if count < 1:
+        raise DataError(f"{what} takes an integer >= 1 or 'cv', got {value!r}")
+    return count
+
+
+def choose_latents(
+    view, method, requested, config, candidates, n_pred_samples, target=None
+) -> tuple[int, CVResult | None]:
+    """Latent count ``method`` trains with on ``view``, and the CV behind it.
+
+    The single-series baseline always has one latent process; otherwise
+    an integer ``requested`` (see :func:`latent_request`) is used as
+    given and ``"cv"`` runs :func:`cv_select_L` on the view with
+    ``candidates``, ``config``, ``target`` and ``n_pred_samples``.
+    """
+    if method == "agp":
+        return 1, None
+    if requested != "cv":
+        return requested, None
     result = cv_select_L(
-        dataset,
-        spec.cv_candidates,
-        config,
-        target=(spec.target_domain, spec.target_attribute),
-        n_pred_samples=spec.n_pred_samples,
+        view, candidates, config, target=target, n_pred_samples=n_pred_samples
     )
-    return result.chosen
+    return result.chosen, result
 
 
 def run_experiment(spec: ExperimentSpec, synth_cfg: SynthConfig) -> ExperimentReport:
@@ -466,30 +483,25 @@ def run_experiment(spec: ExperimentSpec, synth_cfg: SynthConfig) -> ExperimentRe
     failures = []
     coreg_sums: dict[str, np.ndarray] = {}
     coreg_counts: dict[str, int] = {}
+    target = (spec.target_domain, spec.target_attribute)
     for seed in spec.seeds:
         try:
             res = synth_generate(replace(synth_cfg, seed=seed))
             train = _training_dataset(spec, res)
             config = replace(spec.train_config, seed=seed)
-            view = baselines.training_view(
-                train, spec.method, spec.target_domain, spec.target_attribute
+            view = baselines.training_view(train, spec.method, *target)
+            L, _ = choose_latents(
+                view, spec.method, spec.num_latents, config, spec.cv_candidates,
+                spec.n_pred_samples, target,
             )
-            L = _pick_latents(spec, view, config)
             bf = baselines.fit_view(view, L, config, seed)
             state, trace, used = bf.state, bf.trace, bf.dataset
-            test_part = res.partitions[spec.test_level][
-                (spec.target_domain, spec.target_attribute)
-            ]
+            test_part = res.partitions[spec.test_level][target]
             pred = predict_supports(
                 test_part, state, used, spec.n_pred_samples, seed
             )
-            values = used.denormalize(
-                spec.target_domain, spec.target_attribute, pred.values
-            )
-            y_true = res.truth[spec.test_level][
-                (spec.target_domain, spec.target_attribute)
-            ]
-            score = mape(y_true, values)
+            values = used.denormalize(*target, pred.values)
+            score = mape(res.truth[spec.test_level][target], values)
         except AggmogpError as e:
             failures.append((seed, f"{type(e).__name__}: {e}"))
             continue

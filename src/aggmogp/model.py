@@ -146,7 +146,9 @@ def chol_with_jitter(C: np.ndarray):
             )
             return L, jitter
         except scipy.linalg.LinAlgError:
-            if mult >= JITTER_MAX:
+            # Tenfold steps reach 9.999999999999999e-05, a rounding
+            # error short of JITTER_MAX, so compare with a margin.
+            if mult >= JITTER_MAX * (1.0 - 1e-9):
                 raise CholeskyFailure(
                     f"factorization failed at jitter {jitter:.3e}"
                 ) from None
@@ -628,14 +630,24 @@ class AggregatedDataset:
             for v, recs in by_domain.items()
         }
         if transforms is None:
-            means = {rec.key: rec.values.mean() for rec in self.records}
             scales = {}
-            for attr in dict.fromkeys(rec.attribute_id for rec in self.records):
-                dev = np.concatenate(
-                    [r.values - means[r.key] for r in self.records if r.attribute_id == attr]
-                )
-                scale = float(np.sqrt(np.mean(dev * dev)))
-                scales[attr] = scale if scale >= 1e-15 else 1.0
+            # Sums and squares of values past about 1e154 can overflow; such
+            # an attribute is redone in units of its largest magnitude.
+            with np.errstate(over="ignore", invalid="ignore"):
+                means = {rec.key: rec.values.mean() for rec in self.records}
+                for attr in dict.fromkeys(rec.attribute_id for rec in self.records):
+                    group = [r for r in self.records if r.attribute_id == attr]
+                    dev = np.concatenate([r.values - means[r.key] for r in group])
+                    scale = float(np.sqrt(np.mean(dev * dev)))
+                    if not np.isfinite(scale):
+                        m = max(np.max(np.abs(r.values)) for r in group)
+                        for r in group:
+                            means[r.key] = m * np.mean(r.values / m)
+                        dev = np.concatenate(
+                            [r.values / m - means[r.key] / m for r in group]
+                        )
+                        scale = float(m * np.sqrt(np.mean(dev * dev)))
+                    scales[attr] = scale if scale >= 1e-15 else 1.0
             transforms = {
                 rec.key: (float(means[rec.key]), scales[rec.attribute_id])
                 for rec in self.records

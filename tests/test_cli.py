@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import two_series_instance
 
-from aggmogp import cli, dataio
+from aggmogp import dataio, evaluation
 from aggmogp.cli import main
 from aggmogp.geometry import grid_block_partition
 from aggmogp.model import uniform_rules
@@ -192,14 +192,14 @@ class TestFit:
         tmp, ds, cfg = workspace
         seen = []
 
-        real = cli.cv_select_L
+        real = evaluation.cv_select_L
 
         def capture(dataset, cands, config, **kwargs):
             result = real(dataset, cands, config, **kwargs)
             seen.append((dataset, result.candidates))
             return result
 
-        monkeypatch.setattr(cli, "cv_select_L", capture)
+        monkeypatch.setattr(evaluation, "cv_select_L", capture)
         code = main(
             ["fit", "--dataset", ds, "--config", cfg, "--out", str(tmp / "m.json"),
              "--method", method, "--latents", "cv"]
@@ -446,6 +446,31 @@ class TestEval:
         record = last_error_record(capsys)
         assert "bogus" in record["message"]
 
+    def test_flags_apply_before_the_spec_is_checked(self, tmp_path, capsys):
+        cfg = str(tmp_path / "eval.json")
+        experiment = {**experiment_section(), "method": "bogus", "num_latents": 9}
+        dataio.write_json(
+            cfg,
+            {
+                "format_version": 1,
+                "synth": synth_section(),
+                "training": {"max_iters": 5},
+                "experiment": experiment,
+            },
+        )
+        out = str(tmp_path / "report.json")
+        code = main(
+            ["eval", "--config", cfg, "--out", out, "--method", "amogp",
+             "--latents", "1", "--tp", "5"]
+        )
+        assert code == 0
+        doc = json.load(open(out))
+        assert doc["method"] == "amogp"
+        assert doc["chosen_latents"] == [1]
+        code = main(["eval", "--config", cfg, "--out", out, "--latents", "abc"])
+        assert code == 1
+        assert "--latents" in last_error_record(capsys)["message"]
+
     def test_missing_experiment_section(self, tmp_path, capsys):
         cfg = str(tmp_path / "eval.json")
         dataio.write_json(
@@ -457,6 +482,62 @@ class TestEval:
         assert code == 1
         record = last_error_record(capsys)
         assert "experiment" in record["message"]
+
+
+def experiment_section():
+    return {
+        "target_domain": "d0",
+        "target_attribute": "a0",
+        "method": "amogp",
+        "train_level": "coarse",
+        "test_level": "fine",
+        "seeds": [0],
+    }
+
+
+class TestMalformedSections:
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("synth", {"synth": 5}),
+            ("synth", {"synth": {**synth_section(), "domains": 5}}),
+            ("synth", {"synth": {**synth_section(), "levels": [1, 2]}}),
+            ("synth", {"synth": {**synth_section(), "length_scales": [-1.0]}}),
+            ("synth", {"synth": {**synth_section(), "length_scales": ["abc"]}}),
+            ("synth", {"synth": {**synth_section(), "noise_var": "x"}}),
+            ("synth", {"synth": {**synth_section(), "seed": "x"}}),
+            ("eval", {"experiment": {**experiment_section(), "seeds": "x"}}),
+            ("eval", {"experiment": {**experiment_section(), "n_pred_samples": "x"}}),
+            ("eval", {"experiment": {**experiment_section(), "cv_candidates": ["x"]}}),
+            ("eval", {"experiment": {**experiment_section(), "num_latents": "abc"}}),
+            # Nested maps must be JSON objects too.
+            ("synth", {"synth": {**synth_section(), "levels": {"coarse": [4]}}}),
+            ("synth", {"synth": {**synth_section(), "noise_var": {"d0": 0.001}}}),
+            ("synth", {"synth": {**synth_section(), "weights": [[1.0, 0.0]]}}),
+            ("synth", {"synth": {**synth_section(), "domain_attributes": ["a0"]}}),
+        ],
+    )
+    def test_exits_one_naming_the_file(self, tmp_path, capsys, command, doc):
+        cfg = str(tmp_path / "bad.json")
+        dataio.write_json(
+            cfg, {"format_version": 1, "synth": synth_section(), **doc}
+        )
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        record = json.loads(err)
+        assert record["error"] == "DataError"
+        assert cfg in record["message"]
+
+    def test_fit_reads_the_whole_document(self, workspace, capsys):
+        # A malformed section fails every command that loads the file.
+        tmp, ds, _ = workspace
+        cfg = str(tmp / "bad.json")
+        dataio.write_json(cfg, {"format_version": 1, "experiment": []})
+        code = main(["fit", "--dataset", ds, "--config", cfg, "--out", str(tmp / "m")])
+        assert code == 1
+        assert cfg in last_error_record(capsys)["message"]
 
 
 def band_polygon_points(svg: str) -> np.ndarray:
@@ -608,6 +689,25 @@ class TestValidationExitCodes:
         assert main(["fit", "--dataset", ds, "--config", cfg, "--out", model]) == 0
         doc = json.load(open(model))
         doc["num_latents"] = "x"
+        dataio.write_json(model, doc)
+        code = main(
+            ["refine", "--dataset", ds, "--model", model,
+             "--target-partition", "targets", "--out", str(tmp / "x.csv")]
+        )
+        assert code == 1
+        record = last_error_record(capsys)
+        assert record["error"] == "DataError"
+        assert model in record["message"]
+
+    @pytest.mark.parametrize(
+        "field", ["q_mean", "noise_log_var", "domain_attributes", "transforms"]
+    )
+    def test_model_maps_must_be_objects(self, workspace, capsys, field):
+        tmp, ds, cfg = workspace
+        model = str(tmp / "model.json")
+        assert main(["fit", "--dataset", ds, "--config", cfg, "--out", model]) == 0
+        doc = json.load(open(model))
+        doc[field] = [1.0]
         dataio.write_json(model, doc)
         code = main(
             ["refine", "--dataset", ds, "--model", model,

@@ -35,6 +35,7 @@ from aggmogp.dataio import (
     write_trace_csv,
 )
 from aggmogp.errors import DataError, IncompatibleModel
+from aggmogp.evaluation import ExperimentSpec, SynthConfig
 from aggmogp.geometry import (
     AggregationRule,
     Partition,
@@ -364,6 +365,104 @@ class TestConfigFile:
             {"format_version": 1, "training": {"learning_rat": 0.1}},
         )
         with pytest.raises(DataError, match="learning_rat"):
+            load_config_file(path)
+
+    def test_synth_and_experiment_sections(self, tmp_path):
+        synth = {
+            "domains": [
+                {
+                    "id": "d0",
+                    "extent": [[0.0, 1.0]],
+                    "grid": {"origin": [0.125], "cell_size": [0.25], "shape": [4]},
+                }
+            ],
+            "attributes": ["a0", "a1"],
+            "length_scales": [0.5],
+            "levels": {"coarse": {"d0": 2}, "blocks": {"d0": [2]}},
+            "noise_var": {"d0": {"a0": 0.1, "a1": 0.2}},
+            "value_offset": {"a0": 5.0, "a1": 8.0},
+            "weights": {"d0": [[1.0], [0.5]]},
+            "domain_attributes": {"d0": ["a0", "a1"]},
+            "seed": 3,
+        }
+        experiment = {
+            "target_domain": "d0",
+            "target_attribute": "a0",
+            "method": "not-checked-here",
+            "train_level": "coarse",
+            "test_level": "blocks",
+            "num_latents": "cv",
+            "seeds": [1, 2],
+            "cv_candidates": [1, 2],
+        }
+        path = str(tmp_path / "config.json")
+        write_json(
+            path,
+            {
+                "format_version": 1,
+                "training": {"max_iters": 7},
+                "synth": synth,
+                "experiment": experiment,
+            },
+        )
+        cfg = load_config_file(path)
+        assert cfg.synth == SynthConfig(
+            domains=cfg.synth.domains,
+            attributes=("a0", "a1"),
+            length_scales=(0.5,),
+            levels={"coarse": {"d0": 2}, "blocks": {"d0": (2,)}},
+            domain_attributes={"d0": ("a0", "a1")},
+            weights=cfg.synth.weights,
+            noise_var={("d0", "a0"): 0.1, ("d0", "a1"): 0.2},
+            value_offset={"a0": 5.0, "a1": 8.0},
+            seed=3,
+        )
+        assert [d.id for d in cfg.synth.domains] == ["d0"]
+        np.testing.assert_array_equal(cfg.synth.weights["d0"], [[1.0], [0.5]])
+        assert cfg.experiment == dict(
+            target_domain="d0",
+            target_attribute="a0",
+            method="not-checked-here",
+            train_level="coarse",
+            test_level="blocks",
+            aux_level=None,
+            num_latents="cv",
+            seeds=(1, 2),
+            n_pred_samples=100,
+            cv_candidates=(1, 2),
+            train_config=TrainConfig(max_iters=7),
+        )
+        spec = ExperimentSpec(**{**cfg.experiment, "method": "amogp"})
+        assert spec.num_latents == "cv"
+
+    def test_sections_absent(self, tmp_path):
+        path = str(tmp_path / "config.json")
+        write_json(path, {"format_version": 1})
+        cfg = load_config_file(path)
+        assert cfg.synth is None
+        assert cfg.experiment is None
+
+    def test_training_keys_follow_train_config(self, tmp_path):
+        path = str(tmp_path / "config.json")
+        write_json(
+            path,
+            {
+                "format_version": 1,
+                "training": {
+                    "learning_rate": 0.01,
+                    "max_iters": 9,
+                    "num_elbo_samples": 2,
+                    "convergence_tol": 0.0,
+                    "convergence_window": 3,
+                    "log_every": 4,
+                },
+            },
+        )
+        assert load_config_file(path).training == TrainConfig(
+            0.01, 9, 2, 0, 0.0, 3, 4
+        )
+        write_json(path, {"format_version": 1, "training": {"seed": 1}})
+        with pytest.raises(DataError, match="seed"):
             load_config_file(path)
 
     def test_invalid_values(self, tmp_path):

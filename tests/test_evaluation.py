@@ -26,7 +26,9 @@ from aggmogp.evaluation import (
     ExperimentSpec,
     SynthConfig,
     argmin_first,
+    choose_latents,
     cv_select_L,
+    latent_request,
     mape,
     run_experiment,
     synth_generate,
@@ -67,6 +69,45 @@ class TestArgminFirst:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             argmin_first([])
+
+
+class TestLatentChoice:
+    def test_request_rule(self):
+        assert latent_request(2) == 2
+        assert latent_request("3") == 3
+        assert latent_request("cv") == "cv"
+        for bad in (0, -1, "0", "abc", None, [2], float("inf")):
+            with pytest.raises(DataError, match="--latents"):
+                latent_request(bad, "--latents")
+
+    def test_spec_holds_the_checked_count(self):
+        spec = ExperimentSpec(
+            target_domain="d0",
+            target_attribute="a0",
+            method="amogp",
+            train_level="coarse",
+            test_level="fine",
+            num_latents="2",
+        )
+        assert spec.num_latents == 2
+
+    def test_fixed_counts_run_no_cross_validation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("cross-validation ran")
+
+        monkeypatch.setattr(evaluation, "cv_select_L", refuse)
+        _, dataset, _ = two_series_instance()
+        config = TrainConfig(max_iters=1)
+        assert choose_latents(dataset, "agp", 5, config, None, 5) == (1, None)
+        assert choose_latents(dataset, "agp", "cv", config, None, 5) == (1, None)
+        assert choose_latents(dataset, "amogp", 3, config, None, 5) == (3, None)
+
+    def test_cv_request_returns_the_selection(self):
+        _, dataset, _ = two_series_instance()
+        config = TrainConfig(learning_rate=0.02, max_iters=3)
+        chosen, result = choose_latents(dataset, "amogp", "cv", config, [1, 2], 5)
+        assert result == cv_select_L(dataset, [1, 2], config, n_pred_samples=5)
+        assert chosen == result.chosen
 
 
 def flat_cfg(seed=0):

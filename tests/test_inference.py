@@ -391,7 +391,10 @@ class TestFit:
         assert isinstance(info.value.__cause__, CholeskyFailure)
         assert 0 <= info.value.iteration < 10
 
-    def test_transient_failure_recovers_with_halved_rate(self, monkeypatch):
+    @pytest.mark.parametrize("failure", ["cholesky", "nan-value", "inf-gradient"])
+    def test_transient_failure_recovers_with_halved_rate(self, monkeypatch, failure):
+        # A raised factorization failure and a non-finite value or
+        # gradient that raised nothing take the same backoff.
         from aggmogp import inference
         from aggmogp.errors import CholeskyFailure
 
@@ -400,9 +403,15 @@ class TestFit:
 
         def flaky(dataset, state, eps):
             calls["n"] += 1
-            if calls["n"] <= 2:
+            if calls["n"] > 2:
+                return real(dataset, state, eps)
+            if failure == "cholesky":
                 raise CholeskyFailure("staged")
-            return real(dataset, state, eps)
+            value, grads = real(dataset, state, eps)
+            if failure == "nan-value":
+                return np.nan, grads
+            grads.log_length_scales[0] = np.inf
+            return value, grads
 
         monkeypatch.setattr(inference, "elbo_with_grad", flaky)
         _, dataset, _ = two_series_instance()

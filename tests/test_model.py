@@ -230,6 +230,26 @@ class TestCholWithJitter:
         with pytest.raises(CholeskyFailure):
             chol_with_jitter(C)
 
+    @staticmethod
+    def one_negative_eigenvalue(eig):
+        # I - (1 - eig) v v^T with unit v: eigenvalue eig along v, 1 elsewhere.
+        v = np.full(4, 0.5)
+        return np.eye(4) - (1.0 - eig) * np.outer(v, v)
+
+    def test_escalation_stops_at_the_needed_jitter(self):
+        C = self.one_negative_eigenvalue(-5e-7)
+        L, jitter = chol_with_jitter(C)
+        # 1e-7 * mean(diag) = 7.5e-8 is too little; 1e-6 * mean(diag) is enough.
+        assert jitter == pytest.approx(1e-6 * np.mean(np.diag(C)), rel=1e-12)
+        np.testing.assert_allclose(L @ L.T, C + jitter * np.eye(4), atol=1e-14)
+
+    def test_no_attempt_past_the_cap(self):
+        # Jitter 1e-3 * mean(diag) would factorize this, but the cap is 1e-4.
+        C = self.one_negative_eigenvalue(-5e-4)
+        last = 1e-4 * np.mean(np.diag(C))
+        with pytest.raises(CholeskyFailure, match=f"at jitter {last:.3e}$"):
+            chol_with_jitter(C)
+
     def test_failure_on_nonfinite(self):
         C = np.array([[np.nan, 0.0], [0.0, 1.0]])
         with pytest.raises(CholeskyFailure):
@@ -313,6 +333,14 @@ class TestNormalization:
         assert mean == 3.0
         assert scale == 1.0
         np.testing.assert_array_equal(ds.normalized(ds.records[0]), [0.0, 0.0])
+
+    def test_scale_of_huge_series_does_not_overflow(self):
+        # Squared deviations of 1e200 overflow; the scale must not.
+        dom = unit_grid_domain(8, 0.0, 8.0)
+        supports = [interval_support(0.0, 4.0, "s0"), interval_support(4.0, 8.0, "s1")]
+        ds = single_series_dataset(dom, supports, [1e200, -1e200])
+        assert ds.transforms[("d0", "a0")] == (0.0, 1e200)
+        np.testing.assert_array_equal(ds.normalized(ds.records[0]), [1.0, -1.0])
 
     def test_denormalize_round_trip(self):
         _, dataset, _ = two_series_instance(seed=2)
