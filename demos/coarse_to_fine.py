@@ -16,7 +16,7 @@ import pathlib
 
 import numpy as np
 
-from aggmogp.baselines import fit_agp
+from aggmogp.baselines import fit_view, training_view
 from aggmogp.evaluation import SynthConfig, mape, synth_generate
 from aggmogp.geometry import Domain, GridSpec
 from aggmogp.inference import TrainConfig, fit
@@ -75,8 +75,9 @@ def main(argv=None):
     state, trace = fit(joint_data, cfg, init_state(joint_data, 2, seed=args.seed))
     err_joint, vals, var = refined_mape(state, joint_data, world, args.seed)
 
-    single = fit_agp(joint_data, "d0", "target", config=cfg, init_seed=args.seed)
-    err_single, _, _ = refined_mape(single.state, single.dataset, world, args.seed)
+    single_data = training_view(joint_data, "agp", "d0", "target")
+    single, _ = fit_view(single_data, 1, cfg, init_seed=args.seed)
+    err_single, _, _ = refined_mape(single, single_data, world, args.seed)
 
     print(f"coarse bins observed:   {COARSE_BINS}")
     print(f"fine bins predicted:    {FINE_BINS}")

@@ -11,7 +11,7 @@ coarse observations onto finer partitions with calibrated variances.
 """
 
 from . import errors
-from .baselines import BaselineFit, fit_agp, fit_slfm, restrict_to_domain
+from .baselines import restrict_to_domain
 from .evaluation import (
     CVResult,
     ExperimentReport,
@@ -36,7 +36,6 @@ from .geometry import (
     interval_bins,
 )
 from .inference import TrainConfig, TrainTrace, estimate_elbo, fit, refined_elbo
-from .kernels import KernelSet, SEKernel
 from .model import (
     AggregatedDataset,
     DatasetRecord,
@@ -62,7 +61,6 @@ __all__ = [
     "SUM",
     "AggregatedDataset",
     "AggregationRule",
-    "BaselineFit",
     "CVResult",
     "CellSet",
     "ConditionalPosterior",
@@ -72,11 +70,9 @@ __all__ = [
     "ExperimentSpec",
     "GridSpec",
     "Interval",
-    "KernelSet",
     "ModelState",
     "Partition",
     "PredictiveMixture",
-    "SEKernel",
     "Support",
     "SupportPrediction",
     "SynthConfig",
@@ -88,8 +84,6 @@ __all__ = [
     "errors",
     "estimate_elbo",
     "fit",
-    "fit_agp",
-    "fit_slfm",
     "grid_block_partition",
     "init_state",
     "interval_bins",

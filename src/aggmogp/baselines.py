@@ -13,11 +13,13 @@ implementations, so their numbers are directly comparable:
 :func:`training_view` is the one rule for which records each method
 (baseline or main model) trains on; fitting, refinement from a saved
 model and the experiment harness all rebuild their data through it.
+:func:`fit_view` trains on a view and returns ``(state, trace)``, like
+:func:`~aggmogp.inference.fit`; the latent count comes from the caller
+(see :func:`~aggmogp.evaluation.choose_latents`, which gives the
+single-series baseline one latent process).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import DataError
 from .inference import TrainConfig, TrainTrace, fit
@@ -29,19 +31,6 @@ from .model import (
 )
 
 METHODS = ("agp", "slfm", "amogp", "amogp-trans")
-
-
-@dataclass
-class BaselineFit:
-    """A fitted model together with the restricted dataset it saw.
-
-    The dataset view keeps the parent's normalization transforms, so
-    predictions denormalize into the parent's units.
-    """
-
-    state: ModelState
-    trace: TrainTrace
-    dataset: AggregatedDataset
 
 
 def restrict_to_series(
@@ -126,43 +115,13 @@ def fit_view(
     config: TrainConfig | None = None,
     init_seed: int = 0,
     init_length_scales=None,
-) -> BaselineFit:
-    """Initialize and train on a :func:`training_view`."""
+) -> tuple[ModelState, TrainTrace]:
+    """Initialize and train on a :func:`training_view`: ``(state, trace)``.
+
+    The view keeps the parent's normalization transforms, so predictions
+    from the state denormalize through it into the parent's units.
+    """
     init = init_state(view, num_latents, seed=init_seed)
     if init_length_scales is not None:
         override_length_scales(init, init_length_scales)
-    state, trace = fit(view, config or TrainConfig(), init)
-    return BaselineFit(state=state, trace=trace, dataset=view)
-
-
-def fit_agp(
-    dataset: AggregatedDataset,
-    domain_id: str | None = None,
-    attribute_id: str | None = None,
-    config: TrainConfig | None = None,
-    init_seed: int = 0,
-    init_length_scales=None,
-) -> BaselineFit:
-    """Fit one series alone with a single latent process.
-
-    Without a (domain, attribute) selector the dataset must already
-    contain exactly one record.
-    """
-    view = training_view(dataset, "agp", domain_id, attribute_id)
-    return fit_view(view, 1, config, init_seed, init_length_scales)
-
-
-def fit_slfm(
-    dataset: AggregatedDataset,
-    num_latents: int,
-    domain_id: str | None = None,
-    config: TrainConfig | None = None,
-    init_seed: int = 0,
-    init_length_scales=None,
-) -> BaselineFit:
-    """Fit one domain's records as centroid point observations.
-
-    Without a domain selector the dataset must be single-domain.
-    """
-    view = training_view(dataset, "slfm", domain_id)
-    return fit_view(view, num_latents, config, init_seed, init_length_scales)
+    return fit(view, config or TrainConfig(), init)

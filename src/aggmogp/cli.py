@@ -70,16 +70,15 @@ def _cmd_fit(args) -> None:
             f"cross-validation chose {cv.chosen} latents"
             f" (candidates {list(cv.candidates)})"
         )
-    bf = baselines.fit_view(
+    state, trace = baselines.fit_view(
         view,
         chosen,
         config,
         init_seed=args.seed,
         init_length_scales=cfg.init_length_scales,
     )
-    trace = bf.trace
     doc = dataio.model_to_doc(
-        bf.state, view.transforms, method, args.seed, ds.sha, cfg.sha, trace
+        state, view.transforms, method, args.seed, ds.sha, cfg.sha, trace
     )
     dataio.write_json(args.out, doc)
     if args.trace_out:

@@ -377,8 +377,8 @@ def _strs(values) -> tuple[str, ...]:
 
 def _positive_scales(values, what: str, path: str) -> tuple[float, ...]:
     scales = tuple(float(s) for s in values)
-    if any(not s > 0 for s in scales):
-        raise DataError(f"{path}: {what} must be positive")
+    if any(not 0 < s < np.inf for s in scales):
+        raise DataError(f"{path}: {what} must be positive and finite")
     return scales
 
 
@@ -589,7 +589,21 @@ def load_model_file(path: str) -> ModelBundle:
         transforms = {}
         for v, per in _object(doc.get("transforms", {}), "transforms", path).items():
             for s, (mean, scale) in _object(per, f"transforms {v!r}", path).items():
-                transforms[(v, s)] = (float(mean), float(scale))
+                mean, scale = float(mean), float(scale)
+                if not (np.isfinite(mean) and 0 < scale < np.inf):
+                    raise DataError(
+                        f"{path}: transforms ({v}, {s}) need a finite mean and"
+                        " a positive finite scale"
+                    )
+                transforms[(v, s)] = (mean, scale)
+        # A non-finite parameter would surface later as a numerical failure.
+        shared = ("log_length_scales", "prior_mean", "prior_log_var")
+        named = [(name, getattr(state, name)) for name in shared]
+        for name in ("q_mean", "q_log_var", "noise_log_var"):
+            named += [(f"{name} {v!r}", a) for v, a in getattr(state, name).items()]
+        for what, values in named:
+            if not np.all(np.isfinite(values)):
+                raise DataError(f"{path}: {what} has a non-finite entry")
         return ModelBundle(
             state=state,
             transforms=transforms,

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .geometry import Domain, Partition
 from .inference import TrainConfig, fit
-from .kernels import KernelSet, se_value
+from .kernels import se_value
 from .model import (
     AggregatedDataset,
     DatasetRecord,
@@ -241,7 +241,11 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
     L = len(cfg.length_scales)
     if L < 1:
         raise DataError("at least one latent kernel required")
-    kernels = KernelSet.from_length_scales(cfg.length_scales)
+    scales = np.asarray(cfg.length_scales, dtype=float)
+    if not np.all(np.isfinite(scales) & (scales > 0)):
+        raise DataError(f"length scales must be positive and finite, got {scales}")
+    # The scales a ModelState holding these would evaluate.
+    scales = np.exp(np.log(scales))
     attr_rank = {a: i for i, a in enumerate(cfg.attributes)}
     w_rng = utils.stream(cfg.seed, 0)
     f_rng = utils.stream(cfg.seed, 1)
@@ -276,7 +280,7 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
         pts = dom.grid.points
         d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
         latents = np.empty((L, pts.shape[0]))
-        for l, scale in enumerate(kernels.length_scales):
+        for l, scale in enumerate(scales):
             gram = se_value(d2, scale)
             chol, _ = chol_with_jitter(gram)
             latents[l] = chol @ f_rng.standard_normal(pts.shape[0])
@@ -494,13 +498,12 @@ def run_experiment(spec: ExperimentSpec, synth_cfg: SynthConfig) -> ExperimentRe
                 view, spec.method, spec.num_latents, config, spec.cv_candidates,
                 spec.n_pred_samples, target,
             )
-            bf = baselines.fit_view(view, L, config, seed)
-            state, trace, used = bf.state, bf.trace, bf.dataset
+            state, trace = baselines.fit_view(view, L, config, seed)
             test_part = res.partitions[spec.test_level][target]
             pred = predict_supports(
-                test_part, state, used, spec.n_pred_samples, seed
+                test_part, state, view, spec.n_pred_samples, seed
             )
-            values = used.denormalize(*target, pred.values)
+            values = view.denormalize(*target, pred.values)
             score = mape(res.truth[spec.test_level][target], values)
         except AggmogpError as e:
             failures.append((seed, f"{type(e).__name__}: {e}"))

@@ -290,11 +290,6 @@ class AggregationRule:
         elif self.weights is not None:
             raise GeometryError(f"{self.kind} aggregation takes no weight list")
 
-    @property
-    def constant_weight(self) -> bool:
-        """True when every member point carries the same weight."""
-        return self.kind in (self.AVERAGE, self.SUM)
-
 
 AVERAGE = AggregationRule(AggregationRule.AVERAGE)
 SUM = AggregationRule(AggregationRule.SUM)
@@ -393,6 +388,8 @@ def validate(domain: Domain, partitions) -> None:
                         f" outside the {grid.n_points}-point grid"
                     )
         # Interval / cell-set pairs: compare against half-open cell boxes.
+        if len({type(s.body) for s in part.supports}) == 1:
+            continue
         for i in range(len(part.supports)):
             for j in range(i + 1, len(part.supports)):
                 a, b = part.supports[i], part.supports[j]

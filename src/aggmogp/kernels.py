@@ -21,78 +21,11 @@ intervals reproduces the result bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import erf
 
 
 _HALF_SQRT_2PI = np.sqrt(np.pi / 2.0)
-
-
-@dataclass(frozen=True)
-class SEKernel:
-    """Squared exponential kernel with unit signal variance.
-
-    The only free parameter is the log length scale; signal variance is
-    pinned to 1 because output amplitudes are carried by mixing weights.
-    """
-
-    log_length_scale: float
-
-    SIGNAL_VARIANCE = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "log_length_scale", float(self.log_length_scale))
-        if not np.isfinite(self.log_length_scale):
-            raise ValueError("log length scale must be finite")
-
-    @property
-    def length_scale(self) -> float:
-        return float(np.exp(self.log_length_scale))
-
-    @classmethod
-    def from_length_scale(cls, length_scale: float) -> "SEKernel":
-        if length_scale <= 0:
-            raise ValueError("length scale must be positive")
-        return cls(np.log(length_scale))
-
-
-@dataclass(frozen=True)
-class KernelSet:
-    """Ordered collection of latent-process kernels."""
-
-    kernels: tuple[SEKernel, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "kernels", tuple(self.kernels))
-        if len(self.kernels) == 0:
-            raise ValueError("kernel set must not be empty")
-
-    def __len__(self) -> int:
-        return len(self.kernels)
-
-    def __iter__(self):
-        return iter(self.kernels)
-
-    def __getitem__(self, i) -> SEKernel:
-        return self.kernels[i]
-
-    @property
-    def log_length_scales(self) -> np.ndarray:
-        return np.array([k.log_length_scale for k in self.kernels])
-
-    @property
-    def length_scales(self) -> np.ndarray:
-        return np.exp(self.log_length_scales)
-
-    @classmethod
-    def from_length_scales(cls, scales) -> "KernelSet":
-        return cls(tuple(SEKernel.from_length_scale(s) for s in scales))
-
-    @classmethod
-    def from_log_length_scales(cls, log_scales) -> "KernelSet":
-        return cls(tuple(SEKernel(s) for s in log_scales))
 
 
 # Vectorized building blocks; every one accepts arrays.

@@ -41,7 +41,6 @@ from . import geometry, utils
 from .errors import CholeskyFailure, DataError, DimensionMismatch
 from .geometry import AggregationRule, Domain, Interval, Partition
 from .kernels import (
-    KernelSet,
     se_antideriv2,
     se_antideriv2_dlog,
     se_value,
@@ -675,7 +674,12 @@ class AggregatedDataset:
 
     def normalized(self, rec: DatasetRecord) -> np.ndarray:
         mean, scale = self.transforms[rec.key]
-        return (rec.values - mean) / scale
+        # Near the float limit the difference overflows; scale it first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (rec.values - mean) / scale
+        if not np.all(np.isfinite(out)):
+            out = rec.values / scale - mean / scale
+        return out
 
     def denormalize(self, domain_id, attribute_id, values, variances=None):
         """Map normalized predictions back to original units."""
@@ -794,8 +798,8 @@ class ModelState:
                 raise DimensionMismatch(f"noise array for {v!r} misshaped")
 
     @property
-    def kernels(self) -> KernelSet:
-        return KernelSet.from_log_length_scales(self.log_length_scales)
+    def length_scales(self) -> np.ndarray:
+        return np.exp(self.log_length_scales)
 
     def attr_rows(self, domain_id: str) -> np.ndarray:
         """Global catalogue row per local attribute of a domain."""
@@ -939,8 +943,8 @@ def override_length_scales(state: ModelState, length_scales) -> ModelState:
         raise DimensionMismatch(
             f"{arr.size} length scales for {state.num_latents} latents"
         )
-    if np.any(arr <= 0):
-        raise ValueError("length scales must be positive")
+    if not np.all(np.isfinite(arr) & (arr > 0)):
+        raise ValueError("length scales must be positive and finite")
     state.log_length_scales = np.log(arr)
     return state
 
@@ -972,16 +976,16 @@ def assemble_from_latents(
 def assemble_C(
     domain_data: DomainData,
     weights: np.ndarray,
-    kernels: KernelSet,
+    length_scales,
     noise_log_var: np.ndarray,
 ) -> np.ndarray:
     """Observation covariance of one domain for a fixed weight sample.
 
-    ``weights`` is the (local attributes, latents) sample, ``noise_log_var``
-    the per-local-attribute noise exponents. The result is symmetrized
+    ``weights`` is the (local attributes, latents) sample,
+    ``length_scales`` one kernel scale per latent, ``noise_log_var`` the
+    per-local-attribute noise exponents. The result is symmetrized
     exactly and does not include factorization jitter; jitter enters at
     factorization time (:func:`chol_with_jitter`).
     """
-    scales = kernels.length_scales
-    latent_covs = [domain_data.cov.latent_cov(s) for s in scales]
+    latent_covs = [domain_data.cov.latent_cov(s) for s in length_scales]
     return assemble_from_latents(domain_data, weights, latent_covs, noise_log_var)

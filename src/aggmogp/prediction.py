@@ -16,10 +16,12 @@ per-latent support covariances ``S_l``, the point–support integrals
 member cells of target supports and the default query of
 :func:`predict_grid`) the integrals are columns of the covariance
 table's ``K Aᵀ`` and the priors come from its per-axis kernel factors;
-other query points sum the kernel over member points. Each draw only
-mixes these blocks with its weights, factors and solves. Support
-predictions pool each support's member columns of the cross covariance
-before the solve. Only the full covariance of point queries
+other query points sum the kernel over member points. Support
+predictions pool each latent's ``h_l`` into one column per target
+support with the support's aggregation weights, once per call. Each
+draw only mixes these blocks with its weights, factors and solves, so a
+support prediction's per-draw cross covariance has one column per
+support, not per member cell. Only the full covariance of point queries
 materializes a query-cross-query matrix. Leave-one-out predictions of a
 record's own supports (:func:`predict_left_out`) come from the inverse
 of each draw's full ``C`` rather than one factorization per fold.
@@ -40,7 +42,7 @@ import scipy.linalg
 from . import geometry, model, utils
 from .errors import DataError, DimensionMismatch, OutOfBounds
 from .geometry import Domain, Partition
-from .kernels import KernelSet, se_point_interval, se_value, sq_dists
+from .kernels import se_point_interval, se_value, sq_dists
 from .model import (
     AggregatedDataset,
     DomainData,
@@ -123,10 +125,11 @@ def cross_cov_H(
 ) -> np.ndarray:
     """Covariance between observation rows and query values.
 
-    ``point_support`` holds one :func:`latent_point_support` array per
-    latent, all over the same query points. Columns are attribute-major:
-    for each selected local attribute (default all, in order) one block
-    of one column per query point. ``attr_indices`` selects local
+    ``point_support`` holds one (observation rows, queries) array per
+    latent, all over the same queries: :func:`latent_point_support` at
+    points, or its columns pooled per target support. Columns are
+    attribute-major: for each selected local attribute (default all, in
+    order) one block of one column per query. ``attr_indices`` selects local
     attribute rows of ``weights``. With a ``work`` dict (see
     :func:`_buffer`) the result and its one scratch array are reused
     from an earlier call.
@@ -186,11 +189,11 @@ def _local_attr_indices(state, domain_data, attributes):
     return np.asarray(idx, dtype=np.int64), tuple(wanted)
 
 
-def _support_priors(grid_kernel, members, weights, kernels: KernelSet) -> np.ndarray:
+def _support_priors(grid_kernel, members, weights, length_scales) -> np.ndarray:
     """Entry (l, n) is ``wᵀ K_l w`` over the member cells of support n,
     from the per-axis factors of ``grid_kernel``."""
-    out = np.empty((len(kernels), len(members)))
-    for l, scale in enumerate(kernels.length_scales):
+    out = np.empty((len(length_scales), len(members)))
+    for l, scale in enumerate(length_scales):
         grams, _ = grid_kernel.factors(scale)
         for n, (idx, w) in enumerate(zip(members, weights)):
             out[l, n] = w @ grid_kernel.block(idx, grams) @ w
@@ -202,7 +205,7 @@ def _variances(spread: np.ndarray) -> np.ndarray:
     return np.einsum("ii->i", spread) if spread.ndim == 2 else spread
 
 
-def _draw_invariants(dd, query, kernels: KernelSet):
+def _draw_invariants(dd, query, length_scales):
     """Per-latent blocks of one call that no weight draw changes.
 
     Returns ``(latents, point_support)``: the support covariances
@@ -213,15 +216,13 @@ def _draw_invariants(dd, query, kernels: KernelSet):
     """
     if dd.n_obs == 0:
         return None
-    scales = kernels.length_scales
-    latents = [dd.cov.latent_cov(s) for s in scales]
-    point_support = [latent_point_support(dd, query, s) for s in scales]
+    latents = [dd.cov.latent_cov(s) for s in length_scales]
+    point_support = [latent_point_support(dd, query, s) for s in length_scales]
     return latents, point_support
 
 
-def _factor_and_cross(dd, state, W, blocks, attr_idx, pool, work):
-    """Cholesky factor of ``C`` and cross covariance ``H`` of one draw,
-    ``H`` pooled over support runs when ``pool = (weights, starts)``.
+def _factor_and_cross(dd, state, W, blocks, attr_idx, work):
+    """Cholesky factor of ``C`` and cross covariance ``H`` of one draw.
     ``H`` is an array of the call's ``work`` dict, overwritten by the
     next draw."""
     latents, point_support = blocks
@@ -231,21 +232,15 @@ def _factor_and_cross(dd, state, W, blocks, attr_idx, pool, work):
     C = model.assemble_from_latents(dd, W, latents, noise)
     chol, _ = chol_with_jitter(C)
     H = cross_cov_H(point_support, dd, W, attr_idx, work)
-    if pool is not None:
-        weights, starts = pool
-        H *= weights
-        pooled = _buffer(work, "pooled", (H.shape[0], starts.size))
-        H = np.add.reduceat(H, starts, axis=1, out=pooled)
     return chol, H
 
 
-def _condition(dd, state, W, blocks, attr_idx, priors, work, pool=None):
+def _condition(dd, state, W, blocks, attr_idx, priors, work):
     """Gaussian posterior of the targets for one weight draw.
 
-    Targets are the selected attributes at the query points of
-    ``blocks`` (from :func:`_draw_invariants`), attribute-major, or with
-    ``pool = (weights, starts)`` (one attribute) the weighted sums over
-    runs of query points beginning at ``starts``. ``priors`` holds each
+    Targets are the selected attributes at the queries of ``blocks``
+    (from :func:`_draw_invariants`, or target supports from
+    :func:`_support_targets`), attribute-major. ``priors`` holds each
     latent's unit-weight prior covariance of the targets, (latents, n,
     n), or only its diagonal, (latents, n); the result is ``(mean,
     covariance)`` or ``(mean, variances)`` to match, with variances
@@ -262,7 +257,7 @@ def _condition(dd, state, W, blocks, attr_idx, priors, work, pool=None):
     if blocks is None:
         mean = np.zeros(n)
     else:
-        chol, H = _factor_and_cross(dd, state, W, blocks, attr_idx, pool, work)
+        chol, H = _factor_and_cross(dd, state, W, blocks, attr_idx, work)
         alpha = scipy.linalg.cho_solve((chol, True), dd.y, check_finite=False)
         # LAPACK solves in Fortran order; the copy it would make is reused.
         solved = _buffer(work, "solved", H.shape, order="F")
@@ -307,8 +302,8 @@ def _point_posteriors(query_points, draws, state, dataset, domain_id, attributes
     query = _as_query_array(query_points, dd.domain)
     attr_idx, attr_ids = _local_attr_indices(state, dd, attributes)
     d2 = sq_dists(query, query)
-    grams = np.stack([se_value(d2, s) for s in state.kernels.length_scales])
-    blocks = _draw_invariants(dd, query, state.kernels)
+    grams = np.stack([se_value(d2, s) for s in state.length_scales])
+    blocks = _draw_invariants(dd, query, state.length_scales)
     work = {}
     return [
         ConditionalPosterior(
@@ -402,9 +397,10 @@ def predictive_mixture(
 
 
 def _support_targets(target: Partition, rules, state, dd):
-    """Validated set-up of the support predictors: ``(attr_idx, query,
-    priors, pool)`` with the supports' member cells as ``query``, their
-    unit-weight priors ``wᵀ K_l w`` and ``pool`` for :func:`_condition`."""
+    """Validated set-up of the support predictors: ``(attr_idx, blocks,
+    priors)`` with the supports' unit-weight priors ``wᵀ K_l w`` and the
+    :func:`_draw_invariants` blocks at their member cells, each ``h_l``
+    pooled with the supports' weights into one column per support."""
     grid = dd.domain.grid
     geometry.validate(dd.domain, [target])
     if rules is None:
@@ -418,10 +414,15 @@ def _support_targets(target: Partition, rules, state, dd):
         geometry.weight_vector(s, grid, rule)
         for s, rule in zip(target.supports, rules)
     ]
-    query = np.concatenate(members)
-    starts = np.cumsum([0] + [idx.size for idx in members[:-1]])
-    priors = _support_priors(dd.cov.kernel, members, weights, state.kernels)
-    return attr_idx, query, priors, (np.concatenate(weights), starts)
+    priors = _support_priors(dd.cov.kernel, members, weights, state.length_scales)
+    blocks = _draw_invariants(dd, np.concatenate(members), state.length_scales)
+    if blocks is not None:
+        latents, point_support = blocks
+        w = np.concatenate(weights)
+        starts = np.cumsum([0] + [idx.size for idx in members[:-1]])
+        pooled = [np.add.reduceat(h_l * w, starts, axis=1) for h_l in point_support]
+        blocks = latents, pooled
+    return attr_idx, blocks, priors
 
 
 @dataclass
@@ -452,11 +453,10 @@ def predict_supports(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     dd = dataset.prepared(target.domain_id)
-    attr_idx, query, priors, pool = _support_targets(target, rules, state, dd)
-    blocks = _draw_invariants(dd, query, state.kernels)
+    attr_idx, blocks, priors = _support_targets(target, rules, state, dd)
     work = {}
     draws = [
-        _condition(dd, state, W, blocks, attr_idx, priors, work, pool)
+        _condition(dd, state, W, blocks, attr_idx, priors, work)
         for W in draw_weight_samples(state, target.domain_id, n_samples, seed)
     ]
     values, variances, clamped = _pool(*zip(*draws))
@@ -488,15 +488,12 @@ def predict_left_out(
     dd = dataset.prepared(domain_id)
     rec = dataset.record_for(domain_id, attribute_id)
     rows = np.arange(dd.n_obs)[dd.blocks[dd.attr_ids.index(attribute_id)]]
-    attr_idx, query, priors, pool = _support_targets(
-        rec.partition, rec.rules, state, dd
-    )
-    blocks = _draw_invariants(dd, query, state.kernels)
+    attr_idx, blocks, priors = _support_targets(rec.partition, rec.rules, state, dd)
     identity = np.eye(dd.n_obs)
     work = {}
     draws = []
     for W in draw_weight_samples(state, domain_id, n_samples, seed):
-        chol, H = _factor_and_cross(dd, state, W, blocks, attr_idx, pool, work)
+        chol, H = _factor_and_cross(dd, state, W, blocks, attr_idx, work)
         H[rows, np.arange(rows.size)] = 0.0
         P = scipy.linalg.cho_solve((chol, True), identity, check_finite=False)
         alpha = P @ dd.y
@@ -536,7 +533,7 @@ def predict_grid(
     attr_idx, _ = _local_attr_indices(state, dd, [attribute_id])
     # Unit-weight point variances: every kernel is one at zero distance.
     priors = np.ones((state.num_latents, query.shape[0]))
-    blocks = _draw_invariants(dd, at, state.kernels)
+    blocks = _draw_invariants(dd, at, state.length_scales)
     work = {}
     draws = [
         _condition(dd, state, W, blocks, attr_idx, priors, work)

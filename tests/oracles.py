@@ -13,10 +13,10 @@ import numpy as np
 
 from aggmogp.errors import DimensionMismatch, LengthMismatch
 from aggmogp.geometry import GridSpec
-from aggmogp.kernels import SEKernel, se_value
+from aggmogp.kernels import se_value
 
 
-def kernel_eval(kernel: SEKernel, x, x2) -> float:
+def kernel_eval(length_scale: float, x, x2) -> float:
     """Kernel value between two points of equal dimension."""
     a = np.atleast_1d(np.asarray(x, dtype=float))
     b = np.atleast_1d(np.asarray(x2, dtype=float))
@@ -25,11 +25,11 @@ def kernel_eval(kernel: SEKernel, x, x2) -> float:
             f"points of dimension {a.shape} and {b.shape} are not comparable"
         )
     d2 = float(np.sum((a - b) ** 2))
-    return float(se_value(d2, kernel.length_scale))
+    return float(se_value(d2, length_scale))
 
 
 def support_cov_grid(
-    kernel: SEKernel, weights_n, points_n, weights_m, points_m
+    length_scale: float, weights_n, points_n, weights_m, points_m
 ) -> float:
     """Weighted double sum of kernel values over two member-point sets."""
     wn = np.asarray(weights_n, dtype=float)
@@ -47,7 +47,7 @@ def support_cov_grid(
     if wn.shape[0] != pn.shape[0] or wm.shape[0] != pm.shape[0]:
         raise LengthMismatch("weight vectors must match their point sets")
     d2 = ((pn[:, None, :] - pm[None, :, :]) ** 2).sum(axis=2)
-    return float(wn @ se_value(d2, kernel.length_scale) @ wm)
+    return float(wn @ se_value(d2, length_scale) @ wm)
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,10 @@ class DistanceHistogram:
 
 
 def support_cov_bucketed(
-    kernel: SEKernel, hist: DistanceHistogram, norm_left: float, norm_right: float
+    length_scale: float,
+    hist: DistanceHistogram,
+    norm_left: float,
+    norm_right: float,
 ) -> float:
     """Constant-weight support covariance from a distance histogram.
 
@@ -116,5 +119,5 @@ def support_cov_bucketed(
     for averaging, 1 for summation); constant weights are what makes the
     distance grouping exact.
     """
-    vals = se_value(hist.sq_dists, kernel.length_scale)
+    vals = se_value(hist.sq_dists, length_scale)
     return float(norm_left * norm_right * (hist.counts @ vals))

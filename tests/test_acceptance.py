@@ -46,7 +46,7 @@ from aggmogp.inference import (
     fit,
     refined_elbo,
 )
-from aggmogp.kernels import KernelSet, se_double_interval, se_point_interval
+from aggmogp.kernels import se_double_interval, se_point_interval
 from aggmogp.model import (
     JITTER_BASE,
     AggregatedDataset,
@@ -156,9 +156,7 @@ def test_criterion_01_covariance_assembly_oracle():
     W = rng.standard_normal((2, 2))
     scales = (0.9, 2.4)
     noise = (0.05, 0.08)
-    got = assemble_C(
-        dd, W, KernelSet.from_length_scales(scales), np.log(np.asarray(noise))
-    )
+    got = assemble_C(dd, W, scales, np.log(np.asarray(noise)))
     want = oracle_covariance(domain, records, W, scales, noise)
     err = float(np.abs(got - want).max())
     elapsed = time.perf_counter() - t0
@@ -314,7 +312,7 @@ def test_criterion_05_elbo_lower_bounds_evidence():
                 assemble_C(
                     dd,
                     np.array([[m + np.sqrt(2.0 * var) * x]]),
-                    state.kernels,
+                    state.length_scales,
                     state.noise_log_var["d0"],
                 ),
             )
@@ -519,10 +517,12 @@ def test_criterion_09_coarsening_and_transfer_ordering():
             vals = ds.denormalize("d0", "a0", pred.values)
             return mape(res.truth["test"][("d0", "a0")], vals)
 
-        agp = baselines.fit_agp(ds9, "d0", "a0", config=cfg, init_seed=seed)
-        m_agp = score(agp.state, agp.dataset)
-        slfm = baselines.fit_slfm(ds9, 2, domain_id="d0", config=cfg, init_seed=seed)
-        m_slfm = score(slfm.state, slfm.dataset)
+        agp_view = baselines.training_view(ds9, "agp", "d0", "a0")
+        st_agp, _ = baselines.fit_view(agp_view, 1, cfg, seed)
+        m_agp = score(st_agp, agp_view)
+        slfm_view = baselines.training_view(ds9, "slfm", "d0")
+        st_slfm, _ = baselines.fit_view(slfm_view, 2, cfg, seed)
+        m_slfm = score(st_slfm, slfm_view)
         st_single, _ = fit(ds9, cfg, init_state(ds9, 2, seed=seed))
         m_single = score(st_single, ds9)
         st_joint, _ = fit(joint, cfg_joint, init_state(joint, 2, seed=seed))

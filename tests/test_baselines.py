@@ -11,10 +11,10 @@ from conftest import (
 )
 
 from aggmogp.baselines import (
-    fit_agp,
-    fit_slfm,
+    fit_view,
     restrict_to_domain,
     restrict_to_series,
+    training_view,
 )
 from aggmogp.errors import DataError
 from aggmogp.inference import TrainConfig, fit, refined_elbo
@@ -55,24 +55,25 @@ class TestRestrictions:
 class TestSingleSeriesBaseline:
     def test_matches_manual_restricted_fit(self):
         _, dataset, _ = two_series_instance()
-        base = fit_agp(dataset, "d0", "a0", config=FAST, init_seed=3)
+        view = training_view(dataset, "agp", "d0", "a0")
+        base, _ = fit_view(view, 1, FAST, init_seed=3)
         sub = restrict_to_series(dataset, "d0", "a0")
         init = init_state(sub, 1, seed=3)
         state, _ = fit(sub, FAST, init)
-        assert np.array_equal(base.state.pack(), state.pack())
-        assert base.state.num_latents == 1
+        assert np.array_equal(base.pack(), state.pack())
 
     def test_selector_required_for_multiple_records(self):
         _, dataset, _ = two_series_instance()
         with pytest.raises(DataError):
-            fit_agp(dataset, config=FAST)
+            training_view(dataset, "agp")
 
     def test_single_record_needs_no_selector(self):
         domain = unit_grid_domain(16, 0.0, 4.0)
         sup = [cells_support([i], f"p{i}") for i in (1, 6, 11)]
         dataset = single_series_dataset(domain, sup, [0.3, -0.2, 0.9])
-        base = fit_agp(dataset, config=TrainConfig(max_iters=0, seed=0))
-        assert base.state.attributes == ("a0",)
+        view = training_view(dataset, "agp")
+        base, _ = fit_view(view, 1, TrainConfig(max_iters=0, seed=0))
+        assert base.attributes == ("a0",)
 
     def test_ignores_other_series(self):
         # The single-series baseline must not see the other record at all.
@@ -86,9 +87,9 @@ class TestSingleSeriesBaseline:
                 values=recs[1].values + 5.0,
             ))
         )
-        a = fit_agp(dataset, "d0", "a0", config=FAST)
-        b = fit_agp(altered, "d0", "a0", config=FAST)
-        assert np.array_equal(a.state.pack(), b.state.pack())
+        a, _ = fit_view(training_view(dataset, "agp", "d0", "a0"), 1, FAST)
+        b, _ = fit_view(training_view(altered, "agp", "d0", "a0"), 1, FAST)
+        assert np.array_equal(a.pack(), b.pack())
 
     def test_point_supports_reduce_to_plain_gp(self):
         # With single-cell supports and pinned parameters the baseline
@@ -98,21 +99,19 @@ class TestSingleSeriesBaseline:
         sup = [cells_support([i], f"p{i}") for i in idx]
         values = [0.4, -0.7, 1.1, 0.2]
         dataset = single_series_dataset(domain, sup, values)
-        base = fit_agp(
-            dataset,
-            config=TrainConfig(max_iters=0, seed=0),
-            init_length_scales=[0.9],
+        view = training_view(dataset, "agp")
+        st, _ = fit_view(
+            view, 1, TrainConfig(max_iters=0, seed=0), init_length_scales=[0.9]
         )
-        st = base.state
         w = 1.3
         sigma2 = 0.04
         st.noise_log_var["d0"][:] = np.log(sigma2)
         query = np.array([[0.3], [1.7], [3.4]])
         post = conditional_posterior(
-            query, np.array([[w]]), st, base.dataset, "d0"
+            query, np.array([[w]]), st, view, "d0"
         )
         pts = domain.grid.points[idx]
-        y = base.dataset.prepared("d0").y
+        y = view.prepared("d0").y
         K = w * w * se_gram(pts, 0.9)
         C = K + sigma2 * np.eye(4)
         C = C + JITTER_BASE * np.mean(np.diag(C)) * np.eye(4)
@@ -127,16 +126,17 @@ class TestSingleSeriesBaseline:
 class TestPointObservationBaseline:
     def test_matches_manual_pipeline(self):
         _, dataset, _ = two_series_instance()
-        base = fit_slfm(dataset, 2, config=FAST, init_seed=1)
+        base, _ = fit_view(training_view(dataset, "slfm"), 2, FAST, init_seed=1)
         sub = restrict_to_domain(dataset, "d0").as_point_observations()
         init = init_state(sub, 2, seed=1)
         state, _ = fit(sub, FAST, init)
-        assert np.array_equal(base.state.pack(), state.pack())
+        assert np.array_equal(base.pack(), state.pack())
 
     def test_single_domain_needs_no_selector(self):
         _, dataset, _ = two_series_instance()
-        base = fit_slfm(dataset, 1, config=TrainConfig(max_iters=0, seed=0))
-        assert base.state.domain_ids == ("d0",)
+        view = training_view(dataset, "slfm")
+        base, _ = fit_view(view, 1, TrainConfig(max_iters=0, seed=0))
+        assert base.domain_ids == ("d0",)
 
     def test_point_supports_make_views_agree(self):
         # When every support is a single cell the point view changes
@@ -149,10 +149,10 @@ class TestPointObservationBaseline:
         state = init_state(dataset, 2, seed=0)
         W = state.q_mean["d0"]
         C_cells = assemble_C(
-            dataset.prepared("d0"), W, state.kernels, state.noise_log_var["d0"]
+            dataset.prepared("d0"), W, state.length_scales, state.noise_log_var["d0"]
         )
         C_pts = assemble_C(
-            points.prepared("d0"), W, state.kernels, state.noise_log_var["d0"]
+            points.prepared("d0"), W, state.length_scales, state.noise_log_var["d0"]
         )
         np.testing.assert_allclose(C_cells, C_pts, atol=1e-14)
         ea = refined_elbo(dataset, state, seed=0, n_samples=8)
@@ -167,10 +167,10 @@ class TestPointObservationBaseline:
         state = init_state(dataset, 2, seed=0)
         W = state.q_mean["d0"] + 1.0
         C_agg = assemble_C(
-            dataset.prepared("d0"), W, state.kernels, state.noise_log_var["d0"]
+            dataset.prepared("d0"), W, state.length_scales, state.noise_log_var["d0"]
         )
         C_pts = assemble_C(
-            points.prepared("d0"), W, state.kernels, state.noise_log_var["d0"]
+            points.prepared("d0"), W, state.length_scales, state.noise_log_var["d0"]
         )
         assert np.max(np.abs(C_agg - C_pts)) > 1e-3
 
@@ -203,8 +203,7 @@ class TestPointObservationBaseline:
             {"d0": d0, "d1": d1}, ("a0",), tuple(recs)
         )
         with pytest.raises(DataError):
-            fit_slfm(dataset, 2, config=FAST)
-        base = fit_slfm(
-            dataset, 2, domain_id="d1", config=TrainConfig(max_iters=0, seed=0)
-        )
-        assert base.state.domain_ids == ("d1",)
+            training_view(dataset, "slfm")
+        view = training_view(dataset, "slfm", "d1")
+        base, _ = fit_view(view, 2, TrainConfig(max_iters=0, seed=0))
+        assert base.domain_ids == ("d1",)

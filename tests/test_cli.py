@@ -700,6 +700,37 @@ class TestValidationExitCodes:
         assert model in record["message"]
 
     @pytest.mark.parametrize(
+        "field, path, value",
+        [
+            ("log_length_scales", (0,), float("nan")),
+            ("q_mean", ("d0", 0, 1), float("inf")),
+            ("transforms", ("d0", "a0", 1), float("inf")),
+            ("transforms", ("d0", "a0", 1), 0.0),
+        ],
+    )
+    def test_model_parameter_out_of_range_exits_one(
+        self, workspace, capsys, field, path, value
+    ):
+        tmp, ds, cfg = workspace
+        model = str(tmp / "model.json")
+        assert main(["fit", "--dataset", ds, "--config", cfg, "--out", model]) == 0
+        doc = json.load(open(model))
+        entry = doc[field]
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        dataio.write_json(model, doc)
+        code = main(
+            ["refine", "--dataset", ds, "--model", model,
+             "--target-partition", "targets", "--out", str(tmp / "x.csv")]
+        )
+        assert code == 1
+        record = last_error_record(capsys)
+        assert record["error"] == "DataError"
+        assert model in record["message"]
+        assert field in record["message"]
+
+    @pytest.mark.parametrize(
         "field", ["q_mean", "noise_log_var", "domain_attributes", "transforms"]
     )
     def test_model_maps_must_be_objects(self, workspace, capsys, field):

@@ -469,6 +469,7 @@ class TestConfigFile:
         for doc in (
             {"format_version": 1, "model": {"num_latents": 0}},
             {"format_version": 1, "model": {"length_scales": [-1.0]}},
+            {"format_version": 1, "model": {"length_scales": [float("inf")]}},
             {"format_version": 1, "prediction": {"n_samples": 0}},
         ):
             path = str(tmp_path / "config.json")

@@ -209,6 +209,17 @@ class TestSynthGenerator:
         with pytest.raises(DataError):
             synth_generate(cfg)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("inf"), float("nan")])
+    def test_invalid_length_scale_raises(self, scale):
+        cfg = replace(flat_cfg(), length_scales=(scale,))
+        with pytest.raises(DataError, match="length scales"):
+            synth_generate(cfg)
+
+    def test_no_latent_kernel_raises(self):
+        cfg = replace(flat_cfg(), length_scales=(), weights=None)
+        with pytest.raises(DataError, match="at least one latent kernel"):
+            synth_generate(cfg)
+
     def test_moments_match_assembled_covariance(self):
         # 800 independent worlds; per-support variance must sit within
         # four standard errors of the oracle diagonal.

@@ -175,12 +175,6 @@ class TestAggregationRule:
         with pytest.raises(GeometryError):
             AggregationRule(AggregationRule.AVERAGE, weights=(1.0,))
 
-    def test_constant_weight_flag(self):
-        assert AVERAGE.constant_weight
-        assert SUM.constant_weight
-        rule = AggregationRule(AggregationRule.CUSTOM, weights=(1.0, 2.0))
-        assert not rule.constant_weight
-
 
 class TestCentroid:
     def test_interval_midpoint(self):

@@ -162,7 +162,7 @@ class TestElboValue:
         got = estimate_elbo(dataset, state, eps)
         dd = dataset.prepared("d0")
         C = assemble_C(
-            dd, state.q_mean["d0"], state.kernels, state.noise_log_var["d0"]
+            dd, state.q_mean["d0"], state.length_scales, state.noise_log_var["d0"]
         )
         want = log_likelihood(dd.y, C) - kl_weights(
             state.q_mean["d0"],

@@ -11,8 +11,6 @@ from aggmogp.errors import (
 )
 from aggmogp.geometry import GridSpec, Interval
 from aggmogp.kernels import (
-    KernelSet,
-    SEKernel,
     se_antideriv2,
     se_antideriv2_dlog,
     se_double_interval,
@@ -49,56 +47,37 @@ def quad_double_interval(lo1, hi1, lo2, hi2, b):
 
 class TestSEKernel:
     def test_frozen_values(self):
-        k1 = SEKernel.from_length_scale(1.0)
+        k1 = 1.0
         # exp(-1/2) at unit distance, unit scale.
         np.testing.assert_allclose(
             kernel_eval(k1, 0.0, 1.0), 0.6065306597, atol=1e-10
         )
         # Doubling distance and scale together leaves the value unchanged.
-        k2 = SEKernel.from_length_scale(2.0)
+        k2 = 2.0
         np.testing.assert_allclose(
             kernel_eval(k2, 0.0, 2.0), 0.6065306597, atol=1e-10
         )
 
     def test_zero_distance(self):
-        k = SEKernel.from_length_scale(0.7)
+        k = 0.7
         assert kernel_eval(k, 1.3, 1.3) == 1.0
 
     def test_symmetry(self):
-        k = SEKernel.from_length_scale(0.4)
+        k = 0.4
         rng = np.random.default_rng(0)
         for _ in range(20):
             x, y = rng.normal(size=2)
             assert kernel_eval(k, x, y) == kernel_eval(k, y, x)
 
     def test_multidimensional_points(self):
-        k = SEKernel.from_length_scale(1.0)
+        k = 1.0
         got = kernel_eval(k, [0.0, 0.0], [3.0, 4.0])
         np.testing.assert_allclose(got, np.exp(-12.5))
 
     def test_dimension_mismatch(self):
-        k = SEKernel.from_length_scale(1.0)
+        k = 1.0
         with pytest.raises(DimensionMismatch):
             kernel_eval(k, [0.0], [0.0, 1.0])
-
-    def test_invalid_scale(self):
-        with pytest.raises(ValueError):
-            SEKernel.from_length_scale(0.0)
-        with pytest.raises(ValueError):
-            SEKernel(np.inf)
-
-
-class TestKernelSet:
-    def test_roundtrip(self):
-        ks = KernelSet.from_length_scales([0.5, 2.0])
-        np.testing.assert_allclose(ks.length_scales, [0.5, 2.0])
-        np.testing.assert_allclose(ks.log_length_scales, np.log([0.5, 2.0]))
-        assert len(ks) == 2
-        assert ks[1].length_scale == pytest.approx(2.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            KernelSet(())
 
 
 class TestPointIntervalIntegral:
@@ -110,16 +89,15 @@ class TestPointIntervalIntegral:
             (5.0, Interval(0.0, 1.0), 0.25),
         ]
         for x, iv, b in cases:
-            k = SEKernel.from_length_scale(b)
-            got = se_point_interval(x, iv.lo, iv.hi, k.length_scale)
+            got = se_point_interval(x, iv.lo, iv.hi, b)
             want = quad_point_interval(x, iv.lo, iv.hi, b)
             np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_full_line_limit(self):
         # Integrating over (-50, 50) at unit scale captures the whole
         # Gaussian mass: sqrt(2 pi).
-        k = SEKernel.from_length_scale(1.0)
-        got = se_point_interval(0.0, -50.0, 50.0, k.length_scale)
+        k = 1.0
+        got = se_point_interval(0.0, -50.0, 50.0, k)
         np.testing.assert_allclose(got, 2.5066282746, atol=1e-10)
         np.testing.assert_allclose(got, np.sqrt(2.0 * np.pi), atol=1e-12)
 
@@ -133,8 +111,7 @@ class TestDoubleIntervalIntegral:
             (Interval(0.0, 0.3), Interval(0.1, 0.2), 2.0),
         ]
         for iv1, iv2, b in cases:
-            k = SEKernel.from_length_scale(b)
-            got = se_double_interval(iv1.lo, iv1.hi, iv2.lo, iv2.hi, k.length_scale)
+            got = se_double_interval(iv1.lo, iv1.hi, iv2.lo, iv2.hi, b)
             want = quad_double_interval(iv1.lo, iv1.hi, iv2.lo, iv2.hi, b)
             np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -145,9 +122,8 @@ class TestDoubleIntervalIntegral:
             b_ = a + float(rng.uniform(0.1, 2))
             c = float(rng.uniform(-3, 3))
             d = c + float(rng.uniform(0.1, 2))
-            k = SEKernel.from_length_scale(float(rng.uniform(0.2, 2)))
+            b = float(rng.uniform(0.2, 2))
             iv1, iv2 = Interval(a, b_), Interval(c, d)
-            b = k.length_scale
             assert se_double_interval(
                 iv1.lo, iv1.hi, iv2.lo, iv2.hi, b
             ) == se_double_interval(iv2.lo, iv2.hi, iv1.lo, iv1.hi, b)
@@ -155,8 +131,8 @@ class TestDoubleIntervalIntegral:
     def test_wide_kernel_limit(self):
         # At a length scale of 1e6 the kernel is flat over unit intervals,
         # so the averaged double integral approaches 1.
-        k = SEKernel.from_length_scale(1e6)
-        val = se_double_interval(0.0, 1.0, 3.0, 4.0, k.length_scale)
+        k = 1e6
+        val = se_double_interval(0.0, 1.0, 3.0, 4.0, k)
         np.testing.assert_allclose(val, 1.0, atol=1e-6)
 
     def test_degenerate_interval(self):
@@ -215,8 +191,7 @@ class TestGridPathConvergence:
         p2 = iv2.lo + (np.arange(n2) + 0.5) * (iv2.length / n2)
         w1 = np.full(n1, 1.0 / n1)
         w2 = np.full(n2, 1.0 / n2)
-        k = SEKernel.from_length_scale(b)
-        return support_cov_grid(k, w1, p1, w2, p2)
+        return support_cov_grid(b, w1, p1, w2, p2)
 
     def test_matches_closed_form_at_fine_resolution(self):
         cases = [
@@ -245,12 +220,12 @@ class TestGridPathConvergence:
 
 class TestSupportCovGrid:
     def test_single_points_reduce_to_eval(self):
-        k = SEKernel.from_length_scale(0.8)
+        k = 0.8
         got = support_cov_grid(k, [1.0], [[0.0]], [1.0], [[1.2]])
         np.testing.assert_allclose(got, kernel_eval(k, 0.0, 1.2), atol=1e-15)
 
     def test_two_point_hand_case(self):
-        k = SEKernel.from_length_scale(1.0)
+        k = 1.0
         got = support_cov_grid(
             k, [0.5, 0.5], [0.0, 1.0], [1.0], [2.0]
         )
@@ -259,7 +234,7 @@ class TestSupportCovGrid:
 
     def test_explicit_double_loop(self):
         rng = np.random.default_rng(5)
-        k = SEKernel.from_length_scale(0.6)
+        k = 0.6
         for _ in range(10):
             pn = rng.normal(size=(4, 2))
             pm = rng.normal(size=(3, 2))
@@ -274,18 +249,18 @@ class TestSupportCovGrid:
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_dimension_mismatch(self):
-        k = SEKernel.from_length_scale(1.0)
+        k = 1.0
         with pytest.raises(DimensionMismatch):
             support_cov_grid(k, [1.0], [[0.0]], [1.0], [[0.0, 1.0]])
 
     def test_weight_length_mismatch(self):
-        k = SEKernel.from_length_scale(1.0)
+        k = 1.0
         with pytest.raises(LengthMismatch):
             support_cov_grid(k, [1.0, 1.0], [[0.0]], [1.0], [[0.0]])
 
     def test_psd_gram_over_random_supports(self):
         rng = np.random.default_rng(17)
-        k = SEKernel.from_length_scale(0.5)
+        k = 0.5
         pts = rng.uniform(0, 4, size=(30, 1))
         supports = []
         for _ in range(8):
@@ -329,7 +304,7 @@ class TestDistanceHistogram:
         hist = DistanceHistogram(
             sq_dists=np.array([0.0]), counts=np.array([4]), n_left=2, n_right=2
         )
-        k = SEKernel.from_length_scale(1.0)
+        k = 1.0
         assert support_cov_bucketed(k, hist, 0.5, 0.5) == 1.0
 
     def test_equal_offsets_share_one_float(self):
@@ -348,7 +323,7 @@ class TestBucketedEquivalence:
         grid = GridSpec(origin=(0.0, 0.0), cell_size=(0.3, 0.7), shape=(9, 7))
         pts = grid.points
         for trial in range(25):
-            k = SEKernel.from_length_scale(float(rng.uniform(0.2, 3.0)))
+            k = float(rng.uniform(0.2, 3.0))
             left = rng.choice(63, size=int(rng.integers(1, 12)), replace=False)
             right = rng.choice(63, size=int(rng.integers(1, 12)), replace=False)
             hist = DistanceHistogram.from_member_indices(grid, left, right)

@@ -24,7 +24,6 @@ from aggmogp.errors import (
     DimensionMismatch,
 )
 from aggmogp.geometry import SUM
-from aggmogp.kernels import KernelSet
 from aggmogp.model import (
     AggregatedDataset,
     DatasetRecord,
@@ -60,9 +59,7 @@ class TestAssembleAgainstOracle:
         W = rng.standard_normal((2, 2))
         scales = np.array([0.9, 2.4])
         noise = np.array([0.05, 0.08])
-        got = assemble_C(
-            dd, W, KernelSet.from_length_scales(scales), np.log(noise)
-        )
+        got = assemble_C(dd, W, scales, np.log(noise))
         want = oracle_covariance(domain, records, W, scales, noise)
         np.testing.assert_allclose(got, want, atol=1e-8)
 
@@ -81,9 +78,7 @@ class TestAssembleAgainstOracle:
         dd = ds.prepared("d0")
         W = np.array([[0.7, -1.1]])
         scales = np.array([0.5, 1.5])
-        got = assemble_C(
-            dd, W, KernelSet.from_length_scales(scales), np.log([0.01])
-        )
+        got = assemble_C(dd, W, scales, np.log([0.01]))
         want = oracle_covariance(dom, ds.records, W, scales, [0.01])
         np.testing.assert_allclose(got, want, atol=1e-8)
 
@@ -100,7 +95,7 @@ class TestAssembleAgainstOracle:
         dd = ds.prepared("d0")
         W = np.array([[1.2]])
         scale = 0.7
-        got = assemble_C(dd, W, KernelSet.from_length_scales([scale]), np.log([0.0001]))
+        got = assemble_C(dd, W, [scale], np.log([0.0001]))
         fine = unit_grid_domain(4000, 0.0, 4.0)
         ds_fine = single_series_dataset(fine, supports, [0.3, -0.1, 0.8])
         want = oracle_covariance(fine, ds_fine.records, W, [scale], [0.0001])
@@ -116,7 +111,7 @@ class TestAssembleCases:
         C = assemble_C(
             dd,
             np.array([[1.0]]),
-            KernelSet.from_length_scales([1.0]),
+            [1.0],
             np.log([0.1]),
         )
         want = np.array([[1.1, 0.6065306597], [0.6065306597, 1.1]])
@@ -128,7 +123,7 @@ class TestAssembleCases:
         C = assemble_C(
             dd,
             np.zeros((2, 2)),
-            KernelSet.from_length_scales([1.0, 2.0]),
+            [1.0, 2.0],
             np.log([0.3, 0.4]),
         )
         want = np.diag(dd.expand_rows(np.array([0.3, 0.4])))
@@ -141,7 +136,7 @@ class TestAssembleCases:
         C = assemble_C(
             dd,
             rng.standard_normal((2, 2)),
-            KernelSet.from_length_scales([0.8, 1.7]),
+            [0.8, 1.7],
             np.log([0.1, 0.1]),
         )
         assert np.array_equal(C, C.T)
@@ -152,9 +147,7 @@ class TestAssembleCases:
         dd = ds.prepared("d0")
         W = np.array([[0.9]])
         scale = 1.3
-        C = assemble_C(
-            dd, W, KernelSet.from_length_scales([scale]), np.log([0.2])
-        )
+        C = assemble_C(dd, W, [scale], np.log([0.2]))
         pts = dom.grid.points[centers, 0]
         want = 0.81 * se_gram(pts, scale) + 0.2 * np.eye(4)
         np.testing.assert_allclose(C, want, atol=1e-10)
@@ -166,7 +159,7 @@ class TestAssembleCases:
             assemble_C(
                 dd,
                 np.zeros((3, 2)),
-                KernelSet.from_length_scales([1.0, 1.0]),
+                [1.0, 1.0],
                 np.log([0.1, 0.1]),
             )
 
@@ -341,6 +334,19 @@ class TestNormalization:
         ds = single_series_dataset(dom, supports, [1e200, -1e200])
         assert ds.transforms[("d0", "a0")] == (0.0, 1e200)
         np.testing.assert_array_equal(ds.normalized(ds.records[0]), [1.0, -1.0])
+
+    def test_values_near_the_float_limit_normalize_finitely(self):
+        # values - mean overflows here although mean and scale are finite.
+        dom = unit_grid_domain(12, 0.0, 12.0)
+        supports = [
+            interval_support(4.0 * k, 4.0 * (k + 1), f"s{k}") for k in range(3)
+        ]
+        ds = single_series_dataset(dom, supports, [-1.7e308, 1.7e308, 1.7e308])
+        mean, scale = ds.transforms[("d0", "a0")]
+        assert np.isfinite(mean) and np.isfinite(scale)
+        y = ds.prepared("d0").y
+        np.testing.assert_allclose(y, [-np.sqrt(2.0), np.sqrt(0.5), np.sqrt(0.5)])
+        np.testing.assert_allclose(np.mean(y), 0.0, atol=1e-12)
 
     def test_denormalize_round_trip(self):
         _, dataset, _ = two_series_instance(seed=2)
@@ -532,8 +538,10 @@ class TestModelState:
         np.testing.assert_allclose(np.exp(state.log_length_scales), [0.5, 0.25])
         with pytest.raises(DimensionMismatch):
             override_length_scales(state, [0.5])
-        with pytest.raises(ValueError):
-            override_length_scales(state, [0.5, -1.0])
+        for bad in (-1.0, 0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                override_length_scales(state, [0.5, bad])
+        np.testing.assert_allclose(state.length_scales, [0.5, 0.25])
 
     def test_init_shares_rows_across_domains(self):
         dataset = two_domain_instance()
@@ -590,13 +598,13 @@ class TestLatentOrientation:
         for v in state.domain_ids:
             dd = dataset.prepared(v)
             eps = rng.standard_normal(state.q_mean[v].shape)
-            C = assemble_C(dd, state.draw_weights(v, eps), state.kernels, state.noise_log_var[v])
+            C = assemble_C(dd, state.draw_weights(v, eps), state.length_scales, state.noise_log_var[v])
             flipped = state.copy()
             flipped.q_mean[v][:, 1] *= -1.0
             eps_flipped = eps.copy()
             eps_flipped[:, 1] *= -1.0
             C_flipped = assemble_C(
-                dd, flipped.draw_weights(v, eps_flipped), state.kernels, state.noise_log_var[v]
+                dd, flipped.draw_weights(v, eps_flipped), state.length_scales, state.noise_log_var[v]
             )
             assert log_likelihood(dd.y, C_flipped) == log_likelihood(dd.y, C)
 

@@ -192,7 +192,7 @@ class TestCrossCov:
         state = reference_state(dataset)
         query = np.array([[1.0], [2.0]])
         H = cross_cov_H(
-            [latent_point_support(dd, query, s) for s in state.kernels.length_scales],
+            [latent_point_support(dd, query, s) for s in state.length_scales],
             dd,
             np.zeros((2, 2)),
         )
@@ -507,6 +507,27 @@ class TestDrawInvariantBlocks:
         expected = [1.2, 0.6] if with_data else []
         assert point == expected
         assert cov == expected
+
+    @pytest.mark.parametrize("helper", ["predict_supports", "predict_left_out"])
+    def test_one_column_per_target_support(self, monkeypatch, helper):
+        # Member cells are pooled per target support once per call, so
+        # each draw's cross covariance has one column per support.
+        columns = []
+        real = prediction.cross_cov_H
+
+        def cross_cov_H(point_support, *args, **kwargs):
+            columns.append([h_l.shape[1] for h_l in point_support])
+            return real(point_support, *args, **kwargs)
+
+        monkeypatch.setattr(prediction, "cross_cov_H", cross_cov_H)
+        _, dataset, recs = two_series_instance()
+        state = reference_state(dataset)
+        if helper == "predict_supports":
+            predict_supports(recs[1].partition, state, dataset, n_samples=5, seed=1)
+        else:
+            predict_left_out(state, dataset, "d0", "a1", n_samples=5, seed=1)
+        n = len(recs[1].partition.supports)
+        assert columns == [[n, n]] * 5
 
 
 def pinned_state(dataset, seed=0, scales=(0.8, 0.5)):
