@@ -19,13 +19,13 @@ Every support covariance goes through one aggregation operator
 (:class:`SupportCovTable`). Average-rule interval supports on 1-D domains
 pair with each other through the closed-form erf integrals (the kernels
 module's ``se_antideriv2`` and ``se_antideriv2_dlog``, evaluated once per
-distinct argument). Every other grid support is a row of a sparse weight
-matrix ``A`` over the grid cells, and its covariances are ``A K Aᵀ`` with
-the grid gram ``K`` applied as a Kronecker product of per-axis grams
-(``se_value`` and ``se_value_dlog`` on each axis), a block of columns of
-``K Aᵀ`` at a time in work arrays each table keeps (see
-:class:`WeightRows`). Point observations at support centroids evaluate
-``se_value`` directly.
+distinct argument). Every other grid support, and every prediction
+target (:func:`weight_rows`), is a row of a sparse weight matrix over the
+grid cells (:class:`WeightRows`). One product, ``left K Aᵀ``, gives the
+covariances ``A K Aᵀ``, target priors and cross covariances, with ``K``
+a Kronecker product of per-axis grams (``se_value`` and ``se_value_dlog``
+on each axis), applied to a block of columns of ``Aᵀ`` at a time. Point
+observations at support centroids evaluate ``se_value`` directly.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .geometry import AggregationRule, Domain, Interval, Partition
 from .kernels import (
     se_antideriv2,
     se_antideriv2_dlog,
+    se_point_interval,
     se_value,
     se_value_dlog,
     sq_dists,
@@ -58,7 +59,7 @@ LOG_VARIANCE_FLOOR = float(np.log(VARIANCE_FLOOR))
 JITTER_BASE = 1e-8
 JITTER_MAX = 1e-4
 
-# Bytes of work arrays per grid covariance table (see WeightRows).
+# Bytes of work arrays per weight-row operator (see WeightRows).
 WORK_BYTES = 1 << 20
 
 
@@ -268,7 +269,8 @@ class GridKernel:
     On the cell centres the kernel factorizes over the axes, ``K = G_1 ⊗
     … ⊗ G_D`` with ``G_d`` the 1-D gram of axis d (C order: the last axis
     varies fastest), and its log-length-scale derivative follows by the
-    product rule. Only the D small grams are ever evaluated.
+    product rule. Only the D small grams are ever evaluated; weight rows
+    apply them one axis at a time (:meth:`WeightRows.product`).
     """
 
     def __init__(self, grid):
@@ -285,43 +287,33 @@ class GridKernel:
             return grams, None
         return grams, [se_value_dlog(d2, length_scale) for d2 in sq]
 
-    def block(self, cells, grams) -> np.ndarray:
-        """Dense gram among the given flat cells, from :meth:`factors`."""
-        multi = self.grid.multi_index(cells)
-        out = grams[0][np.ix_(multi[:, 0], multi[:, 0])]
-        for d in range(1, len(grams)):
-            out = out * grams[d][np.ix_(multi[:, d], multi[:, d])]
-        return out
-
 
 class WeightRows:
     """Aggregation weights of grid supports as a sparse matrix ``A``.
 
-    Row r holds one support's weights over the flat grid cells (CSR), so
-    the average, sum and custom rules share one representation. The
-    first ``n_cols`` rows are the column rows of ``K Aᵀ``; the others
-    are only multiplied against it.
+    Row r holds one support's weights over the flat grid cells (CSR), the
+    next ``sizes[r]`` entries of ``cells`` and ``weights``, so every rule
+    and every observed or target support share one representation. The
+    first ``n_cols`` rows (default all) are the column rows of ``K Aᵀ``;
+    the others are only multiplied against it.
 
-    ``K Aᵀ`` is never held whole: :meth:`_chunks` builds it a block of
-    columns at a time in work arrays that the first call allocates,
-    within :data:`WORK_BYTES`, and every later call reuses. A lock gives
-    them to one caller at a time.
+    Its one operation is :meth:`product`. ``K Aᵀ`` is never held whole:
+    :meth:`_chunks` builds it a block of columns at a time in work arrays
+    that the first call allocates, within :data:`WORK_BYTES`, and every
+    later call reuses. A lock gives them to one caller at a time.
     """
 
-    def __init__(self, kernel: GridKernel, geoms, n_cols: int):
+    def __init__(self, grid, cells, weights, sizes, n_cols: int | None = None):
         # Imported here, on the grid branch only: scipy.sparse adds about
         # 1.6 MiB to the peak memory of every process that loads it.
         from scipy.sparse import csr_matrix
 
-        grid = kernel.grid
-        self.kernel = kernel
+        self.kernel = GridKernel(grid)
+        n_cols = len(sizes) if n_cols is None else n_cols
         self.n_cols = n_cols
-        cells = np.concatenate([g.members for g in geoms])
-        vals = np.concatenate([g.weights for g in geoms])
-        sizes = [g.members.size for g in geoms]
         ptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-        shape = (len(geoms), grid.n_points)
-        self.matrix = csr_matrix((vals, cells, ptr), shape=shape)
+        shape = (len(sizes), grid.n_points)
+        self.matrix = csr_matrix((weights, cells, ptr), shape=shape)
         # Along the last grid axis Aᵀ is sparse: the column rows' entries
         # group into fibres, one per (cell over the leading axes, column
         # row), each a short vector over the last axis.
@@ -331,7 +323,7 @@ class WeightRows:
         key, fibre = np.unique(lead * n_cols + row, return_inverse=True)
         self.fibre_lead, self.fibre_row = np.divmod(key, max(n_cols, 1))
         self.fibres = np.zeros((key.size, grid.shape[-1]))
-        self.fibres[fibre.ravel(), last] = vals[:n_entries]
+        self.fibres[fibre.ravel(), last] = weights[:n_entries]
         self._lock = threading.Lock()
         self._work = None
 
@@ -414,25 +406,29 @@ class WeightRows:
                 for target in targets:
                     target[lead, :, rows] = 0.0
 
-    def gram(self, length_scale: float, with_grad: bool = False):
-        """``A K Aᵀ`` against the column rows, an (all rows, n_cols)
-        array, and its log-length-scale derivative or None."""
-        n_rows = self.matrix.shape[0]
-        value = np.empty((n_rows, self.n_cols))
-        deriv = np.empty((n_rows, self.n_cols)) if with_grad else None
+    def product(self, left, length_scale: float, with_grad: bool = False):
+        """``left K Aᵀ`` for sparse weight rows ``left`` over the grid
+        cells, a (left rows, n_cols) array in Fortran order (so its
+        transpose is C-contiguous), and its log-length-scale derivative
+        or None."""
+        value = np.empty((self.n_cols, left.shape[0])).T
+        deriv = np.empty_like(value) if with_grad else None
         with self._lock:
             for cols, KAt, dKAt in self._chunks(length_scale, with_grad):
-                value[:, cols] = self.matrix @ KAt
+                value[:, cols] = left @ KAt
                 if with_grad:
-                    deriv[:, cols] = self.matrix @ dKAt
+                    deriv[:, cols] = left @ dKAt
         return value, deriv
 
-    def cross_at(self, cells, length_scale: float, out, rows) -> None:
-        """Writes ``(K Aᵀ)[cells]ᵀ``, one row per column row, into rows
-        ``rows`` of ``out``."""
-        with self._lock:
-            for cols, KAt, _ in self._chunks(length_scale, False):
-                out[rows[cols]] = KAt[cells].T
+
+def weight_rows(domain: Domain, supports, rules) -> WeightRows:
+    """Supports of ``domain``, one aggregation rule each, as the rows of
+    one :class:`WeightRows` over its grid cells."""
+    grid = domain.grid
+    members = [geometry.membership(s, grid) for s in supports]
+    weights = [geometry.weight_vector(s, grid, r) for s, r in zip(supports, rules)]
+    sizes = [m.size for m in members]
+    return WeightRows(grid, np.concatenate(members), np.concatenate(weights), sizes)
 
 
 class SupportCovTable:
@@ -461,12 +457,14 @@ class SupportCovTable:
             for i, g in enumerate(geoms)
             if not g.closed_form and g.members is not None
         ]
-        self.kernel = GridKernel(domain.grid)
+        self.grid = domain.grid
         i, j = np.triu_indices(len(cf))
         self.cf_rows = np.asarray(cf, dtype=np.int64)[i]
         self.cf_cols = np.asarray(cf, dtype=np.int64)[j]
         lo = np.array([geoms[k].interval.lo for k in cf])
         hi = np.array([geoms[k].interval.hi for k in cf])
+        self.closed_rows = np.asarray(cf, dtype=np.int64)
+        self.closed_bounds = lo[:, None], hi[:, None]
         z = np.stack([hi[i] - lo[j], lo[i] - lo[j], hi[i] - hi[j], lo[i] - hi[j]])
         self.cf_norm = 1.0 / ((hi - lo)[i] * (hi - lo)[j])
         self.cf_abs_z, inverse = np.unique(np.abs(z).ravel(), return_inverse=True)
@@ -478,13 +476,14 @@ class SupportCovTable:
         self.a_rows = np.asarray(a_rows, dtype=np.int64)
         self.A = None
         if a_rows:
-            a_geoms = [geoms[k] for k in a_rows]
-            self.A = WeightRows(self.kernel, a_geoms, len(grid_rows))
+            members = [geoms[k].members for k in a_rows]
+            weights = np.concatenate([geoms[k].weights for k in a_rows])
+            cells, sizes = np.concatenate(members), [m.size for m in members]
+            self.A = WeightRows(domain.grid, cells, weights, sizes, len(grid_rows))
         if points:
             centroids = np.concatenate([geoms[k].coords for k in points])
             self.point_sq_dists = sq_dists(centroids, centroids)
-            if self.A is not None:
-                self.point_grid_sq_dists = sq_dists(centroids, domain.grid.points)
+            self.point_grid_sq_dists = sq_dists(centroids, domain.grid.points)
 
     def _fill(self, S, antideriv, profile, length_scale):
         """Closed-form and point pairs of S for one kernel primitive pair."""
@@ -521,18 +520,36 @@ class SupportCovTable:
             dS = np.zeros((self.n, self.n))
             self._fill(dS, se_antideriv2_dlog, se_value_dlog, length_scale)
         if self.grid_rows.size:
-            block, dblock = self.A.gram(length_scale, with_grad)
+            block, dblock = self.A.product(self.A.matrix, length_scale, with_grad)
             self._fill_grid(S, block)
             if with_grad:
                 self._fill_grid(dS, dblock)
         return (S, dS) if with_grad else S
 
-    def grid_cross(self, cells, length_scale: float, out: np.ndarray) -> None:
-        """Integrals of one kernel against each grid row's weights at flat
-        grid cells, ``(K Aᵀ)[cells]ᵀ``, written into the grid rows of
-        ``out``, an (all rows, cells) array; other rows are untouched."""
+    def cross(self, left, length_scale: float) -> np.ndarray:
+        """Integrals of one kernel against every row's weights and the
+        sparse weight rows ``left`` over the grid cells, an (all rows,
+        left rows) array.
+
+        Grid rows take ``(left K Aᵀ)ᵀ`` (:meth:`WeightRows.product`),
+        which is the whole result when every row is a grid row.
+        Closed-form rows take the erf integral of their interval at the
+        cells, and point rows the kernel from their centroid to the
+        cells, each pooled by ``left``.
+        """
+        if self.grid_rows.size == self.n:
+            return self.A.product(left, length_scale)[0].T
+        out = np.empty((self.n, left.shape[0]))
         if self.grid_rows.size:
-            self.A.cross_at(cells, length_scale, out, self.grid_rows)
+            out[self.grid_rows] = self.A.product(left, length_scale)[0].T
+        if self.closed_rows.size:
+            lo, hi = self.closed_bounds
+            at_cells = se_point_interval(self.grid.points[:, 0], lo, hi, length_scale)
+            out[self.closed_rows] = (left @ (at_cells / (hi - lo)).T).T
+        if self.point_rows.size:
+            at_cells = se_value(self.point_grid_sq_dists, length_scale)
+            out[self.point_rows] = (left @ at_cells.T).T
+        return out
 
 
 class DomainData:

@@ -11,20 +11,20 @@ components into a single mean and covariance (mixture moments).
 
 Every helper conditions each draw in one function and pools the draws
 in another. What no draw changes is built once per call: the
-per-latent support covariances ``S_l``, the point–support integrals
-``h_l`` and each target support's prior ``wᵀ K_l w``. At grid cells (the
-member cells of target supports and the default query of
-:func:`predict_grid`) the integrals are columns of the covariance
-table's ``K Aᵀ`` and the priors come from its per-axis kernel factors;
-other query points sum the kernel over member points. Support
-predictions pool each latent's ``h_l`` into one column per target
-support with the support's aggregation weights, once per call. Each
-draw only mixes these blocks with its weights, factors and solves, so a
-support prediction's per-draw cross covariance has one column per
-support, not per member cell. Only the full covariance of point queries
-materializes a query-cross-query matrix. Leave-one-out predictions of a
-record's own supports (:func:`predict_left_out`) come from the inverse
-of each draw's full ``C`` rather than one factorization per fold.
+per-latent support covariances ``S_l``, the integrals ``h_l`` of the
+observation rows against the targets, and the targets' priors. Target
+supports are weight rows ``A_t`` over the grid cells, like observed
+grid supports (:func:`~aggmogp.model.weight_rows`); the default query of
+:func:`predict_grid` is the one-hot row of every cell. Their ``h_l``
+(:meth:`~aggmogp.model.SupportCovTable.cross`) and priors, the diagonal
+of ``A_t K_l A_tᵀ``, come from one product
+(:meth:`~aggmogp.model.WeightRows.product`); explicit query points sum
+the kernel over member points. Each draw only mixes these blocks with
+its weights, factors and solves, so a support prediction's per-draw
+cross covariance has one column per support. Only the full covariance
+of point queries materializes a query-cross-query matrix. Leave-one-out
+predictions of a record's own supports (:func:`predict_left_out`) come
+from the inverse of each draw's full ``C``, not a factorization per fold.
 
 Weight draws for prediction come from substream 3 of the prediction
 seed: one (local attributes, latents) standard-normal block per
@@ -62,6 +62,10 @@ def _as_query_array(query_points, domain: Domain) -> np.ndarray:
         raise DimensionMismatch(
             f"query points of shape {q.shape} on a {domain.ndim}-D domain"
         )
+    if not np.all(np.isfinite(q)):
+        raise OutOfBounds(
+            f"query points on domain {domain.id!r} have non-finite coordinates"
+        )
     for d, (lo, hi) in enumerate(domain.extent):
         tol = 1e-9 * max(hi - lo, 1.0)
         axis = q[:, d]
@@ -74,27 +78,23 @@ def _as_query_array(query_points, domain: Domain) -> np.ndarray:
 
 
 def latent_point_support(
-    domain_data: DomainData, query: np.ndarray, length_scale: float
+    domain_data: DomainData, query, length_scale: float
 ) -> np.ndarray:
     """Integrals of one kernel against every observation row's weights.
 
-    ``query`` is an (n, ndim) array of points, or a 1-D integer array of
-    flat grid cells. Returns an (observation rows, query) array.
-    Closed-form rows use the erf integral. At grid cells the grid
-    supports' rows are columns of the table's ``K Aᵀ``
-    (:meth:`SupportCovTable.grid_cross`); at other points, and for point
-    rows, the kernel is summed over member points.
+    ``query`` is an (n, ndim) array of points, or the
+    :class:`~aggmogp.model.WeightRows` of n targets over the grid cells,
+    which go to the covariance table's
+    :meth:`~aggmogp.model.SupportCovTable.cross`. Returns an (observation
+    rows, n) array. At points, closed-form rows use the erf integral and
+    every other row sums the kernel over its member points (a point row
+    over its centroid).
     """
+    if isinstance(query, model.WeightRows):
+        return domain_data.cov.cross(query.matrix, length_scale)
     query = np.asarray(query)
     out = np.empty((domain_data.n_obs, query.shape[0]))
-    rows = range(domain_data.n_obs)
-    if np.issubdtype(query.dtype, np.integer):
-        table = domain_data.cov
-        table.grid_cross(query, length_scale, out)
-        rows = np.setdiff1d(rows, table.grid_rows)
-        query = domain_data.domain.grid.points[query]
-    for row in rows:
-        geom = domain_data.geoms[row]
+    for row, geom in enumerate(domain_data.geoms):
         if geom.closed_form:
             iv = geom.interval
             out[row] = (
@@ -189,17 +189,6 @@ def _local_attr_indices(state, domain_data, attributes):
     return np.asarray(idx, dtype=np.int64), tuple(wanted)
 
 
-def _support_priors(grid_kernel, members, weights, length_scales) -> np.ndarray:
-    """Entry (l, n) is ``wᵀ K_l w`` over the member cells of support n,
-    from the per-axis factors of ``grid_kernel``."""
-    out = np.empty((len(length_scales), len(members)))
-    for l, scale in enumerate(length_scales):
-        grams, _ = grid_kernel.factors(scale)
-        for n, (idx, w) in enumerate(zip(members, weights)):
-            out[l, n] = w @ grid_kernel.block(idx, grams) @ w
-    return out
-
-
 def _variances(spread: np.ndarray) -> np.ndarray:
     """Writable view of the variances in a covariance or variance vector."""
     return np.einsum("ii->i", spread) if spread.ndim == 2 else spread
@@ -209,9 +198,9 @@ def _draw_invariants(dd, query, length_scales):
     """Per-latent blocks of one call that no weight draw changes.
 
     Returns ``(latents, point_support)``: the support covariances
-    ``[S_l]`` and the point–support integrals ``[h_l]`` at ``query``
-    (points or grid cells, see :func:`latent_point_support`), both
-    functions of the length scales alone. A domain without
+    ``[S_l]`` and the integrals ``[h_l]`` of the observation rows against
+    ``query`` (points or weight rows, see :func:`latent_point_support`),
+    both functions of the length scales alone. A domain without
     observations needs neither and gets None.
     """
     if dd.n_obs == 0:
@@ -398,10 +387,10 @@ def predictive_mixture(
 
 def _support_targets(target: Partition, rules, state, dd):
     """Validated set-up of the support predictors: ``(attr_idx, blocks,
-    priors)`` with the supports' unit-weight priors ``wᵀ K_l w`` and the
-    :func:`_draw_invariants` blocks at their member cells, each ``h_l``
-    pooled with the supports' weights into one column per support."""
-    grid = dd.domain.grid
+    priors)``. The supports are weight rows ``A_t`` over the grid cells;
+    their unit-weight priors are the diagonal of each latent's ``A_t K_l
+    A_tᵀ``, and the :func:`_draw_invariants` blocks hold one column of
+    ``h_l`` per support."""
     geometry.validate(dd.domain, [target])
     if rules is None:
         rules = tuple(geometry.AVERAGE for _ in target.supports)
@@ -409,20 +398,11 @@ def _support_targets(target: Partition, rules, state, dd):
     if len(rules) != len(target.supports):
         raise DataError("one aggregation rule per target support required")
     attr_idx, _ = _local_attr_indices(state, dd, [target.attribute_id])
-    members = [geometry.membership(s, grid) for s in target.supports]
-    weights = [
-        geometry.weight_vector(s, grid, rule)
-        for s, rule in zip(target.supports, rules)
-    ]
-    priors = _support_priors(dd.cov.kernel, members, weights, state.length_scales)
-    blocks = _draw_invariants(dd, np.concatenate(members), state.length_scales)
-    if blocks is not None:
-        latents, point_support = blocks
-        w = np.concatenate(weights)
-        starts = np.cumsum([0] + [idx.size for idx in members[:-1]])
-        pooled = [np.add.reduceat(h_l * w, starts, axis=1) for h_l in point_support]
-        blocks = latents, pooled
-    return attr_idx, blocks, priors
+    rows = model.weight_rows(dd.domain, target.supports, rules)
+    priors = np.array(
+        [np.diagonal(rows.product(rows.matrix, s)[0]) for s in state.length_scales]
+    )
+    return attr_idx, _draw_invariants(dd, rows, state.length_scales), priors
 
 
 @dataclass
@@ -527,7 +507,9 @@ def predict_grid(
     dd = dataset.prepared(domain_id)
     if query_points is None:
         query = dd.domain.grid.points
-        at = np.arange(query.shape[0])
+        n = query.shape[0]
+        # One-hot rows of the cells; never a product's right-hand side.
+        at = model.WeightRows(dd.domain.grid, np.arange(n), np.ones(n), [1] * n, 0)
     else:
         query = at = _as_query_array(query_points, dd.domain)
     attr_idx, _ = _local_attr_indices(state, dd, [attribute_id])

@@ -14,7 +14,7 @@ from conftest import (
     two_series_instance,
     unit_grid_domain,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aggmogp.dataio import (
@@ -44,7 +44,7 @@ from aggmogp.geometry import (
     membership,
 )
 from aggmogp.inference import TrainConfig, fit
-from aggmogp.model import AggregatedDataset, DatasetRecord, init_state
+from aggmogp.model import AggregatedDataset, DatasetRecord, init_state, uniform_rules
 
 
 class TestCanonicalHash:
@@ -261,9 +261,27 @@ def documents(draw):
     return AggregatedDataset(domains, attributes, records), registry
 
 
+def extreme_world(*series):
+    """Attribute a0 observed once per domain, one cell per value: the
+    explicit examples that put every run at the float limit, whichever
+    examples the derandomized search draws in that collection."""
+    domains, records = {}, []
+    for k, values in enumerate(series):
+        dom = unit_grid_domain(len(values), domain_id=f"d{k}")
+        part = grid_block_partition(dom, "a0", (1,), id_prefix=f"d{k}-")
+        domains[dom.id] = dom
+        records.append(
+            DatasetRecord(dom.id, "a0", part, uniform_rules(part), np.array(values))
+        )
+    return AggregatedDataset(domains, ("a0", "a1"), records), {}
+
+
 class TestDatasetRoundTripProperty:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(world=documents())
+    @example(world=extreme_world([-1.79e308, 1.79e308, 1.79e308]))
+    @example(world=extreme_world([1.7976931348623157e308] * 2))
+    @example(world=extreme_world([1.79e308, -1.79e308], [-1.7976931348623157e308, 1.0]))
     def test_resave_is_byte_stable(self, tmp_path_factory, world):
         dataset, registry = world
         tmp = tmp_path_factory.mktemp("doc")

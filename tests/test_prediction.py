@@ -33,6 +33,8 @@ from aggmogp.geometry import (
     AVERAGE,
     SUM,
     AggregationRule,
+    Domain,
+    GridSpec,
     Partition,
     grid_block_partition,
     interval_bins,
@@ -260,6 +262,30 @@ class TestQueryValidation:
             conditional_posterior([[9.5]], W, state, dataset, "d0")
         with pytest.raises(OutOfBounds):
             conditional_posterior([[-0.5]], W, state, dataset, "d0")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "helper", ["conditional_posterior", "predictive_mixture", "predict_grid"]
+    )
+    def test_non_finite_query_raises(self, helper, bad):
+        # Every extent comparison with NaN is false, so a NaN query would
+        # otherwise reach the kernels and come back as a NaN prediction.
+        _, dataset, _ = two_series_instance()
+        state = reference_state(dataset)
+        query = [[1.0], [bad]]
+        calls = {
+            "conditional_posterior": lambda: conditional_posterior(
+                query, np.ones((2, 2)), state, dataset, "d0"
+            ),
+            "predictive_mixture": lambda: predictive_mixture(
+                query, state, dataset, "d0", 2, seed=0
+            ),
+            "predict_grid": lambda: predict_grid(
+                state, dataset, "d0", "a0", 2, 0, query_points=query
+            ),
+        }
+        with pytest.raises(OutOfBounds, match="non-finite"):
+            calls[helper]()
 
     def test_boundary_query_allowed(self):
         _, dataset, _ = two_series_instance()
@@ -628,9 +654,17 @@ def block_instance(domain, blocks, seed=0):
     return AggregatedDataset({"d0": domain}, ("a0", "a1"), records)
 
 
+def box_grid_domain(shape):
+    """Domain on a grid of unit cells with the given shape."""
+    ndim = len(shape)
+    grid = GridSpec(origin=(0.5,) * ndim, cell_size=(1.0,) * ndim, shape=shape)
+    return Domain(id="d0", extent=grid.extent_box(), grid=grid)
+
+
 PROPERTY_WORLDS = {
     1: (unit_grid_domain(12), ((3,), (4,)), (2.0, 1.0)),
     2: (square_grid_domain(6), ((2, 2), (3, 3)), (0.4, 0.2)),
+    3: (box_grid_domain((4, 3, 3)), ((2, 1, 1), (2, 3, 3)), (2.0, 1.0)),
 }
 
 
@@ -711,6 +745,13 @@ class TestSupportsMatchPooledGridMixture:
     @given(target=target_partitions(2), seed=st.integers(0, 2**16))
     def test_two_dimensional_grid(self, target, seed):
         self.check(2, target, seed)
+
+    # Three axes: the target priors and cross covariances take two
+    # dense mode products besides the last axis's fibres.
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(target=target_partitions(3), seed=st.integers(0, 2**16))
+    def test_three_dimensional_grid(self, target, seed):
+        self.check(3, target, seed)
 
 
 def loo_dataset(domain, records, seed=0):
@@ -856,3 +897,70 @@ class TestLeftOutMatchesRefactoredFolds:
     def test_random_partitions(self, world, seed):
         state, dataset = world
         assert self.check(state, dataset, seed=seed) >= 1
+
+
+class TestLeftOutVarianceFloor:
+    """Each draw's fold variance is floored at zero before pooling.
+
+    Attribute a1 observes every support of a0, both near noise-free and
+    mixed from one latent, so a held-out a0 support is fixed by its twin
+    up to the jitter and its true variance is about 1e-8. The block
+    inversion identity of ``predict_left_out`` subtracts terms of order
+    ``1/P_rr`` there and leaves roundoff of about 1e-6, negative for some
+    folds. With one draw nothing else enters the pooled variance, so
+    without the floor those folds would be pooled below the clamp
+    tolerance.
+    """
+
+    def test_negative_draw_variances_are_floored(self):
+        domain = unit_grid_domain(16)
+        rng = np.random.default_rng(0)
+        records = []
+        for attr in ("a0", "a1"):
+            part = grid_block_partition(domain, attr, (2,), id_prefix=attr)
+            records.append(
+                DatasetRecord(
+                    domain_id="d0",
+                    attribute_id=attr,
+                    partition=part,
+                    rules=uniform_rules(part),
+                    values=rng.standard_normal(len(part.supports)),
+                )
+            )
+        dataset = AggregatedDataset({"d0": domain}, ("a0", "a1"), records)
+        state = init_state(dataset, 1, seed=0)
+        override_length_scales(state, [12.0])
+        state.q_mean["d0"] = np.array([[1.3], [-0.7]])
+        state.noise_log_var["d0"][:] = np.log(1e-13)
+        pred = predict_left_out(state, dataset, "d0", "a0", n_samples=1, seed=0)
+
+        # Explicit folds on the jittered joint covariance of the one draw.
+        (W,) = draw_weight_samples(state, "d0", 1, seed=0)
+        A = aggregation_matrix(domain, records)
+        K = field_gram(domain, W, state.length_scales)
+        C = A @ K @ A.T + 1e-13 * np.eye(A.shape[0])
+        C += JITTER_BASE * np.mean(np.diag(C)) * np.eye(A.shape[0])
+        n = len(records[0].partition.supports)
+        target = A[:n]
+        prior = np.einsum("ij,jk,ik->i", target, K, target)
+        h = A @ K @ target.T
+        variances = []
+        for r in range(n):
+            keep = np.arange(A.shape[0]) != r
+            solved = np.linalg.solve(C[np.ix_(keep, keep)], h[keep, r])
+            variances.append(prior[r] - h[keep, r] @ solved)
+        # The same folds through the block inversion identity.
+        h[np.arange(n), np.arange(n)] = 0.0
+        P = np.linalg.inv(C)
+        cross = np.sum(h * P[:, :n], axis=0)
+        block = prior - (np.sum(h * (P @ h), axis=0) - cross**2 / np.diag(P)[:n])
+        assert np.min(block) < prediction._CLAMP_TOL
+
+        assert pred.clamped == 0
+        assert np.all(pred.variances >= 0.0)
+        np.testing.assert_allclose(
+            pred.variances,
+            np.maximum(variances, 0.0),
+            rtol=0,
+            atol=1e-5 * np.max(prior),
+        )

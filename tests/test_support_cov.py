@@ -20,6 +20,7 @@ import pytest
 from conftest import cells_support, interval_support
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 from scipy.special import erf
 
 import aggmogp
@@ -36,7 +37,7 @@ from aggmogp.geometry import (
     membership,
     weight_vector,
 )
-from aggmogp.kernels import se_antideriv2_dlog, se_double_interval
+from aggmogp.kernels import se_antideriv2_dlog, se_double_interval, se_point_interval
 from aggmogp.model import (
     JITTER_BASE,
     AggregatedDataset,
@@ -71,12 +72,9 @@ def closed_form_rows(domain, records):
     return out
 
 
-def oracle_latent_cov(domain, records, length_scale):
-    """``(S, dS, scale)`` from dense weight rows over grid points and centroids.
-
-    ``scale`` is the largest entry of ``|W| K |W|ᵀ``, the size of the
-    terms each entry sums, against which cancellation is measured.
-    """
+def dense_weight_rows(domain, records):
+    """``(W, points)``: every observation row as a dense weight row over
+    the grid points followed by the support centroids of point records."""
     grid = domain.grid
     rows, centroids = [], []
     for rec in records:
@@ -94,6 +92,16 @@ def oracle_latent_cov(domain, records, length_scale):
             W[r, grid.n_points + row[1]] = 1.0
         else:
             W[r, row[1]] = row[2]
+    return W, points
+
+
+def oracle_latent_cov(domain, records, length_scale):
+    """``(S, dS, scale)`` from dense weight rows over grid points and centroids.
+
+    ``scale`` is the largest entry of ``|W| K |W|ᵀ``, the size of the
+    terms each entry sums, against which cancellation is measured.
+    """
+    W, points = dense_weight_rows(domain, records)
     diff = points[:, None, :] - points[None, :, :]
     d2 = (diff * diff).sum(axis=2)
     b2 = length_scale * length_scale
@@ -477,7 +485,7 @@ class TestChunkedOperator:
                 np.testing.assert_allclose(S, S_o, rtol=TOL, atol=TOL * scale)
                 np.testing.assert_allclose(dS, dS_o, rtol=TOL, atol=TOL * scale)
                 np.testing.assert_array_equal(S, dd.cov.latent_cov(length_scale))
-                check_grid_cross(dd, length_scale)
+                check_cross(dd, length_scale)
         widths = [cols.stop - cols.start for cols, _, _ in dd.cov.A._work[2]]
         assert len(widths) >= 3 and min(widths) >= 2
         assert widths[:-1] == [width] * (len(widths) - 1)
@@ -486,25 +494,44 @@ class TestChunkedOperator:
         assert max(cols.stop for cols, _, _ in dd.cov.A._work[2]) == n_cols
 
 
-def check_grid_cross(dd, length_scale):
-    """``grid_cross`` against ``K Aᵀ`` from the dense grid gram, gathered
-    at shuffled cells; rows that are not grid rows stay untouched."""
-    grid = dd.domain.grid
-    A = np.zeros((dd.cov.grid_rows.size, grid.n_points))
-    for r, row in enumerate(dd.cov.grid_rows):
-        A[r, dd.geoms[row].members] = dd.geoms[row].weights
-    diff = grid.points[:, None, :] - grid.points[None, :, :]
+def check_cross(dd, length_scale):
+    """``cross`` against dense oracles for two kinds of ``left``: one-hot
+    rows of shuffled cells, and average, sum and negative custom weight
+    rows. Grid and point rows are ``W K leftᵀ`` from the dense weight rows
+    over grid points and centroids; closed-form rows pool the erf integral
+    of their interval at the cells with ``left``."""
+    domain, grid = dd.domain, dd.domain.grid
+    rng = np.random.default_rng(0)
+    cells = rng.permutation(grid.n_points)[: grid.n_points // 2]
+    one_hot = np.zeros((cells.size, grid.n_points))
+    one_hot[np.arange(cells.size), cells] = 1.0
+    groups = [np.sort(g) for g in np.array_split(rng.permutation(grid.n_points), 3)]
+    custom = rng.uniform(-2.0, -0.5, groups[2].size)
+    rules = [AVERAGE, SUM, AggregationRule(AggregationRule.CUSTOM, tuple(custom))]
+    weighted = np.zeros((3, grid.n_points))
+    for row, (group, weights) in enumerate(
+        zip(groups, [1.0 / groups[0].size, 1.0, custom])
+    ):
+        weighted[row, group] = weights
+    targets = [cells_support(g.tolist(), f"t{k}") for k, g in enumerate(groups)]
+    lefts = [
+        (one_hot, csr_matrix(one_hot)),
+        (weighted, model.weight_rows(domain, targets, rules).matrix),
+    ]
+    W, points = dense_weight_rows(domain, dd.records)
+    diff = points[:, None, :] - grid.points[None, :, :]
     K = np.exp(-(diff * diff).sum(axis=2) / (2.0 * length_scale**2))
-    cells = np.random.default_rng(0).permutation(grid.n_points)[: grid.n_points // 2]
-    want = (K @ A.T)[cells].T
-    out = np.full((dd.n_obs, cells.size), np.nan)
-    dd.cov.grid_cross(cells, length_scale, out)
-    scale = float(np.max(np.abs(K) @ np.abs(A.T)))
-    np.testing.assert_allclose(
-        out[dd.cov.grid_rows], want, rtol=TOL, atol=TOL * scale
-    )
-    others = np.setdiff1d(np.arange(dd.n_obs), dd.cov.grid_rows)
-    assert np.all(np.isnan(out[others]))
+    intervals = closed_form_rows(domain, dd.records)
+    for dense, left in lefts:
+        want = W @ K @ dense.T
+        for r, iv in enumerate(intervals):
+            if iv is not None:
+                x = grid.points[:, 0]
+                want[r] = dense @ se_point_interval(x, iv.lo, iv.hi, length_scale)
+                want[r] /= iv.length
+        scale = float(np.max(np.abs(W) @ K @ np.abs(dense).T))
+        got = dd.cov.cross(left, length_scale)
+        np.testing.assert_allclose(got, want, rtol=TOL, atol=TOL * scale)
 
 
 class TestSharedWorkArrays:
