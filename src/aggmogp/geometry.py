@@ -99,11 +99,6 @@ class GridSpec:
             raise OutOfBounds(f"cell index outside grid of {self.n_points} points")
         return self.points[idx]
 
-    def multi_index(self, cells) -> np.ndarray:
-        """Per-axis integer indices of flat cells, shape ``(len(cells), ndim)``."""
-        idx = np.asarray(cells, dtype=np.int64)
-        return np.stack(np.unravel_index(idx, self.shape), axis=1)
-
     def extent_box(self) -> tuple[tuple[float, float], ...]:
         """Axis-aligned box covered by the union of all cells."""
         return tuple(

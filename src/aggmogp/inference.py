@@ -33,7 +33,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import utils
 from .errors import CholeskyFailure, NonFiniteELBO
@@ -41,6 +40,7 @@ from .model import (
     AggregatedDataset,
     ModelState,
     assemble_from_latents,
+    chol_solve,
     chol_with_jitter,
     floor_active,
     floor_var,
@@ -195,14 +195,14 @@ def _domain_loglik(domain_data, weights, latents, dlatents, noise_log_var):
     C = assemble_from_latents(domain_data, weights, latents, noise_log_var)
     chol, _ = chol_with_jitter(C)
     y = domain_data.y
-    alpha = scipy.linalg.cho_solve((chol, True), y, check_finite=False)
+    alpha = chol_solve(chol, y)
     ll = float(
         -0.5 * y @ alpha - np.sum(np.log(np.diag(chol))) - 0.5 * y.size * _LOG_2PI
     )
     if dlatents is None:
         return ll, None, None, None
     n = y.size
-    C_inv = scipy.linalg.cho_solve((chol, True), np.eye(n), check_finite=False)
+    C_inv = chol_solve(chol, np.eye(n, order="F"), overwrite_b=True)
     G = 0.5 * (np.outer(alpha, alpha) - C_inv)
     W = np.asarray(weights)
     grad_W = np.zeros_like(W)

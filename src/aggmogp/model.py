@@ -35,7 +35,7 @@ import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import geometry, utils
 from .errors import CholeskyFailure, DataError, DimensionMismatch
@@ -129,37 +129,49 @@ def chol_with_jitter(C: np.ndarray):
 
     Jitter starts at ``1e-8 * mean(diag)`` and grows tenfold per failed
     attempt up to ``1e-4 * mean(diag)``; then :class:`CholeskyFailure`.
-    Returns ``(L, jitter)``.
+    Returns ``(L, jitter)``, with ``L`` from LAPACK ``dpotrf`` on one jittered
+    copy of C: bitwise ``scipy.linalg.cholesky(C + jitter * I, lower=True)``.
     """
     C = np.asarray(C, dtype=float)
-    if not np.all(np.isfinite(C)):
+    if not np.isfinite(C).all():
         raise CholeskyFailure("covariance contains non-finite entries")
-    mean_diag = float(np.mean(np.diag(C)))
-    if not np.isfinite(mean_diag) or mean_diag <= 0:
+    n = C.shape[0]
+    mean_diag = float(C.diagonal().sum()) / n if n else 0.0
+    if not math.isfinite(mean_diag) or mean_diag <= 0:
         raise CholeskyFailure(f"covariance mean diagonal {mean_diag} is unusable")
     mult = JITTER_BASE
     while True:
         jitter = mult * mean_diag
-        try:
-            L = scipy.linalg.cholesky(
-                C + jitter * np.eye(C.shape[0]), lower=True, check_finite=False
-            )
+        # Fortran order, so dpotrf factors this copy in place.
+        A = np.add(C, 0.0, order="F")
+        A.ravel(order="F")[:: n + 1] += jitter
+        L, info = dpotrf(A, lower=1, overwrite_a=1)
+        if info == 0:
             return L, jitter
-        except scipy.linalg.LinAlgError:
-            # Tenfold steps reach 9.999999999999999e-05, a rounding
-            # error short of JITTER_MAX, so compare with a margin.
-            if mult >= JITTER_MAX * (1.0 - 1e-9):
-                raise CholeskyFailure(
-                    f"factorization failed at jitter {jitter:.3e}"
-                ) from None
-            mult *= 10.0
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpotrf")
+        # Tenfold steps reach 9.999999999999999e-05, a rounding
+        # error short of JITTER_MAX, so compare with a margin.
+        if mult >= JITTER_MAX * (1.0 - 1e-9):
+            raise CholeskyFailure(f"factorization failed at jitter {jitter:.3e}")
+        mult *= 10.0
+
+
+def chol_solve(L: np.ndarray, b: np.ndarray, overwrite_b: bool = False):
+    """``C⁻¹ b`` from C's lower factor ``L`` by LAPACK ``dpotrs``, bitwise
+    ``scipy.linalg.cho_solve((L, True), b)``; ``overwrite_b`` solves a
+    Fortran-order matrix ``b`` in place."""
+    x, info = dpotrs(L, b, lower=1, overwrite_b=overwrite_b)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
 
 
 def log_likelihood(y: np.ndarray, C: np.ndarray) -> float:
     """Log density of a zero-mean Gaussian, via jittered Cholesky."""
     y = np.asarray(y, dtype=float)
     L, _ = chol_with_jitter(C)
-    alpha = scipy.linalg.cho_solve((L, True), y, check_finite=False)
+    alpha = chol_solve(L, y)
     return float(
         -0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * y.size * _LOG_2PI
     )
@@ -458,12 +470,13 @@ class SupportCovTable:
             if not g.closed_form and g.members is not None
         ]
         self.grid = domain.grid
+        self.closed_rows = np.asarray(cf, dtype=np.int64)
         i, j = np.triu_indices(len(cf))
-        self.cf_rows = np.asarray(cf, dtype=np.int64)[i]
-        self.cf_cols = np.asarray(cf, dtype=np.int64)[j]
+        # Flat positions in S of the closed-form pairs and their mirrors.
+        r, c = self.closed_rows[i], self.closed_rows[j]
+        self.cf_upper, self.cf_lower = r * self.n + c, c * self.n + r
         lo = np.array([geoms[k].interval.lo for k in cf])
         hi = np.array([geoms[k].interval.hi for k in cf])
-        self.closed_rows = np.asarray(cf, dtype=np.int64)
         self.closed_bounds = lo[:, None], hi[:, None]
         z = np.stack([hi[i] - lo[j], lo[i] - lo[j], hi[i] - hi[j], lo[i] - hi[j]])
         self.cf_norm = 1.0 / ((hi - lo)[i] * (hi - lo)[j])
@@ -487,11 +500,11 @@ class SupportCovTable:
 
     def _fill(self, S, antideriv, profile, length_scale):
         """Closed-form and point pairs of S for one kernel primitive pair."""
-        if self.cf_rows.size:
+        if self.cf_upper.size:
             f = antideriv(self.cf_abs_z, length_scale)[self.cf_inverse]
             vals = ((f[0] + f[3]) - (f[1] + f[2])) * self.cf_norm
-            S[self.cf_rows, self.cf_cols] = vals
-            S[self.cf_cols, self.cf_rows] = vals
+            S.reshape(-1)[self.cf_upper] = vals
+            S.reshape(-1)[self.cf_lower] = vals
         if self.point_rows.size:
             S[np.ix_(self.point_rows, self.point_rows)] = profile(
                 self.point_sq_dists, length_scale
@@ -505,8 +518,8 @@ class SupportCovTable:
     def _fill_grid(self, S, block):
         """Rows of ``A`` against grid rows, from ``A K Aᵀ`` (or its derivative)."""
         k = self.grid_rows.size
-        # The grid rows lead a_rows; average their block with its
-        # transpose so S is exactly symmetric.
+        # The grid rows lead a_rows; average their block with its transpose
+        # so S is exactly symmetric, as assembly assumes.
         block[:k] = 0.5 * (block[:k] + block[:k].T)
         S[np.ix_(self.a_rows, self.grid_rows)] = block
         S[np.ix_(self.grid_rows, self.a_rows)] = block.T
@@ -984,9 +997,8 @@ def assemble_from_latents(
     for l, S_l in enumerate(latent_covs):
         u = domain_data.expand_rows(W[:, l])
         C += (u[:, None] * u[None, :]) * S_l
-    C = 0.5 * (C + C.T)
     sig = domain_data.expand_rows(floor_var(noise_log_var))
-    C[np.diag_indices(N)] += sig
+    C.reshape(-1)[:: N + 1] += sig
     return C
 
 
@@ -1000,9 +1012,9 @@ def assemble_C(
 
     ``weights`` is the (local attributes, latents) sample,
     ``length_scales`` one kernel scale per latent, ``noise_log_var`` the
-    per-local-attribute noise exponents. The result is symmetrized
-    exactly and does not include factorization jitter; jitter enters at
-    factorization time (:func:`chol_with_jitter`).
+    per-local-attribute noise exponents. The result is exactly symmetric,
+    as every ``S_l`` is, and holds no factorization jitter; jitter enters
+    at factorization time (:func:`chol_with_jitter`).
     """
     latent_covs = [domain_data.cov.latent_cov(s) for s in length_scales]
     return assemble_from_latents(domain_data, weights, latent_covs, noise_log_var)

@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import geometry, model, utils
 from .errors import DataError, DimensionMismatch, OutOfBounds
@@ -47,6 +46,7 @@ from .model import (
     AggregatedDataset,
     DomainData,
     ModelState,
+    chol_solve,
     chol_with_jitter,
 )
 
@@ -247,13 +247,11 @@ def _condition(dd, state, W, blocks, attr_idx, priors, work):
         mean = np.zeros(n)
     else:
         chol, H = _factor_and_cross(dd, state, W, blocks, attr_idx, work)
-        alpha = scipy.linalg.cho_solve((chol, True), dd.y, check_finite=False)
+        alpha = chol_solve(chol, dd.y)
         # LAPACK solves in Fortran order; the copy it would make is reused.
         solved = _buffer(work, "solved", H.shape, order="F")
         solved[...] = H
-        solved = scipy.linalg.cho_solve(
-            (chol, True), solved, overwrite_b=True, check_finite=False
-        )
+        solved = chol_solve(chol, solved, overwrite_b=True)
         mean = H.T @ alpha
         if full:
             spread -= H.T @ solved
@@ -475,7 +473,7 @@ def predict_left_out(
     for W in draw_weight_samples(state, domain_id, n_samples, seed):
         chol, H = _factor_and_cross(dd, state, W, blocks, attr_idx, work)
         H[rows, np.arange(rows.size)] = 0.0
-        P = scipy.linalg.cho_solve((chol, True), identity, check_finite=False)
+        P = chol_solve(chol, identity)
         alpha = P @ dd.y
         held = np.diagonal(P)[rows]
         cross = np.sum(H * P[:, rows], axis=0)

@@ -16,6 +16,12 @@ from aggmogp.geometry import GridSpec
 from aggmogp.kernels import se_value
 
 
+def multi_index(grid: GridSpec, cells) -> np.ndarray:
+    """Per-axis integer indices of flat cells, shape ``(len(cells), ndim)``."""
+    idx = np.asarray(cells, dtype=np.int64)
+    return np.stack(np.unravel_index(idx, grid.shape), axis=1)
+
+
 def kernel_eval(length_scale: float, x, x2) -> float:
     """Kernel value between two points of equal dimension."""
     a = np.atleast_1d(np.asarray(x, dtype=float))
@@ -85,8 +91,8 @@ class DistanceHistogram:
         distinct offset contributes a single squared distance, so equal
         offsets share one float value bit for bit.
         """
-        li = grid.multi_index(np.asarray(left, dtype=np.int64))
-        ri = grid.multi_index(np.asarray(right, dtype=np.int64))
+        li = multi_index(grid, left)
+        ri = multi_index(grid, right)
         diff = np.abs(li[:, None, :] - ri[None, :, :])
         key = np.ravel_multi_index(
             tuple(diff[:, :, d].ravel() for d in range(grid.ndim)), grid.shape

@@ -6,6 +6,7 @@ grid gram K and compares assemble_C against A K A^T + Sigma directly.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import (
     cells_support,
     interval_support,
@@ -16,6 +17,8 @@ from conftest import (
     two_series_instance,
     unit_grid_domain,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aggmogp import model, utils
 from aggmogp.errors import (
@@ -25,10 +28,12 @@ from aggmogp.errors import (
 )
 from aggmogp.geometry import SUM
 from aggmogp.model import (
+    JITTER_BASE,
     AggregatedDataset,
     DatasetRecord,
     ModelState,
     assemble_C,
+    chol_solve,
     chol_with_jitter,
     floor_active,
     floor_var,
@@ -247,6 +252,53 @@ class TestCholWithJitter:
         C = np.array([[np.nan, 0.0], [0.0, 1.0]])
         with pytest.raises(CholeskyFailure):
             chol_with_jitter(C)
+
+
+@st.composite
+def jittered_spd(draw):
+    """``(C, escalations)``: a random symmetric matrix whose factorization
+    succeeds after that many tenfold jitter escalations (zero, one or
+    two), from random orthonormal axes and eigenvalues, one of them
+    ``-5 * 10**(escalations - 9)`` times the mean diagonal when negative."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eig = rng.uniform(0.1, 10.0, n) * 10.0 ** draw(st.integers(-3, 3))
+    escalations = draw(st.integers(0, 2)) if n > 1 else 0
+    if escalations:
+        ratio = 5.0 * 10.0 ** (escalations - 9)
+        # mean diag m = (P + eig[0]) / n with eig[0] = -ratio * m.
+        eig[0] = -ratio * np.sum(eig[1:]) / (n + ratio)
+    C = (q * eig) @ q.T
+    return 0.5 * (C + C.T), escalations
+
+
+class TestLapackPathMatchesScipy:
+    """The direct LAPACK calls equal scipy's wrappers bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(draw=jittered_spd())
+    def test_factor_and_solves(self, draw):
+        C, escalations = draw
+        n = C.shape[0]
+        L, jitter = chol_with_jitter(C)
+        mult = JITTER_BASE
+        for _ in range(escalations):
+            mult *= 10.0
+        assert jitter == mult * np.mean(np.diag(C))
+        expected = scipy.linalg.cholesky(
+            C + jitter * np.eye(n), lower=True, check_finite=False
+        )
+        assert L.tobytes() == expected.tobytes()
+        rng = np.random.default_rng(n)
+        matrix = rng.standard_normal((n, 3))
+        for b in (matrix[:, 0], matrix, np.asfortranarray(matrix)):
+            want = scipy.linalg.cho_solve((L, True), b, check_finite=False)
+            assert chol_solve(L, b).tobytes() == want.tobytes()
+        inplace = np.asfortranarray(matrix)
+        solved = chol_solve(L, inplace, overwrite_b=True)
+        assert solved.tobytes() == want.tobytes()
+        assert np.shares_memory(solved, inplace)
 
 
 class TestKL:

@@ -229,6 +229,22 @@ def point_worlds(draw):
     return domain, records, draw(st.floats(0.3, 4.0))
 
 
+@st.composite
+def mixed_kind_worlds(draw):
+    """One 1-D domain with every kind of row: closed-form intervals
+    (average rule), sum-rule cell sets, and the same cell sets observed
+    at their centroids."""
+    domain = draw(grid_domains(1))
+    intervals = draw(interval_records(domain))[0].partition.supports
+    cells = draw(cell_set_records(domain))[0].partition.supports
+    records = [
+        record("a0", intervals, [AVERAGE] * len(intervals)),
+        record("a1", cells, [SUM] * len(cells)),
+        record("a2", cells, [AVERAGE] * len(cells), as_points=True),
+    ]
+    return domain, records, draw(st.floats(0.3, 4.0))
+
+
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
@@ -368,6 +384,20 @@ class TestAssembledCovariance:
         assert np.linalg.eigvalsh(signal).min() >= -bound
         _, jitter = chol_with_jitter(C)
         assert jitter == JITTER_BASE * np.mean(np.diag(C))
+
+    @PROPERTY
+    @given(world=mixed_kind_worlds())
+    def test_mixed_kind_tables_are_exactly_symmetric(self, world):
+        """Closed-form, grid and point rows in one table give exactly
+        symmetric ``S`` and ``dS``, so assembly needs no symmetrization."""
+        domain, records, length_scale = world
+        table = domain_data(domain, records).cov
+        assert table.closed_rows.size and table.grid_rows.size
+        assert table.point_rows.size
+        S, dS = table.latent_cov(length_scale, with_grad=True)
+        np.testing.assert_array_equal(S, S.T)
+        np.testing.assert_array_equal(dS, dS.T)
+        check_against_oracle(domain, records, length_scale)
 
 
 def budget_for(domain_data, width):
