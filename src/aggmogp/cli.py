@@ -40,6 +40,18 @@ def _latents_flag(text: str):
     return latent_request(text, "--latents")
 
 
+def _count_flag(flag: str, least: int):
+    """Argument type of an integer flag that must be at least ``least``."""
+
+    def parse(text: str) -> int:
+        value = int(text) if text.removeprefix("-").isdecimal() else least - 1
+        if value < least:
+            raise DataError(f"{flag} takes an integer >= {least}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _emit_error(exc: AggmogpError) -> None:
     record = {"error": type(exc).__name__, "message": str(exc)}
     print(json.dumps(record), file=sys.stderr)
@@ -223,7 +235,11 @@ def _cmd_eval(args) -> None:
         fields["num_latents"] = args.latents
     if args.tp is not None:
         fields["n_pred_samples"] = args.tp
-    spec = ExperimentSpec(**fields)
+    try:
+        spec = ExperimentSpec(**fields)
+    except DataError as e:
+        # Every flag is checked by its argument type, so the config is at fault.
+        raise DataError(f"{args.config}: experiment {e}") from e
     if cfg.synth is None:
         raise DataError("config has no 'synth' section")
     report = run_experiment(spec, cfg.synth)
@@ -281,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--config", required=True)
     p_fit.add_argument("--out", required=True)
     p_fit.add_argument("--trace-out")
-    p_fit.add_argument("--seed", type=int, default=0)
+    p_fit.add_argument("--seed", type=_count_flag("--seed", 0), default=0)
     p_fit.add_argument("--method", default="amogp-trans")
     p_fit.add_argument("--latents", type=_latents_flag, help="latent count or 'cv'")
     p_fit.set_defaults(handler=_cmd_fit)
@@ -292,29 +308,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_ref.add_argument("--target-partition", required=True)
     p_ref.add_argument("--out", required=True)
     p_ref.add_argument("--grid-out")
-    p_ref.add_argument("--tp", type=int, default=100)
-    p_ref.add_argument("--seed", type=int, default=0)
+    p_ref.add_argument("--tp", type=_count_flag("--tp", 1), default=100)
+    p_ref.add_argument("--seed", type=_count_flag("--seed", 0), default=0)
     p_ref.set_defaults(handler=_cmd_refine)
 
     p_cv = sub.add_parser("cv", help="choose the latent count by LOO")
     p_cv.add_argument("--dataset", required=True)
     p_cv.add_argument("--config", required=True)
     p_cv.add_argument("--out", required=True)
-    p_cv.add_argument("--seed", type=int, default=0)
+    p_cv.add_argument("--seed", type=_count_flag("--seed", 0), default=0)
     p_cv.set_defaults(handler=_cmd_cv)
 
     p_syn = sub.add_parser("synth", help="generate synthetic datasets")
     p_syn.add_argument("--config", required=True)
     p_syn.add_argument("--out", required=True, help="output path prefix")
-    p_syn.add_argument("--seed", type=int, default=None)
+    p_syn.add_argument("--seed", type=_count_flag("--seed", 0), default=None)
     p_syn.set_defaults(handler=_cmd_synth)
 
     p_eval = sub.add_parser("eval", help="run a refinement experiment")
     p_eval.add_argument("--config", required=True)
     p_eval.add_argument("--out", required=True)
-    p_eval.add_argument("--method", default=None)
+    p_eval.add_argument("--method", default=None, choices=baselines.METHODS)
     p_eval.add_argument("--latents", type=_latents_flag, help="latent count or 'cv'")
-    p_eval.add_argument("--tp", type=int, default=None)
+    p_eval.add_argument("--tp", type=_count_flag("--tp", 1), default=None)
     p_eval.set_defaults(handler=_cmd_eval)
 
     p_plot = sub.add_parser("plot", help="render a CSV export as SVG")

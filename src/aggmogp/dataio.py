@@ -448,6 +448,9 @@ def _synth_from_doc(sec, path: str) -> SynthConfig:
     offset = sec.get("value_offset", 0.0)
     if isinstance(offset, dict):
         offset = _entries(offset, "synth value_offset", path, float)
+    seed = int(sec.get("seed", 0))
+    if seed < 0:
+        raise DataError(f"{ctx} seed must be >= 0, got {seed}")
     return SynthConfig(
         domains=domains,
         attributes=attributes,
@@ -465,7 +468,7 @@ def _synth_from_doc(sec, path: str) -> SynthConfig:
         prior_var=_optional(sec, "prior_var", _floats),
         noise_var=noise if isinstance(noise, dict) else float(noise),
         value_offset=offset if isinstance(offset, dict) else float(offset),
-        seed=int(sec.get("seed", 0)),
+        seed=seed,
     )
 
 

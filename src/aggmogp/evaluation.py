@@ -372,6 +372,10 @@ class ExperimentSpec:
                 f"unknown method {self.method!r}; expected one of {METHODS}"
             )
         object.__setattr__(self, "num_latents", latent_request(self.num_latents))
+        if any(seed < 0 for seed in self.seeds):
+            raise DataError(f"seeds must be >= 0, got {list(self.seeds)}")
+        if self.n_pred_samples < 1:
+            raise DataError(f"n_pred_samples must be >= 1, got {self.n_pred_samples}")
 
 
 @dataclass

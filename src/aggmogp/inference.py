@@ -73,16 +73,16 @@ class TrainConfig:
     log_every: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
         if self.num_elbo_samples < 1:
             raise ValueError("num_elbo_samples must be >= 1")
         if self.convergence_window < 1:
             raise ValueError("convergence_window must be >= 1")
-        if self.convergence_tol < 0:
-            raise ValueError("convergence_tol must be >= 0")
+        if not self.convergence_tol >= 0:
+            raise ValueError("convergence_tol must be >= 0 and not NaN")
         if self.log_every < 0:
             raise ValueError("log_every must be >= 0")
 

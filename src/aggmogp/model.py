@@ -15,13 +15,15 @@ weights. Weight rows get a Gaussian prior shared across domains; training
 maximizes the evidence lower bound over a factorized Gaussian posterior
 for the weights (see the inference module).
 
-Every support covariance goes through one aggregation operator
-(:class:`SupportCovTable`). Average-rule interval supports on 1-D domains
-pair with each other through the closed-form erf integrals (the kernels
-module's ``se_antideriv2`` and ``se_antideriv2_dlog``, evaluated once per
-distinct argument). Every other grid support, and every prediction
-target (:func:`weight_rows`), is a row of a sparse weight matrix over the
-grid cells (:class:`WeightRows`). One product, ``left K Aᵀ``, gives the
+Every kernel integral over an observed support goes through one
+aggregation operator (:class:`SupportCovTable`), built from a domain's
+records; it alone decides how each row is integrated. Average-rule
+interval supports on 1-D domains take the closed-form erf integrals
+(the kernels module's ``se_antideriv2`` and ``se_antideriv2_dlog``,
+evaluated once per distinct argument, and ``se_point_interval`` at a
+point). Every other grid support, and every prediction target
+(:func:`weight_rows`), is a row of a sparse weight matrix over the grid
+cells (:class:`WeightRows`). One product, ``left K Aᵀ``, gives the
 covariances ``A K Aᵀ``, target priors and cross covariances, with ``K``
 a Kronecker product of per-axis grams (``se_value`` and ``se_value_dlog``
 on each axis), applied to a block of columns of ``Aᵀ`` at a time. Point
@@ -235,33 +237,6 @@ def uniform_rules(partition: Partition, rule: AggregationRule | None = None):
     return tuple(rule for _ in partition.supports)
 
 
-class _SupportGeom:
-    """Cached per-support geometry used by covariance assembly."""
-
-    __slots__ = ("closed_form", "interval", "members", "coords", "weights")
-
-    def __init__(self, domain: Domain, support, rule: AggregationRule, as_point: bool):
-        if as_point:
-            # Point observation at the centroid; weights collapse to one.
-            self.closed_form = False
-            self.interval = None
-            self.members = None
-            self.coords = geometry.centroid(support, domain.grid)[None, :]
-            self.weights = np.ones(1)
-            return
-        members = geometry.membership(support, domain.grid)
-        self.members = members
-        self.coords = domain.grid.points[members]
-        self.weights = geometry.weight_vector(support, domain.grid, rule)
-        body = support.body
-        self.closed_form = (
-            domain.ndim == 1
-            and isinstance(body, Interval)
-            and rule.kind == AggregationRule.AVERAGE
-        )
-        self.interval = body if isinstance(body, Interval) else None
-
-
 def _mode_product(factor: np.ndarray, tensor: np.ndarray, axis: int, out: np.ndarray):
     """``factor`` applied along one axis of ``tensor``, written to ``out``
     (same shape as ``tensor``), which is returned."""
@@ -433,70 +408,80 @@ class WeightRows:
         return value, deriv
 
 
-def weight_rows(domain: Domain, supports, rules) -> WeightRows:
+def weight_rows(domain: Domain, supports, rules, n_cols=None) -> WeightRows:
     """Supports of ``domain``, one aggregation rule each, as the rows of
-    one :class:`WeightRows` over its grid cells."""
+    one :class:`WeightRows` over its grid cells, the first ``n_cols``
+    (default all) its column rows."""
     grid = domain.grid
     members = [geometry.membership(s, grid) for s in supports]
     weights = [geometry.weight_vector(s, grid, r) for s, r in zip(supports, rules)]
-    sizes = [m.size for m in members]
-    return WeightRows(grid, np.concatenate(members), np.concatenate(weights), sizes)
+    cells, weights = np.concatenate(members), np.concatenate(weights)
+    return WeightRows(grid, cells, weights, [m.size for m in members], n_cols)
 
 
 class SupportCovTable:
-    """One domain's support covariances ``S_l``, for any length scale.
-
-    Rows come in three kinds:
+    """One domain's aggregated supports and their kernel integrals, for
+    any length scale. Built from the records, it alone sorts each row:
 
     * closed-form rows (1-D intervals with the average rule): pairs of
       them take the erf double integral, with the antiderivative F
       evaluated once per distinct ``|z|`` and gathered (F is even, so
-      this is exact);
+      this is exact), and points the erf integral (``closed_bounds``);
     * every other grid support is a row of the weight matrix ``A``
       (:class:`WeightRows`), and its entries are ``A K Aᵀ`` with ``K``
       applied through per-axis factors (:class:`GridKernel`); a
       closed-form row paired with a grid or point row counts as its row
       of ``A``;
-    * point rows (``as_points`` centroids) evaluate the kernel directly.
+    * point rows (``as_points`` records) evaluate the kernel from their
+      support's centroid (``centroids``) directly.
     """
 
-    def __init__(self, domain: Domain, geoms: list[_SupportGeom]):
-        self.n = len(geoms)
-        cf = [i for i, g in enumerate(geoms) if g.closed_form]
-        points = [i for i, g in enumerate(geoms) if g.members is None]
-        grid_rows = [
-            i
-            for i, g in enumerate(geoms)
-            if not g.closed_form and g.members is not None
+    def __init__(self, domain: Domain, records):
+        rows = [
+            (s, r, rec.as_points)
+            for rec in records
+            for s, r in zip(rec.partition.supports, rec.rules)
         ]
+        # Intervals live on 1-D domains only (membership refuses others).
+        kinds = [
+            "point" if p
+            else "closed" if isinstance(s.body, Interval) and r.kind == r.AVERAGE
+            else "grid"
+            for s, r, p in rows
+        ]
+        self.closed_rows, self.grid_rows, self.point_rows = (
+            np.array([k for k, got in enumerate(kinds) if got == kind], dtype=np.int64)
+            for kind in ("closed", "grid", "point")
+        )
+        self.direct_rows = np.concatenate([self.closed_rows, self.point_rows])
+        self.n = len(rows)
         self.grid = domain.grid
-        self.closed_rows = np.asarray(cf, dtype=np.int64)
+        cf = [rows[k][0] for k in self.closed_rows]
+        for support in cf:
+            geometry.membership(support, self.grid)  # refuses an empty interval
         i, j = np.triu_indices(len(cf))
         # Flat positions in S of the closed-form pairs and their mirrors.
         r, c = self.closed_rows[i], self.closed_rows[j]
         self.cf_upper, self.cf_lower = r * self.n + c, c * self.n + r
-        lo = np.array([geoms[k].interval.lo for k in cf])
-        hi = np.array([geoms[k].interval.hi for k in cf])
+        lo = np.array([s.body.lo for s in cf])
+        hi = np.array([s.body.hi for s in cf])
         self.closed_bounds = lo[:, None], hi[:, None]
         z = np.stack([hi[i] - lo[j], lo[i] - lo[j], hi[i] - hi[j], lo[i] - hi[j]])
         self.cf_norm = 1.0 / ((hi - lo)[i] * (hi - lo)[j])
         self.cf_abs_z, inverse = np.unique(np.abs(z).ravel(), return_inverse=True)
         self.cf_inverse = inverse.reshape(z.shape)
-        self.grid_rows = np.asarray(grid_rows, dtype=np.int64)
-        self.point_rows = np.asarray(points, dtype=np.int64)
         # Closed-form rows join A only to meet grid or point rows.
-        a_rows = grid_rows + (cf if grid_rows or points else [])
-        self.a_rows = np.asarray(a_rows, dtype=np.int64)
+        self.a_rows = self.grid_rows
+        if self.grid_rows.size or self.point_rows.size:
+            self.a_rows = np.concatenate([self.grid_rows, self.closed_rows])
         self.A = None
-        if a_rows:
-            members = [geoms[k].members for k in a_rows]
-            weights = np.concatenate([geoms[k].weights for k in a_rows])
-            cells, sizes = np.concatenate(members), [m.size for m in members]
-            self.A = WeightRows(domain.grid, cells, weights, sizes, len(grid_rows))
-        if points:
-            centroids = np.concatenate([geoms[k].coords for k in points])
-            self.point_sq_dists = sq_dists(centroids, centroids)
-            self.point_grid_sq_dists = sq_dists(centroids, domain.grid.points)
+        if self.a_rows.size:
+            supports, rules, _ = zip(*[rows[k] for k in self.a_rows])
+            self.A = weight_rows(domain, supports, rules, self.grid_rows.size)
+        centroids = [geometry.centroid(rows[k][0], self.grid) for k in self.point_rows]
+        self.centroids = np.reshape(centroids, (-1, domain.ndim))
+        self.point_sq_dists = sq_dists(self.centroids, self.centroids)
+        self.point_grid_sq_dists = sq_dists(self.centroids, self.grid.points)
 
     def _fill(self, S, antideriv, profile, length_scale):
         """Closed-form and point pairs of S for one kernel primitive pair."""
@@ -539,29 +524,45 @@ class SupportCovTable:
                 self._fill_grid(dS, dblock)
         return (S, dS) if with_grad else S
 
+    def _direct(self, x, length_scale: float, point_sq_dists) -> np.ndarray:
+        """Kernel integrals of the closed-form rows, then the point rows, at
+        points ``x``: the erf integral over each interval per unit length,
+        and the kernel from each centroid (``point_sq_dists`` away)."""
+        lo, hi = self.closed_bounds
+        closed = se_point_interval(x[:, 0], lo, hi, length_scale) / (hi - lo)
+        return np.concatenate([closed, se_value(point_sq_dists, length_scale)])
+
+    def at_points(self, x, length_scale: float) -> np.ndarray:
+        """Integrals of one kernel against every row's weights at the (n,
+        ndim) query points ``x``, an (all rows, n) array: :meth:`_direct`,
+        and for grid rows ``A`` times the kernel from the cells."""
+        x = np.asarray(x, dtype=float)
+        out = np.empty((self.n, x.shape[0]))
+        d2 = sq_dists(self.centroids, x)
+        out[self.direct_rows] = self._direct(x, length_scale, d2)
+        if self.grid_rows.size:
+            to_cells = se_value(sq_dists(self.grid.points, x), length_scale)
+            out[self.grid_rows] = self.A.matrix[: self.grid_rows.size] @ to_cells
+        return out
+
     def cross(self, left, length_scale: float) -> np.ndarray:
         """Integrals of one kernel against every row's weights and the
         sparse weight rows ``left`` over the grid cells, an (all rows,
         left rows) array.
 
         Grid rows take ``(left K Aᵀ)ᵀ`` (:meth:`WeightRows.product`),
-        which is the whole result when every row is a grid row.
-        Closed-form rows take the erf integral of their interval at the
-        cells, and point rows the kernel from their centroid to the
-        cells, each pooled by ``left``.
+        which is the whole result when every row is a grid row. The
+        other rows take :meth:`_direct` at the cells, pooled by ``left``.
         """
         if self.grid_rows.size == self.n:
             return self.A.product(left, length_scale)[0].T
         out = np.empty((self.n, left.shape[0]))
         if self.grid_rows.size:
             out[self.grid_rows] = self.A.product(left, length_scale)[0].T
-        if self.closed_rows.size:
-            lo, hi = self.closed_bounds
-            at_cells = se_point_interval(self.grid.points[:, 0], lo, hi, length_scale)
-            out[self.closed_rows] = (left @ (at_cells / (hi - lo)).T).T
-        if self.point_rows.size:
-            at_cells = se_value(self.point_grid_sq_dists, length_scale)
-            out[self.point_rows] = (left @ at_cells.T).T
+        at_cells = self._direct(
+            self.grid.points, length_scale, self.point_grid_sq_dists
+        )
+        out[self.direct_rows] = (left @ at_cells.T).T
         return out
 
 
@@ -577,27 +578,14 @@ class DomainData:
         self.domain = domain
         self.records = tuple(records)
         self.attr_ids = tuple(r.attribute_id for r in self.records)
-        geoms: list[_SupportGeom] = []
-        y_parts = []
-        blocks = []
-        block_of_row = []
-        start = 0
-        for a_idx, (rec, y_norm) in enumerate(zip(self.records, normalized_values)):
-            for s_idx, support in enumerate(rec.partition.supports):
-                geoms.append(
-                    _SupportGeom(domain, support, rec.rules[s_idx], rec.as_points)
-                )
-                block_of_row.append(a_idx)
-            y_parts.append(np.asarray(y_norm, dtype=float))
-            n = len(rec.partition.supports)
-            blocks.append(slice(start, start + n))
-            start += n
-        self.geoms = geoms
+        sizes = [len(rec.partition.supports) for rec in self.records]
+        ends = np.cumsum(sizes, dtype=np.int64).tolist()
+        self.blocks = tuple(slice(end - n, end) for n, end in zip(sizes, ends))
+        self.block_of_row = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+        self.n_obs = sum(sizes)
+        y_parts = [np.asarray(y_norm, dtype=float) for y_norm in normalized_values]
         self.y = np.concatenate(y_parts) if y_parts else np.zeros(0)
-        self.blocks = tuple(blocks)
-        self.block_of_row = np.array(block_of_row, dtype=np.int64)
-        self.n_obs = start
-        self.cov = SupportCovTable(domain, geoms)
+        self.cov = SupportCovTable(domain, self.records)
 
     @property
     def n_attrs(self) -> int:

@@ -18,13 +18,15 @@ grid supports (:func:`~aggmogp.model.weight_rows`); the default query of
 :func:`predict_grid` is the one-hot row of every cell. Their ``h_l``
 (:meth:`~aggmogp.model.SupportCovTable.cross`) and priors, the diagonal
 of ``A_t K_l A_tᵀ``, come from one product
-(:meth:`~aggmogp.model.WeightRows.product`); explicit query points sum
-the kernel over member points. Each draw only mixes these blocks with
-its weights, factors and solves, so a support prediction's per-draw
-cross covariance has one column per support. Only the full covariance
-of point queries materializes a query-cross-query matrix. Leave-one-out
-predictions of a record's own supports (:func:`predict_left_out`) come
-from the inverse of each draw's full ``C``, not a factorization per fold.
+(:meth:`~aggmogp.model.WeightRows.product`); explicit query points take
+their ``h_l`` from the same table
+(:meth:`~aggmogp.model.SupportCovTable.at_points`). Each draw only
+mixes these blocks with its weights, factors and solves, so a support
+prediction's per-draw cross covariance has one column per support. Only
+the full covariance of point queries materializes a query-cross-query
+matrix. Leave-one-out predictions of a record's own supports
+(:func:`predict_left_out`) come from the inverse of each draw's full
+``C``, not a factorization per fold.
 
 Weight draws for prediction come from substream 3 of the prediction
 seed: one (local attributes, latents) standard-normal block per
@@ -41,7 +43,8 @@ import numpy as np
 from . import geometry, model, utils
 from .errors import DataError, DimensionMismatch, OutOfBounds
 from .geometry import Domain, Partition
-from .kernels import se_point_interval, se_value, sq_dists
+# se_point_interval is unused here; bench/tracing.py counts erf elements through it.
+from .kernels import se_point_interval, se_value, sq_dists  # noqa: F401
 from .model import (
     AggregatedDataset,
     DomainData,
@@ -82,29 +85,15 @@ def latent_point_support(
 ) -> np.ndarray:
     """Integrals of one kernel against every observation row's weights.
 
-    ``query`` is an (n, ndim) array of points, or the
-    :class:`~aggmogp.model.WeightRows` of n targets over the grid cells,
-    which go to the covariance table's
-    :meth:`~aggmogp.model.SupportCovTable.cross`. Returns an (observation
-    rows, n) array. At points, closed-form rows use the erf integral and
-    every other row sums the kernel over its member points (a point row
-    over its centroid).
+    ``query`` is the :class:`~aggmogp.model.WeightRows` of n targets over
+    the grid cells, which go to the covariance table's
+    :meth:`~aggmogp.model.SupportCovTable.cross`, or an (n, ndim) array of
+    points, which go to its :meth:`~aggmogp.model.SupportCovTable.at_points`.
+    Returns an (observation rows, n) array.
     """
     if isinstance(query, model.WeightRows):
         return domain_data.cov.cross(query.matrix, length_scale)
-    query = np.asarray(query)
-    out = np.empty((domain_data.n_obs, query.shape[0]))
-    for row, geom in enumerate(domain_data.geoms):
-        if geom.closed_form:
-            iv = geom.interval
-            out[row] = (
-                se_point_interval(query[:, 0], iv.lo, iv.hi, length_scale)
-                / iv.length
-            )
-        else:
-            vals = se_value(sq_dists(geom.coords, query), length_scale)
-            out[row] = geom.weights @ vals
-    return out
+    return domain_data.cov.at_points(query, length_scale)
 
 
 def _buffer(work: dict, name: str, shape, order="C") -> np.ndarray:
@@ -339,7 +328,10 @@ class PredictiveMixture:
 def draw_weight_samples(
     state: ModelState, domain_id: str, n_samples: int, seed: int
 ) -> list[np.ndarray]:
-    """Reparameterized weight draws used by every prediction helper."""
+    """Reparameterized weight draws used by every prediction helper;
+    ``n_samples`` must be at least one."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     rng = utils.stream(seed, 3)
     Sv = len(state.domain_attributes[domain_id])
     return [
@@ -360,8 +352,6 @@ def predictive_mixture(
     attributes=None,
 ) -> PredictiveMixture:
     """Monte Carlo predictive distribution over query values."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     components = tuple(
         _point_posteriors(
             query_points,
@@ -428,8 +418,6 @@ def predict_supports(
     weighted sums, so nested refinements stay consistent with direct
     coarse predictions.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     dd = dataset.prepared(target.domain_id)
     attr_idx, blocks, priors = _support_targets(target, rules, state, dd)
     work = {}
@@ -461,8 +449,6 @@ def predict_left_out(
     Rasmussen & Williams, GPML §5.4.2). Both hold for any ``h_r``, which
     is zeroed so that no term cancels against the held-out row's own.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     dd = dataset.prepared(domain_id)
     rec = dataset.record_for(domain_id, attribute_id)
     rows = np.arange(dd.n_obs)[dd.blocks[dd.attr_ids.index(attribute_id)]]
@@ -500,8 +486,6 @@ def predict_grid(
     Returns ``(query, mean, variance, clamped)`` where variance is the
     diagonal of the pooled mixture covariance.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     dd = dataset.prepared(domain_id)
     if query_points is None:
         query = dd.domain.grid.points

@@ -130,6 +130,25 @@ class TestFit:
         record = last_error_record(capsys)
         assert record["error"] == "NonFiniteELBO"
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("fit", ["--seed", "-1"]),
+            ("cv", ["--seed", "-2"]),
+            ("fit", ["--seed", "abc"]),
+        ],
+    )
+    def test_bad_seed_exits_one(self, workspace, capsys, command, flags):
+        tmp, ds, cfg = workspace
+        code = main(
+            [command, "--dataset", ds, "--config", cfg, "--out", str(tmp / "m.json"),
+             *flags]
+        )
+        assert code == 1
+        record = last_error_record(capsys)
+        assert record["error"] == "DataError"
+        assert "--seed" in record["message"]
+
     def test_usage_error_exits_one(self, capsys):
         code = main(["fit", "--dataset", "only.json"])
         assert code == 1
@@ -147,6 +166,10 @@ class TestFit:
             {"model": 5},
             {"training": []},
             {"prediction": "x"},
+            # Python's json reads NaN and Infinity.
+            {"training": {"learning_rate": float("nan")}},
+            {"training": {"learning_rate": float("inf")}},
+            {"training": {"convergence_tol": float("nan")}},
         ],
     )
     def test_bad_config_value_exits_one(self, workspace, capsys, section):
@@ -266,6 +289,18 @@ class TestRefine:
             ) == 0
         with open(g1, "rb") as fa, open(g2, "rb") as fb:
             assert fa.read() == fb.read()
+
+    def test_zero_draws_exit_one(self, workspace, capsys):
+        tmp, ds, cfg, model = self.fit_model(workspace)
+        code = main(
+            ["refine", "--dataset", ds, "--model", model,
+             "--target-partition", "targets", "--out", str(tmp / "p.csv"),
+             "--tp", "0"]
+        )
+        assert code == 1
+        record = last_error_record(capsys)
+        assert record["error"] == "DataError"
+        assert "--tp" in record["message"]
 
     def test_unknown_partition(self, workspace, capsys):
         tmp, ds, cfg, model = self.fit_model(workspace)
@@ -515,6 +550,10 @@ class TestMalformedSections:
             ("synth", {"synth": {**synth_section(), "noise_var": {"d0": 0.001}}}),
             ("synth", {"synth": {**synth_section(), "weights": [[1.0, 0.0]]}}),
             ("synth", {"synth": {**synth_section(), "domain_attributes": ["a0"]}}),
+            # Values out of range.
+            ("synth", {"synth": {**synth_section(), "seed": -4}}),
+            ("eval", {"experiment": {**experiment_section(), "seeds": [0, -1]}}),
+            ("eval", {"experiment": {**experiment_section(), "n_pred_samples": 0}}),
         ],
     )
     def test_exits_one_naming_the_file(self, tmp_path, capsys, command, doc):

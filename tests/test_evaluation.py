@@ -91,6 +91,21 @@ class TestLatentChoice:
         )
         assert spec.num_latents == 2
 
+    @pytest.mark.parametrize(
+        "field, match",
+        [({"seeds": (0, -1)}, "seeds"), ({"n_pred_samples": 0}, "n_pred_samples")],
+    )
+    def test_spec_refuses_negative_seeds_and_no_draws(self, field, match):
+        with pytest.raises(DataError, match=match):
+            ExperimentSpec(
+                target_domain="d0",
+                target_attribute="a0",
+                method="amogp",
+                train_level="coarse",
+                test_level="fine",
+                **field,
+            )
+
     def test_fixed_counts_run_no_cross_validation(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("cross-validation ran")

@@ -510,6 +510,11 @@ class TestTrainConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
+        for rate in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(learning_rate=rate)
+        with pytest.raises(ValueError, match="convergence_tol"):
+            TrainConfig(convergence_tol=np.nan)
         with pytest.raises(ValueError):
             TrainConfig(max_iters=-1)
         with pytest.raises(ValueError):

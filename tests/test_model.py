@@ -528,8 +528,8 @@ class TestDatasetViews:
             [1.0, 2.0],
         ).as_point_observations()
         dd = ds.prepared("d0")
-        np.testing.assert_allclose(dd.geoms[0].coords, [[2.0]])
-        np.testing.assert_allclose(dd.geoms[1].coords, [[6.0]])
+        np.testing.assert_allclose(dd.cov.centroids[0], [2.0])
+        np.testing.assert_allclose(dd.cov.centroids[1], [6.0])
 
     def test_domain_order_and_attribute_lists(self):
         _, dataset, _ = two_series_instance()

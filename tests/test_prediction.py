@@ -378,11 +378,23 @@ class TestPredictiveMixture:
             prior = conditional_posterior(q, W, state, empty, "d0")
             assert np.all(np.diag(comp.cov) <= np.diag(prior.cov) + 1e-8)
 
-    def test_invalid_sample_count(self):
+    @pytest.mark.parametrize(
+        "predict",
+        [
+            lambda sv, ds, n: predictive_mixture([[1.0]], sv, ds, "d0", n, seed=0),
+            lambda sv, ds, n: predict_supports(
+                ds.record_for("d0", "a0").partition, sv, ds, n, seed=0
+            ),
+            lambda sv, ds, n: predict_left_out(sv, ds, "d0", "a0", n, seed=0),
+            lambda sv, ds, n: predict_grid(sv, ds, "d0", "a0", n, seed=0),
+        ],
+        ids=["mixture", "supports", "left_out", "grid"],
+    )
+    def test_invalid_sample_count(self, predict):
         _, dataset, _ = two_series_instance()
         state = reference_state(dataset)
-        with pytest.raises(ValueError):
-            predictive_mixture([[1.0]], state, dataset, "d0", 0, seed=0)
+        with pytest.raises(ValueError, match="n_samples"):
+            predict(state, dataset, 0)
 
 
 class TestDrawWeightSamples:
@@ -874,7 +886,8 @@ class TestLeftOutMatchesRefactoredFolds:
             for part in [interval_bins(domain, attr, bins, id_prefix=attr)]
         ]
         dataset = loo_dataset(domain, records)
-        assert all(g.closed_form for g in dataset.prepared("d0").geoms)
+        dd = dataset.prepared("d0")
+        assert dd.cov.closed_rows.size == dd.n_obs
         state = fitted_state(dataset)
         assert self.check(state, dataset) == 3
         assert self.check(state, dataset, jitter_free=False) == 3

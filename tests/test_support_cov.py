@@ -1,12 +1,13 @@
 """Support covariances against explicit aggregation matrices.
 
 ``SupportCovTable.latent_cov`` builds ``S_l`` from per-axis kernel
-factors, a sparse weight matrix and distinct-argument closed forms. The
-oracle here shares none of that: it writes every observation row as a
-dense weight row over the grid points and the support centroids, builds
-the full gram over those points, and takes ``W K Wᵀ``; pairs of
-closed-form rows (1-D intervals with the average rule) take the erf
-double integral pair by pair.
+factors, a sparse weight matrix and distinct-argument closed forms, and
+``cross`` and ``at_points`` the integrals against weight rows and at
+points. The oracle here shares none of that: it writes every
+observation row as a dense weight row over the grid points and the
+support centroids, builds the full gram over those points, and takes
+``W K Wᵀ``; pairs of closed-form rows (1-D intervals with the average
+rule) take the erf double integral pair by pair.
 """
 
 import os
@@ -25,6 +26,7 @@ from scipy.special import erf
 
 import aggmogp
 from aggmogp import model
+from aggmogp.errors import EmptySupport
 from aggmogp.geometry import (
     AVERAGE,
     SUM,
@@ -131,6 +133,27 @@ def check_against_oracle(domain, records, length_scale):
     np.testing.assert_allclose(dS, dS_o, rtol=TOL, atol=TOL * scale)
     np.testing.assert_array_equal(S, S.T)
     np.testing.assert_array_equal(dS, dS.T)
+    check_at_points(domain_data(domain, records), length_scale)
+
+
+def check_at_points(dd, length_scale):
+    """``at_points`` at random off-grid points against dense oracles:
+    grid and point rows are ``W K(points, x)`` from the dense weight rows
+    over grid points and centroids; closed-form rows take the erf integral
+    of their interval at each point per unit length."""
+    rng = np.random.default_rng(1)
+    x = np.column_stack([rng.uniform(lo, hi, 5) for lo, hi in dd.domain.extent])
+    W, points = dense_weight_rows(dd.domain, dd.records)
+    diff = points[:, None, :] - x[None, :, :]
+    K = np.exp(-(diff * diff).sum(axis=2) / (2.0 * length_scale**2))
+    want = W @ K
+    for r, iv in enumerate(closed_form_rows(dd.domain, dd.records)):
+        if iv is not None:
+            want[r] = se_point_interval(x[:, 0], iv.lo, iv.hi, length_scale)
+            want[r] /= iv.length
+    scale = float(np.max(np.abs(W) @ K))
+    got = dd.cov.at_points(x, length_scale)
+    np.testing.assert_allclose(got, want, rtol=TOL, atol=TOL * scale)
 
 
 @st.composite
@@ -320,6 +343,21 @@ class TestClosedFormIsBitIdentical:
             ]
         )
         assert np.array_equal((-erf(x)).view(np.int64), erf(-x).view(np.int64))
+
+
+def test_interval_without_a_grid_centre_is_refused():
+    """A closed-form row never touches the grid's weight rows, but an
+    average-rule interval that holds no cell centre is still refused."""
+    grid = GridSpec(origin=(0.0625,), cell_size=(0.125,), shape=(16,))
+    domain = Domain(id="d0", extent=((0.0, 2.0),), grid=grid)
+    supports = [
+        interval_support(0.0, 0.05, "thin"), interval_support(0.05, 2.0, "rest")
+    ]
+    dataset = AggregatedDataset(
+        {"d0": domain}, ("a0",), [record("a0", supports, [AVERAGE, AVERAGE])]
+    )
+    with pytest.raises(EmptySupport, match="thin"):
+        dataset.prepared("d0")
 
 
 def test_closed_form_fit_never_loads_scipy_sparse():
@@ -527,9 +565,10 @@ class TestChunkedOperator:
 def check_cross(dd, length_scale):
     """``cross`` against dense oracles for two kinds of ``left``: one-hot
     rows of shuffled cells, and average, sum and negative custom weight
-    rows. Grid and point rows are ``W K leftᵀ`` from the dense weight rows
-    over grid points and centroids; closed-form rows pool the erf integral
-    of their interval at the cells with ``left``."""
+    rows; then ``at_points`` (:func:`check_at_points`). Grid and point
+    rows are ``W K leftᵀ`` from the dense weight rows over grid points and
+    centroids; closed-form rows pool the erf integral of their interval at
+    the cells with ``left``."""
     domain, grid = dd.domain, dd.domain.grid
     rng = np.random.default_rng(0)
     cells = rng.permutation(grid.n_points)[: grid.n_points // 2]
@@ -562,6 +601,7 @@ def check_cross(dd, length_scale):
         scale = float(np.max(np.abs(W) @ K @ np.abs(dense).T))
         got = dd.cov.cross(left, length_scale)
         np.testing.assert_allclose(got, want, rtol=TOL, atol=TOL * scale)
+    check_at_points(dd, length_scale)
 
 
 class TestSharedWorkArrays:
