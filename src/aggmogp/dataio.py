@@ -102,7 +102,7 @@ def parse_domain(entry: dict, ctx: str) -> Domain:
     spec = GridSpec(
         origin=tuple(_require(grid, "origin", f"domain {did!r} grid")),
         cell_size=tuple(_require(grid, "cell_size", f"domain {did!r} grid")),
-        shape=tuple(_require(grid, "shape", f"domain {did!r} grid")),
+        shape=_ints(_require(grid, "shape", f"domain {did!r} grid")),
     )
     extent = _require(entry, "extent", f"{ctx} domain {did!r}")
     dom = Domain(
@@ -130,7 +130,7 @@ def _parse_support(entry: dict, domain_id: str, ctx: str) -> Support:
         lo, hi = entry["interval"]
         body = Interval(lo, hi)
     else:
-        body = CellSet(tuple(int(c) for c in entry["cells"]))
+        body = CellSet(_ints(entry["cells"]))
     return Support(id=str(sid), domain_id=domain_id, body=body)
 
 
@@ -364,6 +364,11 @@ def _entries(value, what: str, path: str, convert) -> dict:
 
 
 def _ints(values) -> tuple[int, ...]:
+    """Integers, refusing any value that ``int`` would truncate."""
+    values = tuple(values)
+    for v in values:
+        if not float(v).is_integer():
+            raise ValueError(f"expected integers, got {v!r}")
     return tuple(int(v) for v in values)
 
 

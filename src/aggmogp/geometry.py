@@ -18,6 +18,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,6 +37,16 @@ from .errors import (
 
 # Relative tolerance for extent / grid consistency checks.
 _REL_TOL = 1e-9
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    """``values`` as ints, refusing any that ``int`` would truncate
+    (integral floats such as ``48.0`` pass)."""
+    values = tuple(values)
+    for v in values:
+        if not float(v).is_integer():
+            raise GeometryError(f"{what} must be integers, got {v!r}")
+    return tuple(int(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -59,7 +70,7 @@ class GridSpec:
     def __post_init__(self):
         object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
         object.__setattr__(self, "cell_size", tuple(float(v) for v in self.cell_size))
-        object.__setattr__(self, "shape", tuple(int(v) for v in self.shape))
+        object.__setattr__(self, "shape", _integers(self.shape, "grid shape entries"))
         if not (len(self.origin) == len(self.cell_size) == len(self.shape)):
             raise DimensionMismatch(
                 "origin, cell_size and shape must have equal length"
@@ -77,9 +88,9 @@ class GridSpec:
     def ndim(self) -> int:
         return len(self.shape)
 
-    @property
+    @cached_property
     def n_points(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def axis_coords(self, axis: int) -> np.ndarray:
         """Cell-center coordinates along one axis."""
@@ -140,7 +151,7 @@ class CellSet:
     cells: tuple[int, ...]
 
     def __post_init__(self):
-        cells = tuple(int(c) for c in self.cells)
+        cells = _integers(self.cells, "cell indices")
         if len(cells) == 0:
             raise EmptySupport("cell set has no cells")
         if len(set(cells)) != len(cells):

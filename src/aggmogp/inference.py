@@ -73,6 +73,13 @@ class TrainConfig:
     log_every: int = 0
 
     def __post_init__(self):
+        # Refused rather than truncated; integral floats become ints.
+        counts = ("max_iters", "num_elbo_samples", "convergence_window", "log_every")
+        for name in counts:
+            value = getattr(self, name)
+            if not float(value).is_integer():
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         if not 0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be positive and finite")
         if self.max_iters < 0:

@@ -286,8 +286,9 @@ class WeightRows:
 
     Its one operation is :meth:`product`. ``K Aᵀ`` is never held whole:
     :meth:`_chunks` builds it a block of columns at a time in work arrays
-    that the first call allocates, within :data:`WORK_BYTES`, and every
-    later call reuses. A lock gives them to one caller at a time.
+    that the first call allocates, within :data:`WORK_BYTES`, together
+    with each chunk's views of them, and every later call reuses. A lock
+    gives them to one caller at a time.
     """
 
     def __init__(self, grid, cells, weights, sizes, n_cols: int | None = None):
@@ -315,7 +316,7 @@ class WeightRows:
         self._work = None
 
     def _work_arrays(self):
-        """``(chunks, products, plan)``, made on first use.
+        """``(chunks, products, plan, views)``, made on first use.
 
         ``products`` holds the fibres times the last axis's gram and its
         derivative. Each row of ``chunks`` holds ``width`` columns over
@@ -324,7 +325,10 @@ class WeightRows:
         to two ping-pong pairs for the mode products. ``width`` is as many
         columns as the rest of :data:`WORK_BYTES` allows, and at least
         two. ``plan`` holds per chunk its columns, its fibres, and their
-        leading-axes cells and rows within the chunk.
+        leading-axes cells and rows within the chunk; ``views`` holds per
+        chunk the rows of ``chunks`` shaped ``grid.shape + (columns,)``
+        and the two scatter targets shaped (leading cells, last axis,
+        columns), so no call reshapes them again.
         """
         if self._work is None:
             grid = self.kernel.grid
@@ -336,7 +340,8 @@ class WeightRows:
             bounds = np.searchsorted(
                 self.fibre_row[order], np.arange(self.n_cols + 1)
             )
-            plan = []
+            chunks = np.zeros((n_work, grid.n_points * width))
+            plan, views = [], []
             for start in range(0, self.n_cols, width):
                 # One column would take numpy's and scipy's matrix-vector
                 # paths, which round differently from the matrix products
@@ -346,8 +351,13 @@ class WeightRows:
                 fibres = order[bounds[start] : bounds[stop]]
                 at = self.fibre_lead[fibres], self.fibre_row[fibres] - start
                 plan.append((slice(start, stop), fibres, at))
-            chunks = np.zeros((n_work, grid.n_points * width))
-            self._work = chunks, products, plan
+                n = stop - start
+                shaped = [
+                    c[: grid.n_points * n].reshape(grid.shape + (n,)) for c in chunks
+                ]
+                targets = [v.reshape(-1, grid.shape[-1], n) for v in shaped[:2]]
+                views.append((shaped, targets))
+            self._work = chunks, products, plan, views
         return self._work
 
     def _chunks(self, length_scale: float, with_grad: bool):
@@ -361,18 +371,16 @@ class WeightRows:
         """
         grid = self.kernel.grid
         grams, dgrams = self.kernel.factors(length_scale, with_grad)
-        chunks, products, plan = self._work_arrays()
+        _, products, plan, views = self._work_arrays()
         lasts = [grams[-1], dgrams[-1]] if with_grad else [grams[-1]]
         products = products[: len(lasts)]
         # Every fibre in one product: a subset of a matrix product's rows
         # can round differently from the same rows of the whole product.
         for product, gram in zip(products, lasts):
             np.matmul(self.fibres, gram, out=product)
-        for cols, fibres, (lead, rows) in plan:
-            n = cols.stop - cols.start
-            views = [c[: grid.n_points * n].reshape(grid.shape + (n,)) for c in chunks]
-            value, deriv, scratch, *pairs = views
-            targets = [v.reshape(-1, grid.shape[-1], n) for v in views[: len(lasts)]]
+        for (cols, fibres, (lead, rows)), (shaped, targets) in zip(plan, views):
+            value, deriv, scratch, *pairs = shaped
+            targets = targets[: len(lasts)]
             try:
                 for target, product in zip(targets, products):
                     target[lead, :, rows] = product[fibres]
@@ -383,7 +391,7 @@ class WeightRows:
                         d_out += _mode_product(dgrams[axis], value, axis, scratch)
                         deriv = d_out
                     value = _mode_product(grams[axis], value, axis, v_out)
-                flat = (grid.n_points, n)
+                flat = (grid.n_points, cols.stop - cols.start)
                 yield (
                     cols,
                     value.reshape(flat),
@@ -501,10 +509,18 @@ class SupportCovTable:
                 S[np.ix_(self.point_rows, self.a_rows)] = cross.T
 
     def _fill_grid(self, S, block):
-        """Rows of ``A`` against grid rows, from ``A K Aᵀ`` (or its derivative)."""
+        """Rows of ``A`` against grid rows, from ``A K Aᵀ`` (or its derivative).
+
+        The grid rows lead ``a_rows``; their block is averaged with its
+        transpose so S is exactly symmetric, as assembly assumes. When
+        every row is a grid row that average is S itself and is written
+        straight into it; otherwise it is scattered with the rest.
+        """
         k = self.grid_rows.size
-        # The grid rows lead a_rows; average their block with its transpose
-        # so S is exactly symmetric, as assembly assumes.
+        if k == self.n:
+            np.add(block, block.T, out=S)
+            S *= 0.5
+            return
         block[:k] = 0.5 * (block[:k] + block[:k].T)
         S[np.ix_(self.a_rows, self.grid_rows)] = block
         S[np.ix_(self.grid_rows, self.a_rows)] = block.T

@@ -127,3 +127,21 @@ def support_cov_bucketed(
     """
     vals = se_value(hist.sq_dists, length_scale)
     return float(norm_left * norm_right * (hist.counts @ vals))
+
+
+def scattered_grid_cov(table, length_scale: float):
+    """``(S, dS)`` of a support covariance table whose rows are all grid
+    rows, built the scattering way: the ``A K Aᵀ`` block and its
+    derivative from ``table.A.product``, each averaged with its
+    transpose and written into zeros through ``np.ix_`` at the rows
+    against the columns, then at the columns against the rows."""
+    rows = table.grid_rows
+    blocks = table.A.product(table.A.matrix, length_scale, with_grad=True)
+    out = []
+    for block in blocks:
+        block = 0.5 * (block + block.T)
+        S = np.zeros((table.n, table.n))
+        S[np.ix_(rows, rows)] = block
+        S[np.ix_(rows, rows)] = block.T
+        out.append(S)
+    return tuple(out)

@@ -170,6 +170,11 @@ class TestFit:
             {"training": {"learning_rate": float("nan")}},
             {"training": {"learning_rate": float("inf")}},
             {"training": {"convergence_tol": float("nan")}},
+            # Counts are refused, not truncated.
+            {"training": {"max_iters": 2.5}},
+            {"training": {"num_elbo_samples": 1.5}},
+            {"training": {"convergence_window": 2.5}},
+            {"training": {"log_every": 0.5}},
         ],
     )
     def test_bad_config_value_exits_one(self, workspace, capsys, section):
@@ -721,6 +726,26 @@ class TestValidationExitCodes:
         record = last_error_record(capsys)
         assert record["error"] == "DataError"
         assert bad in record["message"]
+
+    @pytest.mark.parametrize("where", ["shape", "cells"])
+    def test_fractional_geometry_exits_one(self, workspace, capsys, where):
+        # A shape of 64.5 once built 64 cells, and cell 2.7 meant cell 2.
+        tmp, ds, cfg = workspace
+        doc = json.load(open(ds))
+        if where == "shape":
+            doc["domains"][0]["grid"]["shape"][0] += 0.5
+        else:
+            doc["datasets"][0]["supports"] = [{"id": "s0", "cells": [0, 2.7]}]
+            doc["datasets"][0]["values"] = [1.0]
+        bad = str(tmp / "bad.json")
+        dataio.write_json(bad, doc)
+        code = main(
+            ["fit", "--dataset", bad, "--config", cfg, "--out", str(tmp / "m.json")]
+        )
+        assert code == 1
+        record = last_error_record(capsys)
+        assert record["error"] == "DataError"
+        assert bad in record["message"] and "integers" in record["message"]
 
     def test_malformed_model_value_exits_one(self, workspace, capsys):
         tmp, ds, cfg = workspace

@@ -74,6 +74,30 @@ class TestGridSpec:
             GridSpec(origin=(0.0, 0.0), cell_size=(1.0,), shape=(4,))
 
 
+class TestIntegerEntries:
+    def test_n_points_is_exact(self):
+        # numpy's product of the shape wraps at 2**64.
+        grid = GridSpec(origin=(0.0, 0.0), cell_size=(1.0, 1.0), shape=(2**32, 2**32))
+        assert grid.n_points == 2**64
+        assert type(grid.n_points) is int
+
+    @pytest.mark.parametrize("shape", [(2.7,), (48.5,), (4, 3.5)])
+    def test_shape_refuses_fractions(self, shape):
+        origin = (0.0,) * len(shape)
+        with pytest.raises(GeometryError, match="integers"):
+            GridSpec(origin=origin, cell_size=(1.0,) * len(shape), shape=shape)
+
+    def test_integral_floats_are_kept(self):
+        grid = GridSpec(origin=(0.0,), cell_size=(1.0,), shape=(48.0,))
+        assert grid.shape == (48,) and type(grid.shape[0]) is int
+        assert CellSet((3.0, 1)).cells == (1, 3)
+
+    @pytest.mark.parametrize("cells", [(0, 1.5), (2.7,)])
+    def test_cells_refuse_fractions(self, cells):
+        with pytest.raises(GeometryError, match="integers"):
+            CellSet(cells)
+
+
 class TestDomain:
     def test_grid_must_tile_extent(self):
         grid = integer_grid(8)

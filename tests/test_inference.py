@@ -529,6 +529,18 @@ class TestTrainConfigValidation:
         TrainConfig(convergence_tol=0.0, log_every=0)
 
 
+    @pytest.mark.parametrize(
+        "field", ["max_iters", "num_elbo_samples", "convergence_window", "log_every"]
+    )
+    def test_rejects_fractional_counts(self, field):
+        # Once truncated or failing mid-fit; refused up front instead.
+        for value in (2.5, 1.5, np.inf):
+            with pytest.raises(ValueError, match=field):
+                TrainConfig(**{field: value})
+        config = TrainConfig(**{field: 3.0})
+        assert getattr(config, field) == 3 and type(getattr(config, field)) is int
+
+
 class TestAdam:
     def test_first_step_is_signed_learning_rate(self):
         # Bias correction makes the first update lr * sign(grad) up to eps.

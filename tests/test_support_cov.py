@@ -21,6 +21,7 @@ import pytest
 from conftest import cells_support, interval_support
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import scattered_grid_cov
 from scipy.sparse import csr_matrix
 from scipy.special import erf
 
@@ -560,6 +561,29 @@ class TestChunkedOperator:
         if ragged:
             assert 2 <= widths[-1] < width
         assert max(cols.stop for cols, _, _ in dd.cov.A._work[2]) == n_cols
+
+
+class TestAllGridTableIsBitIdentical:
+    """A table whose rows are all grid rows writes the averaged
+    ``A K Aᵀ`` straight into ``S`` and ``dS``; that equals, byte for
+    byte, averaging the block and scattering it by ``np.ix_``, over 1-,
+    2- and 3-D grids and chunks of any width, ragged last ones too."""
+
+    @PROPERTY
+    @given(
+        world=st.sampled_from([1, 2, 3]).flatmap(cell_set_worlds),
+        width=st.integers(2, 12),
+    )
+    def test_latent_cov_equals_scattered_average(self, world, width):
+        domain, records, length_scale = world
+        dd = domain_data(domain, records)
+        assert dd.cov.grid_rows.size == dd.cov.n
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "WORK_BYTES", budget_for(dd, width))
+            S, dS = dd.cov.latent_cov(length_scale, with_grad=True)
+            S_o, dS_o = scattered_grid_cov(dd.cov, length_scale)
+        assert S.tobytes() == S_o.tobytes()
+        assert dS.tobytes() == dS_o.tobytes()
 
 
 def check_cross(dd, length_scale):
