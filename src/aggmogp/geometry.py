@@ -331,20 +331,26 @@ def membership(support: Support, grid: GridSpec) -> np.ndarray:
     return cells
 
 
-def weight_vector(support: Support, grid: GridSpec, rule: AggregationRule) -> np.ndarray:
-    """Aggregation weights aligned with :func:`membership` order."""
+def support_weights(support: Support, grid: GridSpec, rule: AggregationRule):
+    """``(membership(support, grid), weights)``: the member points and
+    their aggregation weights, from one membership pass."""
     members = membership(support, grid)
     n = members.size
     if rule.kind == AggregationRule.AVERAGE:
-        return np.full(n, 1.0 / n)
+        return members, np.full(n, 1.0 / n)
     if rule.kind == AggregationRule.SUM:
-        return np.ones(n)
+        return members, np.ones(n)
     if len(rule.weights) != n:
         raise LengthMismatch(
             f"support {support.id!r} has {n} member points but"
             f" {len(rule.weights)} custom weights"
         )
-    return np.asarray(rule.weights, dtype=float)
+    return members, np.asarray(rule.weights, dtype=float)
+
+
+def weight_vector(support: Support, grid: GridSpec, rule: AggregationRule) -> np.ndarray:
+    """Aggregation weights aligned with :func:`membership` order."""
+    return support_weights(support, grid, rule)[1]
 
 
 def centroid(support: Support, grid: GridSpec) -> np.ndarray:

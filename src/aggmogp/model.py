@@ -17,7 +17,10 @@ for the weights (see the inference module).
 
 Every kernel integral over an observed support goes through one
 aggregation operator (:class:`SupportCovTable`), built from a domain's
-records; it alone decides how each row is integrated. Average-rule
+records; it alone decides how each row is integrated. Each distinct
+support is integrated once, then expanded by one gather: rows that
+integrate the same thing (attributes observed on shared supports) share
+one distinct row. Average-rule
 interval supports on 1-D domains take the closed-form erf integrals
 (the kernels module's ``se_antideriv2`` and ``se_antideriv2_dlog``,
 evaluated once per distinct argument, and ``se_point_interval`` at a
@@ -416,63 +419,82 @@ class WeightRows:
         return value, deriv
 
 
-def weight_rows(domain: Domain, supports, rules, n_cols=None) -> WeightRows:
+def _stacked(grid, entries, n_cols=None) -> WeightRows:
+    """:class:`WeightRows` of ``(cells, weights)`` pairs, one per row."""
+    cells, weights = zip(*entries)
+    sizes = [c.size for c in cells]
+    return WeightRows(
+        grid, np.concatenate(cells), np.concatenate(weights), sizes, n_cols
+    )
+
+
+def weight_rows(domain: Domain, supports, rules) -> WeightRows:
     """Supports of ``domain``, one aggregation rule each, as the rows of
-    one :class:`WeightRows` over its grid cells, the first ``n_cols``
-    (default all) its column rows."""
+    one :class:`WeightRows` over its grid cells."""
     grid = domain.grid
-    members = [geometry.membership(s, grid) for s in supports]
-    weights = [geometry.weight_vector(s, grid, r) for s, r in zip(supports, rules)]
-    cells, weights = np.concatenate(members), np.concatenate(weights)
-    return WeightRows(grid, cells, weights, [m.size for m in members], n_cols)
+    return _stacked(
+        grid, [geometry.support_weights(s, grid, r) for s, r in zip(supports, rules)]
+    )
 
 
 class SupportCovTable:
     """One domain's aggregated supports and their kernel integrals, for
-    any length scale. Built from the records, it alone sorts each row:
+    any length scale. Built from the records, it alone sorts each row,
+    and it integrates each distinct support once: rows are keyed by what
+    they integrate, every integral is taken over the ``n`` distinct rows,
+    and one gather through ``index`` (each observation row's distinct
+    row) expands the result to every observation row.
 
-    * closed-form rows (1-D intervals with the average rule): pairs of
-      them take the erf double integral, with the antiderivative F
-      evaluated once per distinct ``|z|`` and gathered (F is even, so
-      this is exact), and points the erf integral (``closed_bounds``);
+    * closed-form rows (1-D intervals with the average rule), keyed by
+      ``(lo, hi)``: pairs of them take the erf double integral, with the
+      antiderivative F evaluated once per distinct ``|z|`` and gathered
+      (F is even, so this is exact), and points the erf integral
+      (``closed_bounds``);
     * every other grid support is a row of the weight matrix ``A``
-      (:class:`WeightRows`), and its entries are ``A K Aᵀ`` with ``K``
-      applied through per-axis factors (:class:`GridKernel`); a
-      closed-form row paired with a grid or point row counts as its row
-      of ``A``;
-    * point rows (``as_points`` records) evaluate the kernel from their
-      support's centroid (``centroids``) directly.
+      (:class:`WeightRows`), keyed by its cells and weights, so its rule
+      is part of the key; its entries are ``A K Aᵀ`` with ``K`` applied
+      through per-axis factors (:class:`GridKernel`), and a closed-form
+      row paired with a grid or point row counts as its row of ``A``;
+    * point rows (``as_points`` records), keyed by their support's
+      centroid (``centroids``), evaluate the kernel from it directly.
     """
 
     def __init__(self, domain: Domain, records):
-        rows = [
-            (s, r, rec.as_points)
-            for rec in records
-            for s, r in zip(rec.partition.supports, rec.rules)
-        ]
-        # Intervals live on 1-D domains only (membership refuses others).
-        kinds = [
-            "point" if p
-            else "closed" if isinstance(s.body, Interval) and r.kind == r.AVERAGE
-            else "grid"
-            for s, r, p in rows
-        ]
+        grid = self.grid = domain.grid
+        keys, index, firsts = {}, [], []
+        for rec in records:
+            for s, r in zip(rec.partition.supports, rec.rules):
+                if rec.as_points:
+                    entry = geometry.centroid(s, grid)
+                    key = ("point", entry.tobytes())
+                # Intervals live on 1-D domains only (membership refuses others).
+                elif isinstance(s.body, Interval) and r.kind == r.AVERAGE:
+                    entry, key = None, ("closed", s.body.lo, s.body.hi)
+                else:
+                    entry = geometry.support_weights(s, grid, r)
+                    key = ("grid", entry[0].tobytes(), entry[1].tobytes())
+                k = keys.setdefault(key, len(keys))
+                if k == len(firsts):  # the first row of a distinct support
+                    if entry is None:  # refuses an interval holding no grid centre
+                        entry = geometry.support_weights(s, grid, r)
+                    firsts.append((key[0], s.body, entry))
+                index.append(k)
+        self.n = len(firsts)
+        self.index = np.array(index, dtype=np.int64)
+        # Flat position of every pair of observation rows in an (n, n) array.
+        self.pairs = self.index[:, None] * self.n + self.index
         self.closed_rows, self.grid_rows, self.point_rows = (
-            np.array([k for k, got in enumerate(kinds) if got == kind], dtype=np.int64)
+            np.array([k for k, f in enumerate(firsts) if f[0] == kind], dtype=np.int64)
             for kind in ("closed", "grid", "point")
         )
         self.direct_rows = np.concatenate([self.closed_rows, self.point_rows])
-        self.n = len(rows)
-        self.grid = domain.grid
-        cf = [rows[k][0] for k in self.closed_rows]
-        for support in cf:
-            geometry.membership(support, self.grid)  # refuses an empty interval
+        cf = [firsts[k][1] for k in self.closed_rows]
         i, j = np.triu_indices(len(cf))
         # Flat positions in S of the closed-form pairs and their mirrors.
         r, c = self.closed_rows[i], self.closed_rows[j]
         self.cf_upper, self.cf_lower = r * self.n + c, c * self.n + r
-        lo = np.array([s.body.lo for s in cf])
-        hi = np.array([s.body.hi for s in cf])
+        lo = np.array([body.lo for body in cf])
+        hi = np.array([body.hi for body in cf])
         self.closed_bounds = lo[:, None], hi[:, None]
         z = np.stack([hi[i] - lo[j], lo[i] - lo[j], hi[i] - hi[j], lo[i] - hi[j]])
         self.cf_norm = 1.0 / ((hi - lo)[i] * (hi - lo)[j])
@@ -484,12 +506,12 @@ class SupportCovTable:
             self.a_rows = np.concatenate([self.grid_rows, self.closed_rows])
         self.A = None
         if self.a_rows.size:
-            supports, rules, _ = zip(*[rows[k] for k in self.a_rows])
-            self.A = weight_rows(domain, supports, rules, self.grid_rows.size)
-        centroids = [geometry.centroid(rows[k][0], self.grid) for k in self.point_rows]
+            entries = [firsts[k][2] for k in self.a_rows]
+            self.A = _stacked(grid, entries, self.grid_rows.size)
+        centroids = [firsts[k][2] for k in self.point_rows]
         self.centroids = np.reshape(centroids, (-1, domain.ndim))
         self.point_sq_dists = sq_dists(self.centroids, self.centroids)
-        self.point_grid_sq_dists = sq_dists(self.centroids, self.grid.points)
+        self.point_grid_sq_dists = sq_dists(self.centroids, grid.points)
 
     def _fill(self, S, antideriv, profile, length_scale):
         """Closed-form and point pairs of S for one kernel primitive pair."""
@@ -526,8 +548,9 @@ class SupportCovTable:
         S[np.ix_(self.grid_rows, self.a_rows)] = block.T
 
     def latent_cov(self, length_scale: float, with_grad: bool = False):
-        """Support covariance matrix for one kernel, optionally with its
-        derivative with respect to the log length scale."""
+        """Support covariance matrix of every observation row for one
+        kernel, optionally with its derivative with respect to the log
+        length scale: the distinct rows' matrices, gathered at ``pairs``."""
         S = np.zeros((self.n, self.n))
         self._fill(S, se_antideriv2, se_value, length_scale)
         if with_grad:
@@ -538,7 +561,9 @@ class SupportCovTable:
             self._fill_grid(S, block)
             if with_grad:
                 self._fill_grid(dS, dblock)
-        return (S, dS) if with_grad else S
+        if with_grad:
+            return S.take(self.pairs), dS.take(self.pairs)
+        return S.take(self.pairs)
 
     def _direct(self, x, length_scale: float, point_sq_dists) -> np.ndarray:
         """Kernel integrals of the closed-form rows, then the point rows, at
@@ -551,7 +576,8 @@ class SupportCovTable:
     def at_points(self, x, length_scale: float) -> np.ndarray:
         """Integrals of one kernel against every row's weights at the (n,
         ndim) query points ``x``, an (all rows, n) array: :meth:`_direct`,
-        and for grid rows ``A`` times the kernel from the cells."""
+        and for grid rows ``A`` times the kernel from the cells, over the
+        distinct rows, gathered at ``index``."""
         x = np.asarray(x, dtype=float)
         out = np.empty((self.n, x.shape[0]))
         d2 = sq_dists(self.centroids, x)
@@ -559,7 +585,7 @@ class SupportCovTable:
         if self.grid_rows.size:
             to_cells = se_value(sq_dists(self.grid.points, x), length_scale)
             out[self.grid_rows] = self.A.matrix[: self.grid_rows.size] @ to_cells
-        return out
+        return out[self.index]
 
     def cross(self, left, length_scale: float) -> np.ndarray:
         """Integrals of one kernel against every row's weights and the
@@ -569,9 +595,10 @@ class SupportCovTable:
         Grid rows take ``(left K Aᵀ)ᵀ`` (:meth:`WeightRows.product`),
         which is the whole result when every row is a grid row. The
         other rows take :meth:`_direct` at the cells, pooled by ``left``.
+        Both are taken over the distinct rows and gathered at ``index``.
         """
         if self.grid_rows.size == self.n:
-            return self.A.product(left, length_scale)[0].T
+            return self.A.product(left, length_scale)[0].T[self.index]
         out = np.empty((self.n, left.shape[0]))
         if self.grid_rows.size:
             out[self.grid_rows] = self.A.product(left, length_scale)[0].T
@@ -579,7 +606,7 @@ class SupportCovTable:
             self.grid.points, length_scale, self.point_grid_sq_dists
         )
         out[self.direct_rows] = (left @ at_cells.T).T
-        return out
+        return out[self.index]
 
 
 class DomainData:

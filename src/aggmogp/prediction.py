@@ -213,6 +213,23 @@ def _factor_and_cross(dd, state, W, blocks, attr_idx, work):
     return chol, H
 
 
+def _prior_spread(W, attr_idx, priors) -> np.ndarray:
+    """The targets' prior covariance ``sum_l (w_l w_lᵀ) ⊗ priors[l]`` for
+    one draw, or its diagonal when ``priors`` holds diagonals; each term
+    is one broadcast product, entry for entry ``np.kron``'s."""
+    full = priors.ndim == 3
+    n = attr_idx.size * priors.shape[1]
+    spread = np.zeros((n, n) if full else n)
+    for l, block in enumerate(priors):
+        w = W[attr_idx, l]
+        if full:
+            term = np.outer(w, w)[:, None, :, None] * block[:, None]
+        else:
+            term = (w * w)[:, None] * block
+        spread += term.reshape(spread.shape)
+    return spread
+
+
 def _condition(dd, state, W, blocks, attr_idx, priors, work):
     """Gaussian posterior of the targets for one weight draw.
 
@@ -227,13 +244,9 @@ def _condition(dd, state, W, blocks, attr_idx, priors, work):
     """
     W = np.asarray(W, dtype=float)
     full = priors.ndim == 3
-    n = attr_idx.size * priors.shape[1]
-    spread = np.zeros((n, n) if full else n)
-    for l, block in enumerate(priors):
-        w = W[attr_idx, l]
-        spread += np.kron(np.outer(w, w) if full else w * w, block)
+    spread = _prior_spread(W, attr_idx, priors)
     if blocks is None:
-        mean = np.zeros(n)
+        mean = np.zeros(spread.shape[0])
     else:
         chol, H = _factor_and_cross(dd, state, W, blocks, attr_idx, work)
         alpha = chol_solve(chol, dd.y)

@@ -134,7 +134,9 @@ def scattered_grid_cov(table, length_scale: float):
     rows, built the scattering way: the ``A K Aᵀ`` block and its
     derivative from ``table.A.product``, each averaged with its
     transpose and written into zeros through ``np.ix_`` at the rows
-    against the columns, then at the columns against the rows."""
+    against the columns, then at the columns against the rows. The
+    block holds the table's distinct rows; ``np.ix_`` at ``table.index``
+    expands it to every observation row."""
     rows = table.grid_rows
     blocks = table.A.product(table.A.matrix, length_scale, with_grad=True)
     out = []
@@ -143,5 +145,5 @@ def scattered_grid_cov(table, length_scale: float):
         S = np.zeros((table.n, table.n))
         S[np.ix_(rows, rows)] = block
         S[np.ix_(rows, rows)] = block.T
-        out.append(S)
+        out.append(S[np.ix_(table.index, table.index)])
     return tuple(out)

@@ -1,0 +1,122 @@
+"""Output digests of the bench worlds against a committed ``BENCH_*.json``.
+
+Not collected by pytest (the name has no ``test_`` prefix). Run from the
+repository root::
+
+    PYTHONPATH=src python tests/output_digests.py BENCH_pr14.json
+
+For every workload of ``bench.workloads`` and every seed the file
+records, it runs the workload's pipeline once and takes one SHA-256 per
+output, over the float64 C-order bytes of, in order:
+
+* ``fit``: ``ModelState.pack()`` after ``inference.fit`` at the
+  workload's budget (learning rate 0.02, convergence tolerance 0);
+* ``trace``: the fit's ``iterations``, ``elbo`` and ``learning_rate``,
+  then ``[best_iteration, init_elbo, final_elbo, backoffs]``;
+* ``refine``: ``predict_supports`` on the test partition, ``values``,
+  ``variances`` and ``[clamped]``;
+* ``grid``: ``predict_grid`` for the target record, mean, variance and
+  ``[clamped]``;
+* ``left_out``: ``predict_left_out`` for the target record, ``values``,
+  ``variances`` and ``[clamped]``;
+* ``cv``: ``cv_select_L`` over candidates (1, 2) at 100 iterations on the
+  target record, ``[chosen]``, ``errors`` and ``[fold_count]``.
+
+Draws and seeds are the workload's. It prints one line per digest and
+exits 1 when any differs from the file's ``outputs.sha256``. Digests
+compare only at equal BLAS thread counts: blocks-2d's differ between one
+and two threads.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+from dataclasses import replace
+
+import numpy as np
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+from bench import workloads  # noqa: E402
+
+CV_CANDIDATES = (1, 2)
+CV_ITERS = 100
+
+
+def sha256(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def digests(work: workloads.Workload, seed: int) -> dict[str, str]:
+    """The six output digests of one workload at one seed."""
+    evaluation, inference = workloads.evaluation, workloads.inference
+    model, prediction = workloads.model, workloads.prediction
+    world = work.make_world(seed)
+    ds = workloads.setup(world)
+    d, a = world.target
+    config = inference.TrainConfig(
+        learning_rate=workloads.LEARNING_RATE,
+        max_iters=work.fit_iters,
+        seed=seed,
+        convergence_tol=0.0,
+    )
+    state, trace = inference.fit(
+        ds, config, model.init_state(ds, work.latents, seed=seed)
+    )
+    refined = prediction.predict_supports(
+        world.test_partition, state, ds, work.draws, seed
+    )
+    _, mean, variance, clamped = prediction.predict_grid(
+        state, ds, d, a, work.draws, seed
+    )
+    left_out = prediction.predict_left_out(state, ds, d, a, work.draws, seed)
+    cv = evaluation.cv_select_L(
+        ds,
+        CV_CANDIDATES,
+        replace(config, max_iters=CV_ITERS),
+        target=world.target,
+        n_pred_samples=work.cv_draws,
+    )
+    return {
+        "fit": sha256(state.pack()),
+        "trace": sha256(
+            trace.iterations,
+            trace.elbo,
+            trace.learning_rate,
+            [trace.best_iteration, trace.init_elbo, trace.final_elbo, trace.backoffs],
+        ),
+        "refine": sha256(refined.values, refined.variances, [refined.clamped]),
+        "grid": sha256(mean, variance, [clamped]),
+        "left_out": sha256(left_out.values, left_out.variances, [left_out.clamped]),
+        "cv": sha256([cv.chosen], cv.errors, [cv.fold_count]),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("bench_json", help="a BENCH_*.json with outputs.sha256")
+    args = parser.parse_args(argv)
+    with open(args.bench_json) as f:
+        want = json.load(f)["outputs"]["sha256"]
+    mismatches = 0
+    for key in sorted(want):
+        name, seed = key.rsplit("/", 1)
+        got = digests(workloads.WORKLOADS[name], int(seed))
+        for kind in sorted(want[key]):
+            same = got[kind] == want[key][kind]
+            mismatches += not same
+            print(f"{key} {kind} {got[kind]} {'equal' if same else 'DIFFERS'}")
+    total = sum(len(v) for v in want.values())
+    print(f"{total - mismatches} of {total} digests equal {args.bench_json}")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -24,6 +24,7 @@ from conftest import (
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from test_support_cov import cell_set_records, grid_domains, interval_records
 
 from aggmogp import model, prediction
@@ -490,6 +491,35 @@ class TestPredictGrid:
         np.testing.assert_allclose(mean, mean2, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(var, var2, rtol=1e-12, atol=1e-12)
         assert clamped == clamped2
+
+
+class TestPriorSpread:
+    """A draw's prior spread of the targets, full or diagonal, equals the
+    sum over latents of ``np.kron((w wᵀ or w²), P_l)`` byte for byte."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_equals_kron_sum(self, data):
+        n_attrs, L, m = (data.draw(st.integers(1, top)) for top in (4, 3, 6))
+        full = data.draw(st.booleans())
+        attr_idx = np.array(
+            data.draw(
+                st.lists(st.integers(0, n_attrs - 1), min_size=1, unique=True)
+            ),
+            dtype=np.int64,
+        )
+        values = st.floats(-10.0, 10.0)
+        W = data.draw(arrays(float, (n_attrs, L), elements=values))
+        shape = (L, m, m) if full else (L, m)
+        priors = data.draw(arrays(float, shape, elements=values))
+        n = attr_idx.size * m
+        want = np.zeros((n, n) if full else n)
+        for l, block in enumerate(priors):
+            w = W[attr_idx, l]
+            want += np.kron(np.outer(w, w) if full else w * w, block)
+        got = prediction._prior_spread(W, attr_idx, priors)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestDrawInvariantBlocks:

@@ -309,6 +309,142 @@ class TestLatentCovMatchesAggregationOracle:
         check_against_oracle(domain, [rec], 0.7)
 
 
+def support_keys(domain, records):
+    """Per observation row, what it integrates: a closed-form interval by
+    its bounds, a point row by its centroid's bytes, any other row by the
+    bytes of its member cells and of its weights under its rule."""
+    grid = domain.grid
+    intervals = iter(closed_form_rows(domain, records))
+    keys = []
+    for rec in records:
+        for support, rule in zip(rec.partition.supports, rec.rules):
+            interval = next(intervals)
+            if rec.as_points:
+                keys.append(("point", centroid(support, grid).tobytes()))
+            elif interval is not None:
+                keys.append(("closed", interval.lo, interval.hi))
+            else:
+                cells = membership(support, grid).tobytes()
+                weights = weight_vector(support, grid, rule).tobytes()
+                keys.append(("grid", cells, weights))
+    return keys
+
+
+@st.composite
+def with_repeats(draw, worlds):
+    """A world of ``worlds`` plus records "r0" and maybe "r1" that repeat
+    supports of one of its records. "r0" keeps the source's point flag
+    and its first support's rule, so some support always repeats; every
+    other rule is kept or redrawn, and "r1" may flip the point flag."""
+    domain, records, length_scale = draw(worlds)
+    for attr in ("r0", "r1")[: draw(st.integers(1, 2))]:
+        source = draw(st.sampled_from(records))
+        supports, n = source.partition.supports, len(source.partition.supports)
+        keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        chosen = [k for k, kept in enumerate(keep) if kept] or [0]
+        rules = [
+            source.rules[k] if draw(st.booleans())
+            else draw(rule_for(supports[k], domain.grid))
+            for k in chosen
+        ]
+        if attr == "r0":
+            rules[0] = source.rules[chosen[0]]
+        flip = attr == "r1" and draw(st.booleans())
+        picked = [supports[k] for k in chosen]
+        records = [*records, record(attr, picked, rules, source.as_points != flip)]
+    return domain, records, length_scale
+
+
+def check_repeated(domain, records, length_scale):
+    """A table whose records repeat supports matches the dense oracles;
+    the rows of one support are bitwise equal in ``S``, ``dS``,
+    ``at_points`` and ``cross``; and the table integrates only the
+    distinct supports."""
+    check_against_oracle(domain, records, length_scale)
+    dd = domain_data(domain, records)
+    check_cross(dd, length_scale)
+    table, grid = dd.cov, domain.grid
+    keys = support_keys(domain, records)
+    S, dS = table.latent_cov(length_scale, with_grad=True)
+    x = np.column_stack([np.linspace(lo, hi, 4) for lo, hi in domain.extent])
+    cells = csr_matrix(np.eye(grid.n_points))
+    outputs = (
+        S, dS, table.at_points(x, length_scale), table.cross(cells, length_scale)
+    )
+    first = {}
+    for r, key in enumerate(keys):
+        k = first.setdefault(key, r)
+        for out in outputs:
+            assert out[r].tobytes() == out[k].tobytes()
+    assert len(first) < len(keys)
+    kinds = [key[0] for key in first]
+    distinct = {kind: kinds.count(kind) for kind in ("closed", "grid", "point")}
+    assert table.n == len(first)
+    assert table.closed_bounds[0].shape[0] == distinct["closed"]
+    assert table.centroids.shape[0] == distinct["point"]
+    a_rows = distinct["grid"]
+    if distinct["grid"] or distinct["point"]:
+        a_rows += distinct["closed"]
+    assert (0 if table.A is None else table.A.matrix.shape[0]) == a_rows
+
+
+class TestRepeatedSupports:
+    """Records that repeat supports across attributes, as the paper's
+    datasets do (attributes sharing districts, tracts or station hours):
+    each distinct support is integrated once and gathered to its rows."""
+
+    @PROPERTY
+    @given(world=with_repeats(interval_worlds()))
+    def test_closed_form_and_sum_rule_intervals(self, world):
+        check_repeated(*world)
+
+    @PROPERTY
+    @given(world=st.sampled_from([1, 2, 3]).flatmap(
+        lambda ndim: with_repeats(cell_set_worlds(ndim))
+    ))
+    def test_cell_sets_on_one_two_and_three_axes(self, world):
+        check_repeated(*world)
+
+    @PROPERTY
+    @given(world=with_repeats(point_worlds()))
+    def test_point_observations(self, world):
+        check_repeated(*world)
+
+    @PROPERTY
+    @given(world=with_repeats(mixed_kind_worlds()))
+    def test_mixed_kind_tables(self, world):
+        check_repeated(*world)
+
+    def test_same_cells_under_sum_and_average_stay_two_rows(self):
+        grid = GridSpec(origin=(0.5, 0.5), cell_size=(1.0, 1.0), shape=(3, 3))
+        domain = Domain(id="d0", extent=grid.extent_box(), grid=grid)
+        support = cells_support([0, 1, 4], "s")
+        records = [record("a0", [support], [AVERAGE]), record("a1", [support], [SUM])]
+        assert domain_data(domain, records).cov.n == 2
+        check_against_oracle(domain, records, 0.8)
+
+    def test_interval_under_average_and_sum_stay_two_rows(self):
+        grid = GridSpec(origin=(0.125,), cell_size=(0.25,), shape=(8,))
+        domain = Domain(id="d0", extent=((0.0, 2.0),), grid=grid)
+        support = interval_support(0.3, 1.2, "s")
+        records = [record("a0", [support], [AVERAGE]), record("a1", [support], [SUM])]
+        table = domain_data(domain, records).cov
+        assert (table.closed_rows.size, table.grid_rows.size) == (1, 1)
+        check_against_oracle(domain, records, 0.8)
+
+    def test_point_rows_with_one_centroid_share_a_row(self):
+        grid = GridSpec(origin=(0.125,), cell_size=(0.25,), shape=(8,))
+        domain = Domain(id="d0", extent=((0.0, 2.0),), grid=grid)
+        wide, narrow = interval_support(0.0, 2.0, "w"), interval_support(0.5, 1.5, "n")
+        records = [
+            record("a0", [wide], [AVERAGE], as_points=True),
+            record("a1", [narrow], [SUM], as_points=True),
+        ]
+        table = domain_data(domain, records).cov
+        assert table.n == 1 and table.index.tolist() == [0, 0]
+        check_against_oracle(domain, records, 0.8)
+
+
 class TestClosedFormIsBitIdentical:
     """Closed-form entries gather F from distinct ``|z|``; that is exact
     only because F is even and scipy's erf is bitwise odd."""
@@ -606,6 +742,9 @@ def check_cross(dd, length_scale):
         zip(groups, [1.0 / groups[0].size, 1.0, custom])
     ):
         weighted[row, group] = weights
+    # A grid of two cells leaves the last group empty; it is dropped.
+    n_groups = sum(g.size > 0 for g in groups)
+    groups, rules, weighted = groups[:n_groups], rules[:n_groups], weighted[:n_groups]
     targets = [cells_support(g.tolist(), f"t{k}") for k, g in enumerate(groups)]
     lefts = [
         (one_hot, csr_matrix(one_hot)),
