@@ -16,7 +16,12 @@ The per-latent support covariances S_l and their length-scale
 derivatives depend on the kernels alone, not on the weight draw, so one
 evaluation builds each domain's once, before fanning the (draw, domain)
 terms out; each term only mixes them with its weights, factors and
-solves.
+solves. The weights' standard deviations and the KL are likewise taken
+once per evaluation, stacked over domains.
+
+Training works on views (``ModelState.view``) of flat vectors in
+``pack()`` order, the parameters, Adam's moments and each gradient, so
+a step copies no state.
 
 Randomness is a counter-based Philox stream keyed by the training seed.
 Substream 1 drives the per-iteration eps draws, in the order: for every
@@ -35,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import utils
-from .errors import CholeskyFailure, NonFiniteELBO
+from .errors import CholeskyFailure, DimensionMismatch, NonFiniteELBO
 from .model import (
     AggregatedDataset,
     ModelState,
@@ -44,7 +49,7 @@ from .model import (
     chol_with_jitter,
     floor_active,
     floor_var,
-    kl_weights,
+    kl_parts,
     latent_sign_flips,
 )
 
@@ -147,17 +152,12 @@ class AdamOptimizer:
         return params - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def snapshot(self):
-        return (
-            None if self.m is None else self.m.copy(),
-            None if self.v is None else self.v.copy(),
-            self.t,
-        )
+        """Moments and step count by reference: :meth:`step` rebinds, not
+        writes, ``m`` and ``v``, so a snapshot survives later steps."""
+        return self.m, self.v, self.t
 
     def restore(self, snap):
-        m, v, t = snap
-        self.m = None if m is None else m.copy()
-        self.v = None if v is None else v.copy()
-        self.t = t
+        self.m, self.v, self.t = snap
 
 
 def draw_eps(state: ModelState, rng: np.random.Generator, n_samples: int):
@@ -228,31 +228,40 @@ def _domain_loglik(domain_data, weights, latents, dlatents, noise_log_var):
     return ll, grad_W, grad_scales, grad_noise
 
 
-def _kl_total(state: ModelState) -> float:
+def _kl_terms(state: ModelState):
+    """``(rows, blocks, parts)``: :func:`~aggmogp.model.kl_parts` of every
+    domain's weights against its prior rows, stacked in catalogue order
+    (``ModelState.stacked_rows``)."""
+    rows, blocks = state.stacked_rows()
+    q_mean, q_log_var = (
+        np.concatenate([arrays[v] for v in state.domain_ids])
+        for arrays in (state.q_mean, state.q_log_var)
+    )
+    p_mean, p_log_var = state.prior_mean[rows], state.prior_log_var[rows]
+    return rows, blocks, kl_parts(q_mean, q_log_var, p_mean, p_log_var)
+
+
+def _kl_total(state: ModelState, kl_terms=None) -> float:
+    # Each domain's (Sv, L) block is summed on its own, then in order.
+    _, blocks, parts = _kl_terms(state) if kl_terms is None else kl_terms
     total = 0.0
-    for v in state.domain_ids:
-        rows = state.attr_rows(v)
-        total += kl_weights(
-            state.q_mean[v],
-            state.q_log_var[v],
-            state.prior_mean[rows],
-            state.prior_log_var[rows],
-        )
+    for block in blocks.values():
+        total += float(np.sum(parts[-1][block]))
     return total
 
 
 def estimate_elbo(dataset: AggregatedDataset, state: ModelState, eps_draws) -> float:
     """Monte Carlo ELBO estimate at fixed eps draws."""
-    value, _ = _elbo_impl(dataset, state, eps_draws, want_grad=False)
-    return value
+    return _elbo_impl(dataset, state, eps_draws, want_grad=False)[0]
 
 
 def elbo_with_grad(dataset: AggregatedDataset, state: ModelState, eps_draws):
     """:func:`estimate_elbo` and its exact gradient at the same draws.
 
     The gradient is a :class:`ModelState` whose parameter arrays hold the
-    derivatives, so ``.pack()`` flattens it in the parameter vector
-    layout. Floored variances contribute zero gradient.
+    derivatives as views of one flat vector in ``pack()`` order, its
+    ``vector``; ``.pack()`` returns a copy of it. Floored variances
+    contribute zero gradient.
     """
     return _elbo_impl(dataset, state, eps_draws, want_grad=True)
 
@@ -262,26 +271,25 @@ def _elbo_impl(dataset, state, eps_draws, want_grad):
     if n_samples == 0:
         raise ValueError("need at least one eps draw")
     scales = np.exp(state.log_length_scales)
-    if want_grad:
-        acc = state.unpack(np.zeros_like(state.pack()))
-
-    blocks = {
-        v: _latent_blocks(dataset.prepared(v), scales, want_grad)
-        for v in state.domain_ids
-    }
+    prepared = {v: dataset.prepared(v) for v in state.domain_ids}
+    covs = {v: _latent_blocks(prepared[v], scales, want_grad) for v in prepared}
+    kl_terms = rows, blocks, (vq, vp, dm, t, _) = _kl_terms(state)
+    # sample_weights' sqrt(floor_var(q_log_var)), once per domain.
+    sd = {v: np.sqrt(vq[b]) for v, b in blocks.items()}
 
     def one_term(args):
         v, eps = args
-        W = state.draw_weights(v, eps)
-        return _domain_loglik(
-            dataset.prepared(v), W, *blocks[v], state.noise_log_var[v]
-        )
+        if np.shape(eps) != sd[v].shape:
+            raise DimensionMismatch(f"eps draw of shape {np.shape(eps)} for {v!r}")
+        W = state.q_mean[v] + eps * sd[v]
+        return _domain_loglik(prepared[v], W, *covs[v], state.noise_log_var[v])
 
     tasks = [(v, eps_t[v]) for eps_t in eps_draws for v in state.domain_ids]
     results = utils.parallel_map(one_term, tasks)
+    if want_grad:
+        acc = state.view(np.zeros(state.n_params))
     total_ll = 0.0
-    for (v, eps), res in zip(tasks, results):
-        ll, grad_W, grad_scales, grad_noise = res
+    for (v, eps), (ll, grad_W, grad_scales, grad_noise) in zip(tasks, results):
         total_ll += ll
         if want_grad:
             acc.log_length_scales += grad_scales
@@ -289,36 +297,27 @@ def _elbo_impl(dataset, state, eps_draws, want_grad):
             acc.q_log_var[v] += grad_W * eps
             acc.noise_log_var[v] += grad_noise
     total_ll /= n_samples
-    value = total_ll - _kl_total(state)
+    value = total_ll - _kl_total(state, kl_terms)
     if not want_grad:
         return value, None
     inv = 1.0 / n_samples
     acc.log_length_scales *= inv
-    for v in state.domain_ids:
+    # KL gradients, stacked; the ELBO subtracts the KL.
+    g_mean = dm / vp
+    g_var = 0.5 * (vq / vp - 1.0)
+    g_prior_var = 0.5 * t * floor_active(state.prior_log_var[rows])
+    for v, b in blocks.items():
         acc.noise_log_var[v] *= inv
         acc.q_mean[v] *= inv
         # Chain through w = mean + eps sqrt(var): d w / d log var is
         # eps sqrt(var) / 2, masked at the floor.
-        sqrt_v = np.sqrt(floor_var(state.q_log_var[v]))
-        acc.q_log_var[v] *= inv * 0.5 * sqrt_v * floor_active(state.q_log_var[v])
-    # KL gradients; the ELBO subtracts the KL.
-    for v in state.domain_ids:
-        rows = state.attr_rows(v)
-        vq = floor_var(state.q_log_var[v])
-        vp = floor_var(state.prior_log_var[rows])
-        dm = state.q_mean[v] - state.prior_mean[rows]
-        acc.q_mean[v] -= dm / vp
-        acc.q_log_var[v] -= (
-            0.5 * (vq / vp - 1.0) * floor_active(state.q_log_var[v])
-        )
-        np.add.at(acc.prior_mean, rows, dm / vp)
-        np.add.at(
-            acc.prior_log_var,
-            rows,
-            0.5
-            * ((vq + dm * dm) / vp - 1.0)
-            * floor_active(state.prior_log_var[rows]),
-        )
+        active = floor_active(state.q_log_var[v])
+        acc.q_log_var[v] *= inv * 0.5 * sd[v] * active
+        acc.q_mean[v] -= g_mean[b]
+        acc.q_log_var[v] -= g_var[b] * active
+        # A domain's rows are distinct: plain indexed adds, in domain order.
+        acc.prior_mean[rows[b]] += g_mean[b]
+        acc.prior_log_var[rows[b]] += g_prior_var[b]
     return value, acc
 
 
@@ -338,20 +337,19 @@ def refined_elbo(
 def _align_orientation(state: ModelState, theta: np.ndarray, adam: AdamOptimizer):
     """Reflect latent columns of the variational means toward the prior.
 
-    Applies :func:`latent_sign_flips` to the parameter vector and negates
-    the matching entries of Adam's first moment, so the optimizer keeps
-    moving each reflected column the way it was moving before.
+    Applies :func:`latent_sign_flips` to the parameter vector ``theta``
+    and negates the matching entries of it and of Adam's first moment in
+    place, so the optimizer keeps moving each reflected column the way it
+    was moving before. Returns ``theta``.
     """
-    current = state.unpack(theta)
+    current = state.view(theta)
     flips = latent_sign_flips(current)
-    if not any(f.any() for f in flips.values()):
-        return theta
-    moment = state.unpack(adam.m)
-    for v, f in flips.items():
-        current.q_mean[v][:, f] *= -1.0
-        moment.q_mean[v][:, f] *= -1.0
-    adam.m = moment.pack()
-    return current.pack()
+    if any(f.any() for f in flips.values()):
+        moment = state.view(adam.m)
+        for v, f in flips.items():
+            current.q_mean[v][:, f] *= -1.0
+            moment.q_mean[v][:, f] *= -1.0
+    return theta
 
 
 def _log_stop(trace: TrainTrace, iterations: int) -> None:
@@ -395,37 +393,27 @@ def fit(
     to the ``aggmogp.inference`` logger at DEBUG level.
     """
     t_start = time.perf_counter()
-    state = init.copy()
     trace = TrainTrace()
     try:
         trace.init_elbo = refined_elbo(dataset, init, config.seed)
     except CholeskyFailure as e:
         # Backoff cannot rescue a start point that does not evaluate.
         raise NonFiniteELBO(0, f"initial state not evaluable: {e}") from e
-    if config.max_iters == 0:
-        _log_stop(trace, 0)
-        trace.final_elbo = trace.init_elbo
-        trace.improvement = 0.0
-        trace.wall_time = time.perf_counter() - t_start
-        return state, trace
     rng = utils.stream(config.seed, 1)
     adam = AdamOptimizer(config.learning_rate)
-    theta = state.pack()
-    prev_theta = theta.copy()
+    # adam.step returns a new vector and alignment writes only that one,
+    # so the iterates kept below are never written after they are kept.
+    prev_theta = best_theta = theta = init.pack()
     prev_adam = adam.snapshot()
     best_value = -np.inf
-    best_theta = theta.copy()
     window = config.convergence_window
     it = 0
     while it < config.max_iters:
-        eps = draw_eps(state, rng, config.num_elbo_samples)
-        current = state.unpack(theta)
-        failed = False
+        eps = draw_eps(init, rng, config.num_elbo_samples)
         try:
-            value, grads = elbo_with_grad(dataset, current, eps)
-            flat_grad = grads.pack()
-            if not (np.isfinite(value) and np.all(np.isfinite(flat_grad))):
-                failed = True
+            value, grads = elbo_with_grad(dataset, init.view(theta), eps)
+            flat_grad = grads.vector
+            failed = not (np.isfinite(value) and np.all(np.isfinite(flat_grad)))
         except CholeskyFailure:
             failed = True
         if failed:
@@ -433,7 +421,7 @@ def fit(
             if trace.backoffs > _MAX_BACKOFFS:
                 raise NonFiniteELBO(it)
             adam.learning_rate *= 0.5
-            theta = prev_theta.copy()
+            theta = prev_theta
             adam.restore(prev_adam)
             it += 1
             continue
@@ -444,13 +432,13 @@ def fit(
             _log.info("iter %6d  elbo % .6f  lr %g", it, value, adam.learning_rate)
         if value > best_value:
             best_value = value
-            best_theta = theta.copy()
+            best_theta = theta
             trace.best_iteration = it
-        prev_theta = theta.copy()
+        prev_theta = theta
         prev_adam = adam.snapshot()
         theta = adam.step(theta, -flat_grad)
-        if len(state.domain_ids) > 1:
-            theta = _align_orientation(state, theta, adam)
+        if len(init.domain_ids) > 1:
+            theta = _align_orientation(init, theta, adam)
         n_done = len(trace.elbo)
         if n_done >= 2 * window:
             recent = np.mean(trace.elbo[n_done - window :])
@@ -462,7 +450,7 @@ def fit(
                 break
         it += 1
     _log_stop(trace, it)
-    best_state = state.unpack(best_theta)
+    best_state = init.unpack(best_theta)
     try:
         trace.final_elbo = refined_elbo(dataset, best_state, config.seed)
     except CholeskyFailure as e:

@@ -89,22 +89,23 @@ def sample_weights(q_mean, q_log_var, eps) -> np.ndarray:
     return q_mean + eps * np.sqrt(floor_var(q_log_var))
 
 
-def kl_weights(q_mean, q_log_var, p_mean, p_log_var) -> float:
-    """KL divergence between factorized Gaussian weight distributions.
-
-    Sums the per-entry closed form over whatever shape is passed in; the
-    floored exponents are used directly so the log-variance difference is
-    exact.
-    """
-    q_mean = np.asarray(q_mean, dtype=float)
-    p_mean = np.asarray(p_mean, dtype=float)
+def kl_parts(q_mean, q_log_var, p_mean, p_log_var):
+    """Entrywise factorized Gaussian KL pieces ``(vq, vp, dm, t, terms)``:
+    ``terms = 0.5 (t + log vp - log vq)``, ``t = (vq + dm^2) / vp - 1``, from
+    the floored exponents, so the log-variance difference is exact."""
     lq = np.maximum(np.asarray(q_log_var, dtype=float), LOG_VARIANCE_FLOOR)
     lp = np.maximum(np.asarray(p_log_var, dtype=float), LOG_VARIANCE_FLOOR)
     vq = np.exp(lq)
     vp = np.exp(lp)
-    dm = q_mean - p_mean
-    terms = 0.5 * ((vq + dm * dm) / vp - 1.0 + lp - lq)
-    return float(np.sum(terms))
+    dm = np.asarray(q_mean, dtype=float) - np.asarray(p_mean, dtype=float)
+    t = (vq + dm * dm) / vp - 1.0
+    return vq, vp, dm, t, 0.5 * (t + lp - lq)
+
+
+def kl_weights(q_mean, q_log_var, p_mean, p_log_var) -> float:
+    """KL divergence between factorized Gaussian weight distributions,
+    :func:`kl_parts` summed over whatever shape is passed in."""
+    return float(np.sum(kl_parts(q_mean, q_log_var, p_mean, p_log_var)[-1]))
 
 
 def latent_sign_flips(state: "ModelState") -> dict[str, np.ndarray]:
@@ -117,16 +118,14 @@ def latent_sign_flips(state: "ModelState") -> dict[str, np.ndarray]:
     sum_s (mu - p)^2 / var_p. Reflecting a marked column lowers the KL
     term and leaves everything else in the ELBO unchanged.
     """
-    flips = {}
-    for v in state.domain_ids:
-        rows = state.attr_rows(v)
-        mu = state.q_mean[v]
-        p = state.prior_mean[rows]
-        vp = floor_var(state.prior_log_var[rows])
-        keep = np.sum((mu - p) ** 2 / vp, axis=0)
-        flip = np.sum((-mu - p) ** 2 / vp, axis=0)
-        flips[v] = flip < keep
-    return flips
+    rows, blocks = state.stacked_rows()
+    mu = np.concatenate([state.q_mean[v] for v in state.domain_ids])
+    p = state.prior_mean[rows]
+    vp = floor_var(state.prior_log_var[rows])
+    keep = (mu - p) ** 2 / vp
+    flip = (-mu - p) ** 2 / vp
+    # Summed per domain block, so each column sum adds the rows in order.
+    return {v: flip[b].sum(axis=0) < keep[b].sum(axis=0) for v, b in blocks.items()}
 
 
 def chol_with_jitter(C: np.ndarray):
@@ -831,7 +830,9 @@ class ModelState:
     Weight priors are indexed by the global attribute catalogue and are
     shared across domains; variational weights and noise are per domain,
     covering only attributes that domain observes. Variances live as
-    exponents (see :func:`floor_var`).
+    exponents (see :func:`floor_var`). A state from :meth:`view`,
+    :meth:`unpack` or :meth:`copy` holds its arrays as views of one flat
+    ``vector``; rebinding an array detaches it from the vector.
     """
 
     attributes: tuple[str, ...]
@@ -844,6 +845,9 @@ class ModelState:
     q_mean: dict[str, np.ndarray]
     q_log_var: dict[str, np.ndarray]
     noise_log_var: dict[str, np.ndarray]
+    # Not fields: set by view(), left out of the constructor and of ==.
+    vector = None
+    _index = None
 
     def __post_init__(self):
         S, L = len(self.attributes), self.num_latents
@@ -862,83 +866,91 @@ class ModelState:
     def length_scales(self) -> np.ndarray:
         return np.exp(self.log_length_scales)
 
+    def _catalogue(self):
+        """Built once per catalogue, shared by the states made from this
+        one: every domain's catalogue rows stacked in catalogue order
+        (read-only), each domain's slice of that stack, and ``(start,
+        stop, shape)`` per parameter array in :meth:`pack` order."""
+        if self._index is None:
+            ids, S, L = self.domain_ids, len(self.attributes), self.num_latents
+            rank = {a: i for i, a in enumerate(self.attributes)}
+            attrs = [self.domain_attributes[v] for v in ids]
+            if any(len(set(a)) != len(a) for a in attrs):
+                raise DataError("a domain lists an attribute twice")
+            rows = np.array([rank[a] for a_v in attrs for a in a_v], dtype=np.int64)
+            rows.flags.writeable = False
+            ends = np.cumsum([len(a) for a in attrs], dtype=np.int64).tolist()
+            blocks = {v: slice(e - len(a), e) for v, a, e in zip(ids, attrs, ends)}
+            shapes = [(L,), (S, L), (S, L)]
+            for a in attrs:
+                shapes += [(len(a), L), (len(a), L), (len(a),)]
+            bounds = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+            self._index = rows, blocks, list(zip([0] + bounds, bounds, shapes))
+        return self._index
+
+    def stacked_rows(self) -> tuple[np.ndarray, dict[str, slice]]:
+        """Every domain's catalogue rows stacked in catalogue order, and
+        each domain's slice of the stack. A domain's rows are distinct."""
+        return self._catalogue()[:2]
+
     def attr_rows(self, domain_id: str) -> np.ndarray:
-        """Global catalogue row per local attribute of a domain."""
-        rank = {a: i for i, a in enumerate(self.attributes)}
-        return np.array(
-            [rank[a] for a in self.domain_attributes[domain_id]], dtype=np.int64
-        )
+        """Catalogue row per local attribute of a domain (read-only)."""
+        rows, blocks = self.stacked_rows()
+        return rows[blocks[domain_id]]
 
     def draw_weights(self, domain_id: str, eps: np.ndarray) -> np.ndarray:
-        return sample_weights(
-            self.q_mean[domain_id], self.q_log_var[domain_id], eps
-        )
+        return sample_weights(self.q_mean[domain_id], self.q_log_var[domain_id], eps)
 
     def copy(self) -> "ModelState":
-        return ModelState(
-            attributes=self.attributes,
-            domain_ids=self.domain_ids,
-            domain_attributes={v: t for v, t in self.domain_attributes.items()},
-            num_latents=self.num_latents,
-            log_length_scales=self.log_length_scales.copy(),
-            prior_mean=self.prior_mean.copy(),
-            prior_log_var=self.prior_log_var.copy(),
-            q_mean={v: a.copy() for v, a in self.q_mean.items()},
-            q_log_var={v: a.copy() for v, a in self.q_log_var.items()},
-            noise_log_var={v: a.copy() for v, a in self.noise_log_var.items()},
-        )
+        return self.unpack(self.pack())
 
     # Flat parameter vector layout, in order: log length scales, prior
     # means, prior log variances, then per domain (catalogue order) the
     # variational means, variational log variances and noise exponents.
+    # Training keeps the parameters, the Adam moments and each gradient
+    # as such vectors and works on states that view them (see view).
 
     def pack(self) -> np.ndarray:
-        parts = [
-            self.log_length_scales.ravel(),
-            self.prior_mean.ravel(),
-            self.prior_log_var.ravel(),
-        ]
+        parts = [self.log_length_scales, self.prior_mean, self.prior_log_var]
         for v in self.domain_ids:
-            parts.extend(
-                [
-                    self.q_mean[v].ravel(),
-                    self.q_log_var[v].ravel(),
-                    self.noise_log_var[v].ravel(),
-                ]
+            parts += [self.q_mean[v], self.q_log_var[v], self.noise_log_var[v]]
+        return np.concatenate([part.ravel() for part in parts])
+
+    def view(self, vector: np.ndarray) -> "ModelState":
+        """State whose arrays view a flat vector in :meth:`pack` order, so
+        writes through either land in both. A vector that is not float64
+        is converted first, so the views see a copy."""
+        vector = np.asarray(vector, dtype=float)
+        if vector.ndim != 1 or vector.size != self.n_params:
+            raise DimensionMismatch(
+                f"parameter vector of length {vector.size}, expected {self.n_params}"
             )
-        return np.concatenate(parts)
+        arrays = [vector[a:b].reshape(shape) for a, b, shape in self._catalogue()[2]]
+        out = ModelState(
+            attributes=self.attributes,
+            domain_ids=self.domain_ids,
+            domain_attributes=dict(self.domain_attributes),
+            num_latents=self.num_latents,
+            log_length_scales=arrays[0],
+            prior_mean=arrays[1],
+            prior_log_var=arrays[2],
+            q_mean=dict(zip(self.domain_ids, arrays[3::3])),
+            q_log_var=dict(zip(self.domain_ids, arrays[4::3])),
+            noise_log_var=dict(zip(self.domain_ids, arrays[5::3])),
+        )
+        out.vector = vector
+        out._index = self._index
+        return out
 
     def unpack(self, vector: np.ndarray) -> "ModelState":
-        """New state with parameters taken from a flat vector."""
-        vector = np.asarray(vector, dtype=float)
-        out = self.copy()
-        pos = 0
-
-        def take(shape):
-            nonlocal pos
-            size = math.prod(shape)
-            chunk = vector[pos : pos + size].reshape(shape).copy()
-            pos += size
-            return chunk
-
-        S, L = len(self.attributes), self.num_latents
-        out.log_length_scales = take((L,))
-        out.prior_mean = take((S, L))
-        out.prior_log_var = take((S, L))
-        for v in self.domain_ids:
-            Sv = len(self.domain_attributes[v])
-            out.q_mean[v] = take((Sv, L))
-            out.q_log_var[v] = take((Sv, L))
-            out.noise_log_var[v] = take((Sv,))
-        if pos != vector.size:
-            raise DimensionMismatch(
-                f"parameter vector of length {vector.size}, expected {pos}"
-            )
-        return out
+        """New state with parameters copied from a flat vector."""
+        return self.view(np.array(vector, dtype=float))
 
     @property
     def n_params(self) -> int:
-        return self.pack().size
+        S, L = len(self.attributes), self.num_latents
+        local = sum(len(self.domain_attributes[v]) for v in self.domain_ids)
+        return L + 2 * S * L + local * (2 * L + 1)
 
 
 def init_state(

@@ -31,6 +31,7 @@ from aggmogp.inference import (
     refined_elbo,
 )
 from aggmogp.model import (
+    ModelState,
     SupportCovTable,
     assemble_C,
     init_state,
@@ -504,6 +505,54 @@ class TestOrientationAlignment:
         assert trace.best_iteration == 1
         flips = latent_sign_flips(state)
         assert not any(f.any() for f in flips.values())
+
+
+class TestFlatParameterVector:
+    def test_fit_packs_and_unpacks_a_fixed_number_of_times(self, monkeypatch):
+        dataset = two_domain_instance(seed=0)
+        calls = {"pack": 0, "unpack": 0}
+        for name in calls:
+
+            def counted(self, *args, _name=name, _method=getattr(ModelState, name)):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(ModelState, name, counted)
+        per_budget = {}
+        for iters in (10, 40):
+            calls.update(pack=0, unpack=0)
+            config = TrainConfig(max_iters=iters, learning_rate=0.05, convergence_tol=0.0)
+            _, trace = fit(dataset, config, init_state(dataset, 2, seed=0))
+            assert len(trace.iterations) == iters
+            per_budget[iters] = dict(calls)
+        assert per_budget[40] == per_budget[10]
+        assert per_budget[40]["pack"] <= 2 and per_budget[40]["unpack"] <= 2
+
+    def test_gradient_views_one_vector(self):
+        dataset = two_domain_instance(seed=1)
+        state = randomized_state(dataset, 2, seed=1)
+        eps = draw_eps(state, utils.stream(3, 1), 2)
+        _, grads = elbo_with_grad(dataset, state, eps)
+        flat = grads.vector
+        assert flat.shape == (state.n_params,)
+        np.testing.assert_array_equal(flat, grads.pack())
+        arrays = [grads.log_length_scales, grads.prior_mean, grads.prior_log_var]
+        for v in grads.domain_ids:
+            arrays += [grads.q_mean[v], grads.q_log_var[v], grads.noise_log_var[v]]
+        assert all(a.base is flat for a in arrays)
+
+    def test_alignment_writes_theta_and_moment_in_place(self):
+        dataset = two_domain_instance(seed=2)
+        state = randomized_state(dataset, 2, seed=3)
+        state.q_mean["d1"] = -state.prior_mean[state.attr_rows("d1")] + 0.05
+        theta = state.pack()
+        adam = AdamOptimizer(0.01)
+        adam.m = moment = np.ones(state.n_params)
+        assert inference._align_orientation(state, theta, adam) is theta
+        assert adam.m is moment
+        flipped = state.view(moment).q_mean["d1"]
+        np.testing.assert_array_equal(flipped, -np.ones_like(flipped))
+        np.testing.assert_array_equal(state.view(theta).q_mean["d1"], -state.q_mean["d1"])
 
 
 class TestTrainConfigValidation:

@@ -621,6 +621,90 @@ class TestModelState:
         assert state.q_mean["d0"][0, 0] != dup.q_mean["d0"][0, 0]
 
 
+@st.composite
+def random_states(draw):
+    """A state on a random catalogue: one to three domains, each observing
+    a non-empty subset of one to four attributes, one to three latents."""
+    attributes = tuple(f"a{k}" for k in range(draw(st.integers(1, 4))))
+    domain_ids = tuple(f"d{k}" for k in range(draw(st.integers(1, 3))))
+    L = draw(st.integers(1, 3))
+    seen = {
+        v: draw(st.sets(st.sampled_from(attributes), min_size=1)) for v in domain_ids
+    }
+    domain_attributes = {v: tuple(a for a in attributes if a in seen[v]) for v in seen}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    S = len(attributes)
+    sizes = {v: len(domain_attributes[v]) for v in domain_ids}
+    return ModelState(
+        attributes=attributes,
+        domain_ids=domain_ids,
+        domain_attributes=domain_attributes,
+        num_latents=L,
+        log_length_scales=rng.normal(size=L),
+        prior_mean=rng.normal(size=(S, L)),
+        prior_log_var=rng.normal(size=(S, L)),
+        q_mean={v: rng.normal(size=(n, L)) for v, n in sizes.items()},
+        q_log_var={v: rng.normal(size=(n, L)) for v, n in sizes.items()},
+        noise_log_var={v: rng.normal(size=n) for v, n in sizes.items()},
+    )
+
+
+def parameter_arrays(state):
+    """The parameter arrays of a state in ``pack()`` order."""
+    arrays = [state.log_length_scales, state.prior_mean, state.prior_log_var]
+    for v in state.domain_ids:
+        arrays += [state.q_mean[v], state.q_log_var[v], state.noise_log_var[v]]
+    return arrays
+
+
+class TestFlatVectorViews:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(state=random_states())
+    def test_view_unpack_pack_round_trip(self, state):
+        theta = state.pack()
+        assert state.n_params == theta.size
+        view, copied = state.view(theta), state.unpack(theta)
+        assert view.vector is theta
+        assert view.pack().tobytes() == theta.tobytes()
+        assert copied.pack().tobytes() == theta.tobytes()
+        assert all(a.base is theta for a in parameter_arrays(view))
+        assert not any(np.shares_memory(a, theta) for a in parameter_arrays(copied))
+        # Writes through the view's arrays land in the vector, in order.
+        want = []
+        for k, a in enumerate(parameter_arrays(view)):
+            a[...] = k
+            want += [k] * a.size
+        np.testing.assert_array_equal(theta, want)
+        np.testing.assert_array_equal(copied.pack(), state.pack())
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(state=random_states())
+    def test_catalogue_rows(self, state):
+        rows, blocks = state.stacked_rows()
+        assert list(blocks) == list(state.domain_ids)
+        for v in state.domain_ids:
+            want = [state.attributes.index(a) for a in state.domain_attributes[v]]
+            np.testing.assert_array_equal(state.attr_rows(v), want)
+            np.testing.assert_array_equal(rows[blocks[v]], want)
+        assert not rows.flags.writeable
+        # States made from this one share the rows, built once.
+        assert state.view(state.pack()).stacked_rows()[0] is rows
+
+    def test_wrong_vectors_refused(self):
+        _, dataset, _ = two_series_instance()
+        state = init_state(dataset, 2, seed=0)
+        for bad in (np.zeros(state.n_params - 1), np.zeros((1, state.n_params))):
+            with pytest.raises(DimensionMismatch):
+                state.view(bad)
+
+    def test_domain_listing_an_attribute_twice_is_refused(self):
+        _, dataset, _ = two_series_instance()
+        state = init_state(dataset, 1, seed=0)
+        state.domain_attributes["d0"] = ("a0", "a0")
+        with pytest.raises(DataError, match="twice"):
+            state.attr_rows("d0")
+
+
 def random_two_domain_state(seed):
     dataset = two_domain_instance(seed=seed)
     state = init_state(dataset, 2, seed=seed)
