@@ -46,12 +46,10 @@ from .model import (
 )
 from .prediction import (
     ConditionalPosterior,
-    PredictiveMixture,
     SupportPrediction,
     conditional_posterior,
     predict_grid,
     predict_supports,
-    predictive_mixture,
 )
 
 __version__ = "0.1.0"
@@ -72,7 +70,6 @@ __all__ = [
     "Interval",
     "ModelState",
     "Partition",
-    "PredictiveMixture",
     "Support",
     "SupportPrediction",
     "SynthConfig",
@@ -90,7 +87,6 @@ __all__ = [
     "mape",
     "predict_grid",
     "predict_supports",
-    "predictive_mixture",
     "refined_elbo",
     "restrict_to_domain",
     "run_experiment",

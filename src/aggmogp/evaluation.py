@@ -309,8 +309,9 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
                 part = _build_partition(dom, a, spec, label)
                 pooled = np.empty(len(part.supports))
                 for n, support in enumerate(part.supports):
-                    w = geometry.weight_vector(support, dom.grid, geometry.AVERAGE)
-                    members = geometry.membership(support, dom.grid)
+                    members, w = geometry.support_weights(
+                        support, dom.grid, geometry.AVERAGE
+                    )
                     pooled[n] = w @ fields[dom.id][a_idx, members]
                 sigma = cfg.noise_of(dom.id, a)
                 noisy = pooled + math.sqrt(sigma) * n_rng.standard_normal(

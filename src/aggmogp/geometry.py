@@ -348,11 +348,6 @@ def support_weights(support: Support, grid: GridSpec, rule: AggregationRule):
     return members, np.asarray(rule.weights, dtype=float)
 
 
-def weight_vector(support: Support, grid: GridSpec, rule: AggregationRule) -> np.ndarray:
-    """Aggregation weights aligned with :func:`membership` order."""
-    return support_weights(support, grid, rule)[1]
-
-
 def centroid(support: Support, grid: GridSpec) -> np.ndarray:
     """Geometric center of a support: interval midpoint or mean member coordinate."""
     body = support.body

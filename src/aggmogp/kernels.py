@@ -6,17 +6,18 @@ model and prediction modules use the vectorized building blocks here:
 squared distances (``sq_dists``), the kernel profile and its
 log-length-scale derivative (``se_value``, ``se_value_dlog``), and the
 1-D closed forms via the error function: point to interval
-(``se_point_interval``) and interval to interval (``se_double_interval``,
-from the second antiderivative ``se_antideriv2`` and its derivative
-``se_antideriv2_dlog``). Grid sums are built by the model's support
-covariance table from per-axis grams.
+(``se_point_interval``) and the second antiderivative ``se_antideriv2``
+with its derivative ``se_antideriv2_dlog``, from which the model's
+support covariance table builds interval-to-interval integrals. Grid
+sums are built by the same table from per-axis grams.
 
 The closed forms build on the identity that
 ``F(z) = sqrt(pi/2) * b * z * erf(z / (sqrt(2) b)) + b^2 * exp(-z^2 / (2 b^2))``
 has second derivative ``exp(-z^2 / (2 b^2))``, so the rectangle integral is
-an alternating sum of four F evaluations. F is even, and the alternating
-sum is grouped as ``(F1 + F4) - (F2 + F3)`` so that swapping the two
-intervals reproduces the result bit for bit.
+an alternating sum of four F evaluations. F is even; the table
+(``SupportCovTable._fill``) evaluates it once per distinct ``|z|`` and
+groups the alternating sum as ``(F1 + F4) - (F2 + F3)``, so that
+swapping the two intervals reproduces the result bit for bit.
 """
 
 from __future__ import annotations
@@ -72,13 +73,3 @@ def se_point_interval(x, lo, hi, length_scale):
     b = length_scale
     s = np.sqrt(2.0) * b
     return _HALF_SQRT_2PI * b * (erf((hi - x) / s) - erf((lo - x) / s))
-
-
-def se_double_interval(lo1, hi1, lo2, hi2, length_scale):
-    """Double integral of the kernel profile over [lo1,hi1] x [lo2,hi2]."""
-    f1 = se_antideriv2(hi1 - lo2, length_scale)
-    f2 = se_antideriv2(lo1 - lo2, length_scale)
-    f3 = se_antideriv2(hi1 - hi2, length_scale)
-    f4 = se_antideriv2(lo1 - hi2, length_scale)
-    # Grouping keeps interval swap bit-exact; see module docstring.
-    return (f1 + f4) - (f2 + f3)

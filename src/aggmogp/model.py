@@ -252,8 +252,9 @@ def _mode_product(factor: np.ndarray, tensor: np.ndarray, axis: int, out: np.nda
     return out
 
 
-class GridKernel:
-    """The SE kernel over a domain's regular grid as per-axis factors.
+def _grid_factors(grid, length_scale: float, with_grad: bool = False):
+    """The SE kernel over a regular grid as per-axis grams ``[G_d]``, and
+    ``[dG_d]`` when ``with_grad``, else None.
 
     On the cell centres the kernel factorizes over the axes, ``K = G_1 ⊗
     … ⊗ G_D`` with ``G_d`` the 1-D gram of axis d (C order: the last axis
@@ -261,20 +262,14 @@ class GridKernel:
     product rule. Only the D small grams are ever evaluated; weight rows
     apply them one axis at a time (:meth:`WeightRows.product`).
     """
-
-    def __init__(self, grid):
-        self.grid = grid
-
-    def factors(self, length_scale: float, with_grad: bool = False):
-        """Per-axis grams ``[G_d]``, and ``[dG_d]`` when ``with_grad``."""
-        # Recomputed per call: kept on every table, they raised the peak
-        # memory of runs that rebuild datasets, and they cost little.
-        axes = [self.grid.axis_coords(d)[:, None] for d in range(self.grid.ndim)]
-        sq = [sq_dists(x, x) for x in axes]
-        grams = [se_value(d2, length_scale) for d2 in sq]
-        if not with_grad:
-            return grams, None
-        return grams, [se_value_dlog(d2, length_scale) for d2 in sq]
+    # Recomputed per call: kept on every table, they raised the peak
+    # memory of runs that rebuild datasets, and they cost little.
+    axes = [grid.axis_coords(d)[:, None] for d in range(grid.ndim)]
+    sq = [sq_dists(x, x) for x in axes]
+    grams = [se_value(d2, length_scale) for d2 in sq]
+    if not with_grad:
+        return grams, None
+    return grams, [se_value_dlog(d2, length_scale) for d2 in sq]
 
 
 class WeightRows:
@@ -298,7 +293,7 @@ class WeightRows:
         # 1.6 MiB to the peak memory of every process that loads it.
         from scipy.sparse import csr_matrix
 
-        self.kernel = GridKernel(grid)
+        self.grid = grid
         n_cols = len(sizes) if n_cols is None else n_cols
         self.n_cols = n_cols
         ptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
@@ -333,7 +328,7 @@ class WeightRows:
         columns), so no call reshapes them again.
         """
         if self._work is None:
-            grid = self.kernel.grid
+            grid = self.grid
             products = np.zeros((2,) + self.fibres.shape)
             n_work = 3 + 2 * min(grid.ndim - 1, 2)
             width = (WORK_BYTES - products.nbytes) // (n_work * grid.n_points * 8)
@@ -371,8 +366,8 @@ class WeightRows:
         caller holds the lock. The last axis acts on the fibres of
         ``Aᵀ``; every other axis is a dense mode product.
         """
-        grid = self.kernel.grid
-        grams, dgrams = self.kernel.factors(length_scale, with_grad)
+        grid = self.grid
+        grams, dgrams = _grid_factors(grid, length_scale, with_grad)
         _, products, plan, views = self._work_arrays()
         lasts = [grams[-1], dgrams[-1]] if with_grad else [grams[-1]]
         products = products[: len(lasts)]
@@ -452,7 +447,7 @@ class SupportCovTable:
     * every other grid support is a row of the weight matrix ``A``
       (:class:`WeightRows`), keyed by its cells and weights, so its rule
       is part of the key; its entries are ``A K Aᵀ`` with ``K`` applied
-      through per-axis factors (:class:`GridKernel`), and a closed-form
+      through per-axis grams (:func:`_grid_factors`), and a closed-form
       row paired with a grid or point row counts as its row of ``A``;
     * point rows (``as_points`` records), keyed by their support's
       centroid (``centroids``), evaluate the kernel from it directly.

@@ -9,8 +9,10 @@ weights is handled by Monte Carlo: draw weight samples from the fitted
 variational posterior, condition per sample, then pool the Gaussian
 components into a single mean and covariance (mixture moments).
 
-Every helper conditions each draw in one function and pools the draws
-in another. What no draw changes is built once per call: the
+:func:`conditional_posterior` conditions on one given weight sample.
+:func:`predict_supports` and :func:`predict_grid` share one path: draw
+the weights, condition each draw (``_condition``), then pool the draws
+(``_pool``). What no draw changes is built once per call: the
 per-latent support covariances ``S_l``, the integrals ``h_l`` of the
 observation rows against the targets, and the targets' priors. Target
 supports are weight rows ``A_t`` over the grid cells, like observed
@@ -23,10 +25,11 @@ their ``h_l`` from the same table
 (:meth:`~aggmogp.model.SupportCovTable.at_points`). Each draw only
 mixes these blocks with its weights, factors and solves, so a support
 prediction's per-draw cross covariance has one column per support. Only
-the full covariance of point queries materializes a query-cross-query
-matrix. Leave-one-out predictions of a record's own supports
-(:func:`predict_left_out`) come from the inverse of each draw's full
-``C``, not a factorization per fold.
+:func:`conditional_posterior`, which returns the full covariance of its
+point queries, materializes a query-cross-query matrix. Leave-one-out
+predictions of a record's own supports (:func:`predict_left_out`) come
+from the inverse of each draw's full ``C``, not a factorization per
+fold.
 
 Weight draws for prediction come from substream 3 of the prediction
 seed: one (local attributes, latents) standard-normal block per
@@ -285,25 +288,6 @@ def _pool(means, spreads):
     return mean, pooled, clamped
 
 
-def _point_posteriors(query_points, draws, state, dataset, domain_id, attributes):
-    """One :class:`ConditionalPosterior` at the query points per weight draw."""
-    dd = dataset.prepared(domain_id)
-    query = _as_query_array(query_points, dd.domain)
-    attr_idx, attr_ids = _local_attr_indices(state, dd, attributes)
-    d2 = sq_dists(query, query)
-    grams = np.stack([se_value(d2, s) for s in state.length_scales])
-    blocks = _draw_invariants(dd, query, state.length_scales)
-    work = {}
-    return [
-        ConditionalPosterior(
-            *_condition(dd, state, W, blocks, attr_idx, grams, work),
-            n_query=query.shape[0],
-            attr_ids=attr_ids,
-        )
-        for W in draws
-    ]
-
-
 def conditional_posterior(
     query_points,
     weights: np.ndarray,
@@ -312,30 +296,28 @@ def conditional_posterior(
     domain_id: str,
     attributes=None,
 ) -> ConditionalPosterior:
-    """Exact Gaussian conditioning for one fixed weight sample.
+    """Exact Gaussian conditioning for one fixed weight sample, a (local
+    attributes, latents) array.
 
     With no observations in the domain the prior is returned unchanged.
     Small negative diagonal entries from the subtraction are clamped to
     zero.
     """
-    return _point_posteriors(
-        query_points, [weights], state, dataset, domain_id, attributes
-    )[0]
-
-
-@dataclass
-class PredictiveMixture:
-    """Pooled moments of per-sample Gaussian posteriors.
-
-    ``pooled_cov`` is the mixture covariance: mean of component second
-    moments minus the outer product of the pooled mean. ``clamped``
-    counts pooled variances that came out negative beyond roundoff.
-    """
-
-    components: tuple[ConditionalPosterior, ...]
-    pooled_mean: np.ndarray
-    pooled_cov: np.ndarray
-    clamped: int
+    dd = dataset.prepared(domain_id)
+    query = _as_query_array(query_points, dd.domain)
+    attr_idx, attr_ids = _local_attr_indices(state, dd, attributes)
+    W = np.asarray(weights, dtype=float)
+    expected = (len(state.domain_attributes[domain_id]), state.num_latents)
+    if W.shape != expected:
+        raise DimensionMismatch(
+            f"weight sample of shape {W.shape} on domain {domain_id!r},"
+            f" which takes {expected}"
+        )
+    d2 = sq_dists(query, query)
+    grams = np.stack([se_value(d2, s) for s in state.length_scales])
+    blocks = _draw_invariants(dd, query, state.length_scales)
+    mean, cov = _condition(dd, state, W, blocks, attr_idx, grams, {})
+    return ConditionalPosterior(mean, cov, n_query=query.shape[0], attr_ids=attr_ids)
 
 
 def draw_weight_samples(
@@ -355,35 +337,15 @@ def draw_weight_samples(
     ]
 
 
-def predictive_mixture(
-    query_points,
-    state: ModelState,
-    dataset: AggregatedDataset,
-    domain_id: str,
-    n_samples: int,
-    seed: int,
-    attributes=None,
-) -> PredictiveMixture:
-    """Monte Carlo predictive distribution over query values."""
-    components = tuple(
-        _point_posteriors(
-            query_points,
-            draw_weight_samples(state, domain_id, n_samples, seed),
-            state,
-            dataset,
-            domain_id,
-            attributes,
-        )
-    )
-    pooled_mean, pooled_cov, clamped = _pool(
-        [c.mean for c in components], [c.cov for c in components]
-    )
-    return PredictiveMixture(
-        components=components,
-        pooled_mean=pooled_mean,
-        pooled_cov=pooled_cov,
-        clamped=clamped,
-    )
+def _draw_and_pool(dd, state, n_samples, seed, blocks, attr_idx, priors):
+    """:func:`_condition` on each of ``n_samples`` weight draws, pooled by
+    :func:`_pool` into ``(mean, variances, clamped)``."""
+    work = {}
+    draws = [
+        _condition(dd, state, W, blocks, attr_idx, priors, work)
+        for W in draw_weight_samples(state, dd.domain.id, n_samples, seed)
+    ]
+    return _pool(*zip(*draws))
 
 
 def _support_targets(target: Partition, rules, state, dd):
@@ -433,12 +395,9 @@ def predict_supports(
     """
     dd = dataset.prepared(target.domain_id)
     attr_idx, blocks, priors = _support_targets(target, rules, state, dd)
-    work = {}
-    draws = [
-        _condition(dd, state, W, blocks, attr_idx, priors, work)
-        for W in draw_weight_samples(state, target.domain_id, n_samples, seed)
-    ]
-    values, variances, clamped = _pool(*zip(*draws))
+    values, variances, clamped = _draw_and_pool(
+        dd, state, n_samples, seed, blocks, attr_idx, priors
+    )
     return SupportPrediction(values=values, variances=variances, clamped=clamped)
 
 
@@ -511,10 +470,7 @@ def predict_grid(
     # Unit-weight point variances: every kernel is one at zero distance.
     priors = np.ones((state.num_latents, query.shape[0]))
     blocks = _draw_invariants(dd, at, state.length_scales)
-    work = {}
-    draws = [
-        _condition(dd, state, W, blocks, attr_idx, priors, work)
-        for W in draw_weight_samples(state, domain_id, n_samples, seed)
-    ]
-    mean, variance, clamped = _pool(*zip(*draws))
+    mean, variance, clamped = _draw_and_pool(
+        dd, state, n_samples, seed, blocks, attr_idx, priors
+    )
     return query, mean, variance, clamped

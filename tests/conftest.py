@@ -18,7 +18,7 @@ from aggmogp.geometry import (
     Support,
     grid_block_partition,
     membership,
-    weight_vector,
+    support_weights,
 )
 from aggmogp.model import AggregatedDataset, DatasetRecord, uniform_rules
 
@@ -71,7 +71,7 @@ def aggregation_matrix(domain, records):
         for support, rule in zip(rec.partition.supports, rec.rules):
             row = np.zeros(len(records) * G)
             members = membership(support, domain.grid)
-            w = weight_vector(support, domain.grid, rule)
+            w = support_weights(support, domain.grid, rule)[1]
             row[a_idx * G + members] = w
             rows.append(row)
     return np.vstack(rows)

@@ -1,19 +1,23 @@
-"""Reference kernel primitives that only the tests use.
+"""Reference constructions that only the tests use.
 
 The model builds support covariances from per-axis grams and closed
 forms (see ``aggmogp.model``). These are the literal constructions the
-unit tests check those against: the kernel between two points, a
-weighted double sum over two member-point sets, and the same sum
-grouped by exact squared distance.
+unit tests check those against: the kernel between two points, the
+double integral over two intervals, a weighted double sum over two
+member-point sets, and the same sum grouped by exact squared distance.
+The pooled point mixture is the Monte Carlo predictive written out from
+one conditional posterior per weight draw.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from aggmogp.errors import DimensionMismatch, LengthMismatch
 from aggmogp.geometry import GridSpec
-from aggmogp.kernels import se_value
+from aggmogp.kernels import se_antideriv2, se_value
+from aggmogp.prediction import conditional_posterior, draw_weight_samples
 
 
 def multi_index(grid: GridSpec, cells) -> np.ndarray:
@@ -32,6 +36,18 @@ def kernel_eval(length_scale: float, x, x2) -> float:
         )
     d2 = float(np.sum((a - b) ** 2))
     return float(se_value(d2, length_scale))
+
+
+def se_double_interval(lo1, hi1, lo2, hi2, length_scale):
+    """Double integral of the kernel profile over [lo1,hi1] x [lo2,hi2],
+    from four evaluations of its second antiderivative F. F is even, and
+    the sum is grouped as ``(F1 + F4) - (F2 + F3)`` so that swapping the
+    two intervals gives the same result bit for bit."""
+    f1 = se_antideriv2(hi1 - lo2, length_scale)
+    f2 = se_antideriv2(lo1 - lo2, length_scale)
+    f3 = se_antideriv2(hi1 - hi2, length_scale)
+    f4 = se_antideriv2(lo1 - hi2, length_scale)
+    return (f1 + f4) - (f2 + f3)
 
 
 def support_cov_grid(
@@ -147,3 +163,28 @@ def scattered_grid_cov(table, length_scale: float):
         S[np.ix_(rows, rows)] = block.T
         out.append(S[np.ix_(table.index, table.index)])
     return tuple(out)
+
+
+def pooled_point_mixture(
+    query_points, state, dataset, domain_id, n_samples, seed, attributes=None
+):
+    """Mixture moments of the conditional posteriors at the query points,
+    one per weight draw of ``draw_weight_samples``.
+
+    Returns ``mean``, ``cov`` (the mean of the components' second moments
+    minus the outer product of the pooled mean) and ``clamped``, the
+    number of pooled variances below -1e-10; negative variances are
+    floored at zero.
+    """
+    draws = draw_weight_samples(state, domain_id, n_samples, seed)
+    components = [
+        conditional_posterior(query_points, W, state, dataset, domain_id, attributes)
+        for W in draws
+    ]
+    mean = sum(c.mean for c in components) / n_samples
+    second = sum(c.cov + np.outer(c.mean, c.mean) for c in components) / n_samples
+    cov = second - np.outer(mean, mean)
+    var = np.diag(cov)
+    clamped = int(np.sum(var < -1e-10))
+    cov[np.diag_indices_from(cov)] = np.maximum(var, 0.0)
+    return SimpleNamespace(mean=mean, cov=cov, clamped=clamped)

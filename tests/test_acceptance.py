@@ -46,11 +46,11 @@ from aggmogp.inference import (
     fit,
     refined_elbo,
 )
-from aggmogp.kernels import se_double_interval, se_point_interval
 from aggmogp.model import (
     JITTER_BASE,
     AggregatedDataset,
     DatasetRecord,
+    SupportCovTable,
     assemble_C,
     floor_var,
     init_state,
@@ -196,15 +196,40 @@ def test_criterion_02_joint_conditioning_oracle():
 
 
 def test_criterion_03_kernel_integral_oracle():
+    # The closed forms come from the support covariance table that
+    # training and prediction run: one single-support average-rule record
+    # per interval on a 1-D domain, so that overlapping intervals can
+    # share it. Point cases go through at_points, interval pairs through
+    # latent_cov; both are per unit length, so they are scaled back.
     t0 = time.perf_counter()
     point_cases = [
         (0.3, Interval(0.0, 1.0), 0.5),
         (-0.2, Interval(0.5, 2.0), 0.8),
         (1.0, Interval(0.0, 1.0), 2.0),
     ]
+    double_cases = [
+        (Interval(0.0, 1.0), Interval(0.5, 2.0), 0.5),
+        (Interval(0.0, 2.0), Interval(0.0, 2.0), 1.0),
+        (Interval(-1.0, 0.0), Interval(1.0, 2.5), 0.7),
+    ]
+    domain = unit_grid_domain(35, -1.0, 2.5)
+    intervals = [iv for _, iv, _ in point_cases]
+    intervals += [iv for iv1, iv2, _ in double_cases for iv in (iv1, iv2)]
+    records = []
+    for k, iv in enumerate(intervals):
+        part = Partition(
+            attribute_id=f"a{k}",
+            domain_id="d0",
+            supports=(interval_support(iv.lo, iv.hi, f"s{k}"),),
+        )
+        records.append(
+            DatasetRecord("d0", f"a{k}", part, (AVERAGE,), np.zeros(1))
+        )
+    table = SupportCovTable(domain, records)
+
     worst_quad = 0.0
-    for x, iv, b in point_cases:
-        got = se_point_interval(x, iv.lo, iv.hi, b)
+    for k, (x, iv, b) in enumerate(point_cases):
+        got = table.at_points(np.array([[x]]), b)[k, 0] * iv.length
         want, _ = quad(
             lambda t: np.exp(-((x - t) ** 2) / (2.0 * b * b)),
             iv.lo,
@@ -213,13 +238,14 @@ def test_criterion_03_kernel_integral_oracle():
             epsrel=1e-13,
         )
         worst_quad = max(worst_quad, abs(got - want))
-    double_cases = [
-        (Interval(0.0, 1.0), Interval(0.5, 2.0), 0.5),
-        (Interval(0.0, 2.0), Interval(0.0, 2.0), 1.0),
-        (Interval(-1.0, 0.0), Interval(1.0, 2.5), 0.7),
-    ]
-    for iv1, iv2, b in double_cases:
-        got = se_double_interval(iv1.lo, iv1.hi, iv2.lo, iv2.hi, b)
+
+    def closed_average(case):
+        # Rows of the double cases follow the point cases, two per case.
+        i = len(point_cases) + 2 * case
+        return table.latent_cov(double_cases[case][2])[i, i + 1]
+
+    for case, (iv1, iv2, b) in enumerate(double_cases):
+        got = closed_average(case) * iv1.length * iv2.length
         want, _ = dblquad(
             lambda s, t: np.exp(-((s - t) ** 2) / (2.0 * b * b)),
             iv1.lo,
@@ -238,16 +264,12 @@ def test_criterion_03_kernel_integral_oracle():
         p2 = iv2.lo + (np.arange(n2) + 0.5) * (iv2.length / n2)
         return np.full(n1, 1.0 / n1) @ se_cross(p1, p2, b) @ np.full(n2, 1.0 / n2)
 
-    def closed_average(iv1, iv2, b):
-        got = se_double_interval(iv1.lo, iv1.hi, iv2.lo, iv2.hi, b)
-        return got / (iv1.length * iv2.length)
-
     worst_grid = 0.0
-    for iv1, iv2, b in double_cases:
-        closed = closed_average(iv1, iv2, b)
+    for case, (iv1, iv2, b) in enumerate(double_cases):
+        closed = closed_average(case)
         worst_grid = max(worst_grid, abs(grid_average(iv1, iv2, b, 1000) - closed))
     iv1, iv2, b = double_cases[0]
-    closed = closed_average(iv1, iv2, b)
+    closed = closed_average(0)
     errs = [
         abs(grid_average(iv1, iv2, b, per_unit) - closed)
         for per_unit in (250, 500, 1000, 2000)

@@ -33,7 +33,7 @@ from aggmogp.evaluation import (
     run_experiment,
     synth_generate,
 )
-from aggmogp.geometry import weight_vector, membership, AVERAGE
+from aggmogp.geometry import AVERAGE, membership, support_weights
 from aggmogp.inference import TrainConfig
 from dataclasses import replace
 
@@ -192,7 +192,7 @@ class TestSynthGenerator:
         part = res.partitions["obs"][("d0", "a1")]
         for n, support in enumerate(part.supports):
             members = membership(support, dom.grid)
-            w = weight_vector(support, dom.grid, AVERAGE)
+            w = support_weights(support, dom.grid, AVERAGE)[1]
             np.testing.assert_allclose(
                 res.truth["obs"][("d0", "a1")][n],
                 w @ res.fields["d0"][1, members],

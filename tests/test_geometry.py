@@ -29,8 +29,8 @@ from aggmogp.geometry import (
     grid_block_partition,
     interval_bins,
     membership,
+    support_weights,
     validate,
-    weight_vector,
 )
 
 
@@ -153,28 +153,31 @@ class TestMembership:
 
 
 class TestWeightVector:
+    """Aggregation weights of :func:`support_weights`, per rule."""
+
     def test_average(self):
         grid = integer_grid(8)
         s = interval_support(0.0, 4.0, "s")
-        np.testing.assert_allclose(weight_vector(s, grid, AVERAGE), np.full(5, 0.2))
+        w = support_weights(s, grid, AVERAGE)[1]
+        np.testing.assert_allclose(w, np.full(5, 0.2))
 
     def test_sum(self):
         grid = integer_grid(8)
         s = cells_support([1, 2, 3], "s")
-        np.testing.assert_array_equal(weight_vector(s, grid, SUM), np.ones(3))
+        np.testing.assert_array_equal(support_weights(s, grid, SUM)[1], np.ones(3))
 
     def test_custom(self):
         grid = integer_grid(8)
         s = cells_support([0, 1], "s")
         rule = AggregationRule(AggregationRule.CUSTOM, weights=(0.25, 0.75))
-        np.testing.assert_allclose(weight_vector(s, grid, rule), [0.25, 0.75])
+        np.testing.assert_allclose(support_weights(s, grid, rule)[1], [0.25, 0.75])
 
     def test_custom_length_mismatch(self):
         grid = integer_grid(8)
         s = cells_support([0, 1, 2], "s")
         rule = AggregationRule(AggregationRule.CUSTOM, weights=(0.5, 0.5))
         with pytest.raises(LengthMismatch):
-            weight_vector(s, grid, rule)
+            support_weights(s, grid, rule)
 
     def test_average_weights_sum_to_one(self):
         grid = integer_grid(64)
@@ -182,7 +185,8 @@ class TestWeightVector:
         for _ in range(25):
             lo = float(rng.uniform(0, 50))
             hi = lo + float(rng.uniform(0.5, 12))
-            w = weight_vector(interval_support(lo, hi, "s"), grid, AVERAGE)
+            s = interval_support(lo, hi, "s")
+            w = support_weights(s, grid, AVERAGE)[1]
             np.testing.assert_allclose(w.sum(), 1.0, atol=1e-12)
 
 

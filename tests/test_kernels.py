@@ -13,7 +13,6 @@ from aggmogp.geometry import GridSpec, Interval
 from aggmogp.kernels import (
     se_antideriv2,
     se_antideriv2_dlog,
-    se_double_interval,
     se_point_interval,
     se_value,
     se_value_dlog,
@@ -21,6 +20,7 @@ from aggmogp.kernels import (
 from oracles import (
     DistanceHistogram,
     kernel_eval,
+    se_double_interval,
     support_cov_bucketed,
     support_cov_grid,
 )

@@ -25,6 +25,7 @@ from conftest import (
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import pooled_point_mixture
 from test_support_cov import cell_set_records, grid_domains, interval_records
 
 from aggmogp import model, prediction
@@ -56,7 +57,6 @@ from aggmogp.prediction import (
     predict_grid,
     predict_left_out,
     predict_supports,
-    predictive_mixture,
 )
 
 
@@ -265,9 +265,7 @@ class TestQueryValidation:
             conditional_posterior([[-0.5]], W, state, dataset, "d0")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize(
-        "helper", ["conditional_posterior", "predictive_mixture", "predict_grid"]
-    )
+    @pytest.mark.parametrize("helper", ["conditional_posterior", "predict_grid"])
     def test_non_finite_query_raises(self, helper, bad):
         # Every extent comparison with NaN is false, so a NaN query would
         # otherwise reach the kernels and come back as a NaN prediction.
@@ -278,15 +276,24 @@ class TestQueryValidation:
             "conditional_posterior": lambda: conditional_posterior(
                 query, np.ones((2, 2)), state, dataset, "d0"
             ),
-            "predictive_mixture": lambda: predictive_mixture(
-                query, state, dataset, "d0", 2, seed=0
-            ),
             "predict_grid": lambda: predict_grid(
                 state, dataset, "d0", "a0", 2, 0, query_points=query
             ),
         }
         with pytest.raises(OutOfBounds, match="non-finite"):
             calls[helper]()
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 5), (1, 2)])
+    @pytest.mark.parametrize("observed", [True, False], ids=["data", "empty"])
+    def test_misshaped_weight_sample_raises(self, observed, shape):
+        # The domain models two attributes on two latents; any other shape
+        # is refused before conditioning, with or without observations.
+        _, dataset, _ = two_series_instance()
+        state = reference_state(dataset)
+        if not observed:
+            dataset = dataset.replace_records(())
+        with pytest.raises(DimensionMismatch, match="weight sample"):
+            conditional_posterior([[1.0]], np.ones(shape), state, dataset, "d0")
 
     def test_boundary_query_allowed(self):
         _, dataset, _ = two_series_instance()
@@ -347,25 +354,29 @@ class TestEmptyConditioning:
 
 
 class TestPredictiveMixture:
+    """The pooled Monte Carlo mixture of per-draw conditional posteriors."""
+
     def test_single_sample_pooling_identity(self):
         _, dataset, _ = two_series_instance()
         state = reference_state(dataset)
-        mix = predictive_mixture(
-            np.array([[1.0], [3.0]]), state, dataset, "d0", 1, seed=9
+        q = np.array([[1.0], [3.0]])
+        _, mean, var, clamped = predict_grid(
+            state, dataset, "d0", "a0", 1, seed=9, query_points=q
         )
-        assert len(mix.components) == 1
-        comp = mix.components[0]
-        np.testing.assert_allclose(mix.pooled_mean, comp.mean, atol=1e-12)
-        np.testing.assert_allclose(mix.pooled_cov, comp.cov, atol=1e-12)
+        (W,) = draw_weight_samples(state, "d0", 1, seed=9)
+        comp = conditional_posterior(q, W, state, dataset, "d0", ["a0"])
+        np.testing.assert_allclose(mean, comp.mean, atol=1e-12)
+        np.testing.assert_allclose(var, np.diag(comp.cov), atol=1e-12)
+        assert clamped == 0
 
     def test_same_seed_reproducible(self):
         _, dataset, _ = two_series_instance()
         state = reference_state(dataset)
         q = np.array([[0.5], [6.5]])
-        a = predictive_mixture(q, state, dataset, "d0", 4, seed=21)
-        b = predictive_mixture(q, state, dataset, "d0", 4, seed=21)
-        assert np.array_equal(a.pooled_mean, b.pooled_mean)
-        assert np.array_equal(a.pooled_cov, b.pooled_cov)
+        a = predict_grid(state, dataset, "d0", "a1", 4, seed=21, query_points=q)
+        b = predict_grid(state, dataset, "d0", "a1", 4, seed=21, query_points=q)
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
 
     def test_component_variance_not_above_prior(self):
         # Conditioning on data cannot inflate variance for a fixed sample.
@@ -373,23 +384,21 @@ class TestPredictiveMixture:
         state = reference_state(dataset)
         empty = dataset.replace_records(())
         q = np.array([[2.0], [5.0]])
-        mix = predictive_mixture(q, state, dataset, "d0", 3, seed=2)
-        draws = draw_weight_samples(state, "d0", 3, seed=2)
-        for comp, W in zip(mix.components, draws):
+        for W in draw_weight_samples(state, "d0", 3, seed=2):
+            comp = conditional_posterior(q, W, state, dataset, "d0")
             prior = conditional_posterior(q, W, state, empty, "d0")
             assert np.all(np.diag(comp.cov) <= np.diag(prior.cov) + 1e-8)
 
     @pytest.mark.parametrize(
         "predict",
         [
-            lambda sv, ds, n: predictive_mixture([[1.0]], sv, ds, "d0", n, seed=0),
             lambda sv, ds, n: predict_supports(
                 ds.record_for("d0", "a0").partition, sv, ds, n, seed=0
             ),
             lambda sv, ds, n: predict_left_out(sv, ds, "d0", "a0", n, seed=0),
             lambda sv, ds, n: predict_grid(sv, ds, "d0", "a0", n, seed=0),
         ],
-        ids=["mixture", "supports", "left_out", "grid"],
+        ids=["supports", "left_out", "grid"],
     )
     def test_invalid_sample_count(self, predict):
         _, dataset, _ = two_series_instance()
@@ -425,12 +434,12 @@ class TestPredictGrid:
             state, dataset, "d0", "a0", n_samples=5, seed=7
         )
         assert query.shape == (64, 1)
-        mix = predictive_mixture(
+        mix = pooled_point_mixture(
             domain.grid.points, state, dataset, "d0", 5, seed=7,
             attributes=["a0"],
         )
-        np.testing.assert_allclose(mean, mix.pooled_mean, atol=1e-10)
-        np.testing.assert_allclose(var, np.diag(mix.pooled_cov), atol=1e-10)
+        np.testing.assert_allclose(mean, mix.mean, atol=1e-10)
+        np.testing.assert_allclose(var, np.diag(mix.cov), atol=1e-10)
         assert clamped == mix.clamped
 
     def test_empty_observations_prior_variance(self):
@@ -560,8 +569,8 @@ class TestDrawInvariantBlocks:
         "predict_grid": lambda state, ds, recs: predict_grid(
             state, ds, "d0", "a0", n_samples=5, seed=1
         ),
-        "predictive_mixture": lambda state, ds, recs: predictive_mixture(
-            [[0.5], [4.0]], state, ds, "d0", 5, seed=1
+        "grid_at_points": lambda state, ds, recs: predict_grid(
+            state, ds, "d0", "a0", n_samples=5, seed=1, query_points=[[0.5], [4.0]]
         ),
         "conditional_posterior": lambda state, ds, recs: conditional_posterior(
             [[0.5], [4.0]], np.ones((2, 2)), state, ds, "d0"
@@ -766,14 +775,14 @@ class TestSupportsMatchPooledGridMixture:
         state = reference_state(dataset, scales=scales)
         part, rules = target
         pred = predict_supports(part, state, dataset, 3, seed, rules=rules)
-        mix = predictive_mixture(
+        mix = pooled_point_mixture(
             domain.grid.points, state, dataset, "d0", 3, seed,
             attributes=[part.attribute_id],
         )
         target_rec = SimpleNamespace(partition=part, rules=rules)
         A = aggregation_matrix(domain, [target_rec])
-        values = A @ mix.pooled_mean
-        variances = np.einsum("ij,jk,ik->i", A, mix.pooled_cov, A)
+        values = A @ mix.mean
+        variances = np.einsum("ij,jk,ik->i", A, mix.cov, A)
         assert pred.clamped == 0 and mix.clamped == 0
         np.testing.assert_allclose(pred.values, values, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(pred.variances, variances, rtol=1e-9, atol=1e-9)

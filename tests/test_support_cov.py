@@ -21,7 +21,7 @@ import pytest
 from conftest import cells_support, interval_support
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import scattered_grid_cov
+from oracles import scattered_grid_cov, se_double_interval
 from scipy.sparse import csr_matrix
 from scipy.special import erf
 
@@ -38,9 +38,9 @@ from aggmogp.geometry import (
     Partition,
     centroid,
     membership,
-    weight_vector,
+    support_weights,
 )
-from aggmogp.kernels import se_antideriv2_dlog, se_double_interval, se_point_interval
+from aggmogp.kernels import se_antideriv2_dlog, se_point_interval
 from aggmogp.model import (
     JITTER_BASE,
     AggregatedDataset,
@@ -87,7 +87,8 @@ def dense_weight_rows(domain, records):
                 rows.append(("point", len(centroids) - 1))
             else:
                 members = membership(support, grid)
-                rows.append(("grid", members, weight_vector(support, grid, rule)))
+                weights = support_weights(support, grid, rule)[1]
+                rows.append(("grid", members, weights))
     points = np.vstack([grid.points] + [c[None, :] for c in centroids])
     W = np.zeros((len(rows), points.shape[0]))
     for r, row in enumerate(rows):
@@ -325,7 +326,7 @@ def support_keys(domain, records):
                 keys.append(("closed", interval.lo, interval.hi))
             else:
                 cells = membership(support, grid).tobytes()
-                weights = weight_vector(support, grid, rule).tobytes()
+                weights = support_weights(support, grid, rule)[1].tobytes()
                 keys.append(("grid", cells, weights))
     return keys
 
