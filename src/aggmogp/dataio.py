@@ -40,6 +40,11 @@ FORMAT_VERSION = 1
 # The seed comes from the command line, never from a config document.
 _TRAINING_KEYS = {f.name for f in fields(TrainConfig)} - {"seed"}
 
+# A model document's parameter arrays, in key order: the shared ones,
+# then those held per domain.
+_SHARED_PARAMS = ("log_length_scales", "prior_mean", "prior_log_var")
+_DOMAIN_PARAMS = ("q_mean", "q_log_var", "noise_log_var")
+
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -363,13 +368,15 @@ def _entries(value, what: str, path: str, convert) -> dict:
     return {k: convert(v) for k, v in _object(value, what, path).items()}
 
 
+def _int(value) -> int:
+    """An integer, refusing any value that ``int`` would truncate."""
+    if not float(value).is_integer():
+        raise ValueError(f"expected integers, got {value!r}")
+    return int(value)
+
+
 def _ints(values) -> tuple[int, ...]:
-    """Integers, refusing any value that ``int`` would truncate."""
-    values = tuple(values)
-    for v in values:
-        if not float(v).is_integer():
-            raise ValueError(f"expected integers, got {v!r}")
-    return tuple(int(v) for v in values)
+    return tuple(_int(v) for v in values)
 
 
 def _floats(values) -> np.ndarray:
@@ -401,7 +408,7 @@ def _config_from_doc(doc: dict, path: str) -> ConfigBundle:
         )
     config = TrainConfig(**training)
     prediction = _section(doc, "prediction", path)
-    n_pred = int(prediction.get("n_samples", 100))
+    n_pred = _int(prediction.get("n_samples", 100))
     if n_pred < 1:
         raise DataError(f"{path}: prediction n_samples must be >= 1")
     return ConfigBundle(
@@ -453,7 +460,7 @@ def _synth_from_doc(sec, path: str) -> SynthConfig:
     offset = sec.get("value_offset", 0.0)
     if isinstance(offset, dict):
         offset = _entries(offset, "synth value_offset", path, float)
-    seed = int(sec.get("seed", 0))
+    seed = _int(sec.get("seed", 0))
     if seed < 0:
         raise DataError(f"{ctx} seed must be >= 0, got {seed}")
     return SynthConfig(
@@ -491,7 +498,7 @@ def _experiment_from_doc(sec, training: TrainConfig, path: str) -> dict:
                 sec.get("num_latents", 2), f"{path}: experiment num_latents"
             ),
             seeds=_ints(sec.get("seeds", [0])),
-            n_pred_samples=int(sec.get("n_pred_samples", 100)),
+            n_pred_samples=_int(sec.get("n_pred_samples", 100)),
             cv_candidates=_optional(sec, "cv_candidates", _ints),
             train_config=training,
         )
@@ -561,12 +568,11 @@ def model_to_doc(
             v: list(t) for v, t in state.domain_attributes.items()
         },
         "num_latents": state.num_latents,
-        "log_length_scales": state.log_length_scales.tolist(),
-        "prior_mean": state.prior_mean.tolist(),
-        "prior_log_var": state.prior_log_var.tolist(),
-        "q_mean": {v: a.tolist() for v, a in state.q_mean.items()},
-        "q_log_var": {v: a.tolist() for v, a in state.q_log_var.items()},
-        "noise_log_var": {v: a.tolist() for v, a in state.noise_log_var.items()},
+        **{name: getattr(state, name).tolist() for name in _SHARED_PARAMS},
+        **{
+            name: {v: a.tolist() for v, a in getattr(state, name).items()}
+            for name in _DOMAIN_PARAMS
+        },
         "transforms": tf_doc,
         "trace": trace_summary,
     }
@@ -585,14 +591,11 @@ def load_model_file(path: str) -> ModelBundle:
                 doc["domain_attributes"], "domain_attributes", path, tuple
             ),
             num_latents=int(doc["num_latents"]),
-            log_length_scales=_floats(doc["log_length_scales"]),
-            prior_mean=_floats(doc["prior_mean"]),
-            prior_log_var=_floats(doc["prior_log_var"]),
-            q_mean=_entries(doc["q_mean"], "q_mean", path, _floats),
-            q_log_var=_entries(doc["q_log_var"], "q_log_var", path, _floats),
-            noise_log_var=_entries(
-                doc["noise_log_var"], "noise_log_var", path, _floats
-            ),
+            **{name: _floats(doc[name]) for name in _SHARED_PARAMS},
+            **{
+                name: _entries(doc[name], name, path, _floats)
+                for name in _DOMAIN_PARAMS
+            },
         )
         transforms = {}
         for v, per in _object(doc.get("transforms", {}), "transforms", path).items():
@@ -605,9 +608,8 @@ def load_model_file(path: str) -> ModelBundle:
                     )
                 transforms[(v, s)] = (mean, scale)
         # A non-finite parameter would surface later as a numerical failure.
-        shared = ("log_length_scales", "prior_mean", "prior_log_var")
-        named = [(name, getattr(state, name)) for name in shared]
-        for name in ("q_mean", "q_log_var", "noise_log_var"):
+        named = [(name, getattr(state, name)) for name in _SHARED_PARAMS]
+        for name in _DOMAIN_PARAMS:
             named += [(f"{name} {v!r}", a) for v, a in getattr(state, name).items()]
         for what, values in named:
             if not np.all(np.isfinite(values)):

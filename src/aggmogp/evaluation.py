@@ -36,7 +36,7 @@ from .errors import (
 )
 from .geometry import Domain, Partition
 from .inference import TrainConfig, fit
-from .kernels import se_value
+from .kernels import se_value, sq_dists
 from .model import (
     AggregatedDataset,
     DatasetRecord,
@@ -278,7 +278,7 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
             W = pm[rows] + eps * np.sqrt(pv[rows])
         weights[dom.id] = W
         pts = dom.grid.points
-        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        d2 = sq_dists(pts, pts)
         latents = np.empty((L, pts.shape[0]))
         for l, scale in enumerate(scales):
             gram = se_value(d2, scale)
@@ -450,7 +450,7 @@ def latent_request(value, what: str = "num_latents"):
     if value == "cv":
         return "cv"
     try:
-        count = int(value)
+        count = int(value) if float(value).is_integer() else 0
     except (TypeError, ValueError, OverflowError):
         count = 0
     if count < 1:

@@ -45,6 +45,7 @@ from .model import (
     AggregatedDataset,
     ModelState,
     assemble_from_latents,
+    chol_inverse,
     chol_solve,
     chol_with_jitter,
     floor_active,
@@ -208,9 +209,7 @@ def _domain_loglik(domain_data, weights, latents, dlatents, noise_log_var):
     )
     if dlatents is None:
         return ll, None, None, None
-    n = y.size
-    C_inv = chol_solve(chol, np.eye(n, order="F"), overwrite_b=True)
-    G = 0.5 * (np.outer(alpha, alpha) - C_inv)
+    G = 0.5 * (np.outer(alpha, alpha) - chol_inverse(chol))
     W = np.asarray(weights)
     grad_W = np.zeros_like(W)
     grad_scales = np.zeros(L)

@@ -20,17 +20,18 @@ aggregation operator (:class:`SupportCovTable`), built from a domain's
 records; it alone decides how each row is integrated. Each distinct
 support is integrated once, then expanded by one gather: rows that
 integrate the same thing (attributes observed on shared supports) share
-one distinct row. Average-rule
-interval supports on 1-D domains take the closed-form erf integrals
-(the kernels module's ``se_antideriv2`` and ``se_antideriv2_dlog``,
-evaluated once per distinct argument, and ``se_point_interval`` at a
-point). Every other grid support, and every prediction target
-(:func:`weight_rows`), is a row of a sparse weight matrix over the grid
-cells (:class:`WeightRows`). One product, ``left K Aᵀ``, gives the
-covariances ``A K Aᵀ``, target priors and cross covariances, with ``K``
-a Kronecker product of per-axis grams (``se_value`` and ``se_value_dlog``
-on each axis), applied to a block of columns of ``Aᵀ`` at a time. Point
-observations at support centroids evaluate ``se_value`` directly.
+one distinct row. The distinct rows are numbered by kind, so each kind
+below is one contiguous block. Every grid support, and every prediction
+target (:func:`weight_rows`), is a row of a sparse weight matrix over
+the grid cells (:class:`WeightRows`). One product, ``left K Aᵀ``, gives
+the covariances ``A K Aᵀ``, target priors and cross covariances, with
+``K`` a Kronecker product of per-axis grams (``se_value`` and
+``se_value_dlog`` on each axis), applied to a block of columns of ``Aᵀ``
+at a time. Average-rule interval supports on 1-D domains take the
+closed-form erf integrals (the kernels module's ``se_antideriv2`` and
+``se_antideriv2_dlog``, once per distinct argument, and
+``se_point_interval`` at a point). Point observations at support
+centroids evaluate ``se_value`` directly.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ JITTER_MAX = 1e-4
 
 # Bytes of work arrays per weight-row operator (see WeightRows).
 WORK_BYTES = 1 << 20
+
+# Kinds of support covariance table rows, in the table's row order.
+_GRID, _CLOSED, _POINT = range(3)
 
 
 def floor_var(log_var):
@@ -169,6 +173,12 @@ def chol_solve(L: np.ndarray, b: np.ndarray, overwrite_b: bool = False):
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrs")
     return x
+
+
+def chol_inverse(L: np.ndarray) -> np.ndarray:
+    """``C⁻¹`` from C's lower factor ``L``: :func:`chol_solve` against the
+    identity, in place, a Fortran-order array."""
+    return chol_solve(L, np.eye(L.shape[0], order="F"), overwrite_b=True)
 
 
 def log_likelihood(y: np.ndarray, C: np.ndarray) -> float:
@@ -439,18 +449,23 @@ class SupportCovTable:
     and one gather through ``index`` (each observation row's distinct
     row) expands the result to every observation row.
 
-    * closed-form rows (1-D intervals with the average rule), keyed by
-      ``(lo, hi)``: pairs of them take the erf double integral, with the
-      antiderivative F evaluated once per distinct ``|z|`` and gathered
-      (F is even, so this is exact), and points the erf integral
-      (``closed_bounds``);
-    * every other grid support is a row of the weight matrix ``A``
-      (:class:`WeightRows`), keyed by its cells and weights, so its rule
-      is part of the key; its entries are ``A K Aᵀ`` with ``K`` applied
-      through per-axis grams (:func:`_grid_factors`), and a closed-form
-      row paired with a grid or point row counts as its row of ``A``;
-    * point rows (``as_points`` records), keyed by their support's
-      centroid (``centroids``), evaluate the kernel from it directly.
+    The distinct rows are numbered by kind, in order of first appearance
+    within each kind, so each kind is one contiguous block of ``S``:
+
+    * rows ``[0, n_grid)`` are grid supports, rows of the weight matrix
+      ``A`` (:class:`WeightRows`) keyed by their cells and weights, so
+      the rule is part of the key; their entries are ``A K Aᵀ`` with ``K``
+      applied through per-axis grams (:func:`_grid_factors`);
+    * rows ``[n_grid, n_weighted)`` are closed-form rows (1-D intervals
+      with the average rule), keyed by ``(lo, hi)``: pairs of them take
+      the erf double integral, with the antiderivative F evaluated once
+      per distinct ``|z|`` and gathered (F is even, so this is exact),
+      and points the erf integral (``closed_bounds``); paired with a
+      grid or point row, a closed-form row counts as its row of ``A``,
+      which then holds the leading ``n_weighted`` rows;
+    * rows ``[n_weighted, n)`` are point rows (``as_points`` records),
+      keyed by their support's centroid (``centroids``), which evaluate
+      the kernel from it directly.
     """
 
     def __init__(self, domain: Domain, records):
@@ -460,32 +475,32 @@ class SupportCovTable:
             for s, r in zip(rec.partition.supports, rec.rules):
                 if rec.as_points:
                     entry = geometry.centroid(s, grid)
-                    key = ("point", entry.tobytes())
+                    key = (_POINT, entry.tobytes())
                 # Intervals live on 1-D domains only (membership refuses others).
                 elif isinstance(s.body, Interval) and r.kind == r.AVERAGE:
-                    entry, key = None, ("closed", s.body.lo, s.body.hi)
+                    entry, key = None, (_CLOSED, s.body.lo, s.body.hi)
                 else:
                     entry = geometry.support_weights(s, grid, r)
-                    key = ("grid", entry[0].tobytes(), entry[1].tobytes())
+                    key = (_GRID, entry[0].tobytes(), entry[1].tobytes())
                 k = keys.setdefault(key, len(keys))
                 if k == len(firsts):  # the first row of a distinct support
                     if entry is None:  # refuses an interval holding no grid centre
                         entry = geometry.support_weights(s, grid, r)
                     firsts.append((key[0], s.body, entry))
                 index.append(k)
-        self.n = len(firsts)
-        self.index = np.array(index, dtype=np.int64)
+        # Renumbered by kind, the key's first entry.
+        order = np.argsort([f[0] for f in firsts], kind="stable")
+        firsts = [firsts[k] for k in order]
+        kinds = [f[0] for f in firsts]
+        self.n, self.n_grid = len(kinds), kinds.count(_GRID)
+        self.n_weighted = self.n - kinds.count(_POINT)
+        self.index = np.argsort(order)[np.array(index, dtype=np.int64)]
         # Flat position of every pair of observation rows in an (n, n) array.
         self.pairs = self.index[:, None] * self.n + self.index
-        self.closed_rows, self.grid_rows, self.point_rows = (
-            np.array([k for k, f in enumerate(firsts) if f[0] == kind], dtype=np.int64)
-            for kind in ("closed", "grid", "point")
-        )
-        self.direct_rows = np.concatenate([self.closed_rows, self.point_rows])
-        cf = [firsts[k][1] for k in self.closed_rows]
+        cf = [f[1] for f in firsts[self.n_grid : self.n_weighted]]
         i, j = np.triu_indices(len(cf))
         # Flat positions in S of the closed-form pairs and their mirrors.
-        r, c = self.closed_rows[i], self.closed_rows[j]
+        r, c = self.n_grid + i, self.n_grid + j
         self.cf_upper, self.cf_lower = r * self.n + c, c * self.n + r
         lo = np.array([body.lo for body in cf])
         hi = np.array([body.hi for body in cf])
@@ -495,51 +510,41 @@ class SupportCovTable:
         self.cf_abs_z, inverse = np.unique(np.abs(z).ravel(), return_inverse=True)
         self.cf_inverse = inverse.reshape(z.shape)
         # Closed-form rows join A only to meet grid or point rows.
-        self.a_rows = self.grid_rows
-        if self.grid_rows.size or self.point_rows.size:
-            self.a_rows = np.concatenate([self.grid_rows, self.closed_rows])
         self.A = None
-        if self.a_rows.size:
-            entries = [firsts[k][2] for k in self.a_rows]
-            self.A = _stacked(grid, entries, self.grid_rows.size)
-        centroids = [firsts[k][2] for k in self.point_rows]
+        if self.n_grid or 0 < self.n_weighted < self.n:
+            entries = [f[2] for f in firsts[: self.n_weighted]]
+            self.A = _stacked(grid, entries, self.n_grid)
+        centroids = [f[2] for f in firsts[self.n_weighted :]]
         self.centroids = np.reshape(centroids, (-1, domain.ndim))
         self.point_sq_dists = sq_dists(self.centroids, self.centroids)
         self.point_grid_sq_dists = sq_dists(self.centroids, grid.points)
 
     def _fill(self, S, antideriv, profile, length_scale):
-        """Closed-form and point pairs of S for one kernel primitive pair."""
+        """Closed-form and point blocks of S for one kernel primitive pair."""
         if self.cf_upper.size:
             f = antideriv(self.cf_abs_z, length_scale)[self.cf_inverse]
             vals = ((f[0] + f[3]) - (f[1] + f[2])) * self.cf_norm
             S.reshape(-1)[self.cf_upper] = vals
             S.reshape(-1)[self.cf_lower] = vals
-        if self.point_rows.size:
-            S[np.ix_(self.point_rows, self.point_rows)] = profile(
-                self.point_sq_dists, length_scale
-            )
+        w = self.n_weighted
+        if self.n > w:
+            S[w:, w:] = profile(self.point_sq_dists, length_scale)
             if self.A is not None:
                 to_grid = profile(self.point_grid_sq_dists, length_scale)
                 cross = self.A.matrix @ to_grid.T
-                S[np.ix_(self.a_rows, self.point_rows)] = cross
-                S[np.ix_(self.point_rows, self.a_rows)] = cross.T
+                S[:w, w:] = cross
+                S[w:, :w] = cross.T
 
     def _fill_grid(self, S, block):
         """Rows of ``A`` against grid rows, from ``A K Aᵀ`` (or its derivative).
 
-        The grid rows lead ``a_rows``; their block is averaged with its
-        transpose so S is exactly symmetric, as assembly assumes. When
-        every row is a grid row that average is S itself and is written
-        straight into it; otherwise it is scattered with the rest.
+        The grid rows lead ``A``; their block is averaged with its
+        transpose so S is exactly symmetric, as assembly assumes.
         """
-        k = self.grid_rows.size
-        if k == self.n:
-            np.add(block, block.T, out=S)
-            S *= 0.5
-            return
-        block[:k] = 0.5 * (block[:k] + block[:k].T)
-        S[np.ix_(self.a_rows, self.grid_rows)] = block
-        S[np.ix_(self.grid_rows, self.a_rows)] = block.T
+        g, w = self.n_grid, self.n_weighted
+        block[:g] = 0.5 * (block[:g] + block[:g].T)
+        S[:w, :g] = block
+        S[:g, :w] = block.T
 
     def latent_cov(self, length_scale: float, with_grad: bool = False):
         """Support covariance matrix of every observation row for one
@@ -550,7 +555,7 @@ class SupportCovTable:
         if with_grad:
             dS = np.zeros((self.n, self.n))
             self._fill(dS, se_antideriv2_dlog, se_value_dlog, length_scale)
-        if self.grid_rows.size:
+        if self.n_grid:
             block, dblock = self.A.product(self.A.matrix, length_scale, with_grad)
             self._fill_grid(S, block)
             if with_grad:
@@ -569,16 +574,15 @@ class SupportCovTable:
 
     def at_points(self, x, length_scale: float) -> np.ndarray:
         """Integrals of one kernel against every row's weights at the (n,
-        ndim) query points ``x``, an (all rows, n) array: :meth:`_direct`,
-        and for grid rows ``A`` times the kernel from the cells, over the
-        distinct rows, gathered at ``index``."""
+        ndim) query points ``x``, an (all rows, n) array: for grid rows
+        ``A`` times the kernel from the cells, then :meth:`_direct`, over
+        the distinct rows, gathered at ``index``."""
         x = np.asarray(x, dtype=float)
         out = np.empty((self.n, x.shape[0]))
-        d2 = sq_dists(self.centroids, x)
-        out[self.direct_rows] = self._direct(x, length_scale, d2)
-        if self.grid_rows.size:
+        out[self.n_grid :] = self._direct(x, length_scale, sq_dists(self.centroids, x))
+        if self.n_grid:
             to_cells = se_value(sq_dists(self.grid.points, x), length_scale)
-            out[self.grid_rows] = self.A.matrix[: self.grid_rows.size] @ to_cells
+            out[: self.n_grid] = self.A.matrix[: self.n_grid] @ to_cells
         return out[self.index]
 
     def cross(self, left, length_scale: float) -> np.ndarray:
@@ -586,20 +590,17 @@ class SupportCovTable:
         sparse weight rows ``left`` over the grid cells, an (all rows,
         left rows) array.
 
-        Grid rows take ``(left K Aᵀ)ᵀ`` (:meth:`WeightRows.product`),
-        which is the whole result when every row is a grid row. The
+        Grid rows take ``(left K Aᵀ)ᵀ`` (:meth:`WeightRows.product`); the
         other rows take :meth:`_direct` at the cells, pooled by ``left``.
         Both are taken over the distinct rows and gathered at ``index``.
         """
-        if self.grid_rows.size == self.n:
-            return self.A.product(left, length_scale)[0].T[self.index]
         out = np.empty((self.n, left.shape[0]))
-        if self.grid_rows.size:
-            out[self.grid_rows] = self.A.product(left, length_scale)[0].T
+        if self.n_grid:
+            out[: self.n_grid] = self.A.product(left, length_scale)[0].T
         at_cells = self._direct(
             self.grid.points, length_scale, self.point_grid_sq_dists
         )
-        out[self.direct_rows] = (left @ at_cells.T).T
+        out[self.n_grid :] = (left @ at_cells.T).T
         return out[self.index]
 
 

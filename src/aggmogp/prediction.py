@@ -7,11 +7,13 @@ cross covariance between an observation row and a query point integrates
 the kernel against that row's aggregation weights. Uncertainty over the
 weights is handled by Monte Carlo: draw weight samples from the fitted
 variational posterior, condition per sample, then pool the Gaussian
-components into a single mean and covariance (mixture moments).
+components into one mean and variance per target (mixture moments).
 
 :func:`conditional_posterior` conditions on one given weight sample.
-:func:`predict_supports` and :func:`predict_grid` share one path: draw
-the weights, condition each draw (``_condition``), then pool the draws
+:func:`predict_supports`, :func:`predict_grid` and
+:func:`predict_left_out` share one draw loop (``_draw_and_pool``): draw
+the weights, run the helper's step on each draw (``_condition``, or a
+leave-one-out fold), then pool the draws' means and variances
 (``_pool``). What no draw changes is built once per call: the
 per-latent support covariances ``S_l``, the integrals ``h_l`` of the
 observation rows against the targets, and the targets' priors. Target
@@ -27,9 +29,9 @@ mixes these blocks with its weights, factors and solves, so a support
 prediction's per-draw cross covariance has one column per support. Only
 :func:`conditional_posterior`, which returns the full covariance of its
 point queries, materializes a query-cross-query matrix. Leave-one-out
-predictions of a record's own supports (:func:`predict_left_out`) come
-from the inverse of each draw's full ``C``, not a factorization per
-fold.
+predictions of a record's own supports come from the inverse of each
+draw's full ``C`` (:func:`~aggmogp.model.chol_inverse`, as training's
+gradient takes it), not a factorization per fold.
 
 Weight draws for prediction come from substream 3 of the prediction
 seed: one (local attributes, latents) standard-normal block per
@@ -40,6 +42,7 @@ seed therefore draws the same samples in every prediction helper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -52,6 +55,7 @@ from .model import (
     AggregatedDataset,
     DomainData,
     ModelState,
+    chol_inverse,
     chol_solve,
     chol_with_jitter,
 )
@@ -181,11 +185,6 @@ def _local_attr_indices(state, domain_data, attributes):
     return np.asarray(idx, dtype=np.int64), tuple(wanted)
 
 
-def _variances(spread: np.ndarray) -> np.ndarray:
-    """Writable view of the variances in a covariance or variance vector."""
-    return np.einsum("ii->i", spread) if spread.ndim == 2 else spread
-
-
 def _draw_invariants(dd, query, length_scales):
     """Per-latent blocks of one call that no weight draw changes.
 
@@ -233,7 +232,7 @@ def _prior_spread(W, attr_idx, priors) -> np.ndarray:
     return spread
 
 
-def _condition(dd, state, W, blocks, attr_idx, priors, work):
+def _condition(dd, state, blocks, attr_idx, priors, W, work):
     """Gaussian posterior of the targets for one weight draw.
 
     Targets are the selected attributes at the queries of ``blocks``
@@ -263,28 +262,26 @@ def _condition(dd, state, W, blocks, attr_idx, priors, work):
         else:
             H *= solved
             spread -= np.sum(H, axis=0)
-    var = _variances(spread)
+    # A writable view of the variances, on a covariance's diagonal.
+    var = np.einsum("ii->i", spread) if full else spread
     np.maximum(var, 0.0, out=var)
     return mean, spread
 
 
-def _pool(means, spreads):
-    """Mixture moments of equally weighted Gaussian components.
-
-    ``spreads`` are covariances or variances. Returns ``(mean, spread,
-    clamped)``; pooled variances below the clamp tolerance are counted
-    in ``clamped``, and every negative one is floored at zero.
+def _pool(means, variances):
+    """Mixture moments of equally weighted Gaussian components with
+    independent entries. Returns ``(mean, variances, clamped)``; pooled
+    variances below the clamp tolerance are counted in ``clamped``, and
+    every negative one is floored at zero.
     """
-    square = np.outer if spreads[0].ndim == 2 else np.multiply
     mean = np.mean(means, axis=0)
-    second = np.zeros_like(spreads[0])
-    for m, s in zip(means, spreads):
-        second += s + square(m, m)
+    second = np.zeros_like(variances[0])
+    for m, v in zip(means, variances):
+        second += v + m * m
     second /= len(means)
-    pooled = second - square(mean, mean)
-    var = _variances(pooled)
-    clamped = int(np.sum(var < _CLAMP_TOL))
-    np.maximum(var, 0.0, out=var)
+    pooled = second - mean * mean
+    clamped = int(np.sum(pooled < _CLAMP_TOL))
+    np.maximum(pooled, 0.0, out=pooled)
     return mean, pooled, clamped
 
 
@@ -316,7 +313,7 @@ def conditional_posterior(
     d2 = sq_dists(query, query)
     grams = np.stack([se_value(d2, s) for s in state.length_scales])
     blocks = _draw_invariants(dd, query, state.length_scales)
-    mean, cov = _condition(dd, state, W, blocks, attr_idx, grams, {})
+    mean, cov = _condition(dd, state, blocks, attr_idx, grams, W, {})
     return ConditionalPosterior(mean, cov, n_query=query.shape[0], attr_ids=attr_ids)
 
 
@@ -337,12 +334,14 @@ def draw_weight_samples(
     ]
 
 
-def _draw_and_pool(dd, state, n_samples, seed, blocks, attr_idx, priors):
-    """:func:`_condition` on each of ``n_samples`` weight draws, pooled by
-    :func:`_pool` into ``(mean, variances, clamped)``."""
+def _draw_and_pool(dd, state, n_samples, seed, per_draw):
+    """``per_draw(W, work)``, one draw's ``(mean, variances)``, on each of
+    ``n_samples`` weight draws ``W`` with the call's ``work`` dict (see
+    :func:`_buffer`), pooled by :func:`_pool` into ``(mean, variances,
+    clamped)``."""
     work = {}
     draws = [
-        _condition(dd, state, W, blocks, attr_idx, priors, work)
+        per_draw(W, work)
         for W in draw_weight_samples(state, dd.domain.id, n_samples, seed)
     ]
     return _pool(*zip(*draws))
@@ -395,10 +394,8 @@ def predict_supports(
     """
     dd = dataset.prepared(target.domain_id)
     attr_idx, blocks, priors = _support_targets(target, rules, state, dd)
-    values, variances, clamped = _draw_and_pool(
-        dd, state, n_samples, seed, blocks, attr_idx, priors
-    )
-    return SupportPrediction(values=values, variances=variances, clamped=clamped)
+    condition = partial(_condition, dd, state, blocks, attr_idx, priors)
+    return SupportPrediction(*_draw_and_pool(dd, state, n_samples, seed, condition))
 
 
 def predict_left_out(
@@ -425,13 +422,11 @@ def predict_left_out(
     rec = dataset.record_for(domain_id, attribute_id)
     rows = np.arange(dd.n_obs)[dd.blocks[dd.attr_ids.index(attribute_id)]]
     attr_idx, blocks, priors = _support_targets(rec.partition, rec.rules, state, dd)
-    identity = np.eye(dd.n_obs)
-    work = {}
-    draws = []
-    for W in draw_weight_samples(state, domain_id, n_samples, seed):
+
+    def fold(W, work):
         chol, H = _factor_and_cross(dd, state, W, blocks, attr_idx, work)
         H[rows, np.arange(rows.size)] = 0.0
-        P = chol_solve(chol, identity)
+        P = chol_inverse(chol)
         alpha = P @ dd.y
         held = np.diagonal(P)[rows]
         cross = np.sum(H * P[:, rows], axis=0)
@@ -439,9 +434,9 @@ def predict_left_out(
         var = W[attr_idx[0]] ** 2 @ priors - (
             np.sum(H * (P @ H), axis=0) - cross * cross / held
         )
-        draws.append((mean, np.maximum(var, 0.0)))
-    values, variances, clamped = _pool(*zip(*draws))
-    return SupportPrediction(values=values, variances=variances, clamped=clamped)
+        return mean, np.maximum(var, 0.0)
+
+    return SupportPrediction(*_draw_and_pool(dd, state, n_samples, seed, fold))
 
 
 def predict_grid(
@@ -470,7 +465,6 @@ def predict_grid(
     # Unit-weight point variances: every kernel is one at zero distance.
     priors = np.ones((state.num_latents, query.shape[0]))
     blocks = _draw_invariants(dd, at, state.length_scales)
-    mean, variance, clamped = _draw_and_pool(
-        dd, state, n_samples, seed, blocks, attr_idx, priors
-    )
+    condition = partial(_condition, dd, state, blocks, attr_idx, priors)
+    mean, variance, clamped = _draw_and_pool(dd, state, n_samples, seed, condition)
     return query, mean, variance, clamped

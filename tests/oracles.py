@@ -153,7 +153,7 @@ def scattered_grid_cov(table, length_scale: float):
     against the columns, then at the columns against the rows. The
     block holds the table's distinct rows; ``np.ix_`` at ``table.index``
     expands it to every observation row."""
-    rows = table.grid_rows
+    rows = np.arange(table.n_grid)
     blocks = table.A.product(table.A.matrix, length_scale, with_grad=True)
     out = []
     for block in blocks:

@@ -3,7 +3,7 @@
 Not collected by pytest (the name has no ``test_`` prefix). Run from the
 repository root::
 
-    PYTHONPATH=src python tests/output_digests.py BENCH_pr14.json
+    PYTHONPATH=src python tests/output_digests.py BENCH_pr16.json
 
 For every workload of ``bench.workloads`` and every seed the file
 records, it runs the workload's pipeline once and takes one SHA-256 per
@@ -25,7 +25,9 @@ output, over the float64 C-order bytes of, in order:
 Draws and seeds are the workload's. It prints one line per digest and
 exits 1 when any differs from the file's ``outputs.sha256``. Digests
 compare only at equal BLAS thread counts: blocks-2d's differ between one
-and two threads.
+and two threads. Blocks-2d's can also differ between CPUs at one thread,
+so a change shows byte-identity by diffing this script's output at the
+parent commit and at the change, both run on one host.
 """
 
 from __future__ import annotations

@@ -559,6 +559,12 @@ class TestMalformedSections:
             ("synth", {"synth": {**synth_section(), "seed": -4}}),
             ("eval", {"experiment": {**experiment_section(), "seeds": [0, -1]}}),
             ("eval", {"experiment": {**experiment_section(), "n_pred_samples": 0}}),
+            # Counts that int() would truncate.
+            ("synth", {"synth": {**synth_section(), "seed": 1.5}}),
+            ("eval", {"experiment": {**experiment_section(), "n_pred_samples": 2.5}}),
+            ("eval", {"experiment": {**experiment_section(), "num_latents": 2.5}}),
+            ("eval", {"model": {"num_latents": 2.5}}),
+            ("eval", {"prediction": {"n_samples": 2.5}}),
         ],
     )
     def test_exits_one_naming_the_file(self, tmp_path, capsys, command, doc):

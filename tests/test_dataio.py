@@ -484,15 +484,53 @@ class TestConfigFile:
             load_config_file(path)
 
     def test_invalid_values(self, tmp_path):
+        synth = {
+            "domains": [
+                {
+                    "id": "d0",
+                    "extent": [[0.0, 1.0]],
+                    "grid": {"origin": [0.125], "cell_size": [0.25], "shape": [4]},
+                }
+            ],
+            "attributes": ["a0"],
+            "length_scales": [0.5],
+            "levels": {"coarse": {"d0": 2}},
+        }
+        experiment = {
+            "target_domain": "d0",
+            "target_attribute": "a0",
+            "train_level": "coarse",
+            "test_level": "coarse",
+        }
+        path = str(tmp_path / "config.json")
+        # Each section is valid as it stands, and with integral floats.
+        write_json(
+            path,
+            {
+                "format_version": 1,
+                "model": {"num_latents": 2.0},
+                "prediction": {"n_samples": 3.0},
+                "synth": {**synth, "seed": 1.0},
+                "experiment": {**experiment, "n_pred_samples": 4.0},
+            },
+        )
+        cfg = load_config_file(path)
+        assert (cfg.num_latents, cfg.n_pred_samples, cfg.synth.seed) == (2, 3, 1)
+        assert cfg.experiment["n_pred_samples"] == 4
         for doc in (
-            {"format_version": 1, "model": {"num_latents": 0}},
-            {"format_version": 1, "model": {"length_scales": [-1.0]}},
-            {"format_version": 1, "model": {"length_scales": [float("inf")]}},
-            {"format_version": 1, "prediction": {"n_samples": 0}},
+            {"model": {"num_latents": 0}},
+            {"model": {"length_scales": [-1.0]}},
+            {"model": {"length_scales": [float("inf")]}},
+            {"prediction": {"n_samples": 0}},
+            # Counts that int() would truncate.
+            {"model": {"num_latents": 2.5}},
+            {"prediction": {"n_samples": 2.5}},
+            {"synth": {**synth, "seed": 1.5}},
+            {"experiment": {**experiment, "n_pred_samples": 2.5}},
+            {"experiment": {**experiment, "num_latents": 1.5}},
         ):
-            path = str(tmp_path / "config.json")
-            write_json(path, doc)
-            with pytest.raises(DataError):
+            write_json(path, {"format_version": 1, **doc})
+            with pytest.raises(DataError, match="config.json"):
                 load_config_file(path)
 
 

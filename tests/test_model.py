@@ -33,6 +33,7 @@ from aggmogp.model import (
     DatasetRecord,
     ModelState,
     assemble_C,
+    chol_inverse,
     chol_solve,
     chol_with_jitter,
     floor_active,
@@ -299,6 +300,16 @@ class TestLapackPathMatchesScipy:
         solved = chol_solve(L, inplace, overwrite_b=True)
         assert solved.tobytes() == want.tobytes()
         assert np.shares_memory(solved, inplace)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(draw=jittered_spd())
+    def test_inverse(self, draw):
+        L, _ = chol_with_jitter(draw[0])
+        identity = np.eye(L.shape[0])
+        want = scipy.linalg.cho_solve((L, True), identity, check_finite=False)
+        got = chol_inverse(L)
+        assert got.flags.f_contiguous
+        assert got.tobytes(order="A") == want.tobytes(order="A")
 
 
 class TestKL:

@@ -926,7 +926,7 @@ class TestLeftOutMatchesRefactoredFolds:
         ]
         dataset = loo_dataset(domain, records)
         dd = dataset.prepared("d0")
-        assert dd.cov.closed_rows.size == dd.n_obs
+        assert (dd.cov.n_grid, dd.cov.n_weighted) == (0, dd.n_obs)
         state = fitted_state(dataset)
         assert self.check(state, dataset) == 3
         assert self.check(state, dataset, jitter_free=False) == 3

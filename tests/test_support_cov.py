@@ -381,6 +381,15 @@ def check_repeated(domain, records, length_scale):
     kinds = [key[0] for key in first]
     distinct = {kind: kinds.count(kind) for kind in ("closed", "grid", "point")}
     assert table.n == len(first)
+    # Each kind is one block of distinct rows: grid, closed form, point.
+    bounds = {
+        "grid": (0, table.n_grid),
+        "closed": (table.n_grid, table.n_weighted),
+        "point": (table.n_weighted, table.n),
+    }
+    for key, k in zip(keys, table.index):
+        lo, hi = bounds[key[0]]
+        assert lo <= k < hi
     assert table.closed_bounds[0].shape[0] == distinct["closed"]
     assert table.centroids.shape[0] == distinct["point"]
     a_rows = distinct["grid"]
@@ -430,7 +439,7 @@ class TestRepeatedSupports:
         support = interval_support(0.3, 1.2, "s")
         records = [record("a0", [support], [AVERAGE]), record("a1", [support], [SUM])]
         table = domain_data(domain, records).cov
-        assert (table.closed_rows.size, table.grid_rows.size) == (1, 1)
+        assert (table.n_grid, table.n_weighted - table.n_grid) == (1, 1)
         check_against_oracle(domain, records, 0.8)
 
     def test_point_rows_with_one_centroid_share_a_row(self):
@@ -568,8 +577,7 @@ class TestAssembledCovariance:
         symmetric ``S`` and ``dS``, so assembly needs no symmetrization."""
         domain, records, length_scale = world
         table = domain_data(domain, records).cov
-        assert table.closed_rows.size and table.grid_rows.size
-        assert table.point_rows.size
+        assert 0 < table.n_grid < table.n_weighted < table.n
         S, dS = table.latent_cov(length_scale, with_grad=True)
         np.testing.assert_array_equal(S, S.T)
         np.testing.assert_array_equal(dS, dS.T)
@@ -678,7 +686,7 @@ class TestChunkedOperator:
     @pytest.mark.parametrize("ragged", [True, False])
     def test_latent_cov_and_grid_cross(self, world, ragged):
         domain, records = CHUNKED_WORLDS[world]()
-        n_cols = domain_data(domain, records).cov.grid_rows.size
+        n_cols = domain_data(domain, records).cov.n_grid
         # A width of two leaves a last chunk of one column on an odd
         # count; that chunk then repeats a column of the one before.
         width = ragged_width(n_cols) if ragged else 2
@@ -702,7 +710,7 @@ class TestChunkedOperator:
 
 class TestAllGridTableIsBitIdentical:
     """A table whose rows are all grid rows writes the averaged
-    ``A K Aᵀ`` straight into ``S`` and ``dS``; that equals, byte for
+    ``A K Aᵀ`` into ``S`` and ``dS`` by slices; that equals, byte for
     byte, averaging the block and scattering it by ``np.ix_``, over 1-,
     2- and 3-D grids and chunks of any width, ragged last ones too."""
 
@@ -714,7 +722,7 @@ class TestAllGridTableIsBitIdentical:
     def test_latent_cov_equals_scattered_average(self, world, width):
         domain, records, length_scale = world
         dd = domain_data(domain, records)
-        assert dd.cov.grid_rows.size == dd.cov.n
+        assert dd.cov.n_grid == dd.cov.n
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "WORK_BYTES", budget_for(dd, width))
             S, dS = dd.cov.latent_cov(length_scale, with_grad=True)
