@@ -14,12 +14,14 @@ import json
 import logging
 import sys
 from dataclasses import replace
+from functools import partial
 
 from . import baselines, dataio, svgplot
 from .errors import AggmogpError, CholeskyFailure, DataError, NonFiniteELBO
 from .evaluation import (
     ExperimentSpec,
     choose_latents,
+    count_request,
     cv_select_L,
     latent_request,
     run_experiment,
@@ -42,14 +44,7 @@ def _latents_flag(text: str):
 
 def _count_flag(flag: str, least: int):
     """Argument type of an integer flag that must be at least ``least``."""
-
-    def parse(text: str) -> int:
-        value = int(text) if text.removeprefix("-").isdecimal() else least - 1
-        if value < least:
-            raise DataError(f"{flag} takes an integer >= {least}, got {text!r}")
-        return value
-
-    return parse
+    return partial(count_request, what=flag, least=least)
 
 
 def _emit_error(exc: AggmogpError) -> None:

@@ -114,9 +114,9 @@ def parse_domain(entry: dict, ctx: str) -> Domain:
         id=did, extent=tuple((lo, hi) for lo, hi in extent), grid=spec
     )
     dim = entry.get("dimension")
-    if dim is not None and int(dim) != dom.ndim:
+    if dim is not None and _int(dim) != dom.ndim:
         raise DataError(
-            f"domain {did!r}: declared dimension {dim} but geometry is"
+            f"{ctx} domain {did!r}: declared dimension {dim} but geometry is"
             f" {dom.ndim}-D"
         )
     return dom
@@ -590,7 +590,7 @@ def load_model_file(path: str) -> ModelBundle:
             domain_attributes=_entries(
                 doc["domain_attributes"], "domain_attributes", path, tuple
             ),
-            num_latents=int(doc["num_latents"]),
+            num_latents=_int(doc["num_latents"]),
             **{name: _floats(doc[name]) for name in _SHARED_PARAMS},
             **{
                 name: _entries(doc[name], name, path, _floats)
@@ -618,7 +618,7 @@ def load_model_file(path: str) -> ModelBundle:
             state=state,
             transforms=transforms,
             method=str(doc.get("method", "amogp-trans")),
-            seed=int(doc.get("seed", 0)),
+            seed=_int(doc.get("seed", 0)),
             dataset_sha=str(doc.get("dataset_sha", "")),
             config_sha=str(doc.get("config_sha", "")),
             trace_summary=dict(doc.get("trace", {})),

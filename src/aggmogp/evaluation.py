@@ -78,6 +78,21 @@ def argmin_first(values) -> int:
     return best
 
 
+def count_request(value, what: str, least: int = 1, alternative: str = "") -> int:
+    """``value`` as an int of at least ``least``. Integral floats such as
+    ``2.0`` pass; a value that ``int`` would truncate, or no number, is a
+    :class:`DataError` naming ``what``."""
+    try:
+        count = int(value) if float(value).is_integer() else least - 1
+    except (TypeError, ValueError, OverflowError):
+        count = least - 1
+    if count < least:
+        raise DataError(
+            f"{what} takes an integer >= {least}{alternative}, got {value!r}"
+        )
+    return count
+
+
 @dataclass
 class CVResult:
     """Leave-one-out selection outcome.
@@ -124,9 +139,10 @@ def cv_select_L(
     """Choose the latent count by leave-one-out over coarse observations.
 
     Per candidate the full training data is fit once. Each fold holds
-    out one support of a record and predicts it from all the other
-    observations at the full fit's parameters and weight draws, the
-    closed form of conditioning on all but one observation
+    out one observation row of a record and predicts its noise-free
+    value, the support integral the model trains on, from all the other
+    observations at the full fit's parameters and weight draws, in the
+    closed form of conditioning each draw's ``C`` on all but that row
     (:func:`~aggmogp.prediction.predict_left_out`); nothing is refit
     per fold. Each held-out value is scored by absolute percentage error
     in original units. ``candidates`` of None means every count from 1 to
@@ -135,11 +151,9 @@ def cv_select_L(
     """
     if candidates is None:
         candidates = range(1, dataset.total_attribute_count + 1)
-    cands = sorted(set(int(c) for c in candidates))
+    cands = sorted({count_request(c, "a candidate latent count") for c in candidates})
     if not cands:
         raise DataError("no candidate latent counts supplied")
-    if any(c < 1 for c in cands):
-        raise DataError("latent counts must be >= 1")
     records = _cv_records(dataset, target)
     mean_errors = []
     for L in cands:
@@ -373,10 +387,10 @@ class ExperimentSpec:
                 f"unknown method {self.method!r}; expected one of {METHODS}"
             )
         object.__setattr__(self, "num_latents", latent_request(self.num_latents))
-        if any(seed < 0 for seed in self.seeds):
-            raise DataError(f"seeds must be >= 0, got {list(self.seeds)}")
-        if self.n_pred_samples < 1:
-            raise DataError(f"n_pred_samples must be >= 1, got {self.n_pred_samples}")
+        seeds = tuple(count_request(s, "a seed in seeds", 0) for s in self.seeds)
+        object.__setattr__(self, "seeds", seeds)
+        n_pred = count_request(self.n_pred_samples, "n_pred_samples")
+        object.__setattr__(self, "n_pred_samples", n_pred)
 
 
 @dataclass
@@ -449,13 +463,7 @@ def latent_request(value, what: str = "num_latents"):
     """A requested latent count: an integer >= 1, or ``"cv"`` for leave-one-out."""
     if value == "cv":
         return "cv"
-    try:
-        count = int(value) if float(value).is_integer() else 0
-    except (TypeError, ValueError, OverflowError):
-        count = 0
-    if count < 1:
-        raise DataError(f"{what} takes an integer >= 1 or 'cv', got {value!r}")
-    return count
+    return count_request(value, what, alternative=" or 'cv'")
 
 
 def choose_latents(

@@ -425,6 +425,7 @@ def interval_bins(
     """
     if domain.ndim != 1:
         raise DimensionMismatch("interval_bins needs a 1-D domain")
+    (n_bins,) = _integers((n_bins,), "n_bins")
     if n_bins < 1:
         raise GeometryError("n_bins must be >= 1")
     lo, hi = domain.extent[0]
@@ -449,7 +450,7 @@ def grid_block_partition(
     divide the grid shape.
     """
     grid = domain.grid
-    block_shape = tuple(int(b) for b in block_shape)
+    block_shape = _integers(block_shape, "block_shape entries")
     if len(block_shape) != grid.ndim:
         raise DimensionMismatch("block_shape must match the grid dimension")
     if any(b < 1 for b in block_shape):

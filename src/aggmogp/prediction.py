@@ -29,9 +29,10 @@ mixes these blocks with its weights, factors and solves, so a support
 prediction's per-draw cross covariance has one column per support. Only
 :func:`conditional_posterior`, which returns the full covariance of its
 point queries, materializes a query-cross-query matrix. Leave-one-out
-predictions of a record's own supports come from the inverse of each
-draw's full ``C`` (:func:`~aggmogp.model.chol_inverse`, as training's
-gradient takes it), not a factorization per fold.
+predictions of a record's own supports need no targets: they are rows
+of each draw's own ``C``, and every fold comes from its inverse
+(:func:`~aggmogp.model.chol_inverse`, as training's gradient takes it)
+and the per-latent ``S_l`` alone, not a factorization per fold.
 
 Weight draws for prediction come from substream 3 of the prediction
 seed: one (local attributes, latents) standard-normal block per
@@ -201,20 +202,6 @@ def _draw_invariants(dd, query, length_scales):
     return latents, point_support
 
 
-def _factor_and_cross(dd, state, W, blocks, attr_idx, work):
-    """Cholesky factor of ``C`` and cross covariance ``H`` of one draw.
-    ``H`` is an array of the call's ``work`` dict, overwritten by the
-    next draw."""
-    latents, point_support = blocks
-    noise = state.noise_log_var[dd.domain.id]
-    # Called through its module, so layer tracing that rebinds
-    # ``model.assemble_from_latents`` still sees prediction's calls.
-    C = model.assemble_from_latents(dd, W, latents, noise)
-    chol, _ = chol_with_jitter(C)
-    H = cross_cov_H(point_support, dd, W, attr_idx, work)
-    return chol, H
-
-
 def _prior_spread(W, attr_idx, priors) -> np.ndarray:
     """The targets' prior covariance ``sum_l (w_l w_lᵀ) ⊗ priors[l]`` for
     one draw, or its diagonal when ``priors`` holds diagonals; each term
@@ -236,8 +223,8 @@ def _condition(dd, state, blocks, attr_idx, priors, W, work):
     """Gaussian posterior of the targets for one weight draw.
 
     Targets are the selected attributes at the queries of ``blocks``
-    (from :func:`_draw_invariants`, or target supports from
-    :func:`_support_targets`), attribute-major. ``priors`` holds each
+    (from :func:`_draw_invariants`: points, grid cells or target
+    supports), attribute-major. ``priors`` holds each
     latent's unit-weight prior covariance of the targets, (latents, n,
     n), or only its diagonal, (latents, n); the result is ``(mean,
     covariance)`` or ``(mean, variances)`` to match, with variances
@@ -250,7 +237,14 @@ def _condition(dd, state, blocks, attr_idx, priors, W, work):
     if blocks is None:
         mean = np.zeros(spread.shape[0])
     else:
-        chol, H = _factor_and_cross(dd, state, W, blocks, attr_idx, work)
+        latents, point_support = blocks
+        # Called through its module, so layer tracing that rebinds
+        # ``model.assemble_from_latents`` still sees prediction's calls.
+        C = model.assemble_from_latents(
+            dd, W, latents, state.noise_log_var[dd.domain.id]
+        )
+        chol, _ = chol_with_jitter(C)
+        H = cross_cov_H(point_support, dd, W, attr_idx, work)
         alpha = chol_solve(chol, dd.y)
         # LAPACK solves in Fortran order; the copy it would make is reused.
         solved = _buffer(work, "solved", H.shape, order="F")
@@ -347,26 +341,6 @@ def _draw_and_pool(dd, state, n_samples, seed, per_draw):
     return _pool(*zip(*draws))
 
 
-def _support_targets(target: Partition, rules, state, dd):
-    """Validated set-up of the support predictors: ``(attr_idx, blocks,
-    priors)``. The supports are weight rows ``A_t`` over the grid cells;
-    their unit-weight priors are the diagonal of each latent's ``A_t K_l
-    A_tᵀ``, and the :func:`_draw_invariants` blocks hold one column of
-    ``h_l`` per support."""
-    geometry.validate(dd.domain, [target])
-    if rules is None:
-        rules = tuple(geometry.AVERAGE for _ in target.supports)
-    rules = tuple(rules)
-    if len(rules) != len(target.supports):
-        raise DataError("one aggregation rule per target support required")
-    attr_idx, _ = _local_attr_indices(state, dd, [target.attribute_id])
-    rows = model.weight_rows(dd.domain, target.supports, rules)
-    priors = np.array(
-        [np.diagonal(rows.product(rows.matrix, s)[0]) for s in state.length_scales]
-    )
-    return attr_idx, _draw_invariants(dd, rows, state.length_scales), priors
-
-
 @dataclass
 class SupportPrediction:
     """Aggregated predictions on a target partition (normalized units)."""
@@ -393,7 +367,20 @@ def predict_supports(
     coarse predictions.
     """
     dd = dataset.prepared(target.domain_id)
-    attr_idx, blocks, priors = _support_targets(target, rules, state, dd)
+    geometry.validate(dd.domain, [target])
+    if rules is None:
+        rules = tuple(geometry.AVERAGE for _ in target.supports)
+    rules = tuple(rules)
+    if len(rules) != len(target.supports):
+        raise DataError("one aggregation rule per target support required")
+    attr_idx, _ = _local_attr_indices(state, dd, [target.attribute_id])
+    # Target supports are weight rows A_t over the grid cells; their
+    # unit-weight priors are the diagonal of each latent's A_t K_l A_tᵀ.
+    rows = model.weight_rows(dd.domain, target.supports, rules)
+    priors = np.array(
+        [np.diagonal(rows.product(rows.matrix, s)[0]) for s in state.length_scales]
+    )
+    blocks = _draw_invariants(dd, rows, state.length_scales)
     condition = partial(_condition, dd, state, blocks, attr_idx, priors)
     return SupportPrediction(*_draw_and_pool(dd, state, n_samples, seed, condition))
 
@@ -408,30 +395,38 @@ def predict_left_out(
 ) -> SupportPrediction:
     """Leave-one-out predictions on every support of one record.
 
-    Entry k is :func:`predict_supports` on support k of the (domain,
-    attribute) record given every other observation (the dataset of
-    ``drop_observation``), at the same state and weight draws, up to
-    roundoff and the jitter's dependence on ``mean(diag C)``. Per draw
-    ``C`` is factored once; with ``P = C⁻¹``, ``α = P y`` and held-out
-    row r, the mean is ``hᵀ(α - P[:, r] α_r / P_rr)`` and the variance
-    ``prior - (hᵀ P h - (hᵀ P[:, r])² / P_rr)`` (block inversion;
-    Rasmussen & Williams, GPML §5.4.2). Both hold for any ``h_r``, which
-    is zeroed so that no term cancels against the held-out row's own.
+    Each fold is the observation model's own leave-one-out: entry k is
+    the noise-free value of the record's row k of ``C``, conditioned on
+    every other observation at the same state and weight draws. Per
+    draw ``C`` is factored once; with ``P = C⁻¹``, ``α = P y``, held-out
+    row r and ``h`` column r of ``C``, the mean ``y_r - α_r / P_rr``
+    (Rasmussen & Williams, GPML eq. 5.12) and the variance ``1/P_rr -
+    σ_r²`` are taken in the block-inversion form that holds for any
+    ``h_r``: ``hᵀα - (hᵀ P[:, r]) α_r / P_rr`` and ``prior - (hᵀ P h -
+    (hᵀ P[:, r])² / P_rr)``, with ``prior`` the row's noise-free diagonal
+    entry. ``h_r`` is zeroed, so no term cancels against the held-out
+    row's own, as ``y_r`` and ``σ_r²`` would.
     """
     dd = dataset.prepared(domain_id)
-    rec = dataset.record_for(domain_id, attribute_id)
-    rows = np.arange(dd.n_obs)[dd.blocks[dd.attr_ids.index(attribute_id)]]
-    attr_idx, blocks, priors = _support_targets(rec.partition, rec.rules, state, dd)
+    dataset.record_for(domain_id, attribute_id)  # DataError for an unknown pair
+    (a,), _ = _local_attr_indices(state, dd, [attribute_id])
+    rows = np.arange(dd.n_obs)[dd.blocks[a]]
+    own = (rows, np.arange(rows.size))
+    latents = [dd.cov.latent_cov(s) for s in state.length_scales]
+    priors = np.array([np.diagonal(S_l)[rows] for S_l in latents])
+    noise = state.noise_log_var[domain_id]
 
     def fold(W, work):
-        chol, H = _factor_and_cross(dd, state, W, blocks, attr_idx, work)
-        H[rows, np.arange(rows.size)] = 0.0
+        C = model.assemble_from_latents(dd, W, latents, noise)
+        chol, _ = chol_with_jitter(C)
         P = chol_inverse(chol)
         alpha = P @ dd.y
         held = np.diagonal(P)[rows]
+        H = C[:, rows]
+        H[own] = 0.0
         cross = np.sum(H * P[:, rows], axis=0)
         mean = H.T @ alpha - cross * alpha[rows] / held
-        var = W[attr_idx[0]] ** 2 @ priors - (
+        var = W[a] ** 2 @ priors - (
             np.sum(H * (P @ H), axis=0) - cross * cross / held
         )
         return mean, np.maximum(var, 0.0)

@@ -6,7 +6,8 @@ unit tests check those against: the kernel between two points, the
 double integral over two intervals, a weighted double sum over two
 member-point sets, and the same sum grouped by exact squared distance.
 The pooled point mixture is the Monte Carlo predictive written out from
-one conditional posterior per weight draw.
+one conditional posterior per weight draw, and the leave-one-out oracle
+conditions each held-out row on all the others by a direct solve.
 """
 
 from dataclasses import dataclass
@@ -14,6 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from aggmogp import model
 from aggmogp.errors import DimensionMismatch, LengthMismatch
 from aggmogp.geometry import GridSpec
 from aggmogp.kernels import se_antideriv2, se_value
@@ -188,3 +190,40 @@ def pooled_point_mixture(
     clamped = int(np.sum(var < -1e-10))
     cov[np.diag_indices_from(cov)] = np.maximum(var, 0.0)
     return SimpleNamespace(mean=mean, cov=cov, clamped=clamped)
+
+
+def left_out_by_solves(
+    state, dataset, domain_id, attribute_id, n_samples, seed
+):
+    """Leave-one-out of every row of one record, one solve per fold.
+
+    Per weight draw of ``draw_weight_samples``, ``C`` is ``assemble_C``'s
+    matrix plus the first jitter ``model.JITTER_BASE · mean(diag C)``
+    that ``chol_with_jitter`` tries. Row r is conditioned on all other
+    rows: mean ``c_rᵀ C₋ᵣ⁻¹ y₋ᵣ`` and variance ``k_r - c_rᵀ C₋ᵣ⁻¹ c_r``,
+    where ``c_r`` is column r of ``C`` without its own entry and ``k_r``
+    the row's noise-free prior variance, floored at zero. The draws are
+    pooled by mixture moments. Returns ``(values, variances)``.
+    """
+    dd = dataset.prepared(domain_id)
+    a = dd.attr_ids.index(attribute_id)
+    rows = np.arange(dd.n_obs)[dd.blocks[a]]
+    noise = state.noise_log_var[domain_id]
+    means, variances = [], []
+    for W in draw_weight_samples(state, domain_id, n_samples, seed):
+        C = model.assemble_C(dd, W, state.length_scales, noise)
+        prior = np.diag(C) - dd.expand_rows(model.floor_var(noise))
+        C = C + model.JITTER_BASE * np.mean(np.diag(C)) * np.eye(dd.n_obs)
+        mean, var = [], []
+        for r in rows:
+            keep = np.arange(dd.n_obs) != r
+            c = C[keep, r]
+            rhs = np.stack([dd.y[keep], c], axis=1)
+            solved = np.linalg.solve(C[np.ix_(keep, keep)], rhs)
+            mean.append(c @ solved[:, 0])
+            var.append(max(prior[r] - c @ solved[:, 1], 0.0))
+        means.append(np.array(mean))
+        variances.append(np.array(var))
+    mean = np.mean(means, axis=0)
+    second = np.mean([v + m * m for m, v in zip(means, variances)], axis=0)
+    return mean, np.maximum(second - mean * mean, 0.0)

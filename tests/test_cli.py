@@ -136,6 +136,7 @@ class TestFit:
             ("fit", ["--seed", "-1"]),
             ("cv", ["--seed", "-2"]),
             ("fit", ["--seed", "abc"]),
+            ("fit", ["--seed", "1.5"]),
         ],
     )
     def test_bad_seed_exits_one(self, workspace, capsys, command, flags):

@@ -192,6 +192,19 @@ class TestDatasetRoundTrip:
         with pytest.raises(DataError):
             load_dataset_file(path)
 
+    @pytest.mark.parametrize("dim, ok", [(1.0, True), (1.5, False), (2, False)])
+    def test_declared_dimension_must_match_exactly(self, tmp_path, dim, ok):
+        _, dataset, _ = two_series_instance()
+        doc = dataset_to_doc(dataset)
+        doc["domains"][0]["dimension"] = dim
+        path = str(tmp_path / "data.json")
+        write_json(path, doc)
+        if ok:
+            assert load_dataset_file(path).dataset.domains["d0"].ndim == 1
+        else:
+            with pytest.raises(DataError, match="data.json"):
+                load_dataset_file(path)
+
     def test_support_needs_exactly_one_body(self, tmp_path):
         _, dataset, _ = two_series_instance()
         doc = dataset_to_doc(dataset)
@@ -605,6 +618,17 @@ class TestModelRoundTrip:
         path = str(tmp_path / "model.json")
         write_json(path, doc)
         with pytest.raises(DataError, match="missing model field"):
+            load_model_file(path)
+
+    @pytest.mark.parametrize("field", ["num_latents", "seed"])
+    def test_non_integral_count_names_the_file(self, tmp_path, field):
+        _, _, doc = self.make_bundle_doc()
+        path = str(tmp_path / "model.json")
+        write_json(path, {**doc, field: float(doc[field])})
+        bundle = load_model_file(path)
+        assert (bundle.state.num_latents, bundle.seed) == (2, 4)
+        write_json(path, {**doc, field: doc[field] + 0.7})
+        with pytest.raises(DataError, match="model.json"):
             load_model_file(path)
 
     def test_compatibility_check(self, tmp_path):

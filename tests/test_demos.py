@@ -1,5 +1,7 @@
 """Every demo in ``demos/`` runs to completion, as the README tells readers
-to run it: ``PYTHONPATH=src python demos/<name>.py``."""
+to run it: ``PYTHONPATH=src python demos/<name>.py``, and
+``pick_latent_count.py`` chooses the two latents its docstring
+promises."""
 
 import os
 import pathlib
@@ -23,3 +25,6 @@ def test_demo_exits_zero(name, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    if name == "pick_latent_count.py":
+        chosen = [ln.split()[0] for ln in proc.stdout.splitlines() if "chosen" in ln]
+        assert chosen == ["2"], proc.stdout

@@ -91,9 +91,28 @@ class TestLatentChoice:
         )
         assert spec.num_latents == 2
 
+    def test_spec_holds_integral_float_counts_as_ints(self):
+        spec = ExperimentSpec(
+            target_domain="d0",
+            target_attribute="a0",
+            method="amogp",
+            train_level="coarse",
+            test_level="fine",
+            seeds=(1.0, 2),
+            n_pred_samples=3.0,
+        )
+        assert (spec.seeds, spec.n_pred_samples) == ((1, 2), 3)
+        assert all(type(v) is int for v in (*spec.seeds, spec.n_pred_samples))
+
     @pytest.mark.parametrize(
         "field, match",
-        [({"seeds": (0, -1)}, "seeds"), ({"n_pred_samples": 0}, "n_pred_samples")],
+        [
+            ({"seeds": (0, -1)}, "seeds"),
+            ({"n_pred_samples": 0}, "n_pred_samples"),
+            ({"seeds": (1.5,)}, "seeds"),
+            ({"seeds": ("x",)}, "seeds"),
+            ({"n_pred_samples": 2.5}, "n_pred_samples"),
+        ],
     )
     def test_spec_refuses_negative_seeds_and_no_draws(self, field, match):
         with pytest.raises(DataError, match=match):
@@ -318,6 +337,10 @@ class TestCvSelectL:
             cv_select_L(data, (), TrainConfig())
         with pytest.raises(DataError):
             cv_select_L(data, (0, 2), TrainConfig())
+        # Refused before any fit: a count int() would truncate, or no number.
+        for bad in ([1.5], ["x"], [2, 2.5], [None]):
+            with pytest.raises(DataError, match="candidate latent count"):
+                cv_select_L(data, bad, TrainConfig())
 
     def test_zero_held_out_value_raises(self):
         dom = unit_grid_domain(12, 0.0, 3.0)

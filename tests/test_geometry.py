@@ -507,3 +507,23 @@ class TestPartitionBuilders:
         dom = unit_grid_domain(12, 0.0, 12.0)
         part = interval_bins(dom, "a", 4, id_prefix="bin")
         assert part.support_ids() == ("bin0", "bin1", "bin2", "bin3")
+
+    def test_integral_float_counts_are_kept(self):
+        from conftest import square_grid_domain
+
+        bins = interval_bins(unit_grid_domain(8, 0.0, 8.0), "a", 4.0)
+        assert bins == interval_bins(unit_grid_domain(8, 0.0, 8.0), "a", 4)
+        blocks = grid_block_partition(square_grid_domain(4), "a", (2.0, 2))
+        assert blocks == grid_block_partition(square_grid_domain(4), "a", (2, 2))
+
+    @pytest.mark.parametrize("bins", [2.5, 0.5])
+    def test_interval_bins_refuse_fractions(self, bins):
+        with pytest.raises(GeometryError, match="integers"):
+            interval_bins(unit_grid_domain(8, 0.0, 8.0), "a", bins)
+
+    @pytest.mark.parametrize("shape", [(2.5, 2), (2, 1.5)])
+    def test_grid_blocks_refuse_fractions(self, shape):
+        from conftest import square_grid_domain
+
+        with pytest.raises(GeometryError, match="integers"):
+            grid_block_partition(square_grid_domain(4), "a", shape)

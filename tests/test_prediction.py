@@ -25,7 +25,7 @@ from conftest import (
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import pooled_point_mixture
+from oracles import left_out_by_solves, pooled_point_mixture
 from test_support_cov import cell_set_records, grid_domains, interval_records
 
 from aggmogp import model, prediction
@@ -585,8 +585,17 @@ class TestDrawInvariantBlocks:
         assert point == expected
         assert cov == expected
 
-    @pytest.mark.parametrize("helper", ["predict_supports", "predict_left_out"])
-    def test_one_column_per_target_support(self, monkeypatch, helper):
+    def test_left_out_builds_support_covariances_only(self, counts):
+        # Held-out supports are rows of each draw's own C, so the call
+        # integrates no observation row against a target.
+        def left_out(state, ds, recs):
+            return predict_left_out(state, ds, "d0", "a1", n_samples=5, seed=1)
+
+        point, cov = self.calls(left_out, counts, with_data=True)
+        assert point == []
+        assert cov == [1.2, 0.6]
+
+    def test_one_column_per_target_support(self, monkeypatch):
         # Member cells are pooled per target support once per call, so
         # each draw's cross covariance has one column per support.
         columns = []
@@ -599,10 +608,7 @@ class TestDrawInvariantBlocks:
         monkeypatch.setattr(prediction, "cross_cov_H", cross_cov_H)
         _, dataset, recs = two_series_instance()
         state = reference_state(dataset)
-        if helper == "predict_supports":
-            predict_supports(recs[1].partition, state, dataset, n_samples=5, seed=1)
-        else:
-            predict_left_out(state, dataset, "d0", "a1", n_samples=5, seed=1)
+        predict_supports(recs[1].partition, state, dataset, n_samples=5, seed=1)
         n = len(recs[1].partition.supports)
         assert columns == [[n, n]] * 5
 
@@ -870,17 +876,23 @@ def loo_worlds(draw):
 
 
 class TestLeftOutMatchesRefactoredFolds:
-    """``predict_left_out`` equals ``predict_supports`` on each of
-    ``drop_observation``'s reduced datasets, at the same state and
-    weight draws, to 1e-9 of the largest value and variance.
+    """``predict_left_out`` equals ``left_out_by_solves``, one direct
+    solve per fold of each draw's ``C``, on every record that folds, to
+    1e-9 of the largest value and variance.
 
-    The sides differ by design in one thing: each fold factors its own
-    reduced ``C`` with jitter ``JITTER_BASE · mean(diag)`` of that
-    matrix. Holding out a sum- or custom-rule row, whose prior variance
-    is far from the mean, moves that jitter enough to shift a fold by a
-    few 1e-9 relative, so ``jitter_free`` checks compare the identity
-    itself at a negligible base jitter, and one check bounds the gap at
-    the production jitter by 1e-8.
+    Grid-row records are also checked against ``predict_supports`` on
+    each of ``drop_observation``'s reduced datasets, at the same state
+    and weight draws: there a target support and an observed row are
+    the same weight row. The sides differ by design in one thing: each
+    reduced fit factors its own ``C`` with jitter ``JITTER_BASE ·
+    mean(diag)`` of that matrix. Holding out a sum- or custom-rule row,
+    whose prior variance is far from the mean, moves that jitter enough
+    to shift a fold by a few 1e-9 relative, so ``jitter_free`` checks
+    compare the identity itself at a negligible base jitter, and one
+    check bounds the gap at the production jitter by 1e-8. Closed-form
+    and point rows have no such reference: ``C`` integrates an interval
+    exactly and takes a point row at its centroid, while a target
+    support is its rule over the member cells.
     """
 
     def check(
@@ -897,19 +909,35 @@ class TestLeftOutMatchesRefactoredFolds:
             n = len(rec.partition.supports)
             if n < 2:
                 continue
-            pred = predict_left_out(state, dataset, *rec.key, n_samples, seed)
-            folds = []
-            for k in range(n):
-                reduced, held = dataset.drop_observation(*rec.key, k)
-                fold = predict_supports(
-                    held.partition, state, reduced, n_samples, seed, rules=held.rules
-                )
-                folds.append((fold.values[0], fold.variances[0]))
-            for got, want in zip((pred.values, pred.variances), np.array(folds).T):
-                scale = np.max(np.abs(want))
-                np.testing.assert_allclose(got, want, rtol=0, atol=tol * scale)
+            args = (state, dataset, *rec.key, n_samples, seed)
+            pred = predict_left_out(*args)
+            wants = [(left_out_by_solves(*args), 1e-9)]
+            if self.grid_rows(dataset, rec):
+                folds = self.reduced_fits(state, dataset, rec, n_samples, seed)
+                wants.append((folds, tol))
+            for want, atol in wants:
+                for got, ref in zip((pred.values, pred.variances), want):
+                    scale = np.max(np.abs(ref))
+                    np.testing.assert_allclose(got, ref, rtol=0, atol=atol * scale)
             folded += 1
         return folded
+
+    @staticmethod
+    def grid_rows(dataset, rec):
+        dd = dataset.prepared(rec.domain_id)
+        rows = dd.blocks[dd.attr_ids.index(rec.attribute_id)]
+        return bool(np.all(dd.cov.index[rows] < dd.cov.n_grid))
+
+    @staticmethod
+    def reduced_fits(state, dataset, rec, n_samples, seed):
+        folds = []
+        for k in range(len(rec.partition.supports)):
+            reduced, held = dataset.drop_observation(*rec.key, k)
+            fold = predict_supports(
+                held.partition, state, reduced, n_samples, seed, rules=held.rules
+            )
+            folds.append((fold.values[0], fold.variances[0]))
+        return np.array(folds).T
 
     def test_closed_form_intervals_with_several_attributes(self):
         domain = unit_grid_domain(48, 0.0, 4.0)
