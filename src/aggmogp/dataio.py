@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from . import utils
 from .errors import DataError, IncompatibleModel
 from .evaluation import SynthConfig, latent_request
 from .geometry import (
@@ -369,10 +370,11 @@ def _entries(value, what: str, path: str, convert) -> dict:
 
 
 def _int(value) -> int:
-    """An integer, refusing any value that ``int`` would truncate."""
-    if not float(value).is_integer():
+    """An integer by :func:`~aggmogp.utils.whole_number`, or ValueError."""
+    count = utils.whole_number(value)
+    if count is None:
         raise ValueError(f"expected integers, got {value!r}")
-    return int(value)
+    return count
 
 
 def _ints(values) -> tuple[int, ...]:

@@ -45,6 +45,7 @@ from .model import (
     uniform_rules,
 )
 from .prediction import predict_left_out, predict_supports
+from .utils import count_request
 
 
 def mape(y_true, y_pred) -> float:
@@ -76,21 +77,6 @@ def argmin_first(values) -> int:
         if values[i] < values[best]:
             best = i
     return best
-
-
-def count_request(value, what: str, least: int = 1, alternative: str = "") -> int:
-    """``value`` as an int of at least ``least``. Integral floats such as
-    ``2.0`` pass; a value that ``int`` would truncate, or no number, is a
-    :class:`DataError` naming ``what``."""
-    try:
-        count = int(value) if float(value).is_integer() else least - 1
-    except (TypeError, ValueError, OverflowError):
-        count = least - 1
-    if count < least:
-        raise DataError(
-            f"{what} takes an integer >= {least}{alternative}, got {value!r}"
-        )
-    return count
 
 
 @dataclass

@@ -24,6 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import utils
 from .errors import (
     DegenerateInterval,
     DimensionMismatch,
@@ -40,13 +41,17 @@ _REL_TOL = 1e-9
 
 
 def _integers(values, what: str) -> tuple[int, ...]:
-    """``values`` as ints, refusing any that ``int`` would truncate
-    (integral floats such as ``48.0`` pass)."""
-    values = tuple(values)
-    for v in values:
-        if not float(v).is_integer():
-            raise GeometryError(f"{what} must be integers, got {v!r}")
-    return tuple(int(v) for v in values)
+    """``values`` as ints, refusing any that ``int`` would truncate and
+    any that is no number (:func:`~aggmogp.utils.whole_number`)."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise GeometryError(f"{what} must be integers, got {values!r}") from None
+    ints = tuple(map(utils.whole_number, values))
+    if None in ints:
+        bad = values[ints.index(None)]
+        raise GeometryError(f"{what} must be integers, got {bad!r}")
+    return ints
 
 
 @dataclass(frozen=True)

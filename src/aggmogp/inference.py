@@ -83,9 +83,10 @@ class TrainConfig:
         counts = ("max_iters", "num_elbo_samples", "convergence_window", "log_every")
         for name in counts:
             value = getattr(self, name)
-            if not float(value).is_integer():
+            count = utils.whole_number(value)
+            if count is None:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
+            setattr(self, name, count)
         if not 0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be positive and finite")
         if self.max_iters < 0:

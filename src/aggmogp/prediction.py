@@ -25,8 +25,11 @@ of ``A_t K_l A_tᵀ``, come from one product
 (:meth:`~aggmogp.model.WeightRows.product`); explicit query points take
 their ``h_l`` from the same table
 (:meth:`~aggmogp.model.SupportCovTable.at_points`). Each draw only
-mixes these blocks with its weights, factors and solves, so a support
-prediction's per-draw cross covariance has one column per support. Only
+mixes these blocks with its weights into ``C`` and the cross covariance
+``H``, so a support prediction's ``H`` has one column per support. It
+factors ``C = L Lᵀ`` and solves twice: ``C⁻¹ y`` for the mean ``Hᵀ C⁻¹
+y``, and one triangular solve ``Z = L⁻¹ H`` for the variances, the
+prior less ``Zᵀ Z`` (Rasmussen & Williams, GPML Algorithm 2.1). Only
 :func:`conditional_posterior`, which returns the full covariance of its
 point queries, materializes a query-cross-query matrix. Leave-one-out
 predictions of a record's own supports need no targets: they are rows
@@ -59,6 +62,7 @@ from .model import (
     chol_inverse,
     chol_solve,
     chol_with_jitter,
+    lower_solve,
 )
 
 # Pooled variances below this are reported through the clamp counter.
@@ -230,6 +234,11 @@ def _condition(dd, state, blocks, attr_idx, priors, W, work):
     covariance)`` or ``(mean, variances)`` to match, with variances
     floored at zero. ``work`` is the call's dict of arrays reused by every
     draw (see :func:`_buffer`).
+
+    With ``C = L Lᵀ`` and ``Z = L⁻¹ H`` from one triangular solve, the
+    covariance is the prior less ``Zᵀ Z`` and the variances the prior
+    less the column sums of ``Z ∘ Z``, squared in place in ``Z``'s
+    buffer; the mean is ``Hᵀ C⁻¹ y``.
     """
     W = np.asarray(W, dtype=float)
     full = priors.ndim == 3
@@ -245,17 +254,18 @@ def _condition(dd, state, blocks, attr_idx, priors, W, work):
         )
         chol, _ = chol_with_jitter(C)
         H = cross_cov_H(point_support, dd, W, attr_idx, work)
-        alpha = chol_solve(chol, dd.y)
-        # LAPACK solves in Fortran order; the copy it would make is reused.
-        solved = _buffer(work, "solved", H.shape, order="F")
-        solved[...] = H
-        solved = chol_solve(chol, solved, overwrite_b=True)
-        mean = H.T @ alpha
+        mean = H.T @ chol_solve(chol, dd.y)
+        # Z = L⁻¹ H, so Zᵀ Z = Hᵀ C⁻¹ H. LAPACK solves in Fortran order;
+        # the copy it would make is reused.
+        Z = _buffer(work, "solved", H.shape, order="F")
+        Z[...] = H
+        Z = lower_solve(chol, Z)
         if full:
-            spread -= H.T @ solved
+            # Run as one symmetric rank-k update, so exactly symmetric.
+            spread -= Z.T @ Z
         else:
-            H *= solved
-            spread -= np.sum(H, axis=0)
+            Z *= Z
+            spread -= np.sum(Z, axis=0)
     # A writable view of the variances, on a covariance's diagonal.
     var = np.einsum("ii->i", spread) if full else spread
     np.maximum(var, 0.0, out=var)
@@ -315,9 +325,9 @@ def draw_weight_samples(
     state: ModelState, domain_id: str, n_samples: int, seed: int
 ) -> list[np.ndarray]:
     """Reparameterized weight draws used by every prediction helper;
-    ``n_samples`` must be at least one."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    ``n_samples`` is a count of at least one
+    (:func:`~aggmogp.utils.count_request`)."""
+    n_samples = utils.count_request(n_samples, "n_samples")
     rng = utils.stream(seed, 3)
     Sv = len(state.domain_attributes[domain_id])
     return [

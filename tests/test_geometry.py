@@ -527,3 +527,15 @@ class TestPartitionBuilders:
 
         with pytest.raises(GeometryError, match="integers"):
             grid_block_partition(square_grid_domain(4), "a", shape)
+
+    @pytest.mark.parametrize("bins", [None, "x", [2]])
+    def test_interval_bins_refuse_non_numbers(self, bins):
+        with pytest.raises(GeometryError, match="integers"):
+            interval_bins(unit_grid_domain(8, 0.0, 8.0), "a", bins)
+
+    @pytest.mark.parametrize("shape", [("x", 2), (2, None), 2])
+    def test_grid_blocks_refuse_non_numbers(self, shape):
+        from conftest import square_grid_domain
+
+        with pytest.raises(GeometryError, match="integers"):
+            grid_block_partition(square_grid_domain(4), "a", shape)

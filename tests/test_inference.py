@@ -582,8 +582,9 @@ class TestTrainConfigValidation:
         "field", ["max_iters", "num_elbo_samples", "convergence_window", "log_every"]
     )
     def test_rejects_fractional_counts(self, field):
-        # Once truncated or failing mid-fit; refused up front instead.
-        for value in (2.5, 1.5, np.inf):
+        # Once truncated or failing mid-fit; refused up front instead,
+        # as are values that are no number.
+        for value in (2.5, 1.5, np.inf, None, "x", [2]):
             with pytest.raises(ValueError, match=field):
                 TrainConfig(**{field: value})
         config = TrainConfig(**{field: 3.0})

@@ -42,6 +42,7 @@ from aggmogp.model import (
     kl_weights,
     latent_sign_flips,
     log_likelihood,
+    lower_solve,
     override_length_scales,
     sample_weights,
     uniform_rules,
@@ -300,6 +301,18 @@ class TestLapackPathMatchesScipy:
         solved = chol_solve(L, inplace, overwrite_b=True)
         assert solved.tobytes() == want.tobytes()
         assert np.shares_memory(solved, inplace)
+        # Only a Fortran-order b is solved in place; any other is copied
+        # and left as it was.
+        for b in (matrix.copy()[:, 0], matrix.copy(), np.asfortranarray(matrix)):
+            before = b.copy()
+            want = scipy.linalg.solve_triangular(L, b, lower=True, check_finite=False)
+            solved = lower_solve(L, b)
+            assert solved.tobytes() == want.tobytes()
+            assert np.shares_memory(solved, b) == b.flags.f_contiguous
+            if not b.flags.f_contiguous:
+                assert b.tobytes() == before.tobytes()
+        with pytest.raises(ValueError, match="dtrtrs"):
+            lower_solve(np.zeros_like(L), matrix)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(draw=jittered_spd())

@@ -401,10 +401,21 @@ class TestPredictiveMixture:
         ids=["supports", "left_out", "grid"],
     )
     def test_invalid_sample_count(self, predict):
+        # One case per helper, each over every bad count, so the three
+        # helpers keep one test id apiece.
         _, dataset, _ = two_series_instance()
         state = reference_state(dataset)
-        with pytest.raises(ValueError, match="n_samples"):
-            predict(state, dataset, 0)
+        for count in (0, 2.5, None, "x"):
+            with pytest.raises(DataError, match="n_samples"):
+                predict(state, dataset, count)
+
+    def test_integral_float_sample_count(self):
+        _, dataset, _ = two_series_instance()
+        state = reference_state(dataset)
+        want = predict_grid(state, dataset, "d0", "a0", 2, seed=0)
+        got = predict_grid(state, dataset, "d0", "a0", 2.0, seed=0)
+        for a, b in zip(want, got):
+            assert np.array_equal(a, b)
 
 
 class TestDrawWeightSamples:
@@ -1044,3 +1055,76 @@ class TestLeftOutVarianceFloor:
             rtol=0,
             atol=1e-5 * np.max(prior),
         )
+
+
+class TestOneSolveVariances:
+    """Conditioned variances come from ``Z = L⁻¹ H``, one triangular solve
+    per draw: the full covariance is ``prior - Zᵀ Z`` and the diagonal
+    ``prior - colsum(Z ∘ Z)``, where the two-solve form took
+    ``H ∘ C⁻¹ H``."""
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_covariance_is_exactly_symmetric(self, ndim):
+        if ndim == 1:
+            _, dataset, _ = two_series_instance()
+            query = np.array([[0.11], [1.73], [3.999], [5.5], [7.31]])
+            scales = (1.2, 0.6)
+        else:
+            dataset = block_instance(square_grid_domain(6), ((2, 2), (3, 3)))
+            query = np.array([[0.1, 0.9], [0.35, 0.4], [0.5, 0.5], [0.95, 0.05]])
+            scales = (0.4, 0.2)
+        state = reference_state(dataset, scales=scales)
+        rng = np.random.default_rng(ndim)
+        for _ in range(3):
+            W = rng.standard_normal((2, 2))
+            cov = conditional_posterior(query, W, state, dataset, "d0").cov
+            assert np.array_equal(cov, cov.T)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(world=loo_worlds(), seed=st.integers(0, 2**16))
+    def test_variances_match_two_solve_form(self, world, seed):
+        state, dataset = world
+        dd = dataset.prepared("d0")
+        n = dd.domain.grid.n_points
+        cells = model.WeightRows(dd.domain.grid, np.arange(n), np.ones(n), [1] * n, 0)
+        attr_idx = np.arange(dd.n_attrs)
+        priors = np.ones((state.num_latents, n))
+        blocks = prediction._draw_invariants(dd, cells, state.length_scales)
+        latents, point_support = blocks
+        noise = state.noise_log_var["d0"]
+        for W in draw_weight_samples(state, "d0", 3, seed):
+            _, var = prediction._condition(dd, state, blocks, attr_idx, priors, W, {})
+            prior = prediction._prior_spread(W, attr_idx, priors)
+            chol, _ = model.chol_with_jitter(
+                model.assemble_from_latents(dd, W, latents, noise)
+            )
+            H = cross_cov_H(point_support, dd, W, attr_idx)
+            want = prior - np.sum(H * scipy.linalg.cho_solve((chol, True), H), axis=0)
+            assert np.all(np.abs(var - np.maximum(want, 0.0)) <= 1e-12 * prior)
+            assert np.all((var >= 0.0) & (var <= prior))
+
+    @pytest.mark.parametrize("helper", ["predict_grid", "predict_supports"])
+    def test_one_triangular_solve_per_draw(self, monkeypatch, helper):
+        # chol_solve runs two triangular solves; only the mean's y takes
+        # it. Variances take one, on one (observations × targets) block.
+        seen = {"chol_solve": [], "lower_solve": []}
+        for name in seen:
+            real = getattr(prediction, name)
+
+            def record(L, b, *args, _real=real, _name=name, **kwargs):
+                seen[_name].append(np.array(b))
+                return _real(L, b, *args, **kwargs)
+
+            monkeypatch.setattr(prediction, name, record)
+        _, dataset, recs = two_series_instance()
+        state = reference_state(dataset)
+        dd = dataset.prepared("d0")
+        if helper == "predict_grid":
+            predict_grid(state, dataset, "d0", "a0", n_samples=5, seed=1)
+            n_targets = dd.domain.grid.n_points
+        else:
+            predict_supports(recs[1].partition, state, dataset, n_samples=5, seed=1)
+            n_targets = len(recs[1].partition.supports)
+        assert len(seen["chol_solve"]) == 5
+        assert all(np.array_equal(b, dd.y) for b in seen["chol_solve"])
+        assert [b.shape for b in seen["lower_solve"]] == [(dd.n_obs, n_targets)] * 5
