@@ -428,8 +428,8 @@ def _config_from_doc(doc: dict, path: str) -> ConfigBundle:
 
 
 def _level_spec(spec):
-    """Equal interval bins (an int) or a cell-block shape."""
-    return int(spec) if isinstance(spec, int) else _ints(spec)
+    """Equal interval bins (a count) or a cell-block shape (a list)."""
+    return _ints(spec) if isinstance(spec, (list, tuple)) else _int(spec)
 
 
 def _synth_from_doc(sec, path: str) -> SynthConfig:

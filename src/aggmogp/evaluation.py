@@ -244,6 +244,15 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
     scales = np.asarray(cfg.length_scales, dtype=float)
     if not np.all(np.isfinite(scales) & (scales > 0)):
         raise DataError(f"length scales must be positive and finite, got {scales}")
+    noise = cfg.noise_var
+    for field, value in (
+        ("noise_var", list(noise.values()) if isinstance(noise, dict) else noise),
+        ("prior_var", () if cfg.prior_var is None else cfg.prior_var),
+    ):
+        var = np.asarray(value, dtype=float)
+        bad = var[~(np.isfinite(var) & (var >= 0))]
+        if bad.size:
+            raise DataError(f"{field} must be finite and >= 0, got {bad.tolist()}")
     # The scales a ModelState holding these would evaluate.
     scales = np.exp(np.log(scales))
     attr_rank = {a: i for i, a in enumerate(cfg.attributes)}

@@ -40,18 +40,18 @@ from .errors import (
 _REL_TOL = 1e-9
 
 
-def _integers(values, what: str) -> tuple[int, ...]:
-    """``values`` as ints, refusing any that ``int`` would truncate and
-    any that is no number (:func:`~aggmogp.utils.whole_number`)."""
+def _numbers(values, what: str, whole: bool = False, size: int | None = None):
+    """``values`` as floats, or as ints when ``whole``, refusing any that
+    ``int`` would truncate (:func:`~aggmogp.utils.whole_number`), and
+    ``size`` of them when given; anything else is a GeometryError."""
+    kind = "integers" if whole else "numbers" if size is None else f"{size} numbers"
     try:
-        values = tuple(values)
-    except TypeError:
-        raise GeometryError(f"{what} must be integers, got {values!r}") from None
-    ints = tuple(map(utils.whole_number, values))
-    if None in ints:
-        bad = values[ints.index(None)]
-        raise GeometryError(f"{what} must be integers, got {bad!r}")
-    return ints
+        out = tuple(map(utils.whole_number if whole else float, values))
+    except (TypeError, ValueError):
+        out = (None,)
+    if None in out or size not in (None, len(out)):
+        raise GeometryError(f"{what} must be {kind}, got {values!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,10 @@ class GridSpec:
     shape: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
-        object.__setattr__(self, "cell_size", tuple(float(v) for v in self.cell_size))
-        object.__setattr__(self, "shape", _integers(self.shape, "grid shape entries"))
+        object.__setattr__(self, "origin", _numbers(self.origin, "grid origin"))
+        object.__setattr__(self, "cell_size", _numbers(self.cell_size, "cell sizes"))
+        shape = _numbers(self.shape, "grid shape entries", whole=True)
+        object.__setattr__(self, "shape", shape)
         if not (len(self.origin) == len(self.cell_size) == len(self.shape)):
             raise DimensionMismatch(
                 "origin, cell_size and shape must have equal length"
@@ -135,8 +136,9 @@ class Interval:
     hi: float
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
+        lo, hi = _numbers((self.lo, self.hi), "interval bounds")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
             raise DegenerateInterval("interval bounds must be finite")
         if self.hi <= self.lo:
@@ -156,7 +158,7 @@ class CellSet:
     cells: tuple[int, ...]
 
     def __post_init__(self):
-        cells = _integers(self.cells, "cell indices")
+        cells = _numbers(self.cells, "cell indices", whole=True)
         if len(cells) == 0:
             raise EmptySupport("cell set has no cells")
         if len(set(cells)) != len(cells):
@@ -190,7 +192,7 @@ class Domain:
     grid: GridSpec
 
     def __post_init__(self):
-        extent = tuple((float(lo), float(hi)) for lo, hi in self.extent)
+        extent = tuple(_numbers(axis, "extent axis", size=2) for axis in self.extent)
         object.__setattr__(self, "extent", extent)
         if not self.id:
             raise GeometryError("domain id must be non-empty")
@@ -430,7 +432,7 @@ def interval_bins(
     """
     if domain.ndim != 1:
         raise DimensionMismatch("interval_bins needs a 1-D domain")
-    (n_bins,) = _integers((n_bins,), "n_bins")
+    (n_bins,) = _numbers((n_bins,), "n_bins", whole=True)
     if n_bins < 1:
         raise GeometryError("n_bins must be >= 1")
     lo, hi = domain.extent[0]
@@ -455,7 +457,7 @@ def grid_block_partition(
     divide the grid shape.
     """
     grid = domain.grid
-    block_shape = _integers(block_shape, "block_shape entries")
+    block_shape = _numbers(block_shape, "block_shape entries", whole=True)
     if len(block_shape) != grid.ndim:
         raise DimensionMismatch("block_shape must match the grid dimension")
     if any(b < 1 for b in block_shape):

@@ -131,15 +131,14 @@ class TrainTrace:
 
 
 class AdamOptimizer:
-    """Plain Adam with bias correction on flat parameter vectors."""
+    """Plain Adam with bias correction on flat parameter vectors, at the
+    usual moment decays and denominator offset."""
 
-    def __init__(self, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, learning_rate):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.m = None
-        self.v = None
+        self.m = self.v = None
         self.t = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -241,15 +240,6 @@ def _kl_terms(state: ModelState):
     return rows, blocks, kl_parts(q_mean, q_log_var, p_mean, p_log_var)
 
 
-def _kl_total(state: ModelState, kl_terms=None) -> float:
-    # Each domain's (Sv, L) block is summed on its own, then in order.
-    _, blocks, parts = _kl_terms(state) if kl_terms is None else kl_terms
-    total = 0.0
-    for block in blocks.values():
-        total += float(np.sum(parts[-1][block]))
-    return total
-
-
 def estimate_elbo(dataset: AggregatedDataset, state: ModelState, eps_draws) -> float:
     """Monte Carlo ELBO estimate at fixed eps draws."""
     return _elbo_impl(dataset, state, eps_draws, want_grad=False)[0]
@@ -273,7 +263,7 @@ def _elbo_impl(dataset, state, eps_draws, want_grad):
     scales = np.exp(state.log_length_scales)
     prepared = {v: dataset.prepared(v) for v in state.domain_ids}
     covs = {v: _latent_blocks(prepared[v], scales, want_grad) for v in prepared}
-    kl_terms = rows, blocks, (vq, vp, dm, t, _) = _kl_terms(state)
+    rows, blocks, (vq, vp, dm, t, kl) = _kl_terms(state)
     # sample_weights' sqrt(floor_var(q_log_var)), once per domain.
     sd = {v: np.sqrt(vq[b]) for v, b in blocks.items()}
 
@@ -297,7 +287,11 @@ def _elbo_impl(dataset, state, eps_draws, want_grad):
             acc.q_log_var[v] += grad_W * eps
             acc.noise_log_var[v] += grad_noise
     total_ll /= n_samples
-    value = total_ll - _kl_total(state, kl_terms)
+    # Each domain's (Sv, L) block of the KL is summed on its own, then in order.
+    kl_total = 0.0
+    for b in blocks.values():
+        kl_total += float(np.sum(kl[b]))
+    value = total_ll - kl_total
     if not want_grad:
         return value, None
     inv = 1.0 / n_samples

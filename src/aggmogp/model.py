@@ -55,8 +55,6 @@ from .kernels import (
     sq_dists,
 )
 
-_LOG_2PI = np.log(2.0 * np.pi)
-
 # All variances are optimized as exponents and floored here.
 VARIANCE_FLOOR = 1e-12
 LOG_VARIANCE_FLOOR = float(np.log(VARIANCE_FLOOR))
@@ -104,12 +102,6 @@ def kl_parts(q_mean, q_log_var, p_mean, p_log_var):
     dm = np.asarray(q_mean, dtype=float) - np.asarray(p_mean, dtype=float)
     t = (vq + dm * dm) / vp - 1.0
     return vq, vp, dm, t, 0.5 * (t + lp - lq)
-
-
-def kl_weights(q_mean, q_log_var, p_mean, p_log_var) -> float:
-    """KL divergence between factorized Gaussian weight distributions,
-    :func:`kl_parts` summed over whatever shape is passed in."""
-    return float(np.sum(kl_parts(q_mean, q_log_var, p_mean, p_log_var)[-1]))
 
 
 def latent_sign_flips(state: "ModelState") -> dict[str, np.ndarray]:
@@ -191,16 +183,6 @@ def chol_inverse(L: np.ndarray) -> np.ndarray:
     """``C⁻¹`` from C's lower factor ``L``: :func:`chol_solve` against the
     identity, in place, a Fortran-order array."""
     return chol_solve(L, np.eye(L.shape[0], order="F"), overwrite_b=True)
-
-
-def log_likelihood(y: np.ndarray, C: np.ndarray) -> float:
-    """Log density of a zero-mean Gaussian, via jittered Cholesky."""
-    y = np.asarray(y, dtype=float)
-    L, _ = chol_with_jitter(C)
-    alpha = chol_solve(L, y)
-    return float(
-        -0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * y.size * _LOG_2PI
-    )
 
 
 @dataclass(frozen=True)
@@ -786,50 +768,6 @@ class AggregatedDataset:
             [replace(rec, as_points=True) for rec in self.records]
         )
 
-    def drop_observation(self, domain_id, attribute_id, support_idx):
-        """LOO view: one support and its value removed from one record.
-
-        Records with a single support cannot be reduced (the partition
-        must stay non-empty). Transforms are inherited unchanged, so the
-        held-out value keeps its original normalization.
-        """
-        target = self.record_for(domain_id, attribute_id)
-        supports = list(target.partition.supports)
-        if len(supports) < 2:
-            raise DataError(
-                f"cannot hold out the only observation of pair"
-                f" {(domain_id, attribute_id)}"
-            )
-        if not (0 <= support_idx < len(supports)):
-            raise DataError(f"support index {support_idx} out of range")
-        held_support = supports.pop(support_idx)
-        part = Partition(
-            attribute_id=target.attribute_id,
-            domain_id=target.domain_id,
-            supports=tuple(supports),
-        )
-        rules = tuple(
-            r for k, r in enumerate(target.rules) if k != support_idx
-        )
-        values = np.delete(target.values, support_idx)
-        reduced = replace(
-            target, partition=part, rules=rules, values=values
-        )
-        records = [reduced if r is target else r for r in self.records]
-        held = DatasetRecord(
-            domain_id=domain_id,
-            attribute_id=attribute_id,
-            partition=Partition(
-                attribute_id=attribute_id,
-                domain_id=domain_id,
-                supports=(held_support,),
-            ),
-            rules=(target.rules[support_idx],),
-            values=np.array([target.values[support_idx]]),
-            as_points=target.as_points,
-        )
-        return self.replace_records(records), held
-
 
 @dataclass
 class ModelState:
@@ -900,11 +838,6 @@ class ModelState:
         """Every domain's catalogue rows stacked in catalogue order, and
         each domain's slice of the stack. A domain's rows are distinct."""
         return self._catalogue()[:2]
-
-    def attr_rows(self, domain_id: str) -> np.ndarray:
-        """Catalogue row per local attribute of a domain (read-only)."""
-        rows, blocks = self.stacked_rows()
-        return rows[blocks[domain_id]]
 
     def draw_weights(self, domain_id: str, eps: np.ndarray) -> np.ndarray:
         return sample_weights(self.q_mean[domain_id], self.q_log_var[domain_id], eps)

@@ -121,25 +121,21 @@ def cross_cov_H(
     point_support,
     domain_data: DomainData,
     weights: np.ndarray,
-    attr_indices=None,
-    work=None,
+    attr_indices,
+    work: dict,
 ) -> np.ndarray:
     """Covariance between observation rows and query values.
 
     ``point_support`` holds one (observation rows, queries) array per
     latent, all over the same queries: :func:`latent_point_support` at
     points, or its columns pooled per target support. Columns are
-    attribute-major: for each selected local attribute (default all, in
-    order) one block of one column per query. ``attr_indices`` selects local
-    attribute rows of ``weights``. With a ``work`` dict (see
-    :func:`_buffer`) the result and its one scratch array are reused
-    from an earlier call.
+    attribute-major: for each local attribute row of ``weights`` that
+    ``attr_indices`` selects, in its order, one block of one column per
+    query. The result and its one scratch array are ``work`` arrays (see
+    :func:`_buffer`), reused from an earlier call.
     """
     W = np.asarray(weights, dtype=float)
-    if attr_indices is None:
-        attr_indices = np.arange(domain_data.n_attrs)
     attr_indices = np.asarray(attr_indices, dtype=np.int64)
-    work = {} if work is None else work
     n_q = point_support[0].shape[1]
     H = _buffer(work, "H", (domain_data.n_obs, attr_indices.size * n_q))
     H.fill(0.0)

@@ -30,7 +30,9 @@ def stream(seed: int, *spawn_key: int) -> np.random.Generator:
 
 def whole_number(value):
     """``value`` as an int, or None when ``int`` would truncate it or it is
-    no number; integral floats such as ``2.0`` pass."""
+    no number; integral floats such as ``2.0`` pass, booleans do not."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
     try:
         return int(value) if float(value).is_integer() else None
     except (TypeError, ValueError, OverflowError):

@@ -8,15 +8,21 @@ member-point sets, and the same sum grouped by exact squared distance.
 The pooled point mixture is the Monte Carlo predictive written out from
 one conditional posterior per weight draw, and the leave-one-out oracle
 conditions each held-out row on all the others by a direct solve.
+
+Two references were library functions that no pipeline runs:
+``log_likelihood``, the exact log evidence of one domain's rows for a
+fixed weight sample (the brute-force evidence of the ELBO's bound), and
+``drop_observation``, the explicit leave-one-out fold: a dataset with
+one row of one record removed, and that row as its own record.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
 
 from aggmogp import model
-from aggmogp.errors import DimensionMismatch, LengthMismatch
+from aggmogp.errors import DataError, DimensionMismatch, LengthMismatch
 from aggmogp.geometry import GridSpec
 from aggmogp.kernels import se_antideriv2, se_value
 from aggmogp.prediction import conditional_posterior, draw_weight_samples
@@ -227,3 +233,51 @@ def left_out_by_solves(
     mean = np.mean(means, axis=0)
     second = np.mean([v + m * m for m, v in zip(means, variances)], axis=0)
     return mean, np.maximum(second - mean * mean, 0.0)
+
+
+def log_likelihood(y, C) -> float:
+    """Log density of ``y`` under a zero-mean Gaussian of covariance
+    ``C``, through ``model.chol_with_jitter``'s factor."""
+    y = np.asarray(y, dtype=float)
+    L, _ = model.chol_with_jitter(C)
+    alpha = model.chol_solve(L, y)
+    return float(
+        -0.5 * y @ alpha
+        - np.sum(np.log(np.diag(L)))
+        - 0.5 * y.size * np.log(2.0 * np.pi)
+    )
+
+
+def drop_observation(dataset, domain_id, attribute_id, k):
+    """Support ``k`` of one record held out: ``(reduced, held)``, the
+    dataset without that support and its value, and a one-support record
+    of the held-out row.
+
+    A record with a single support cannot be reduced (a partition stays
+    non-empty). Transforms are inherited unchanged, so the held-out value
+    keeps its original normalization.
+    """
+    target = dataset.record_for(domain_id, attribute_id)
+    supports = list(target.partition.supports)
+    if len(supports) < 2:
+        raise DataError(
+            f"cannot hold out the only observation of pair"
+            f" {(domain_id, attribute_id)}"
+        )
+    if not (0 <= k < len(supports)):
+        raise DataError(f"support index {k} out of range")
+    held_support = supports.pop(k)
+    reduced = replace(
+        target,
+        partition=replace(target.partition, supports=tuple(supports)),
+        rules=target.rules[:k] + target.rules[k + 1 :],
+        values=np.delete(target.values, k),
+    )
+    held = replace(
+        target,
+        partition=replace(target.partition, supports=(held_support,)),
+        rules=(target.rules[k],),
+        values=target.values[k : k + 1].copy(),
+    )
+    records = [reduced if r is target else r for r in dataset.records]
+    return dataset.replace_records(records), held

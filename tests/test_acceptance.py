@@ -25,6 +25,7 @@ from conftest import (
     two_series_instance,
     unit_grid_domain,
 )
+from oracles import log_likelihood
 from scipy.integrate import dblquad, quad
 from scipy.special import logsumexp
 
@@ -54,7 +55,6 @@ from aggmogp.model import (
     assemble_C,
     floor_var,
     init_state,
-    log_likelihood,
     override_length_scales,
 )
 from aggmogp.prediction import conditional_posterior, predict_supports

@@ -422,6 +422,35 @@ class TestSynth:
             with open(tmp_path / "w2-coarse.json", "rb") as fb:
                 assert fa.read() != fb.read()
 
+    def test_integral_float_level_spec(self, tmp_path):
+        cfg = str(tmp_path / "synth.json")
+        section = {**synth_section(), "levels": {"coarse": {"d0": 4.0}}}
+        dataio.write_json(cfg, {"format_version": 1, "synth": section})
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "w")]) == 0
+        coarse = dataio.load_dataset_file(str(tmp_path / "w-coarse.json"))
+        assert [len(r.partition.supports) for r in coarse.dataset.records] == [4, 4]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("noise_var", -1),
+            ("noise_var", {"d0": {"a0": 0.001, "a1": -0.5}}),
+            ("prior_var", [[1.0, 1.0], [-1.0, 1.0]]),
+        ],
+        ids=["noise-scalar", "noise-per-pair", "prior"],
+    )
+    def test_negative_variance_exits_one(self, tmp_path, capsys, field, value):
+        cfg = str(tmp_path / "synth.json")
+        section = {**synth_section(), field: value}
+        dataio.write_json(cfg, {"format_version": 1, "synth": section})
+        code = main(["synth", "--config", cfg, "--out", str(tmp_path / "w")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        record = json.loads(err)
+        assert record["error"] == "DataError"
+        assert field in record["message"]
+
     def test_missing_section(self, tmp_path, capsys):
         cfg = str(tmp_path / "synth.json")
         dataio.write_json(cfg, {"format_version": 1})
@@ -566,6 +595,11 @@ class TestMalformedSections:
             ("eval", {"experiment": {**experiment_section(), "num_latents": 2.5}}),
             ("eval", {"model": {"num_latents": 2.5}}),
             ("eval", {"prediction": {"n_samples": 2.5}}),
+            ("synth", {"synth": {**synth_section(), "levels": {"coarse": {"d0": 2.5}}}}),
+            # Booleans are not counts.
+            ("synth", {"synth": {**synth_section(), "seed": True}}),
+            ("synth", {"synth": {**synth_section(), "levels": {"coarse": {"d0": True}}}}),
+            ("eval", {"experiment": {**experiment_section(), "n_pred_samples": True}}),
         ],
     )
     def test_exits_one_naming_the_file(self, tmp_path, capsys, command, doc):

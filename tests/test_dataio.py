@@ -523,12 +523,14 @@ class TestConfigFile:
                 "format_version": 1,
                 "model": {"num_latents": 2.0},
                 "prediction": {"n_samples": 3.0},
-                "synth": {**synth, "seed": 1.0},
+                "synth": {**synth, "seed": 1.0, "levels": {"coarse": {"d0": 2.0}}},
                 "experiment": {**experiment, "n_pred_samples": 4.0},
             },
         )
         cfg = load_config_file(path)
         assert (cfg.num_latents, cfg.n_pred_samples, cfg.synth.seed) == (2, 3, 1)
+        assert cfg.synth.levels == {"coarse": {"d0": 2}}
+        assert type(cfg.synth.levels["coarse"]["d0"]) is int
         assert cfg.experiment["n_pred_samples"] == 4
         for doc in (
             {"model": {"num_latents": 0}},
@@ -539,6 +541,13 @@ class TestConfigFile:
             {"model": {"num_latents": 2.5}},
             {"prediction": {"n_samples": 2.5}},
             {"synth": {**synth, "seed": 1.5}},
+            {"synth": {**synth, "levels": {"coarse": {"d0": 2.5}}}},
+            # Booleans are not counts.
+            {"synth": {**synth, "seed": True}},
+            {"synth": {**synth, "levels": {"coarse": {"d0": True}}}},
+            {"model": {"num_latents": True}},
+            {"prediction": {"n_samples": False}},
+            {"experiment": {**experiment, "n_pred_samples": True}},
             {"experiment": {**experiment, "n_pred_samples": 2.5}},
             {"experiment": {**experiment, "num_latents": 1.5}},
         ):

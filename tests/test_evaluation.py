@@ -249,6 +249,32 @@ class TestSynthGenerator:
         with pytest.raises(DataError, match="length scales"):
             synth_generate(cfg)
 
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"noise_var": -1.0}, "noise_var"),
+            ({"noise_var": float("nan")}, "noise_var"),
+            ({"noise_var": float("inf")}, "noise_var"),
+            ({"noise_var": {("d0", "a0"): -1e-3}}, "noise_var"),
+            ({"weights": None, "prior_var": np.full((1, 1), -1.0)}, "prior_var"),
+            ({"weights": None, "prior_var": np.full((1, 1), np.nan)}, "prior_var"),
+            # Refused even where fixed weights leave it unread.
+            ({"prior_var": np.full((1, 1), np.inf)}, "prior_var"),
+        ],
+        ids=[
+            "noise-negative",
+            "noise-nan",
+            "noise-inf",
+            "noise-per-pair",
+            "prior-negative",
+            "prior-nan",
+            "prior-inf-unread",
+        ],
+    )
+    def test_invalid_variance_raises(self, change, field):
+        with pytest.raises(DataError, match=field):
+            synth_generate(replace(flat_cfg(), **change))
+
     def test_no_latent_kernel_raises(self):
         cfg = replace(flat_cfg(), length_scales=(), weights=None)
         with pytest.raises(DataError, match="at least one latent kernel"):

@@ -97,6 +97,62 @@ class TestIntegerEntries:
         with pytest.raises(GeometryError, match="integers"):
             CellSet(cells)
 
+    @pytest.mark.parametrize("flag", [True, np.bool_(True)])
+    def test_booleans_are_not_counts(self, flag):
+        with pytest.raises(GeometryError, match="integers"):
+            GridSpec(origin=(0.0,), cell_size=(1.0,), shape=(flag,))
+        with pytest.raises(GeometryError, match="integers"):
+            CellSet((0, flag))
+
+
+class TestRealEntries:
+    """Every float field of the geometry refuses a value that is no
+    number with a GeometryError naming the field."""
+
+    @staticmethod
+    def grid(origin=(0.5,), cell_size=(1.0,)):
+        return GridSpec(origin=origin, cell_size=cell_size, shape=(4,))
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: TestRealEntries.grid(origin=("a",)), "grid origin"),
+            (lambda: TestRealEntries.grid(origin=(None,)), "grid origin"),
+            (lambda: TestRealEntries.grid(origin=0.5), "grid origin"),
+            (lambda: TestRealEntries.grid(cell_size=([1.0],)), "cell sizes"),
+            (lambda: TestRealEntries.grid(cell_size=("x",)), "cell sizes"),
+            (lambda: Interval("a", 1.0), "interval bounds"),
+            (lambda: Interval(0.0, None), "interval bounds"),
+            (lambda: Domain("d0", ((None, 4.0),), TestRealEntries.grid()), "extent"),
+            (lambda: Domain("d0", (None,), TestRealEntries.grid()), "extent"),
+            (lambda: Domain("d0", (("0", "x"),), TestRealEntries.grid()), "extent"),
+            (lambda: Domain("d0", ((0.0, 2.0, 4.0),), TestRealEntries.grid()), "extent"),
+        ],
+        ids=[
+            "origin-str",
+            "origin-none",
+            "origin-scalar",
+            "cell-size-list",
+            "cell-size-str",
+            "interval-lo-str",
+            "interval-hi-none",
+            "extent-none-bound",
+            "extent-none-axis",
+            "extent-str-bound",
+            "extent-three-bounds",
+        ],
+    )
+    def test_non_numbers_are_geometry_errors(self, build, field):
+        with pytest.raises(GeometryError, match=field):
+            build()
+
+    def test_numeric_strings_and_numpy_scalars_convert(self):
+        grid = self.grid(origin=("0.5",), cell_size=(np.float32(1.0),))
+        assert grid.origin == (0.5,) and grid.cell_size == (1.0,)
+        assert Interval(np.int64(0), "2").length == 2.0
+        dom = Domain("d0", (np.array([0.0, 4.0]),), grid)
+        assert dom.extent == ((0.0, 4.0),) and type(dom.extent[0][0]) is float
+
 
 class TestDomain:
     def test_grid_must_tile_extent(self):

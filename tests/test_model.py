@@ -19,6 +19,7 @@ from conftest import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import drop_observation, log_likelihood
 
 from aggmogp import model, utils
 from aggmogp.errors import (
@@ -39,9 +40,8 @@ from aggmogp.model import (
     floor_active,
     floor_var,
     init_state,
-    kl_weights,
+    kl_parts,
     latent_sign_flips,
-    log_likelihood,
     lower_solve,
     override_length_scales,
     sample_weights,
@@ -325,6 +325,11 @@ class TestLapackPathMatchesScipy:
         assert got.tobytes(order="A") == want.tobytes(order="A")
 
 
+def kl_weights(q_mean, q_log_var, p_mean, p_log_var):
+    """KL divergence of factorized Gaussians: ``kl_parts``' terms summed."""
+    return float(np.sum(kl_parts(q_mean, q_log_var, p_mean, p_log_var)[-1]))
+
+
 class TestKL:
     def test_identical_distributions(self):
         assert kl_weights(0.0, 0.0, 0.0, 0.0) == 0.0
@@ -352,6 +357,25 @@ class TestKL:
             qm, pm = rng.normal(size=2)
             qlv, plv = rng.uniform(-3, 2, size=2)
             assert kl_weights(qm, qlv, pm, plv) >= -1e-12
+
+    def test_parts_are_entrywise_from_floored_exponents(self):
+        q_mean = np.array([[1.0, -2.0], [0.5, 0.0]])
+        q_log_var = np.array([[0.0, -40.0], [np.log(2.0), 1.0]])
+        p_mean = np.array([[0.0, 0.0], [0.5, 1.0]])
+        p_log_var = np.array([[0.0, 0.0], [-50.0, 0.5]])
+        vq, vp, dm, t, terms = kl_parts(q_mean, q_log_var, p_mean, p_log_var)
+        lq = np.maximum(q_log_var, model.LOG_VARIANCE_FLOOR)
+        lp = np.maximum(p_log_var, model.LOG_VARIANCE_FLOOR)
+        np.testing.assert_array_equal(vq, np.exp(lq))
+        np.testing.assert_array_equal(vp, np.exp(lp))
+        assert vq[0, 1] == vp[1, 0] == model.floor_var(-np.inf)
+        np.testing.assert_array_equal(dm, q_mean - p_mean)
+        np.testing.assert_array_equal(t, (vq + dm * dm) / vp - 1.0)
+        np.testing.assert_array_equal(terms, 0.5 * (t + lp - lq))
+        # Each entry is its own one-dimensional KL.
+        for i, j in np.ndindex(terms.shape):
+            one = kl_parts(q_mean[i, j], q_log_var[i, j], p_mean[i, j], p_log_var[i, j])
+            assert one[-1] == terms[i, j]
 
 
 class TestSampleWeights:
@@ -523,7 +547,7 @@ class TestDatasetViews:
             interval_support(8.0, 12.0, "s2"),
         ]
         ds = single_series_dataset(dom, supports, [1.0, 2.0, 3.0])
-        reduced, held = ds.drop_observation("d0", "a0", 1)
+        reduced, held = drop_observation(ds, "d0", "a0", 1)
         assert held.values[0] == 2.0
         assert held.partition.supports[0].id == "s1"
         rec = reduced.records[0]
@@ -536,7 +560,7 @@ class TestDatasetViews:
         dom = unit_grid_domain(8, 0.0, 8.0)
         ds = single_series_dataset(dom, [interval_support(0.0, 4.0, "s0")], [1.0])
         with pytest.raises(DataError):
-            ds.drop_observation("d0", "a0", 0)
+            drop_observation(ds, "d0", "a0", 0)
 
     def test_as_point_observations(self):
         _, dataset, _ = two_series_instance()
@@ -605,7 +629,8 @@ class TestModelState:
     def test_attr_rows(self):
         _, dataset, _ = two_series_instance()
         state = init_state(dataset, 2, seed=0)
-        np.testing.assert_array_equal(state.attr_rows("d0"), [0, 1])
+        rows, blocks = state.stacked_rows()
+        np.testing.assert_array_equal(rows[blocks["d0"]], [0, 1])
 
     def test_override_length_scales(self):
         _, dataset, _ = two_series_instance()
@@ -708,7 +733,6 @@ class TestFlatVectorViews:
         assert list(blocks) == list(state.domain_ids)
         for v in state.domain_ids:
             want = [state.attributes.index(a) for a in state.domain_attributes[v]]
-            np.testing.assert_array_equal(state.attr_rows(v), want)
             np.testing.assert_array_equal(rows[blocks[v]], want)
         assert not rows.flags.writeable
         # States made from this one share the rows, built once.
@@ -726,7 +750,7 @@ class TestFlatVectorViews:
         state = init_state(dataset, 1, seed=0)
         state.domain_attributes["d0"] = ("a0", "a0")
         with pytest.raises(DataError, match="twice"):
-            state.attr_rows("d0")
+            state.stacked_rows()
 
 
 def random_two_domain_state(seed):
@@ -742,7 +766,8 @@ def random_two_domain_state(seed):
 
 
 def domain_kl(state, v):
-    rows = state.attr_rows(v)
+    rows, blocks = state.stacked_rows()
+    rows = rows[blocks[v]]
     return kl_weights(
         state.q_mean[v],
         state.q_log_var[v],
@@ -788,8 +813,9 @@ class TestLatentOrientation:
 
     def test_no_flip_at_the_prior(self):
         _, state = random_two_domain_state(seed=4)
+        rows, blocks = state.stacked_rows()
         for v in state.domain_ids:
-            state.q_mean[v] = state.prior_mean[state.attr_rows(v)].copy()
+            state.q_mean[v] = state.prior_mean[rows[blocks[v]]].copy()
         flips = latent_sign_flips(state)
         assert not any(f.any() for f in flips.values())
 

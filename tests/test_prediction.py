@@ -25,7 +25,7 @@ from conftest import (
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import left_out_by_solves, pooled_point_mixture
+from oracles import drop_observation, left_out_by_solves, pooled_point_mixture
 from test_support_cov import cell_set_records, grid_domains, interval_records
 
 from aggmogp import model, prediction
@@ -198,6 +198,8 @@ class TestCrossCov:
             [latent_point_support(dd, query, s) for s in state.length_scales],
             dd,
             np.zeros((2, 2)),
+            np.arange(2),
+            {},
         )
         assert H.shape == (12, 4)
         assert np.all(H == 0.0)
@@ -892,7 +894,7 @@ class TestLeftOutMatchesRefactoredFolds:
     1e-9 of the largest value and variance.
 
     Grid-row records are also checked against ``predict_supports`` on
-    each of ``drop_observation``'s reduced datasets, at the same state
+    each of ``oracles.drop_observation``'s reduced datasets, at the same state
     and weight draws: there a target support and an observed row are
     the same weight row. The sides differ by design in one thing: each
     reduced fit factors its own ``C`` with jitter ``JITTER_BASE ·
@@ -943,7 +945,7 @@ class TestLeftOutMatchesRefactoredFolds:
     def reduced_fits(state, dataset, rec, n_samples, seed):
         folds = []
         for k in range(len(rec.partition.supports)):
-            reduced, held = dataset.drop_observation(*rec.key, k)
+            reduced, held = drop_observation(dataset, *rec.key, k)
             fold = predict_supports(
                 held.partition, state, reduced, n_samples, seed, rules=held.rules
             )
@@ -1098,7 +1100,7 @@ class TestOneSolveVariances:
             chol, _ = model.chol_with_jitter(
                 model.assemble_from_latents(dd, W, latents, noise)
             )
-            H = cross_cov_H(point_support, dd, W, attr_idx)
+            H = cross_cov_H(point_support, dd, W, attr_idx, {})
             want = prior - np.sum(H * scipy.linalg.cho_solve((chol, True), H), axis=0)
             assert np.all(np.abs(var - np.maximum(want, 0.0)) <= 1e-12 * prior)
             assert np.all((var >= 0.0) & (var <= prior))
