@@ -83,7 +83,7 @@ def _check_version(doc: dict, path: str) -> None:
     version = doc.get("format_version")
     if version is None:
         raise DataError(f"{path}: missing format_version")
-    if not isinstance(version, int) or version < 1:
+    if isinstance(version, bool) or not isinstance(version, int) or version < 1:
         raise DataError(f"{path}: invalid format_version {version!r}")
     if version > FORMAT_VERSION:
         raise DataError(

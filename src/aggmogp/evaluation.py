@@ -202,11 +202,21 @@ class SynthConfig:
 
     def noise_of(self, domain_id: str, attribute_id: str) -> float:
         if isinstance(self.noise_var, dict):
-            return float(self.noise_var[(domain_id, attribute_id)])
+            key = (domain_id, attribute_id)
+            if key not in self.noise_var:
+                raise DataError(
+                    f"noise_var has no entry for domain {domain_id!r},"
+                    f" attribute {attribute_id!r}"
+                )
+            return float(self.noise_var[key])
         return float(self.noise_var)
 
     def offset_of(self, attribute_id: str) -> float:
         if isinstance(self.value_offset, dict):
+            if attribute_id not in self.value_offset:
+                raise DataError(
+                    f"value_offset has no entry for attribute {attribute_id!r}"
+                )
             return float(self.value_offset[attribute_id])
         return float(self.value_offset)
 

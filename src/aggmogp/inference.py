@@ -27,8 +27,11 @@ Randomness is a counter-based Philox stream keyed by the training seed.
 Substream 1 drives the per-iteration eps draws, in the order: for every
 sampled weight matrix, domains in catalogue order, each drawn as a
 (local attributes, latents) standard normal block in row-major order,
-sample index innermost. Substream 2 drives the 256-draw ELBO estimates
-reported in the trace. Identical seeds give bit-identical trajectories.
+sample index innermost. Substream 2 drives the 64-draw ELBO estimates
+reported in the trace (:func:`refined_elbo`): domains in catalogue order,
+each domain's blocks are one scrambled Sobol point set over its
+attributes × latents, whose scramble the substream draws. Identical seeds
+give bit-identical trajectories.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .model import (
     floor_var,
     kl_parts,
     latent_sign_flips,
+    lower_solve,
 )
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -107,8 +111,9 @@ class TrainTrace:
 
     ``elbo`` holds the stochastic estimate at the parameters of each
     completed iteration (at most ``max_iters`` entries). ``init_elbo``
-    and ``final_elbo`` are 256-draw estimates of the initial state and of
-    the returned best snapshot; ``improvement`` is their difference.
+    and ``final_elbo`` are :func:`refined_elbo` estimates (64 scrambled
+    Sobol draws) of the initial state and of the returned best snapshot,
+    at the same points; ``improvement`` is their difference.
     ``stop_reason`` is ``"converged"`` when two adjacent ELBO windows
     agreed to the tolerance, else ``"budget"``: every one of
     ``max_iters`` iterations ran, backoffs included.
@@ -203,10 +208,15 @@ def _domain_loglik(domain_data, weights, latents, dlatents, noise_log_var):
     C = assemble_from_latents(domain_data, weights, latents, noise_log_var)
     chol, _ = chol_with_jitter(C)
     y = domain_data.y
-    alpha = chol_solve(chol, y)
-    ll = float(
-        -0.5 * y @ alpha - np.sum(np.log(np.diag(chol))) - 0.5 * y.size * _LOG_2PI
-    )
+    if dlatents is None:
+        # yᵀC⁻¹y as |L⁻¹y|², one triangular solve; it solves a 1-D
+        # right-hand side in place, so it gets a copy.
+        z = lower_solve(chol, y.copy())
+        quad = -0.5 * z @ z
+    else:
+        alpha = chol_solve(chol, y)
+        quad = -0.5 * y @ alpha
+    ll = float(quad - np.sum(np.log(np.diag(chol))) - 0.5 * y.size * _LOG_2PI)
     if dlatents is None:
         return ll, None, None, None
     G = 0.5 * (np.outer(alpha, alpha) - chol_inverse(chol))
@@ -315,16 +325,32 @@ def _elbo_impl(dataset, state, eps_draws, want_grad):
     return value, acc
 
 
-_REFINED_DRAWS = 256
+_REFINED_DRAWS = 64
 _MAX_BACKOFFS = 5
 
 
 def refined_elbo(
     dataset: AggregatedDataset, state: ModelState, seed: int, n_samples: int = _REFINED_DRAWS
 ) -> float:
-    """Lower-noise ELBO estimate from a dedicated substream (spawn key 2)."""
+    """Lower-noise ELBO estimate from a dedicated substream (spawn key 2).
+
+    Randomized quasi-Monte Carlo: domain by domain in catalogue order, the
+    (local attributes, latents) eps blocks of the ``n_samples`` draws are
+    one scrambled Sobol point set over that domain's attributes × latents
+    (:func:`~aggmogp.utils.sobol_normals`, row-major), scrambled from the
+    substream. The estimate stays unbiased, with far less error per draw
+    than i.i.d. draws; power-of-two counts keep the point set balanced.
+    ``n_samples`` passes :func:`~aggmogp.utils.count_request`.
+    """
+    n_samples = utils.count_request(n_samples, "n_samples")
     rng = utils.stream(seed, 2)
-    eps = draw_eps(state, rng, n_samples)
+    L = state.num_latents
+    blocks = {}
+    for v in state.domain_ids:
+        Sv = len(state.domain_attributes[v])
+        points = utils.sobol_normals(rng, n_samples, Sv * L)
+        blocks[v] = points.reshape(n_samples, Sv, L)
+    eps = [{v: blocks[v][t] for v in state.domain_ids} for t in range(n_samples)]
     return estimate_elbo(dataset, state, eps)
 
 
@@ -382,9 +408,10 @@ def fit(
     with iteration 0 or the returned iterate's index. Stops early when two
     adjacent moving-average windows of the ELBO agree to
     ``convergence_tol`` (relative). The returned state is the iterate
-    with the best recorded estimate, re-scored with 256 fresh draws in
-    the trace. Why the loop ended goes to ``trace.stop_reason`` and, once,
-    to the ``aggmogp.inference`` logger at DEBUG level.
+    with the best recorded estimate, re-scored in the trace by
+    :func:`refined_elbo` at the same 64 scrambled Sobol draws as the
+    start point. Why the loop ended goes to ``trace.stop_reason`` and,
+    once, to the ``aggmogp.inference`` logger at DEBUG level.
     """
     t_start = time.perf_counter()
     trace = TrainTrace()

@@ -170,9 +170,10 @@ def chol_solve(L: np.ndarray, b: np.ndarray, overwrite_b: bool = False):
 def lower_solve(L: np.ndarray, b: np.ndarray):
     """``L⁻¹ b`` for C's lower factor ``L`` by LAPACK ``dtrtrs``, bitwise
     ``scipy.linalg.solve_triangular(L, b, lower=True)``. A Fortran-order
-    float ``b`` is solved in place; any other ``b`` is copied first and
-    left as it was. For ``Z = L⁻¹ H`` the product ``Zᵀ Z`` is
-    ``Hᵀ C⁻¹ H``, at half of :func:`chol_solve`'s cost."""
+    float ``b``, a contiguous 1-D one included, is solved in place; any
+    other ``b`` is copied first and left as it was. For ``Z = L⁻¹ H`` the
+    product ``Zᵀ Z`` is ``Hᵀ C⁻¹ H``, at half of :func:`chol_solve`'s
+    cost."""
     x, info = dtrtrs(L, b, lower=1, overwrite_b=1)
     if info != 0:
         raise ValueError(f"dtrtrs failed with info {info}")

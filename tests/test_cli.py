@@ -451,6 +451,37 @@ class TestSynth:
         assert record["error"] == "DataError"
         assert field in record["message"]
 
+    @pytest.mark.parametrize(
+        "field, value, missing",
+        [
+            ("noise_var", {"d0": {"a1": 0.1}}, "'a0'"),
+            ("value_offset", {"a0": 5.0, "a9": 1.0}, "'a1'"),
+        ],
+        ids=["noise-pair", "offset-attribute"],
+    )
+    def test_missing_map_entry_exits_one(self, tmp_path, capsys, field, value, missing):
+        cfg = str(tmp_path / "synth.json")
+        section = {**synth_section(), field: value}
+        dataio.write_json(cfg, {"format_version": 1, "synth": section})
+        code = main(["synth", "--config", cfg, "--out", str(tmp_path / "w")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        record = json.loads(err)
+        assert record["error"] == "DataError"
+        assert field in record["message"] and missing in record["message"]
+        assert not list(tmp_path.glob("w-*.json"))
+
+    def test_boolean_format_version_exits_one(self, tmp_path, capsys):
+        cfg = str(tmp_path / "synth.json")
+        dataio.write_json(cfg, {"format_version": True, "synth": synth_section()})
+        code = main(["synth", "--config", cfg, "--out", str(tmp_path / "w")])
+        assert code == 1
+        record = last_error_record(capsys)
+        assert record["error"] == "DataError"
+        assert "format_version" in record["message"]
+        assert not list(tmp_path.glob("w-*.json"))
+
     def test_missing_section(self, tmp_path, capsys):
         cfg = str(tmp_path / "synth.json")
         dataio.write_json(cfg, {"format_version": 1})
