@@ -140,6 +140,7 @@ def cv_select_L(
     cands = sorted({count_request(c, "a candidate latent count") for c in candidates})
     if not cands:
         raise DataError("no candidate latent counts supplied")
+    n_pred_samples = count_request(n_pred_samples, "n_pred_samples")
     records = _cv_records(dataset, target)
     mean_errors = []
     for L in cands:

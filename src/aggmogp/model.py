@@ -181,8 +181,8 @@ def lower_solve(L: np.ndarray, b: np.ndarray):
 
 
 def chol_inverse(L: np.ndarray) -> np.ndarray:
-    """``C⁻¹`` from C's lower factor ``L``: :func:`chol_solve` against the
-    identity, in place, a Fortran-order array."""
+    """``C⁻¹`` from C's lower factor ``L`` for training's gradient:
+    :func:`chol_solve` against the identity, in place, Fortran order."""
     return chol_solve(L, np.eye(L.shape[0], order="F"), overwrite_b=True)
 
 

@@ -33,9 +33,9 @@ prior less ``Zᵀ Z`` (Rasmussen & Williams, GPML Algorithm 2.1). Only
 :func:`conditional_posterior`, which returns the full covariance of its
 point queries, materializes a query-cross-query matrix. Leave-one-out
 predictions of a record's own supports need no targets: they are rows
-of each draw's own ``C``, and every fold comes from its inverse
-(:func:`~aggmogp.model.chol_inverse`, as training's gradient takes it)
-and the per-latent ``S_l`` alone, not a factorization per fold.
+of each draw's own ``C``, and every fold comes from the same factor
+``L`` by one triangular solve, not from a factorization per fold
+(GPML eq. 5.12, see :func:`predict_left_out`).
 
 Weight draws for prediction come from substream 3 of the prediction
 seed: one (local attributes, latents) standard-normal block per
@@ -59,7 +59,6 @@ from .model import (
     AggregatedDataset,
     DomainData,
     ModelState,
-    chol_inverse,
     chol_solve,
     chol_with_jitter,
     lower_solve,
@@ -404,38 +403,37 @@ def predict_left_out(
     Each fold is the observation model's own leave-one-out: entry k is
     the noise-free value of the record's row k of ``C``, conditioned on
     every other observation at the same state and weight draws. Per
-    draw ``C`` is factored once; with ``P = C⁻¹``, ``α = P y``, held-out
-    row r and ``h`` column r of ``C``, the mean ``y_r - α_r / P_rr``
-    (Rasmussen & Williams, GPML eq. 5.12) and the variance ``1/P_rr -
-    σ_r²`` are taken in the block-inversion form that holds for any
-    ``h_r``: ``hᵀα - (hᵀ P[:, r]) α_r / P_rr`` and ``prior - (hᵀ P h -
-    (hᵀ P[:, r])² / P_rr)``, with ``prior`` the row's noise-free diagonal
-    entry. ``h_r`` is zeroed, so no term cancels against the held-out
-    row's own, as ``y_r`` and ``σ_r²`` would.
+    draw ``C = L Lᵀ`` is factored once, and with ``P = C⁻¹`` held-out
+    row r has mean ``y_r - (P y)_r / P_rr`` and variance
+    ``1/P_rr - σ_r² - jitter`` (Rasmussen & Williams, GPML eq. 5.12),
+    with ``σ_r²`` the row's noise and ``jitter`` the factor's. One
+    triangular solve gives both in whitened form: with ``z_r = L⁻¹ e_r``
+    for the unit column ``e_r`` and ``v_r = L⁻¹ y₍ᵣ₎`` for ``y`` with
+    ``y_r`` zeroed, ``P_rr = z_rᵀ z_r`` and the mean is
+    ``-z_rᵀ v_r / P_rr``, which never subtracts against ``y_r``.
     """
     dd = dataset.prepared(domain_id)
     dataset.record_for(domain_id, attribute_id)  # DataError for an unknown pair
     (a,), _ = _local_attr_indices(state, dd, [attribute_id])
     rows = np.arange(dd.n_obs)[dd.blocks[a]]
-    own = (rows, np.arange(rows.size))
     latents = [dd.cov.latent_cov(s) for s in state.length_scales]
-    priors = np.array([np.diagonal(S_l)[rows] for S_l in latents])
     noise = state.noise_log_var[domain_id]
+    held_noise = dd.expand_rows(model.floor_var(noise))[rows]
+    # Right-hand sides: each held-out row r's unit column e_r, then y₍ᵣ₎.
+    unit = np.zeros((dd.n_obs, rows.size))
+    unit[rows, np.arange(rows.size)] = 1.0
+    rhs = np.hstack([unit, np.where(unit, 0.0, dd.y[:, None])])
 
     def fold(W, work):
         C = model.assemble_from_latents(dd, W, latents, noise)
-        chol, _ = chol_with_jitter(C)
-        P = chol_inverse(chol)
-        alpha = P @ dd.y
-        held = np.diagonal(P)[rows]
-        H = C[:, rows]
-        H[own] = 0.0
-        cross = np.sum(H * P[:, rows], axis=0)
-        mean = H.T @ alpha - cross * alpha[rows] / held
-        var = W[a] ** 2 @ priors - (
-            np.sum(H * (P @ H), axis=0) - cross * cross / held
-        )
-        return mean, np.maximum(var, 0.0)
+        chol, jitter = chol_with_jitter(C)
+        # Solved in place in a Fortran-order buffer that every draw reuses.
+        Z = _buffer(work, "folds", rhs.shape, order="F")
+        Z[...] = rhs
+        z, v = np.hsplit(lower_solve(chol, Z), 2)
+        held = np.sum(z * z, axis=0)
+        mean = -np.sum(z * v, axis=0) / held
+        return mean, np.maximum(1.0 / held - held_noise - jitter, 0.0)
 
     return SupportPrediction(*_draw_and_pool(dd, state, n_samples, seed, fold))
 

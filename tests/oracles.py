@@ -6,8 +6,9 @@ unit tests check those against: the kernel between two points, the
 double integral over two intervals, a weighted double sum over two
 member-point sets, and the same sum grouped by exact squared distance.
 The pooled point mixture is the Monte Carlo predictive written out from
-one conditional posterior per weight draw, and the leave-one-out oracle
-conditions each held-out row on all the others by a direct solve.
+one conditional posterior per weight draw, and the leave-one-out oracles
+condition each held-out row on all the others by a direct solve, in
+float64 or at 60 decimal digits.
 
 Two references were library functions that no pipeline runs:
 ``log_likelihood``, the exact log evidence of one domain's rows for a
@@ -233,6 +234,49 @@ def left_out_by_solves(
     mean = np.mean(means, axis=0)
     second = np.mean([v + m * m for m, v in zip(means, variances)], axis=0)
     return mean, np.maximum(second - mean * mean, 0.0)
+
+
+def left_out_by_mpmath(
+    state, dataset, domain_id, attribute_id, n_samples, seed
+):
+    """Leave-one-out of every row of one record, each fold solved at 60
+    decimal digits.
+
+    Per weight draw of ``draw_weight_samples``, ``C`` is the same float64
+    jittered matrix as :func:`left_out_by_solves`'s, taken exactly into
+    ``mpmath``. Row r is conditioned on all other rows by two solves
+    against ``C₋ᵣ``: mean ``c_rᵀ C₋ᵣ⁻¹ y₋ᵣ`` and variance ``k_r - c_rᵀ
+    C₋ᵣ⁻¹ c_r``, rounded to float64 only at the end. Returns ``(means,
+    variances, scales)``, each (draws, rows): the folds of every draw,
+    unpooled and unfloored, and each row's noise-free prior plus its
+    noise variance, the diagonal of ``C`` before the jitter.
+    """
+    import mpmath
+
+    dd = dataset.prepared(domain_id)
+    a = dd.attr_ids.index(attribute_id)
+    rows = np.arange(dd.n_obs)[dd.blocks[a]]
+    noise = state.noise_log_var[domain_id]
+    means, variances, scales = [], [], []
+    with mpmath.workdps(60):
+        for W in draw_weight_samples(state, domain_id, n_samples, seed):
+            C = model.assemble_C(dd, W, state.length_scales, noise)
+            prior = np.diag(C) - dd.expand_rows(model.floor_var(noise))
+            scales.append(np.diag(C)[rows])
+            C = C + model.JITTER_BASE * np.mean(np.diag(C)) * np.eye(dd.n_obs)
+            mean, var = [], []
+            for r in rows:
+                keep = np.flatnonzero(np.arange(dd.n_obs) != r)
+                reduced = mpmath.matrix(C[np.ix_(keep, keep)].tolist())
+                c = mpmath.matrix(C[keep, r].tolist())
+                y = mpmath.matrix(dd.y[keep].tolist())
+                solved_y = mpmath.lu_solve(reduced, y)
+                solved_c = mpmath.lu_solve(reduced, c)
+                mean.append(float((c.T * solved_y)[0]))
+                var.append(float(mpmath.mpf(prior[r]) - (c.T * solved_c)[0]))
+            means.append(mean)
+            variances.append(var)
+    return np.array(means), np.array(variances), np.array(scales)
 
 
 def log_likelihood(y, C) -> float:

@@ -368,6 +368,17 @@ class TestCvSelectL:
             with pytest.raises(DataError, match="candidate latent count"):
                 cv_select_L(data, bad, TrainConfig())
 
+    @pytest.mark.parametrize("bad", [0, 2.5, True])
+    def test_bad_draw_count_refused_before_any_fit(self, monkeypatch, bad):
+        def refuse(*args):
+            raise AssertionError("fit called")
+
+        monkeypatch.setattr(evaluation, "fit", refuse)
+        with pytest.raises(DataError, match="n_pred_samples"):
+            cv_select_L(
+                selection_dataset(0), (1, 2), TrainConfig(), n_pred_samples=bad
+            )
+
     def test_zero_held_out_value_raises(self):
         dom = unit_grid_domain(12, 0.0, 3.0)
         from conftest import single_series_dataset, cells_support

@@ -25,7 +25,12 @@ from conftest import (
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import drop_observation, left_out_by_solves, pooled_point_mixture
+from oracles import (
+    drop_observation,
+    left_out_by_mpmath,
+    left_out_by_solves,
+    pooled_point_mixture,
+)
 from test_support_cov import cell_set_records, grid_domains, interval_records
 
 from aggmogp import model, prediction
@@ -992,39 +997,53 @@ class TestLeftOutMatchesRefactoredFolds:
         assert self.check(state, dataset, seed=seed) >= 1
 
 
+def twin_world(noise, scale, weights=(1.3, -0.7), weight_var=None):
+    """Two attributes on the same eight 2-cell blocks of a 16-cell line,
+    mixed from one latent of length scale ``scale``: a1 observes every
+    support of a0, so each a0 row is pinned by its twin as ``noise``
+    falls. Variational means are ``weights``; ``weight_var`` replaces
+    ``init_state``'s variational variances."""
+    domain = unit_grid_domain(16)
+    rng = np.random.default_rng(0)
+    records = []
+    for attr in ("a0", "a1"):
+        part = grid_block_partition(domain, attr, (2,), id_prefix=attr)
+        records.append(
+            DatasetRecord(
+                domain_id="d0",
+                attribute_id=attr,
+                partition=part,
+                rules=uniform_rules(part),
+                values=rng.standard_normal(len(part.supports)),
+            )
+        )
+    dataset = AggregatedDataset({"d0": domain}, ("a0", "a1"), records)
+    state = init_state(dataset, 1, seed=0)
+    override_length_scales(state, [scale])
+    state.q_mean["d0"] = np.array(weights)[:, None]
+    if weight_var is not None:
+        state.q_log_var["d0"][:] = np.log(weight_var)
+    state.noise_log_var["d0"][:] = np.log(noise)
+    return state, dataset
+
+
 class TestLeftOutVarianceFloor:
     """Each draw's fold variance is floored at zero before pooling.
 
     Attribute a1 observes every support of a0, both near noise-free and
     mixed from one latent, so a held-out a0 support is fixed by its twin
-    up to the jitter and its true variance is about 1e-8. The block
-    inversion identity of ``predict_left_out`` subtracts terms of order
-    ``1/P_rr`` there and leaves roundoff of about 1e-6, negative for some
-    folds. With one draw nothing else enters the pooled variance, so
-    without the floor those folds would be pooled below the clamp
-    tolerance.
+    up to the jitter and its true variance is about 1e-8. The library's
+    folds get it to roundoff (``TestLeftOutAgainstMpmath``), but the
+    block inversion identity written out below, the form an earlier
+    ``predict_left_out`` took, subtracts terms of order ``1/P_rr`` there
+    and leaves roundoff of about 1e-6, negative for some folds: a
+    world where an unfloored fold variance would be pooled below the
+    clamp tolerance.
     """
 
     def test_negative_draw_variances_are_floored(self):
-        domain = unit_grid_domain(16)
-        rng = np.random.default_rng(0)
-        records = []
-        for attr in ("a0", "a1"):
-            part = grid_block_partition(domain, attr, (2,), id_prefix=attr)
-            records.append(
-                DatasetRecord(
-                    domain_id="d0",
-                    attribute_id=attr,
-                    partition=part,
-                    rules=uniform_rules(part),
-                    values=rng.standard_normal(len(part.supports)),
-                )
-            )
-        dataset = AggregatedDataset({"d0": domain}, ("a0", "a1"), records)
-        state = init_state(dataset, 1, seed=0)
-        override_length_scales(state, [12.0])
-        state.q_mean["d0"] = np.array([[1.3], [-0.7]])
-        state.noise_log_var["d0"][:] = np.log(1e-13)
+        state, dataset = twin_world(1e-13, 12.0)
+        domain, records = dataset.domains["d0"], dataset.records
         pred = predict_left_out(state, dataset, "d0", "a0", n_samples=1, seed=0)
 
         # Explicit folds on the jittered joint covariance of the one draw.
@@ -1057,6 +1076,59 @@ class TestLeftOutVarianceFloor:
             rtol=0,
             atol=1e-5 * np.max(prior),
         )
+
+
+class TestLeftOutAgainstMpmath:
+    """Every draw's folds match ``oracles.left_out_by_mpmath``, 60-digit
+    solves of each fold on the same float64 jittered ``C``: variances to
+    1e-13 of the row's prior plus noise variance, means to 1e-7 of the
+    largest ``|y|``. The twin worlds run from a held-out row pinned to a
+    variance of about 1e-8 by its noise-free twin, through noise 1e-6
+    and 1e-2, to a weak signal under unit noise, whose fold means are
+    a few 1e-6."""
+
+    TWIN_WORLDS = {
+        "pinned": (1e-13, 12.0),
+        "noise-1e-6": (1e-6, 3.0),
+        "noise-1e-2": (1e-2, 12.0),
+        "weak-signal": (1.0, 3.0, (1.3e-3, -0.7e-3), 1e-12),
+    }
+
+    def check(self, state, dataset, attribute_id, n_samples, seed):
+        pytest.importorskip("mpmath")
+        draws = []
+        real_pool = prediction._pool
+
+        def pool(means, variances):
+            draws.append((means, variances))
+            return real_pool(means, variances)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prediction, "_pool", pool)
+            predict_left_out(state, dataset, "d0", attribute_id, n_samples, seed)
+        ((means, variances),) = draws
+        want_means, want_variances, scales = left_out_by_mpmath(
+            state, dataset, "d0", attribute_id, n_samples, seed
+        )
+        y_max = np.max(np.abs(dataset.prepared("d0").y))
+        assert np.all(
+            np.abs(np.array(variances) - np.maximum(want_variances, 0.0))
+            <= 1e-13 * scales
+        )
+        assert np.all(np.abs(np.array(means) - want_means) <= 1e-7 * y_max)
+
+    @pytest.mark.parametrize("world", sorted(TWIN_WORLDS))
+    def test_twin_worlds(self, world):
+        state, dataset = twin_world(*self.TWIN_WORLDS[world])
+        self.check(state, dataset, "a0", n_samples=2, seed=0)
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(world=loo_worlds(), seed=st.integers(0, 2**16))
+    def test_random_partitions(self, world, seed):
+        state, dataset = world
+        assume(dataset.prepared("d0").n_obs <= 24)
+        rec = max(dataset.records, key=lambda r: len(r.partition.supports))
+        self.check(state, dataset, rec.attribute_id, n_samples=1, seed=seed)
 
 
 class TestOneSolveVariances:
