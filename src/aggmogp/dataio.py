@@ -648,9 +648,9 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def write_support_csv(path: str, support_ids, values, variances) -> None:
+def write_support_csv(path: str, ids, values, variances) -> None:
     lines = ["support_id,value,variance"]
-    for sid, val, var in zip(support_ids, values, variances):
+    for sid, val, var in zip(ids, values, variances):
         lines.append(f"{sid},{_fmt(val)},{_fmt(var)}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 

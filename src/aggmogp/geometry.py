@@ -271,9 +271,6 @@ class Partition:
     def __len__(self) -> int:
         return len(self.supports)
 
-    def support_ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self.supports)
-
 
 @dataclass(frozen=True)
 class AggregationRule:

@@ -49,7 +49,6 @@ from .model import (
     ModelState,
     assemble_from_latents,
     chol_inverse,
-    chol_solve,
     chol_with_jitter,
     floor_active,
     floor_var,
@@ -208,18 +207,17 @@ def _domain_loglik(domain_data, weights, latents, dlatents, noise_log_var):
     C = assemble_from_latents(domain_data, weights, latents, noise_log_var)
     chol, _ = chol_with_jitter(C)
     y = domain_data.y
-    if dlatents is None:
-        # yᵀC⁻¹y as |L⁻¹y|², one triangular solve; it solves a 1-D
-        # right-hand side in place, so it gets a copy.
-        z = lower_solve(chol, y.copy())
-        quad = -0.5 * z @ z
-    else:
-        alpha = chol_solve(chol, y)
-        quad = -0.5 * y @ alpha
-    ll = float(quad - np.sum(np.log(np.diag(chol))) - 0.5 * y.size * _LOG_2PI)
+    # yᵀC⁻¹y as |L⁻¹y|², one triangular solve; it solves a 1-D
+    # right-hand side in place, so it gets a copy.
+    z = lower_solve(chol, y.copy())
+    ll = float(
+        -0.5 * z @ z - np.sum(np.log(np.diag(chol))) - 0.5 * y.size * _LOG_2PI
+    )
     if dlatents is None:
         return ll, None, None, None
-    G = 0.5 * (np.outer(alpha, alpha) - chol_inverse(chol))
+    P = chol_inverse(chol)
+    alpha = P @ y
+    G = 0.5 * (np.outer(alpha, alpha) - P)
     W = np.asarray(weights)
     grad_W = np.zeros_like(W)
     grad_scales = np.zeros(L)

@@ -41,7 +41,7 @@ import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from . import geometry, utils
 from .errors import CholeskyFailure, DataError, DimensionMismatch
@@ -157,23 +157,13 @@ def chol_with_jitter(C: np.ndarray):
         mult *= 10.0
 
 
-def chol_solve(L: np.ndarray, b: np.ndarray, overwrite_b: bool = False):
-    """``C⁻¹ b`` from C's lower factor ``L`` by LAPACK ``dpotrs``, bitwise
-    ``scipy.linalg.cho_solve((L, True), b)``; ``overwrite_b`` solves a
-    Fortran-order matrix ``b`` in place."""
-    x, info = dpotrs(L, b, lower=1, overwrite_b=overwrite_b)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrs")
-    return x
-
-
 def lower_solve(L: np.ndarray, b: np.ndarray):
     """``L⁻¹ b`` for C's lower factor ``L`` by LAPACK ``dtrtrs``, bitwise
     ``scipy.linalg.solve_triangular(L, b, lower=True)``. A Fortran-order
     float ``b``, a contiguous 1-D one included, is solved in place; any
     other ``b`` is copied first and left as it was. For ``Z = L⁻¹ H`` the
-    product ``Zᵀ Z`` is ``Hᵀ C⁻¹ H``, at half of :func:`chol_solve`'s
-    cost."""
+    product ``Zᵀ Z`` is ``Hᵀ C⁻¹ H``, and ``Zᵀ z`` for ``z = L⁻¹ y`` is
+    ``Hᵀ C⁻¹ y``: every solve against ``C`` is this one."""
     x, info = dtrtrs(L, b, lower=1, overwrite_b=1)
     if info != 0:
         raise ValueError(f"dtrtrs failed with info {info}")
@@ -181,9 +171,11 @@ def lower_solve(L: np.ndarray, b: np.ndarray):
 
 
 def chol_inverse(L: np.ndarray) -> np.ndarray:
-    """``C⁻¹`` from C's lower factor ``L`` for training's gradient:
-    :func:`chol_solve` against the identity, in place, Fortran order."""
-    return chol_solve(L, np.eye(L.shape[0], order="F"), overwrite_b=True)
+    """``C⁻¹`` from C's lower factor ``L`` for training's gradient: ``Zᵀ Z``
+    for ``Z = L⁻¹ I``, one triangular solve and one symmetric rank-k
+    product, so the inverse is exactly symmetric."""
+    Z = lower_solve(L, np.eye(L.shape[0], order="F"))
+    return Z.T @ Z
 
 
 @dataclass(frozen=True)
@@ -843,9 +835,6 @@ class ModelState:
     def draw_weights(self, domain_id: str, eps: np.ndarray) -> np.ndarray:
         return sample_weights(self.q_mean[domain_id], self.q_log_var[domain_id], eps)
 
-    def copy(self) -> "ModelState":
-        return self.unpack(self.pack())
-
     # Flat parameter vector layout, in order: log length scales, prior
     # means, prior log variances, then per domain (catalogue order) the
     # variational means, variational log variances and noise exponents.
@@ -907,10 +896,10 @@ def init_state(
     order, row-major), shared by every domain that observes it so all
     domains start in one latent orientation; variational variances start
     at 0.01 and noise at 0.1 (each attribute is normalized to unit pooled
-    variance).
+    variance). ``num_latents`` is a count of at least one
+    (:func:`~aggmogp.utils.count_request`).
     """
-    if num_latents < 1:
-        raise ValueError("num_latents must be >= 1")
+    num_latents = utils.count_request(num_latents, "num_latents")
     domain_ids = dataset.domain_order()
     if not domain_ids:
         raise DataError("dataset has no observation records")

@@ -27,9 +27,9 @@ their ``h_l`` from the same table
 (:meth:`~aggmogp.model.SupportCovTable.at_points`). Each draw only
 mixes these blocks with its weights into ``C`` and the cross covariance
 ``H``, so a support prediction's ``H`` has one column per support. It
-factors ``C = L Lᵀ`` and solves twice: ``C⁻¹ y`` for the mean ``Hᵀ C⁻¹
-y``, and one triangular solve ``Z = L⁻¹ H`` for the variances, the
-prior less ``Zᵀ Z`` (Rasmussen & Williams, GPML Algorithm 2.1). Only
+factors ``C = L Lᵀ`` and makes one triangular solve, ``[Z | z] = L⁻¹ [H
+| y]``: the mean is ``Zᵀ z`` and the variances are the prior less ``Zᵀ
+Z`` (Rasmussen & Williams, GPML Algorithm 2.1). Only
 :func:`conditional_posterior`, which returns the full covariance of its
 point queries, materializes a query-cross-query matrix. Leave-one-out
 predictions of a record's own supports need no targets: they are rows
@@ -59,7 +59,6 @@ from .model import (
     AggregatedDataset,
     DomainData,
     ModelState,
-    chol_solve,
     chol_with_jitter,
     lower_solve,
 )
@@ -230,10 +229,10 @@ def _condition(dd, state, blocks, attr_idx, priors, W, work):
     floored at zero. ``work`` is the call's dict of arrays reused by every
     draw (see :func:`_buffer`).
 
-    With ``C = L Lᵀ`` and ``Z = L⁻¹ H`` from one triangular solve, the
-    covariance is the prior less ``Zᵀ Z`` and the variances the prior
-    less the column sums of ``Z ∘ Z``, squared in place in ``Z``'s
-    buffer; the mean is ``Hᵀ C⁻¹ y``.
+    With ``C = L Lᵀ``, one triangular solve gives ``[Z | z] = L⁻¹ [H |
+    y]``. The mean is ``Zᵀ z``; the covariance is the prior less ``Zᵀ
+    Z`` and the variances the prior less the column sums of ``Z ∘ Z``,
+    squared in place in ``Z``'s buffer after the mean is read.
     """
     W = np.asarray(W, dtype=float)
     full = priors.ndim == 3
@@ -249,12 +248,14 @@ def _condition(dd, state, blocks, attr_idx, priors, W, work):
         )
         chol, _ = chol_with_jitter(C)
         H = cross_cov_H(point_support, dd, W, attr_idx, work)
-        mean = H.T @ chol_solve(chol, dd.y)
-        # Z = L⁻¹ H, so Zᵀ Z = Hᵀ C⁻¹ H. LAPACK solves in Fortran order;
-        # the copy it would make is reused.
-        Z = _buffer(work, "solved", H.shape, order="F")
-        Z[...] = H
-        Z = lower_solve(chol, Z)
+        # [Z | z] = L⁻¹ [H | y], so Zᵀ Z = Hᵀ C⁻¹ H and Zᵀ z = Hᵀ C⁻¹ y.
+        # LAPACK solves in Fortran order; the copy it would make is reused.
+        Zz = _buffer(work, "solved", (dd.n_obs, H.shape[1] + 1), order="F")
+        Zz[:, :-1] = H
+        Zz[:, -1] = dd.y
+        Zz = lower_solve(chol, Zz)
+        Z, z = Zz[:, :-1], Zz[:, -1]
+        mean = Z.T @ z
         if full:
             # Run as one symmetric rank-k update, so exactly symmetric.
             spread -= Z.T @ Z
@@ -269,18 +270,18 @@ def _condition(dd, state, blocks, attr_idx, priors, W, work):
 
 def _pool(means, variances):
     """Mixture moments of equally weighted Gaussian components with
-    independent entries. Returns ``(mean, variances, clamped)``; pooled
-    variances below the clamp tolerance are counted in ``clamped``, and
-    every negative one is floored at zero.
+    independent entries. Returns ``(mean, variances, clamped)``, with
+    pooled variances below the clamp tolerance counted in ``clamped``.
+    The variances are pooled in the centred form ``mean(v) + mean((m −
+    m̄)²)``, a sum of non-negative terms, so one draw's come back exactly.
     """
     mean = np.mean(means, axis=0)
-    second = np.zeros_like(variances[0])
+    pooled = np.zeros_like(variances[0])
     for m, v in zip(means, variances):
-        second += v + m * m
-    second /= len(means)
-    pooled = second - mean * mean
+        d = m - mean
+        pooled += v + d * d
+    pooled /= len(means)
     clamped = int(np.sum(pooled < _CLAMP_TOL))
-    np.maximum(pooled, 0.0, out=pooled)
     return mean, pooled, clamped
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.linalg
 
 from aggmogp import model
 from aggmogp.errors import DataError, DimensionMismatch, LengthMismatch
@@ -284,7 +285,7 @@ def log_likelihood(y, C) -> float:
     ``C``, through ``model.chol_with_jitter``'s factor."""
     y = np.asarray(y, dtype=float)
     L, _ = model.chol_with_jitter(C)
-    alpha = model.chol_solve(L, y)
+    alpha = scipy.linalg.cho_solve((L, True), y)
     return float(
         -0.5 * y @ alpha
         - np.sum(np.log(np.diag(L)))

@@ -1,13 +1,15 @@
-"""Output digests of the bench worlds against a committed ``BENCH_*.json``.
+"""Output digests of the bench worlds, alone or against a ``BENCH_*.json``.
 
 Not collected by pytest (the name has no ``test_`` prefix). Run from the
 repository root::
 
+    PYTHONPATH=src python tests/output_digests.py
     PYTHONPATH=src python tests/output_digests.py BENCH_pr16.json
 
-For every workload of ``bench.workloads`` and every seed the file
-records, it runs the workload's pipeline once and takes one SHA-256 per
-output, over the float64 C-order bytes of, in order:
+Without a file it takes every workload of ``bench.workloads`` at seeds
+0-2; with one, every workload and seed the file records. For each it
+runs the workload's pipeline once and takes one SHA-256 per output, over
+the float64 C-order bytes of, in order:
 
 * ``fit``: ``ModelState.pack()`` after ``inference.fit`` at the
   workload's budget (learning rate 0.02, convergence tolerance 0);
@@ -22,8 +24,9 @@ output, over the float64 C-order bytes of, in order:
 * ``cv``: ``cv_select_L`` over candidates (1, 2) at 100 iterations on the
   target record, ``[chosen]``, ``errors`` and ``[fold_count]``.
 
-Draws and seeds are the workload's. It prints one line per digest and
-exits 1 when any differs from the file's ``outputs.sha256``. Digests
+Draws and seeds are the workload's. It prints one line per digest.
+Without a file it exits 0; with one, it exits 1 when any digest differs
+from the file's ``outputs.sha256``. Digests
 compare only at equal BLAS thread counts: blocks-2d's differ between one
 and two threads. Blocks-2d's can also differ between CPUs at one thread,
 so a change shows byte-identity by diffing this script's output at the
@@ -47,6 +50,8 @@ from bench import workloads  # noqa: E402
 
 CV_CANDIDATES = (1, 2)
 CV_ITERS = 100
+# Seeds digested when no BENCH_*.json names them.
+SEEDS = (0, 1, 2)
 
 
 def sha256(*arrays) -> str:
@@ -103,8 +108,18 @@ def digests(work: workloads.Workload, seed: int) -> dict[str, str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("bench_json", help="a BENCH_*.json with outputs.sha256")
+    parser.add_argument(
+        "bench_json", nargs="?", help="a BENCH_*.json with outputs.sha256"
+    )
     args = parser.parse_args(argv)
+    if args.bench_json is None:
+        keys = [f"{name}/{seed}" for name in workloads.WORKLOADS for seed in SEEDS]
+        for key in sorted(keys):
+            name, seed = key.rsplit("/", 1)
+            got = digests(workloads.WORKLOADS[name], int(seed))
+            for kind in sorted(got):
+                print(f"{key} {kind} {got[kind]}")
+        return 0
     with open(args.bench_json) as f:
         want = json.load(f)["outputs"]["sha256"]
     mismatches = 0

@@ -562,7 +562,7 @@ class TestPartitionBuilders:
     def test_support_ids_unique(self):
         dom = unit_grid_domain(12, 0.0, 12.0)
         part = interval_bins(dom, "a", 4, id_prefix="bin")
-        assert part.support_ids() == ("bin0", "bin1", "bin2", "bin3")
+        assert tuple(s.id for s in part.supports) == ("bin0", "bin1", "bin2", "bin3")
 
     def test_integral_float_counts_are_kept(self):
         from conftest import square_grid_domain

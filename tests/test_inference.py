@@ -348,7 +348,7 @@ class TestStationaryPoint:
         eps = draw_eps(state, utils.stream(0, 1), 1)
 
         def objective(log_scale):
-            s = state.copy()
+            s = state.unpack(state.pack())
             s.log_length_scales = np.array([log_scale])
             return -estimate_elbo(ds, s, eps)
 
@@ -358,7 +358,7 @@ class TestStationaryPoint:
             method="golden",
             options={"xtol": 1e-12},
         )
-        opt = state.copy()
+        opt = state.unpack(state.pack())
         opt.log_length_scales = np.array([res.x])
         grads = elbo_with_grad(ds, opt, eps)[1]
         assert abs(grads.log_length_scales[0]) < 1e-6

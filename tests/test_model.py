@@ -35,7 +35,6 @@ from aggmogp.model import (
     ModelState,
     assemble_C,
     chol_inverse,
-    chol_solve,
     chol_with_jitter,
     floor_active,
     floor_var,
@@ -294,13 +293,6 @@ class TestLapackPathMatchesScipy:
         assert L.tobytes() == expected.tobytes()
         rng = np.random.default_rng(n)
         matrix = rng.standard_normal((n, 3))
-        for b in (matrix[:, 0], matrix, np.asfortranarray(matrix)):
-            want = scipy.linalg.cho_solve((L, True), b, check_finite=False)
-            assert chol_solve(L, b).tobytes() == want.tobytes()
-        inplace = np.asfortranarray(matrix)
-        solved = chol_solve(L, inplace, overwrite_b=True)
-        assert solved.tobytes() == want.tobytes()
-        assert np.shares_memory(solved, inplace)
         # Only a Fortran-order b is solved in place; any other is copied
         # and left as it was.
         for b in (matrix.copy()[:, 0], matrix.copy(), np.asfortranarray(matrix)):
@@ -319,10 +311,11 @@ class TestLapackPathMatchesScipy:
     def test_inverse(self, draw):
         L, _ = chol_with_jitter(draw[0])
         identity = np.eye(L.shape[0])
-        want = scipy.linalg.cho_solve((L, True), identity, check_finite=False)
+        Z = scipy.linalg.solve_triangular(L, identity, lower=True, check_finite=False)
+        want = Z.T @ Z
         got = chol_inverse(L)
-        assert got.flags.f_contiguous
         assert got.tobytes(order="A") == want.tobytes(order="A")
+        assert np.array_equal(got, got.T)
 
 
 def kl_weights(q_mean, q_log_var, p_mean, p_log_var):
@@ -551,7 +544,7 @@ class TestDatasetViews:
         assert held.values[0] == 2.0
         assert held.partition.supports[0].id == "s1"
         rec = reduced.records[0]
-        assert rec.partition.support_ids() == ("s0", "s2")
+        assert tuple(s.id for s in rec.partition.supports) == ("s0", "s2")
         np.testing.assert_array_equal(rec.values, [1.0, 3.0])
         # Transforms are inherited from the full dataset, not recomputed.
         assert reduced.transforms[("d0", "a0")] == ds.transforms[("d0", "a0")]
@@ -607,6 +600,18 @@ class TestModelState:
         np.testing.assert_array_equal(a.pack(), b.pack())
         c = init_state(dataset, 3, seed=8)
         assert not np.array_equal(a.pack(), c.pack())
+
+    @pytest.mark.parametrize("count", [0, -1, 2.5, True])
+    def test_init_refuses_bad_latent_counts(self, count):
+        _, dataset, _ = two_series_instance()
+        with pytest.raises(DataError, match="num_latents"):
+            init_state(dataset, count, seed=0)
+
+    def test_init_takes_integral_float_latent_count(self):
+        _, dataset, _ = two_series_instance()
+        state = init_state(dataset, 2.0, seed=0)
+        assert type(state.num_latents) is int and state.num_latents == 2
+        assert np.array_equal(state.pack(), init_state(dataset, 2, seed=0).pack())
 
     def test_init_length_scales_staggered(self):
         _, dataset, _ = two_series_instance()
@@ -665,7 +670,7 @@ class TestModelState:
     def test_copy_is_deep_for_arrays(self):
         _, dataset, _ = two_series_instance()
         state = init_state(dataset, 2, seed=0)
-        dup = state.copy()
+        dup = state.unpack(state.pack())
         dup.q_mean["d0"][0, 0] += 1.0
         assert state.q_mean["d0"][0, 0] != dup.q_mean["d0"][0, 0]
 
@@ -784,7 +789,7 @@ class TestLatentOrientation:
             dd = dataset.prepared(v)
             eps = rng.standard_normal(state.q_mean[v].shape)
             C = assemble_C(dd, state.draw_weights(v, eps), state.length_scales, state.noise_log_var[v])
-            flipped = state.copy()
+            flipped = state.unpack(state.pack())
             flipped.q_mean[v][:, 1] *= -1.0
             eps_flipped = eps.copy()
             eps_flipped[:, 1] *= -1.0
@@ -801,7 +806,7 @@ class TestLatentOrientation:
             for v in state.domain_ids:
                 before = domain_kl(state, v)
                 for l in range(state.num_latents):
-                    reflected = state.copy()
+                    reflected = state.unpack(state.pack())
                     reflected.q_mean[v][:, l] *= -1.0
                     after = domain_kl(reflected, v)
                     if flips[v][l]:

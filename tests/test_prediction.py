@@ -1131,6 +1131,35 @@ class TestLeftOutAgainstMpmath:
         self.check(state, dataset, rec.attribute_id, n_samples=1, seed=seed)
 
 
+class TestPoolOneDraw:
+    """With one draw, pooling gives back that draw's variances bit for
+    bit. On the pinned twin world the uncentred form ``E[v + m²] − E[m]²``
+    loses them to roundoff of order eps·m²."""
+
+    HELPERS = {
+        "left_out": lambda s, ds: predict_left_out(s, ds, "d0", "a0", 1, 0).variances,
+        "grid": lambda s, ds: predict_grid(s, ds, "d0", "a0", 1, 0)[2],
+        "supports": lambda s, ds: predict_supports(
+            ds.records[0].partition, s, ds, 1, 0
+        ).variances,
+    }
+
+    @pytest.mark.parametrize("helper", sorted(HELPERS))
+    def test_pooled_variances_are_the_draws(self, monkeypatch, helper):
+        state, dataset = twin_world(1e-13, 12.0)
+        draws = []
+        real_pool = prediction._pool
+
+        def pool(means, variances):
+            draws.append(variances)
+            return real_pool(means, variances)
+
+        monkeypatch.setattr(prediction, "_pool", pool)
+        pooled = self.HELPERS[helper](state, dataset)
+        ((variances,),) = draws
+        assert pooled.tobytes() == variances.tobytes()
+
+
 class TestOneSolveVariances:
     """Conditioned variances come from ``Z = L⁻¹ H``, one triangular solve
     per draw: the full covariance is ``prior - Zᵀ Z`` and the diagonal
@@ -1179,17 +1208,16 @@ class TestOneSolveVariances:
 
     @pytest.mark.parametrize("helper", ["predict_grid", "predict_supports"])
     def test_one_triangular_solve_per_draw(self, monkeypatch, helper):
-        # chol_solve runs two triangular solves; only the mean's y takes
-        # it. Variances take one, on one (observations × targets) block.
-        seen = {"chol_solve": [], "lower_solve": []}
-        for name in seen:
-            real = getattr(prediction, name)
+        # Mean and variances share one solve, on one (observations ×
+        # (targets + 1)) block whose last column is y.
+        seen = []
+        real = prediction.lower_solve
 
-            def record(L, b, *args, _real=real, _name=name, **kwargs):
-                seen[_name].append(np.array(b))
-                return _real(L, b, *args, **kwargs)
+        def record(L, b):
+            seen.append(np.array(b))
+            return real(L, b)
 
-            monkeypatch.setattr(prediction, name, record)
+        monkeypatch.setattr(prediction, "lower_solve", record)
         _, dataset, recs = two_series_instance()
         state = reference_state(dataset)
         dd = dataset.prepared("d0")
@@ -1199,6 +1227,5 @@ class TestOneSolveVariances:
         else:
             predict_supports(recs[1].partition, state, dataset, n_samples=5, seed=1)
             n_targets = len(recs[1].partition.supports)
-        assert len(seen["chol_solve"]) == 5
-        assert all(np.array_equal(b, dd.y) for b in seen["chol_solve"])
-        assert [b.shape for b in seen["lower_solve"]] == [(dd.n_obs, n_targets)] * 5
+        assert [b.shape for b in seen] == [(dd.n_obs, n_targets + 1)] * 5
+        assert all(np.array_equal(b[:, -1], dd.y) for b in seen)
