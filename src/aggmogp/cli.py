@@ -129,7 +129,7 @@ def _cmd_refine(args) -> None:
     )
     message = f"wrote {len(part.supports)} supports -> {args.out}"
     if pred.clamped:
-        message += f" ({pred.clamped} variances clamped to 0)"
+        message += f" ({pred.clamped} per-draw variances clamped to 0)"
     print(message)
     if args.grid_out:
         query, mean, variance, clamped = predict_grid(
@@ -141,7 +141,7 @@ def _cmd_refine(args) -> None:
         dataio.write_grid_csv(args.grid_out, query, mean, variance)
         message = f"wrote {query.shape[0]} grid points -> {args.grid_out}"
         if clamped:
-            message += f" ({clamped} variances clamped to 0)"
+            message += f" ({clamped} per-draw variances clamped to 0)"
         print(message)
 
 

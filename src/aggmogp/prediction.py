@@ -20,18 +20,20 @@ observation rows against the targets, and the targets' priors. Target
 supports are weight rows ``A_t`` over the grid cells, like observed
 grid supports (:func:`~aggmogp.model.weight_rows`); the default query of
 :func:`predict_grid` is the one-hot row of every cell. Their ``h_l``
-(:meth:`~aggmogp.model.SupportCovTable.cross`) and priors, the diagonal
-of ``A_t K_l A_tᵀ``, come from one product
-(:meth:`~aggmogp.model.WeightRows.product`); explicit query points take
+come from the observed rows' product with the grid kernel
+(:meth:`~aggmogp.model.SupportCovTable.cross`) and their priors, the
+diagonal of ``A_t K_l A_tᵀ``, from pairs of cells within each target
+(:meth:`~aggmogp.model.WeightRows.diagonal`); explicit query points take
 their ``h_l`` from the same table
 (:meth:`~aggmogp.model.SupportCovTable.at_points`). Each draw only
 mixes these blocks with its weights into ``C`` and the cross covariance
 ``H``, so a support prediction's ``H`` has one column per support. It
 factors ``C = L Lᵀ`` and makes one triangular solve, ``[Z | z] = L⁻¹ [H
 | y]``: the mean is ``Zᵀ z`` and the variances are the prior less ``Zᵀ
-Z`` (Rasmussen & Williams, GPML Algorithm 2.1). Only
-:func:`conditional_posterior`, which returns the full covariance of its
-point queries, materializes a query-cross-query matrix. Leave-one-out
+Z`` (Rasmussen & Williams, GPML Algorithm 2.1). Variances that roundoff
+leaves negative are floored at zero per draw and counted (``clamped``).
+Only :func:`conditional_posterior`, which returns the full covariance of
+its point queries, materializes a query-cross-query matrix. Leave-one-out
 predictions of a record's own supports need no targets: they are rows
 of each draw's own ``C``, and every fold comes from the same factor
 ``L`` by one triangular solve, not from a factorization per fold
@@ -62,10 +64,6 @@ from .model import (
     chol_with_jitter,
     lower_solve,
 )
-
-# Pooled variances below this are reported through the clamp counter.
-_CLAMP_TOL = -1e-10
-
 
 def _as_query_array(query_points, domain: Domain) -> np.ndarray:
     q = np.asarray(query_points, dtype=float)
@@ -106,12 +104,12 @@ def latent_point_support(
     return domain_data.cov.at_points(query, length_scale)
 
 
-def _buffer(work: dict, name: str, shape, order="C") -> np.ndarray:
-    """Array ``name`` of one prediction call's ``work`` dict, allocated
-    on first request and reused by every later draw."""
-    key = (name, tuple(shape), order)
+def _buffer(work: dict, name: str, shape) -> np.ndarray:
+    """C-order array ``name`` of one prediction call's ``work`` dict,
+    allocated on first request and reused by every later draw."""
+    key = (name, tuple(shape))
     if key not in work:
-        work[key] = np.empty(shape, order=order)
+        work[key] = np.empty(shape)
     return work[key]
 
 
@@ -124,26 +122,27 @@ def cross_cov_H(
 ) -> np.ndarray:
     """Covariance between observation rows and query values.
 
-    ``point_support`` holds one (observation rows, queries) array per
+    ``point_support`` stacks one (observation rows, queries) array per
     latent, all over the same queries: :func:`latent_point_support` at
     points, or its columns pooled per target support. Columns are
     attribute-major: for each local attribute row of ``weights`` that
     ``attr_indices`` selects, in its order, one block of one column per
-    query. The result and its one scratch array are ``work`` arrays (see
-    :func:`_buffer`), reused from an earlier call.
+    query. The result is the leading columns of the C-order ``work``
+    array ``"Hy"`` (see :func:`_buffer`), one column wider, whose last
+    column :func:`_condition` fills with ``y`` and solves in place with
+    them. Each block is one ``einsum`` over the latents written straight
+    into its strided columns, with no scratch array.
     """
     W = np.asarray(weights, dtype=float)
     attr_indices = np.asarray(attr_indices, dtype=np.int64)
     n_q = point_support[0].shape[1]
-    H = _buffer(work, "H", (domain_data.n_obs, attr_indices.size * n_q))
-    H.fill(0.0)
-    scratch = _buffer(work, "scratch", (domain_data.n_obs, n_q))
-    for l, h_l in enumerate(point_support):
-        u_l = domain_data.expand_rows(W[:, l])
-        for k, s_idx in enumerate(attr_indices):
-            np.multiply(u_l[:, None], h_l, out=scratch)
-            scratch *= W[s_idx, l]
-            H[:, k * n_q : (k + 1) * n_q] += scratch
+    Hy = _buffer(work, "Hy", (domain_data.n_obs, attr_indices.size * n_q + 1))
+    H = Hy[:, :-1]
+    # Row i's weight on latent l, u_l[i], from its attribute's row of W.
+    u = domain_data.expand_rows(W)
+    for k, s_idx in enumerate(attr_indices):
+        block = H[:, k * n_q : (k + 1) * n_q]
+        np.einsum("il,liq->iq", u * W[s_idx], point_support, out=block)
     return H
 
 
@@ -188,15 +187,18 @@ def _draw_invariants(dd, query, length_scales):
     """Per-latent blocks of one call that no weight draw changes.
 
     Returns ``(latents, point_support)``: the support covariances
-    ``[S_l]`` and the integrals ``[h_l]`` of the observation rows against
+    ``[S_l]`` and the integrals ``h_l`` of the observation rows against
     ``query`` (points or weight rows, see :func:`latent_point_support`),
-    both functions of the length scales alone. A domain without
-    observations needs neither and gets None.
+    stacked as one (latents, observation rows, queries) array, both
+    functions of the length scales alone. A domain without observations
+    needs neither and gets None.
     """
     if dd.n_obs == 0:
         return None
     latents = [dd.cov.latent_cov(s) for s in length_scales]
-    point_support = [latent_point_support(dd, query, s) for s in length_scales]
+    point_support = np.stack(
+        [latent_point_support(dd, query, s) for s in length_scales]
+    )
     return latents, point_support
 
 
@@ -225,14 +227,16 @@ def _condition(dd, state, blocks, attr_idx, priors, W, work):
     supports), attribute-major. ``priors`` holds each
     latent's unit-weight prior covariance of the targets, (latents, n,
     n), or only its diagonal, (latents, n); the result is ``(mean,
-    covariance)`` or ``(mean, variances)`` to match, with variances
-    floored at zero. ``work`` is the call's dict of arrays reused by every
-    draw (see :func:`_buffer`).
+    covariance, clamped)`` or ``(mean, variances, clamped)`` to match,
+    with variances floored at zero and ``clamped`` the count of those
+    the floor raised (:func:`_floor`). ``work`` is the call's dict of
+    arrays reused by every draw (see :func:`_buffer`).
 
     With ``C = L Lᵀ``, one triangular solve gives ``[Z | z] = L⁻¹ [H |
-    y]``. The mean is ``Zᵀ z``; the covariance is the prior less ``Zᵀ
-    Z`` and the variances the prior less the column sums of ``Z ∘ Z``,
-    squared in place in ``Z``'s buffer after the mean is read.
+    y]``, in place in the C-order array that :func:`cross_cov_H` writes
+    ``H`` into. The mean is ``Zᵀ z``; the covariance is the prior less
+    ``Zᵀ Z`` and the variances the prior less the column sums of ``Z ∘
+    Z``, squared in place after the mean is read.
     """
     W = np.asarray(W, dtype=float)
     full = priors.ndim == 3
@@ -248,32 +252,38 @@ def _condition(dd, state, blocks, attr_idx, priors, W, work):
         )
         chol, _ = chol_with_jitter(C)
         H = cross_cov_H(point_support, dd, W, attr_idx, work)
-        # [Z | z] = L⁻¹ [H | y], so Zᵀ Z = Hᵀ C⁻¹ H and Zᵀ z = Hᵀ C⁻¹ y.
-        # LAPACK solves in Fortran order; the copy it would make is reused.
-        Zz = _buffer(work, "solved", (dd.n_obs, H.shape[1] + 1), order="F")
-        Zz[:, :-1] = H
+        # [Z | z] = L⁻¹ [H | y], so Zᵀ Z = Hᵀ C⁻¹ H and Zᵀ z = Hᵀ C⁻¹ y,
+        # solved in place in the array whose leading columns are H.
+        Zz = _buffer(work, "Hy", (dd.n_obs, H.shape[1] + 1))
         Zz[:, -1] = dd.y
-        Zz = lower_solve(chol, Zz)
+        lower_solve(chol, Zz)
         Z, z = Zz[:, :-1], Zz[:, -1]
         mean = Z.T @ z
         if full:
             # Run as one symmetric rank-k update, so exactly symmetric.
             spread -= Z.T @ Z
         else:
-            Z *= Z
-            spread -= np.sum(Z, axis=0)
+            # Squared whole: numpy runs a strided view's arithmetic slower.
+            Zz *= Zz
+            spread -= np.sum(Zz, axis=0)[:-1]
     # A writable view of the variances, on a covariance's diagonal.
     var = np.einsum("ii->i", spread) if full else spread
-    np.maximum(var, 0.0, out=var)
-    return mean, spread
+    return mean, spread, _floor(var)
+
+
+def _floor(variances) -> int:
+    """Floor one draw's variances at zero in place; returns how many
+    were negative, the draw's count of clamped variances."""
+    negative = variances < 0.0
+    variances[negative] = 0.0
+    return int(np.count_nonzero(negative))
 
 
 def _pool(means, variances):
-    """Mixture moments of equally weighted Gaussian components with
-    independent entries. Returns ``(mean, variances, clamped)``, with
-    pooled variances below the clamp tolerance counted in ``clamped``.
-    The variances are pooled in the centred form ``mean(v) + mean((m −
-    m̄)²)``, a sum of non-negative terms, so one draw's come back exactly.
+    """Mixture moments ``(mean, variances)`` of equally weighted Gaussian
+    components with independent entries. The variances are pooled in the
+    centred form ``mean(v) + mean((m − m̄)²)``, a sum of non-negative
+    terms, so one draw's come back exactly and none is negative.
     """
     mean = np.mean(means, axis=0)
     pooled = np.zeros_like(variances[0])
@@ -281,8 +291,7 @@ def _pool(means, variances):
         d = m - mean
         pooled += v + d * d
     pooled /= len(means)
-    clamped = int(np.sum(pooled < _CLAMP_TOL))
-    return mean, pooled, clamped
+    return mean, pooled
 
 
 def conditional_posterior(
@@ -313,7 +322,7 @@ def conditional_posterior(
     d2 = sq_dists(query, query)
     grams = np.stack([se_value(d2, s) for s in state.length_scales])
     blocks = _draw_invariants(dd, query, state.length_scales)
-    mean, cov = _condition(dd, state, blocks, attr_idx, grams, W, {})
+    mean, cov, _ = _condition(dd, state, blocks, attr_idx, grams, W, {})
     return ConditionalPosterior(mean, cov, n_query=query.shape[0], attr_ids=attr_ids)
 
 
@@ -335,21 +344,27 @@ def draw_weight_samples(
 
 
 def _draw_and_pool(dd, state, n_samples, seed, per_draw):
-    """``per_draw(W, work)``, one draw's ``(mean, variances)``, on each of
-    ``n_samples`` weight draws ``W`` with the call's ``work`` dict (see
-    :func:`_buffer`), pooled by :func:`_pool` into ``(mean, variances,
-    clamped)``."""
+    """``per_draw(W, work)``, one draw's ``(mean, variances, clamped)``,
+    on each of ``n_samples`` weight draws ``W`` with the call's ``work``
+    dict (see :func:`_buffer`). Returns ``(mean, variances, clamped)``:
+    the draws pooled by :func:`_pool`, and the sum of their clamp
+    counts."""
     work = {}
     draws = [
         per_draw(W, work)
         for W in draw_weight_samples(state, dd.domain.id, n_samples, seed)
     ]
-    return _pool(*zip(*draws))
+    means, variances, clamped = zip(*draws)
+    return (*_pool(means, variances), sum(clamped))
 
 
 @dataclass
 class SupportPrediction:
-    """Aggregated predictions on a target partition (normalized units)."""
+    """Aggregated predictions on a target partition (normalized units).
+
+    ``clamped`` counts the variances, over every weight draw, that came
+    out negative from roundoff and were floored at zero before pooling.
+    """
 
     values: np.ndarray
     variances: np.ndarray
@@ -370,7 +385,10 @@ def predict_supports(
     and the posterior is averaged (or summed, per rule) over them with
     the support's aggregation weights. Variances are those of the
     weighted sums, so nested refinements stay consistent with direct
-    coarse predictions.
+    coarse predictions. Each target's prior variance per latent, the
+    diagonal of ``A_t K_l A_tᵀ``, sums over pairs of its own cells
+    (:meth:`~aggmogp.model.WeightRows.diagonal`), so the targets'
+    weight rows build no ``K A_tᵀ`` and no target × target matrix.
     """
     dd = dataset.prepared(target.domain_id)
     geometry.validate(dd.domain, [target])
@@ -383,9 +401,7 @@ def predict_supports(
     # Target supports are weight rows A_t over the grid cells; their
     # unit-weight priors are the diagonal of each latent's A_t K_l A_tᵀ.
     rows = model.weight_rows(dd.domain, target.supports, rules)
-    priors = np.array(
-        [np.diagonal(rows.product(rows.matrix, s)[0]) for s in state.length_scales]
-    )
+    priors = np.array([rows.diagonal(s) for s in state.length_scales])
     blocks = _draw_invariants(dd, rows, state.length_scales)
     condition = partial(_condition, dd, state, blocks, attr_idx, priors)
     return SupportPrediction(*_draw_and_pool(dd, state, n_samples, seed, condition))
@@ -411,7 +427,10 @@ def predict_left_out(
     triangular solve gives both in whitened form: with ``z_r = L⁻¹ e_r``
     for the unit column ``e_r`` and ``v_r = L⁻¹ y₍ᵣ₎`` for ``y`` with
     ``y_r`` zeroed, ``P_rr = z_rᵀ z_r`` and the mean is
-    ``-z_rᵀ v_r / P_rr``, which never subtracts against ``y_r``.
+    ``-z_rᵀ v_r / P_rr``, which never subtracts against ``y_r``. The
+    solve runs in place on a C-order ``[e_r | y₍ᵣ₎]`` block that every
+    draw refills, and fold variances that roundoff leaves negative are
+    floored at zero and counted in ``clamped``.
     """
     dd = dataset.prepared(domain_id)
     dataset.record_for(domain_id, attribute_id)  # DataError for an unknown pair
@@ -428,13 +447,15 @@ def predict_left_out(
     def fold(W, work):
         C = model.assemble_from_latents(dd, W, latents, noise)
         chol, jitter = chol_with_jitter(C)
-        # Solved in place in a Fortran-order buffer that every draw reuses.
-        Z = _buffer(work, "folds", rhs.shape, order="F")
+        # Solved in place in a C-order buffer that every draw reuses.
+        Z = _buffer(work, "folds", rhs.shape)
         Z[...] = rhs
-        z, v = np.hsplit(lower_solve(chol, Z), 2)
-        held = np.sum(z * z, axis=0)
-        mean = -np.sum(z * v, axis=0) / held
-        return mean, np.maximum(1.0 / held - held_noise - jitter, 0.0)
+        zv = lower_solve(chol, Z).reshape(dd.n_obs, 2, rows.size)
+        # z ∘ z and z ∘ v as one product over the contiguous buffer.
+        held, cross = np.sum(zv * zv[:, :1], axis=0)
+        mean = -cross / held
+        var = 1.0 / held - held_noise - jitter
+        return mean, var, _floor(var)
 
     return SupportPrediction(*_draw_and_pool(dd, state, n_samples, seed, fold))
 
@@ -451,7 +472,9 @@ def predict_grid(
     """Pooled mean and per-point variance on the domain grid.
 
     Returns ``(query, mean, variance, clamped)`` where variance is the
-    diagonal of the pooled mixture covariance.
+    diagonal of the pooled mixture covariance and ``clamped`` counts the
+    per-draw variances floored at zero, as in
+    :class:`SupportPrediction`.
     """
     dd = dataset.prepared(domain_id)
     if query_points is None:

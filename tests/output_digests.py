@@ -5,6 +5,8 @@ repository root::
 
     PYTHONPATH=src python tests/output_digests.py
     PYTHONPATH=src python tests/output_digests.py BENCH_pr16.json
+    PYTHONPATH=src python tests/output_digests.py --dump DIR
+    PYTHONPATH=src python tests/output_digests.py --compare BEFORE AFTER
 
 Without a file it takes every workload of ``bench.workloads`` at seeds
 0-2; with one, every workload and seed the file records. For each it
@@ -31,11 +33,19 @@ compare only at equal BLAS thread counts: blocks-2d's differ between one
 and two threads. Blocks-2d's can also differ between CPUs at one thread,
 so a change shows byte-identity by diffing this script's output at the
 parent commit and at the change, both run on one host.
+
+With ``--dump DIR`` it also writes every array behind a digest to
+``DIR/<workload>.<seed>.<output>.<array>.npy``. ``--compare BEFORE
+AFTER`` runs nothing: it reads two such directories, made at two
+commits on one host, and prints per output array the largest change of
+any entry relative to that array's largest magnitude in BEFORE, with
+the workload and seed where it occurs.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import json
 import os
@@ -61,8 +71,9 @@ def sha256(*arrays) -> str:
     return h.hexdigest()
 
 
-def digests(work: workloads.Workload, seed: int) -> dict[str, str]:
-    """The six output digests of one workload at one seed."""
+def outputs(work: workloads.Workload, seed: int) -> dict[str, dict]:
+    """The arrays behind the six output digests of one workload at one
+    seed: per output, its named arrays in digest order."""
     evaluation, inference = workloads.evaluation, workloads.inference
     model, prediction = workloads.model, workloads.prediction
     world = work.make_world(seed)
@@ -91,19 +102,77 @@ def digests(work: workloads.Workload, seed: int) -> dict[str, str]:
         target=world.target,
         n_pred_samples=work.cv_draws,
     )
-    return {
-        "fit": sha256(state.pack()),
-        "trace": sha256(
-            trace.iterations,
-            trace.elbo,
-            trace.learning_rate,
-            [trace.best_iteration, trace.init_elbo, trace.final_elbo, trace.backoffs],
-        ),
-        "refine": sha256(refined.values, refined.variances, [refined.clamped]),
-        "grid": sha256(mean, variance, [clamped]),
-        "left_out": sha256(left_out.values, left_out.variances, [left_out.clamped]),
-        "cv": sha256([cv.chosen], cv.errors, [cv.fold_count]),
+    arrays = {
+        "fit": {"state": state.pack()},
+        "trace": {
+            "iterations": trace.iterations,
+            "elbo": trace.elbo,
+            "learning_rate": trace.learning_rate,
+            "summary": [
+                trace.best_iteration,
+                trace.init_elbo,
+                trace.final_elbo,
+                trace.backoffs,
+            ],
+        },
+        "refine": {
+            "values": refined.values,
+            "variances": refined.variances,
+            "clamped": [refined.clamped],
+        },
+        "grid": {"mean": mean, "variance": variance, "clamped": [clamped]},
+        "left_out": {
+            "values": left_out.values,
+            "variances": left_out.variances,
+            "clamped": [left_out.clamped],
+        },
+        "cv": {
+            "chosen": [cv.chosen],
+            "errors": cv.errors,
+            "fold_count": [cv.fold_count],
+        },
     }
+    return {
+        kind: {name: np.asarray(a, dtype=np.float64) for name, a in named.items()}
+        for kind, named in arrays.items()
+    }
+
+
+def digests(work: workloads.Workload, seed: int, dump: str | None = None):
+    """The six output digests of one workload at one seed, with their
+    arrays written to ``dump`` when it names a directory."""
+    got = outputs(work, seed)
+    if dump is not None:
+        os.makedirs(dump, exist_ok=True)
+        for kind, named in got.items():
+            for name, a in named.items():
+                file = f"{work.name}.{seed}.{kind}.{name}.npy"
+                np.save(os.path.join(dump, file), a)
+    return {kind: sha256(*named.values()) for kind, named in got.items()}
+
+
+def compare(before: str, after: str) -> None:
+    """Print, per output array, the largest change between two dumps."""
+    worst = {}
+    for path in sorted(glob.glob(os.path.join(before, "*.npy"))):
+        file = os.path.basename(path)
+        name, seed, kind, array = file[: -len(".npy")].rsplit(".", 3)
+        if not os.path.exists(os.path.join(after, file)):
+            print(f"{file} is missing from {after}")
+            continue
+        a, b = np.load(path), np.load(os.path.join(after, file))
+        if a.shape != b.shape:
+            change = np.inf
+        else:
+            scale = np.max(np.abs(a), initial=0.0)
+            diff = np.max(np.abs(b - a), initial=0.0)
+            change = diff / scale if scale else diff
+        key = f"{kind}.{array}"
+        if key not in worst or change > worst[key][0]:
+            worst[key] = (change, f"{name}/{seed}" if change else "-")
+    for key in sorted(worst):
+        change, where = worst[key]
+        print(f"{key} {change:.2g} {where}")
 
 
 def main(argv=None) -> int:
@@ -111,12 +180,19 @@ def main(argv=None) -> int:
     parser.add_argument(
         "bench_json", nargs="?", help="a BENCH_*.json with outputs.sha256"
     )
+    parser.add_argument("--dump", metavar="DIR", help="write every array as .npy")
+    parser.add_argument(
+        "--compare", nargs=2, metavar=("BEFORE", "AFTER"), help="compare two dumps"
+    )
     args = parser.parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+        return 0
     if args.bench_json is None:
         keys = [f"{name}/{seed}" for name in workloads.WORKLOADS for seed in SEEDS]
         for key in sorted(keys):
             name, seed = key.rsplit("/", 1)
-            got = digests(workloads.WORKLOADS[name], int(seed))
+            got = digests(workloads.WORKLOADS[name], int(seed), args.dump)
             for kind in sorted(got):
                 print(f"{key} {kind} {got[kind]}")
         return 0
@@ -125,7 +201,7 @@ def main(argv=None) -> int:
     mismatches = 0
     for key in sorted(want):
         name, seed = key.rsplit("/", 1)
-        got = digests(workloads.WORKLOADS[name], int(seed))
+        got = digests(workloads.WORKLOADS[name], int(seed), args.dump)
         for kind in sorted(want[key]):
             same = got[kind] == want[key][kind]
             mismatches += not same

@@ -7,6 +7,7 @@ grid gram K and compares assemble_C against A K A^T + Sigma directly.
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.blas import dtrsm
 from conftest import (
     cells_support,
     interval_support,
@@ -275,7 +276,8 @@ def jittered_spd(draw):
 
 
 class TestLapackPathMatchesScipy:
-    """The direct LAPACK calls equal scipy's wrappers bit for bit."""
+    """The direct LAPACK calls equal scipy's wrappers bit for bit, and
+    the BLAS solve of a 2-D right-hand side meets a backward error bound."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(draw=jittered_spd())
@@ -293,18 +295,46 @@ class TestLapackPathMatchesScipy:
         assert L.tobytes() == expected.tobytes()
         rng = np.random.default_rng(n)
         matrix = rng.standard_normal((n, 3))
-        # Only a Fortran-order b is solved in place; any other is copied
+        # A 1-D b is LAPACK dtrtrs, bit for bit scipy's, solved in place.
+        b = matrix[:, 0].copy()
+        want = scipy.linalg.solve_triangular(L, b, lower=True, check_finite=False)
+        solved = lower_solve(L, b)
+        assert solved.tobytes() == want.tobytes()
+        assert np.shares_memory(solved, b)
+        # A 2-D b is BLAS dtrsm from the right on bᵀ. Jittered factors are
+        # ill-conditioned, so it is held to a backward error bound, not to
+        # a forward tolerance against another solver: |b - L x| <= 3 n eps
+        # |L| |x| entrywise (Higham, Accuracy and Stability, Thm 8.5, plus
+        # the residual's own rounding).
+        want = matrix.copy()
+        dtrsm(1.0, L, want.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+        residual = np.abs(matrix - L @ want)
+        eps = np.finfo(float).eps
+        assert np.all(residual <= 3 * n * eps * (np.abs(L) @ np.abs(want)))
+        # Only a C-order float64 b is solved in place; any other is copied
         # and left as it was.
-        for b in (matrix.copy()[:, 0], matrix.copy(), np.asfortranarray(matrix)):
+        strided = np.zeros((n, 6))
+        strided[:, ::2] = matrix
+        for b in (
+            matrix.copy(),
+            np.asfortranarray(matrix),
+            strided[:, ::2],
+            matrix.astype(np.float32),
+        ):
             before = b.copy()
-            want = scipy.linalg.solve_triangular(L, b, lower=True, check_finite=False)
             solved = lower_solve(L, b)
-            assert solved.tobytes() == want.tobytes()
-            assert np.shares_memory(solved, b) == b.flags.f_contiguous
-            if not b.flags.f_contiguous:
+            if b.dtype == np.float64:
+                assert solved.tobytes() == want.tobytes()
+            in_place = b.flags.c_contiguous and b.dtype == np.float64
+            assert np.shares_memory(solved, b) == in_place
+            if not in_place:
                 assert b.tobytes() == before.tobytes()
-        with pytest.raises(ValueError, match="dtrtrs"):
-            lower_solve(np.zeros_like(L), matrix)
+        # A zero on the diagonal raises on both paths; dtrsm would divide.
+        singular = L.copy()
+        singular[n - 1, n - 1] = 0.0
+        for b in (matrix[:, 0].copy(), matrix.copy()):
+            with pytest.raises(ValueError):
+                lower_solve(singular, b)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(draw=jittered_spd())

@@ -701,6 +701,24 @@ class TestPredictSupports:
         assert np.all(pred.variances >= 0.0)
         assert pred.clamped >= 0
 
+    def test_target_rows_allocate_no_work_arrays(self, monkeypatch):
+        # Target priors come from pairs of cells within each target, so
+        # the targets' weight rows never run a product.
+        made = []
+        real = model.weight_rows
+
+        def weight_rows(*args):
+            made.append(real(*args))
+            return made[-1]
+
+        monkeypatch.setattr(model, "weight_rows", weight_rows)
+        domain, dataset, _ = two_series_instance()
+        state = reference_state(dataset)
+        target = grid_block_partition(domain, "a1", (4,), id_prefix="w")
+        predict_supports(target, state, dataset, n_samples=2, seed=0)
+        (rows,) = made
+        assert rows._work is None
+
     def test_rule_count_mismatch(self):
         domain, dataset, _ = two_series_instance()
         state = reference_state(dataset)
@@ -1036,9 +1054,9 @@ class TestLeftOutVarianceFloor:
     folds get it to roundoff (``TestLeftOutAgainstMpmath``), but the
     block inversion identity written out below, the form an earlier
     ``predict_left_out`` took, subtracts terms of order ``1/P_rr`` there
-    and leaves roundoff of about 1e-6, negative for some folds: a
-    world where an unfloored fold variance would be pooled below the
-    clamp tolerance.
+    and leaves roundoff of about 1e-6, negative for some folds by more
+    than 1e-10. The library's folds stay positive here, so none of them
+    is floored.
     """
 
     def test_negative_draw_variances_are_floored(self):
@@ -1066,7 +1084,7 @@ class TestLeftOutVarianceFloor:
         P = np.linalg.inv(C)
         cross = np.sum(h * P[:, :n], axis=0)
         block = prior - (np.sum(h * (P @ h), axis=0) - cross**2 / np.diag(P)[:n])
-        assert np.min(block) < prediction._CLAMP_TOL
+        assert np.min(block) < -1e-10
 
         assert pred.clamped == 0
         assert np.all(pred.variances >= 0.0)
@@ -1160,6 +1178,36 @@ class TestPoolOneDraw:
         assert pooled.tobytes() == variances.tobytes()
 
 
+class TestClampCount:
+    """``clamped`` counts the per-draw variances that roundoff leaves
+    negative and the floor raises to zero."""
+
+    def test_floor_counts_what_it_raises(self):
+        var = np.array([-1e-20, 0.0, 2.0, -3.0, 1e-300])
+        assert prediction._floor(var) == 2
+        assert var.tolist() == [0.0, 0.0, 2.0, 0.0, 1e-300]
+
+    def test_roundoff_level_target_is_counted(self):
+        # On the twin world at a length scale of 1e9 cells, the contrast
+        # of a block's two cells has a prior variance near 1e-18 and is
+        # fixed by the data, so its conditioned variance is roundoff of
+        # either sign.
+        state, dataset = twin_world(1e-13, 1e9)
+        part = dataset.records[0].partition
+        contrast = AggregationRule(AggregationRule.CUSTOM, (1.0, -1.0))
+        rules = (contrast,) * len(part.supports)
+        pred = predict_supports(part, state, dataset, 4, 0, rules=rules)
+        assert 0 < pred.clamped <= 4 * len(part.supports)
+        assert np.all(pred.variances >= 0.0)
+
+    def test_well_posed_world_counts_none(self):
+        _, dataset, recs = two_series_instance()
+        state = reference_state(dataset)
+        assert predict_left_out(state, dataset, "d0", "a0", 8, 0).clamped == 0
+        assert predict_grid(state, dataset, "d0", "a0", 8, 0)[3] == 0
+        assert predict_supports(recs[0].partition, state, dataset, 8, 0).clamped == 0
+
+
 class TestOneSolveVariances:
     """Conditioned variances come from ``Z = L⁻¹ H``, one triangular solve
     per draw: the full covariance is ``prior - Zᵀ Z`` and the diagonal
@@ -1196,7 +1244,9 @@ class TestOneSolveVariances:
         latents, point_support = blocks
         noise = state.noise_log_var["d0"]
         for W in draw_weight_samples(state, "d0", 3, seed):
-            _, var = prediction._condition(dd, state, blocks, attr_idx, priors, W, {})
+            _, var, _ = prediction._condition(
+                dd, state, blocks, attr_idx, priors, W, {}
+            )
             prior = prediction._prior_spread(W, attr_idx, priors)
             chol, _ = model.chol_with_jitter(
                 model.assemble_from_latents(dd, W, latents, noise)

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -834,3 +835,48 @@ def flat_arrays(result):
     if isinstance(result, tuple):
         return [np.asarray(r) for r in result]
     return [a for pair in result for a in pair]
+
+
+class TestTargetDiagonal:
+    """``WeightRows.diagonal`` sums the kernel over pairs of cells within
+    each row, one fibre pair at a time, and equals the diagonal of the
+    full product ``A K Aᵀ`` without building it."""
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_product_diagonal(self, ndim, data):
+        domain = data.draw(grid_domains(ndim))
+        n = domain.grid.n_points
+        labels = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        groups = sorted(set(labels) - {0}) or [0]
+        supports = [
+            cells_support([i for i, lab in enumerate(labels) if lab == g], f"t{g}")
+            for g in groups
+        ]
+        rules = [data.draw(st.sampled_from((AVERAGE, SUM))) for _ in supports]
+        # Three decades of length scale, in units of the smallest cell.
+        scale = 10.0 ** data.draw(st.floats(-1.0, 2.0)) * min(domain.grid.cell_size)
+        rows = model.weight_rows(domain, supports, rules)
+        want = np.diagonal(rows.product(rows.matrix, scale)[0])
+        np.testing.assert_allclose(rows.diagonal(scale), want, rtol=1e-13, atol=0)
+
+    def test_peak_memory_below_product(self):
+        # One support over a 256 x 256 grid: 256 fibres of 256 cells.
+        grid = GridSpec(origin=(0.5, 0.5), cell_size=(1.0, 1.0), shape=(256, 256))
+        domain = Domain(id="d0", extent=grid.extent_box(), grid=grid)
+        support = cells_support(range(grid.n_points), "all")
+        rows = model.weight_rows(domain, [support], [AVERAGE])
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        diagonal = peak(lambda: rows.diagonal(40.0))
+        assert rows._work is None
+        product = peak(lambda: rows.product(rows.matrix, 40.0))
+        assert diagonal < product
