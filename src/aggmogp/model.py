@@ -23,16 +23,18 @@ integrate the same thing (attributes observed on shared supports) share
 one distinct row. The distinct rows are numbered by kind, so each kind
 below is one contiguous block. Every grid support, and every prediction
 target (:func:`weight_rows`), is a row of a sparse weight matrix over
-the grid cells (:class:`WeightRows`). One product, ``left K Aᵀ``, gives
-the covariances ``A K Aᵀ`` and cross covariances, with ``K`` a Kronecker
-product of per-axis grams (``se_value`` and ``se_value_dlog`` on each
-axis), applied to a block of columns of ``Aᵀ`` at a time; target priors
-need only the diagonal of ``A K Aᵀ``, summed over pairs of cells within
-each row. Average-rule interval supports on 1-D domains take the
-closed-form erf integrals (the kernels module's ``se_antideriv2`` and
-``se_antideriv2_dlog``, once per distinct argument, and
-``se_point_interval`` at a point). Point observations at support
-centroids evaluate ``se_value`` directly.
+the grid cells (:class:`WeightRows`), and ``K`` is a Kronecker product
+of per-axis grams (``se_value`` and ``se_value_dlog`` on each axis).
+Training's covariances ``A K Aᵀ`` come from per-axis grams of each
+row's rank-one terms, its fibres along the last axis merged where they
+repeat (:meth:`SupportCovTable.grid_block`); prediction's cross
+covariances from the product ``left K Aᵀ``, applied to a block of
+columns of ``Aᵀ`` at a time; target priors need only the diagonal of
+``A K Aᵀ``, summed over pairs of cells within each row. Average-rule
+interval supports on 1-D domains take the closed-form erf integrals
+(the kernels module's ``se_antideriv2`` and ``se_antideriv2_dlog``,
+once per distinct argument, and ``se_point_interval`` at a point).
+Point observations at support centroids evaluate ``se_value`` directly.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
@@ -65,7 +68,8 @@ LOG_VARIANCE_FLOOR = float(np.log(VARIANCE_FLOOR))
 JITTER_BASE = 1e-8
 JITTER_MAX = 1e-4
 
-# Bytes of work arrays per weight-row operator (see WeightRows).
+# Bytes of work arrays per weight-row operator (see WeightRows), and of
+# the temporaries of one block of training's grid covariances.
 WORK_BYTES = 1 << 20
 
 # Kinds of support covariance table rows, in the table's row order.
@@ -271,8 +275,9 @@ def _grid_factors(grid, length_scale: float, with_grad: bool = False):
     On the cell centres the kernel factorizes over the axes, ``K = G_1 ⊗
     … ⊗ G_D`` with ``G_d`` the 1-D gram of axis d (C order: the last axis
     varies fastest), and its log-length-scale derivative follows by the
-    product rule. Only the D small grams are ever evaluated; weight rows
-    apply them one axis at a time (:meth:`WeightRows.product`).
+    product rule. Only the D small grams are ever evaluated; they are
+    applied one axis at a time (:meth:`WeightRows.product`) or to the
+    factors of rank-one terms (:meth:`SupportCovTable.grid_block`).
     """
     # Recomputed per call: kept on every table, they raised the peak
     # memory of runs that rebuild datasets, and they cost little.
@@ -291,14 +296,18 @@ class WeightRows:
     next ``sizes[r]`` entries of ``cells`` and ``weights``, so every rule
     and every observed or target support share one representation. The
     first ``n_cols`` rows (default all) are the column rows of ``K Aᵀ``;
-    the others are only multiplied against it.
+    the others are only multiplied against it. The entries group into
+    fibres, one per (cell over the leading axes, row), each a weight
+    vector over the last axis.
 
-    Its operations are :meth:`product` and :meth:`diagonal`, which
-    builds no ``K Aᵀ`` and no work array. ``K Aᵀ`` is never held whole:
-    :meth:`_chunks` builds it a block of columns at a time in work arrays
-    that the first call allocates, within :data:`WORK_BYTES`, together
-    with each chunk's views of them, and every later call reuses. A lock
-    gives them to one caller at a time.
+    Its operations are prediction's :meth:`product` and :meth:`diagonal`,
+    which builds no ``K Aᵀ`` and no work array; training takes ``A K
+    Aᵀ`` from the rows' rank-one terms (:meth:`SupportCovTable.grid_block`).
+    ``K Aᵀ`` is never held whole: :meth:`_chunks` builds it a block of
+    columns at a time in work arrays that the first call allocates,
+    within :data:`WORK_BYTES`, together with each chunk's views of them,
+    and every later call reuses. A lock gives them to one caller at a
+    time.
     """
 
     def __init__(self, grid, cells, weights, sizes, n_cols: int | None = None):
@@ -307,44 +316,40 @@ class WeightRows:
         from scipy.sparse import csr_matrix
 
         self.grid = grid
-        n_cols = len(sizes) if n_cols is None else n_cols
-        self.n_cols = n_cols
+        n_rows = len(sizes)
+        self.n_cols = n_rows if n_cols is None else n_cols
         ptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-        shape = (len(sizes), grid.n_points)
-        self.matrix = csr_matrix((weights, cells, ptr), shape=shape)
-        # Along the last grid axis Aᵀ is sparse: the column rows' entries
-        # group into fibres, one per (cell over the leading axes, column
-        # row), each a short vector over the last axis.
-        n_entries = int(ptr[n_cols])
-        lead, last = np.divmod(cells[:n_entries], grid.shape[-1])
-        row = np.repeat(np.arange(n_cols), sizes[:n_cols])
-        key, fibre = np.unique(lead * n_cols + row, return_inverse=True)
-        self.fibre_lead, self.fibre_row = np.divmod(key, max(n_cols, 1))
+        self.matrix = csr_matrix((weights, cells, ptr), shape=(n_rows, grid.n_points))
+        lead, last = np.divmod(cells, grid.shape[-1])
+        row = np.repeat(np.arange(n_rows), sizes)
+        key, fibre = np.unique(lead * n_rows + row, return_inverse=True)
+        self.fibre_lead, self.fibre_row = np.divmod(key, max(n_rows, 1))
         self.fibres = np.zeros((key.size, grid.shape[-1]))
-        self.fibres[fibre.ravel(), last] = weights[:n_entries]
+        self.fibres[fibre.ravel(), last] = weights
         self._lock = threading.Lock()
         self._work = None
 
     def _work_arrays(self):
-        """``(chunks, products, plan, views)``, made on first use.
+        """``(chunks, product, plan, views)``, made on first use.
 
-        ``products`` holds the fibres times the last axis's gram and its
-        derivative. Each row of ``chunks`` holds ``width`` columns over
-        the grid: the value and derivative scatter targets (zero outside
-        the fibres they receive), a scratch, and per further grid axis up
-        to two ping-pong pairs for the mode products. ``width`` is as many
-        columns as the rest of :data:`WORK_BYTES` allows, and at least
-        two. ``plan`` holds per chunk its columns, its fibres, and their
-        leading-axes cells and rows within the chunk; ``views`` holds per
-        chunk the rows of ``chunks`` shaped ``grid.shape + (columns,)``
-        and the two scatter targets shaped (leading cells, last axis,
-        columns), so no call reshapes them again.
+        ``product`` holds the fibres times the last axis's gram. Each row
+        of ``chunks`` holds ``width`` columns over the grid: the scatter
+        target (zero outside the fibres it receives), and per further
+        grid axis up to two ping-pong rows for the mode products.
+        ``width`` is as many columns as the rest of :data:`WORK_BYTES`
+        allows for these rows and one more, the chunk of ``left K Aᵀ``
+        that a left of one row per cell makes, and at least two. ``plan``
+        holds per chunk its columns, its fibres, and their leading-axes
+        cells and rows within the chunk; ``views`` holds per chunk the
+        rows of ``chunks`` shaped ``grid.shape + (columns,)`` and the
+        scatter target shaped (leading cells, last axis, columns), so no
+        call reshapes them again.
         """
         if self._work is None:
             grid = self.grid
-            products = np.zeros((2,) + self.fibres.shape)
-            n_work = 3 + 2 * min(grid.ndim - 1, 2)
-            width = (WORK_BYTES - products.nbytes) // (n_work * grid.n_points * 8)
+            product = np.zeros(self.fibres.shape)
+            n_work = 1 + min(grid.ndim - 1, 2)
+            width = (WORK_BYTES - product.nbytes) // ((n_work + 1) * grid.n_points * 8)
             width = min(max(2, width), self.n_cols)
             order = np.argsort(self.fibre_row, kind="stable")
             bounds = np.searchsorted(
@@ -365,65 +370,43 @@ class WeightRows:
                 shaped = [
                     c[: grid.n_points * n].reshape(grid.shape + (n,)) for c in chunks
                 ]
-                targets = [v.reshape(-1, grid.shape[-1], n) for v in shaped[:2]]
-                views.append((shaped, targets))
-            self._work = chunks, products, plan, views
+                views.append((shaped, shaped[0].reshape(-1, grid.shape[-1], n)))
+            self._work = chunks, product, plan, views
         return self._work
 
-    def _chunks(self, length_scale: float, with_grad: bool):
+    def _chunks(self, length_scale: float):
         """``K Aᵀ`` over the column rows, one chunk of columns at a time.
 
-        Yields ``(cols, KAᵀ[:, cols], dKAᵀ[:, cols])``, the derivative with
-        respect to the log length scale or None, as (all cells, chunk)
-        views into the work arrays that the next chunk overwrites. The
-        caller holds the lock. The last axis acts on the fibres of
-        ``Aᵀ``; every other axis is a dense mode product.
+        Yields ``(cols, KAᵀ[:, cols])`` as (all cells, chunk) views into
+        the work arrays that the next chunk overwrites. The caller holds
+        the lock. The last axis acts on the fibres of ``Aᵀ``; every other
+        axis is a dense mode product.
         """
         grid = self.grid
-        grams, dgrams = _grid_factors(grid, length_scale, with_grad)
-        _, products, plan, views = self._work_arrays()
-        lasts = [grams[-1], dgrams[-1]] if with_grad else [grams[-1]]
-        products = products[: len(lasts)]
+        grams, _ = _grid_factors(grid, length_scale)
+        _, product, plan, views = self._work_arrays()
         # Every fibre in one product: a subset of a matrix product's rows
         # can round differently from the same rows of the whole product.
-        for product, gram in zip(products, lasts):
-            np.matmul(self.fibres, gram, out=product)
-        for (cols, fibres, (lead, rows)), (shaped, targets) in zip(plan, views):
-            value, deriv, scratch, *pairs = shaped
-            targets = targets[: len(lasts)]
+        np.matmul(self.fibres, grams[-1], out=product)
+        for (cols, fibres, (lead, rows)), (shaped, target) in zip(plan, views):
+            value, *pairs = shaped
             try:
-                for target, product in zip(targets, products):
-                    target[lead, :, rows] = product[fibres]
+                target[lead, :, rows] = product[fibres]
                 for step, axis in enumerate(range(grid.ndim - 2, -1, -1)):
-                    v_out, d_out = pairs[2 * (step % 2) : 2 * (step % 2) + 2]
-                    if with_grad:
-                        _mode_product(grams[axis], deriv, axis, d_out)
-                        d_out += _mode_product(dgrams[axis], value, axis, scratch)
-                        deriv = d_out
-                    value = _mode_product(grams[axis], value, axis, v_out)
-                flat = (grid.n_points, cols.stop - cols.start)
-                yield (
-                    cols,
-                    value.reshape(flat),
-                    deriv.reshape(flat) if with_grad else None,
-                )
+                    value = _mode_product(grams[axis], value, axis, pairs[step % 2])
+                yield cols, value.reshape(grid.n_points, cols.stop - cols.start)
             finally:
-                for target in targets:
-                    target[lead, :, rows] = 0.0
+                target[lead, :, rows] = 0.0
 
-    def product(self, left, length_scale: float, with_grad: bool = False):
+    def product(self, left, length_scale: float) -> np.ndarray:
         """``left K Aᵀ`` for sparse weight rows ``left`` over the grid
         cells, a (left rows, n_cols) array in Fortran order (so its
-        transpose is C-contiguous), and its log-length-scale derivative
-        or None."""
+        transpose is C-contiguous)."""
         value = np.empty((self.n_cols, left.shape[0])).T
-        deriv = np.empty_like(value) if with_grad else None
         with self._lock:
-            for cols, KAt, dKAt in self._chunks(length_scale, with_grad):
+            for cols, KAt in self._chunks(length_scale):
                 value[:, cols] = left @ KAt
-                if with_grad:
-                    deriv[:, cols] = left @ dKAt
-        return value, deriv
+        return value
 
     def diagonal(self, length_scale: float) -> np.ndarray:
         """``diag(A K Aᵀ)`` over the column rows, without ``K Aᵀ``.
@@ -441,7 +424,7 @@ class WeightRows:
         # Each fibre's cell index on every leading axis (none on 1-D grids).
         lead = np.unravel_index(self.fibre_lead, self.grid.shape[:-1] or (1,))
         order = np.argsort(self.fibre_row, kind="stable")
-        counts = np.bincount(self.fibre_row, minlength=self.n_cols)
+        counts = np.bincount(self.fibre_row, minlength=self.n_cols)[: self.n_cols]
         starts = np.cumsum(counts) - counts
         out = np.zeros(self.n_cols)
         for k in np.unique(counts[counts > 0]):
@@ -474,6 +457,57 @@ def weight_rows(domain: Domain, supports, rules) -> WeightRows:
     )
 
 
+def _rank_one_terms(rows: WeightRows):
+    """Every row of ``rows`` as an exact sum of rank-one terms ``lead ⊗
+    last`` over (leading-axes cells) ⊗ (last axis): a row's byte-identical
+    fibres merge into one term, whose leading part sums their cells, so a
+    box is one term (on 1-D grids every row is, with leading part 1).
+
+    Returns ``(last, cells, at, ptr, owner, row)``: the terms' last parts
+    (dense), their leading parts' cells with each term's offset into
+    them, each row's offset into the terms (a row's terms are
+    consecutive), each cell's term and each term's row. Then the column
+    rows' operators (CSR): their terms' leading and last parts and their
+    term-to-row sums, once and twice down a block diagonal, for a value
+    over its derivative."""
+    from scipy.sparse import block_diag, csr_matrix
+
+    f, n_rows, n_cols = rows.fibres, rows.matrix.shape[0], rows.n_cols
+    vector = np.unique(f.view((np.void, f.shape[1] * f.itemsize)), return_inverse=True)
+    key = rows.fibre_row * len(f) + vector[1].ravel()
+    key, term = np.unique(key, return_inverse=True)
+    order = np.argsort(term, kind="stable")
+    owner, row, n = term[order], key // len(f), key.size
+    at = np.searchsorted(owner, np.arange(n + 1))
+    ptr = np.searchsorted(row, np.arange(n_rows + 1))
+    cells, last, m = rows.fibre_lead[order], f[order[at[:-1]]], ptr[n_cols]
+    width = rows.grid.n_points // f.shape[1]
+    ops = [
+        csr_matrix((np.ones(at[m]), cells[: at[m]], at[: m + 1]), shape=(m, width)),
+        csr_matrix(last[:m]),
+        csr_matrix((np.ones(m), np.arange(m), ptr[: n_cols + 1]), shape=(n_cols, m)),
+    ]
+    twice = [block_diag([op, op], format="csr") for op in ops]
+    return (last, cells, at, ptr, owner, row), (ops, twice)
+
+
+def _lead_grams(grid, grams, dgrams, parts):
+    """``G_lead parts`` for C-order ``parts`` over the leading-axes cells,
+    ``G_lead`` the Kronecker product of the leading axes' grams, stacked
+    over its log-length-scale derivative by the product rule when
+    ``dgrams`` is given; one axis at a time by mode products."""
+    value, deriv = parts.reshape(grid.shape[:-1] + (-1,)), None
+    for axis in range(grid.ndim - 2, -1, -1):
+        if dgrams is not None:
+            step = _mode_product(dgrams[axis], value, axis, np.empty(value.shape))
+            if deriv is not None:
+                step += _mode_product(grams[axis], deriv, axis, np.empty(value.shape))
+            deriv = step
+        value = _mode_product(grams[axis], value, axis, np.empty(value.shape))
+    stacked = [value] if deriv is None else [value, deriv]
+    return np.stack(stacked).reshape(-1, parts.shape[1])
+
+
 class SupportCovTable:
     """One domain's aggregated supports and their kernel integrals, for
     any length scale. Built from the records, it alone sorts each row,
@@ -487,8 +521,8 @@ class SupportCovTable:
 
     * rows ``[0, n_grid)`` are grid supports, rows of the weight matrix
       ``A`` (:class:`WeightRows`) keyed by their cells and weights, so
-      the rule is part of the key; their entries are ``A K Aᵀ`` with ``K``
-      applied through per-axis grams (:func:`_grid_factors`);
+      the rule is part of the key; their entries are ``A K Aᵀ``, from
+      per-axis grams of the rows' rank-one terms (:meth:`grid_block`);
     * rows ``[n_grid, n_weighted)`` are closed-form rows (1-D intervals
       with the average rule), keyed by ``(lo, hi)``: pairs of them take
       the erf double integral, with the antiderivative F evaluated once
@@ -568,34 +602,79 @@ class SupportCovTable:
                 S[:w, w:] = cross
                 S[w:, :w] = cross.T
 
-    def _fill_grid(self, S, block):
-        """Rows of ``A`` against grid rows, from ``A K Aᵀ`` (or its derivative).
+    @cached_property
+    def terms(self):
+        """The rank-one terms of ``A``'s rows (:func:`_rank_one_terms`),
+        built on first use, so building a table does not pay for them;
+        the grid rows lead ``A``, so their terms lead the terms."""
+        return _rank_one_terms(self.A)
 
-        The grid rows lead ``A``; their block is averaged with its
-        transpose so S is exactly symmetric, as assembly assumes.
-        """
-        g, w = self.n_grid, self.n_weighted
-        block[:g] = 0.5 * (block[:g] + block[:g].T)
-        S[:w, :g] = block
-        S[:g, :w] = block.T
+    def grid_block(self, length_scale: float, outs):
+        """Writes ``A K Aᵀ`` at the grid rows' columns, transposed, into
+        the leading (n_grid, n_weighted) block of ``outs[0]``, and its
+        log-length-scale derivative into ``outs[1]`` if given: rows r, s
+        sum ``(lead_t G_lead lead_uᵀ)(last_t G_last last_uᵀ)`` over their
+        terms t, u (:func:`_rank_one_terms`, :func:`_lead_grams`). The
+        grid rows' sparse term parts multiply the grams applied to the
+        dense parts of a block of rows' terms; blocks keep temporaries
+        within about :data:`WORK_BYTES`. It shares no work arrays between
+        calls, so it takes no lock."""
+        grid, k, g = self.grid, len(outs), self.n_grid
+        (last, cells, at, ptr, owner, row), operators = self.terms
+        lead_g, last_g, rows_g = operators[k - 1]
+        grams, dgrams = _grid_factors(grid, length_scale, k > 1)
+        # Bytes per term of a block: its dense parts, their gram products
+        # and its products with the grid rows' terms and the grid rows,
+        # counted alike with or without the derivative, so both take the
+        # same blocks.
+        m, n_lead = operators[0][0].shape
+        per_term = 8 * (5 * (n_lead + last.shape[1]) + 4 * (m + g))
+        r0 = 0
+        while r0 < self.n_weighted:
+            stop = np.searchsorted(ptr, ptr[r0] + WORK_BYTES // per_term, "right")
+            r1 = max(r0 + 1, int(stop) - 1)
+            a, b = ptr[r0], ptr[r1]
+            # The value's rows over the derivative's, one product per gram,
+            # so the value's arithmetic is the same with or without them.
+            lasts = [factors[-1] @ last[a:b].T for factors in (grams, dgrams)[:k]]
+            parts = last_g @ np.concatenate(lasts)
+            if grid.ndim > 1:
+                dense = np.zeros((n_lead, b - a))
+                dense[cells[at[a] : at[b]], owner[at[a] : at[b]] - a] = 1.0
+                along = lead_g @ _lead_grams(grid, grams, dgrams, dense)
+                if k > 1:
+                    along[m:] *= parts[:m]
+                    parts[m:] *= along[:m]
+                    parts[m:] += along[m:]
+                parts[:m] *= along[:m]
+            if b - a > r1 - r0:  # each row of the block sums its terms
+                sums = np.zeros((b - a, r1 - r0))
+                sums[np.arange(b - a), row[a:b] - r0] = 1.0
+            for out, block in zip(outs, (rows_g @ parts).reshape(k, g, -1)):
+                out[:g, r0:r1] = block @ sums if b - a > r1 - r0 else block
+            r0 = r1
 
     def latent_cov(self, length_scale: float, with_grad: bool = False):
         """Support covariance matrix of every observation row for one
         kernel, optionally with its derivative with respect to the log
         length scale: the distinct rows' matrices, gathered at ``pairs``."""
-        S = np.zeros((self.n, self.n))
-        self._fill(S, se_antideriv2, se_value, length_scale)
+        outs = [np.zeros((self.n, self.n)) for _ in range(1 + with_grad)]
+        self._fill(outs[0], se_antideriv2, se_value, length_scale)
         if with_grad:
-            dS = np.zeros((self.n, self.n))
-            self._fill(dS, se_antideriv2_dlog, se_value_dlog, length_scale)
+            self._fill(outs[1], se_antideriv2_dlog, se_value_dlog, length_scale)
         if self.n_grid:
-            block, dblock = self.A.product(self.A.matrix, length_scale, with_grad)
-            self._fill_grid(S, block)
-            if with_grad:
-                self._fill_grid(dS, dblock)
+            self.grid_block(length_scale, outs)
+            g, w = self.n_grid, self.n_weighted
+            for S in outs:
+                # Averaged with its transpose, S is exactly symmetric, as
+                # assembly assumes; the other rows of A mirror the grid rows.
+                square = S[:g, :g]
+                square += square.T
+                square *= 0.5
+                S[g:w, :g] = S[:g, g:w].T
         if with_grad:
-            return S.take(self.pairs), dS.take(self.pairs)
-        return S.take(self.pairs)
+            return outs[0].take(self.pairs), outs[1].take(self.pairs)
+        return outs[0].take(self.pairs)
 
     def _direct(self, x, length_scale: float, point_sq_dists) -> np.ndarray:
         """Kernel integrals of the closed-form rows, then the point rows, at
@@ -629,7 +708,7 @@ class SupportCovTable:
         """
         out = np.empty((self.n, left.shape[0]))
         if self.n_grid:
-            out[: self.n_grid] = self.A.product(left, length_scale)[0].T
+            out[: self.n_grid] = self.A.product(left, length_scale).T
         at_cells = self._direct(
             self.grid.points, length_scale, self.point_grid_sq_dists
         )

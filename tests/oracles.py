@@ -158,13 +158,14 @@ def support_cov_bucketed(
 def scattered_grid_cov(table, length_scale: float):
     """``(S, dS)`` of a support covariance table whose rows are all grid
     rows, built the scattering way: the ``A K Aᵀ`` block and its
-    derivative from ``table.A.product``, each averaged with its
-    transpose and written into zeros through ``np.ix_`` at the rows
+    derivative from ``table.grid_block`` into zeros, each averaged with
+    its transpose and written into zeros through ``np.ix_`` at the rows
     against the columns, then at the columns against the rows. The
     block holds the table's distinct rows; ``np.ix_`` at ``table.index``
     expands it to every observation row."""
     rows = np.arange(table.n_grid)
-    blocks = table.A.product(table.A.matrix, length_scale, with_grad=True)
+    blocks = [np.zeros((table.n_grid, table.n_grid)) for _ in range(2)]
+    table.grid_block(length_scale, blocks)
     out = []
     for block in blocks:
         block = 0.5 * (block + block.T)

@@ -38,6 +38,7 @@ from aggmogp.geometry import (
     Interval,
     Partition,
     centroid,
+    grid_block_partition,
     membership,
     support_weights,
 )
@@ -51,7 +52,9 @@ from aggmogp.model import (
     chol_with_jitter,
     floor_var,
     init_state,
+    uniform_rules,
 )
+from aggmogp.inference import TrainConfig, fit
 from aggmogp.prediction import predict_grid
 
 TOL = 1e-12
@@ -587,11 +590,12 @@ class TestAssembledCovariance:
 
 def budget_for(domain_data, width):
     """A ``model.WORK_BYTES`` that gives the table's chunks ``width``
-    columns: the fibre products, then ``width`` columns of every work
-    row (two scatter targets, a scratch, ping-pong pairs)."""
+    columns: the fibre product, then ``width`` columns of every work
+    row (the scatter target and the ping-pong rows) and of a chunk of
+    ``left K Aᵀ`` with one left row per cell."""
     A = domain_data.cov.A
-    rows = 3 + 2 * min(domain_data.domain.ndim - 1, 2)
-    return 2 * A.fibres.nbytes + rows * domain_data.domain.grid.n_points * 8 * width
+    rows = 2 + min(domain_data.domain.ndim - 1, 2)
+    return A.fibres.nbytes + rows * domain_data.domain.grid.n_points * 8 * width
 
 
 def labelled_supports(rng, n_cells, n_groups, prefix):
@@ -732,6 +736,166 @@ class TestAllGridTableIsBitIdentical:
         assert dS.tobytes() == dS_o.tobytes()
 
 
+def row_terms(table, r):
+    """The terms of row r of ``table.A``, and each term's leading cells."""
+    _, cells, at, ptr = table.terms[0][:4]
+    terms = np.arange(ptr[r], ptr[r + 1])
+    return terms, [cells[at[t] : at[t + 1]] for t in terms]
+
+
+class TestRankOneTerms:
+    """Each grid weight row is a sum of rank-one terms ``lead ⊗ last``
+    over (leading-axes cells) ⊗ (last axis): its byte-identical fibres
+    merge into one term."""
+
+    @PROPERTY
+    @given(world=st.sampled_from([1, 2, 3]).flatmap(cell_set_worlds))
+    def test_terms_rebuild_every_row(self, world):
+        """Each term writes its last part at every one of its leading
+        cells; the terms of a row cover disjoint leading cells and have
+        byte-distinct last parts, and they rebuild the row bit for bit."""
+        domain, records, _ = world
+        table = domain_data(domain, records).cov
+        last = table.terms[0][0]
+        rebuilt = np.zeros(table.A.matrix.shape)
+        for r, out in enumerate(rebuilt):
+            terms, cells = row_terms(table, r)
+            assert np.unique(np.concatenate(cells)).size == sum(c.size for c in cells)
+            assert len({last[t].tobytes() for t in terms}) == terms.size
+            for t, c in zip(terms, cells):
+                out.reshape(-1, domain.grid.shape[-1])[c] = last[t]
+        # The matrix's entries written as they are (toarray adds them to
+        # zeros, which turns a -0.0 weight into 0.0).
+        A = table.A.matrix
+        want = np.zeros(A.shape)
+        want[np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)), A.indices] = A.data
+        assert rebuilt.tobytes() == want.tobytes()
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_every_block_is_one_term(self, data):
+        """Every ``grid_block_partition`` box, ragged ones at the high
+        edges too, is one term under the average and sum rules."""
+        domain = data.draw(st.sampled_from([1, 2, 3]).flatmap(grid_domains))
+        shape = tuple(data.draw(st.integers(1, n)) for n in domain.grid.shape)
+        part = grid_block_partition(domain, "a0", shape)
+        rule = data.draw(st.sampled_from((AVERAGE, SUM)))
+        rec = record("a0", part.supports, uniform_rules(part, rule))
+        table = domain_data(domain, [rec]).cov
+        assert table.terms[0][0].shape[0] == table.n == len(part.supports)
+
+
+def nearest_centre_supports(grid, n_centres, rng, prefix):
+    """The cells nearest each of ``n_centres`` random centres, as cell-set
+    supports; a centre nearest to no cell gives none."""
+    lo = np.asarray(grid.origin) - 0.5 * np.asarray(grid.cell_size)
+    hi = lo + np.asarray(grid.cell_size) * np.asarray(grid.shape)
+    centres = rng.uniform(lo, hi, (n_centres, grid.ndim))
+    labels = np.argmin(
+        ((grid.points[:, None, :] - centres[None]) ** 2).sum(axis=2), axis=1
+    )
+    return [
+        cells_support(np.flatnonzero(labels == g).tolist(), f"{prefix}{g}")
+        for g in np.unique(labels)
+    ]
+
+
+def region_world(shape, seed):
+    """Contiguous regions on one seeded grid: boxes under the average
+    rule, whose fibres merge into one term; L-shapes (each box of a
+    coarser tiling less its high corner) under the sum rule, into two;
+    nearest-centre regions under the average rule, into as many terms as
+    they have distinct fibres; and the same regions under negative
+    custom weights, whose fibres never merge."""
+    rng = np.random.default_rng(seed)
+    ndim = len(shape)
+    grid = GridSpec(
+        origin=tuple(rng.uniform(-1.0, 1.0, ndim)),
+        cell_size=tuple(rng.uniform(0.3, 1.2, ndim)),
+        shape=shape,
+    )
+    domain = Domain(id="d0", extent=grid.extent_box(), grid=grid)
+    boxes = grid_block_partition(domain, "a0", (2,) * ndim).supports
+    index = np.indices(shape).reshape(ndim, -1)
+    l_shapes = []
+    for k, box in enumerate(grid_block_partition(domain, "a1", (4,) * ndim).supports):
+        cells = np.asarray(box.body.cells)
+        corner = np.all(index[:, cells] % 4 >= 2, axis=0)
+        l_shapes.append(cells_support(cells[~corner].tolist(), f"l{k}"))
+    regions = nearest_centre_supports(grid, 6, rng, "v")
+    weights = [
+        AggregationRule(
+            AggregationRule.CUSTOM,
+            tuple(rng.uniform(-2.0, -0.5, membership(s, grid).size)),
+        )
+        for s in regions
+    ]
+    records = [
+        record("a0", boxes, [AVERAGE] * len(boxes)),
+        record("a1", l_shapes, [SUM] * len(l_shapes)),
+        record("a2", regions, [AVERAGE] * len(regions)),
+        record("a3", regions, weights),
+    ]
+    return domain, records
+
+
+class TestPartialMerges:
+    """Rows whose fibres merge into one term, into a few, or not at all
+    equal the dense oracle, with the blocks of rows the default
+    ``WORK_BYTES`` gives and with one row per block."""
+
+    @pytest.mark.parametrize("shape, seed", [((11, 9), 7), ((6, 5, 7), 8)])
+    @pytest.mark.parametrize("one_row_blocks", [False, True])
+    def test_against_oracle(self, shape, seed, one_row_blocks):
+        domain, records = region_world(shape, seed)
+        table = domain_data(domain, records).cov
+        merges = set()
+        for r in range(table.n):
+            terms, cells = row_terms(table, r)
+            fibres = sum(c.size for c in cells)
+            if fibres > 1:
+                merges.add("one" if terms.size == 1 else
+                           "none" if terms.size == fibres else "some")
+        assert merges == {"one", "some", "none"}
+        with pytest.MonkeyPatch.context() as mp:
+            if one_row_blocks:
+                mp.setattr(model, "WORK_BYTES", 1)
+            for length_scale in (0.5, 2.0):
+                check_against_oracle(domain, records, length_scale)
+
+
+class TestTrainingWorkArrays:
+    """Training takes its grid covariances from the rows' terms, so it
+    never allocates the work arrays of prediction's ``left K Aᵀ``, and
+    the terms' temporaries stay within about two ``WORK_BYTES``."""
+
+    def test_fit_allocates_no_work_arrays(self):
+        domain, records = cell_set_world((9, 7), 6)
+        rng = np.random.default_rng(6)
+        records = [
+            replace(r, values=rng.standard_normal(r.values.size)) for r in records
+        ]
+        dataset = AggregatedDataset({"d0": domain}, ("a0", "a1", "a2"), records)
+        fit(dataset, TrainConfig(max_iters=3, seed=0), init_state(dataset, 2))
+        table = dataset.prepared("d0").cov
+        assert table.n_grid > 0
+        assert table.A._work is None
+
+    def test_peak_memory_within_outputs_and_two_budgets(self):
+        grid = GridSpec(origin=(0.5, 0.5), cell_size=(1.0, 1.0), shape=(64, 64))
+        domain = Domain(id="d0", extent=grid.extent_box(), grid=grid)
+        supports = nearest_centre_supports(grid, 256, np.random.default_rng(0), "v")
+        table = domain_data(domain, [record("a0", supports, [AVERAGE] * 255)]).cov
+        assert table.n == 255 and table.terms[0][0].shape[0] >= 900
+        tracemalloc.start()
+        try:
+            S, dS = table.latent_cov(12.8, with_grad=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= S.nbytes + dS.nbytes + 2 * model.WORK_BYTES
+
+
 def check_cross(dd, length_scale):
     """``cross`` against dense oracles for two kinds of ``left``: one-hot
     rows of shuffled cells, and average, sum and negative custom weight
@@ -858,7 +1022,7 @@ class TestTargetDiagonal:
         # Three decades of length scale, in units of the smallest cell.
         scale = 10.0 ** data.draw(st.floats(-1.0, 2.0)) * min(domain.grid.cell_size)
         rows = model.weight_rows(domain, supports, rules)
-        want = np.diagonal(rows.product(rows.matrix, scale)[0])
+        want = np.diagonal(rows.product(rows.matrix, scale))
         np.testing.assert_allclose(rows.diagonal(scale), want, rtol=1e-13, atol=0)
 
     def test_peak_memory_below_product(self):
