@@ -16,22 +16,28 @@ The per-latent support covariances S_l and their length-scale
 derivatives depend on the kernels alone, not on the weight draw, so one
 evaluation builds each domain's once, before fanning the (draw, domain)
 terms out; each term only mixes them with its weights, factors and
-solves. The weights' standard deviations and the KL are likewise taken
-once per evaluation, stacked over domains.
+solves.
 
-Training works on views (``ModelState.view``) of flat vectors in
-``pack()`` order, the parameters, Adam's moments and each gradient, so
-a step copies no state.
+Training works on every domain at once. Each domain's catalogue rows
+are stacked in catalogue order (``ModelState.catalogue``), and one
+evaluation takes a (draws, stacked rows, latents) eps array, forms every
+draw's weights in one broadcast and takes the KL on the stacked rows. It
+adds each term's gradients into stacked arrays in task order, then writes
+the whole gradient into one flat vector in ``pack()`` order through the
+catalogue's index maps; the shared prior's rows add domain after domain.
+The parameters, Adam's moments and each gradient are such vectors, and a
+step works on states that view them (``ModelState.view``), so it copies
+no state; sign alignment reads and writes the vectors through the same
+maps.
 
 Randomness is a counter-based Philox stream keyed by the training seed.
-Substream 1 drives the per-iteration eps draws, in the order: for every
-sampled weight matrix, domains in catalogue order, each drawn as a
-(local attributes, latents) standard normal block in row-major order,
-sample index innermost. Substream 2 drives the 64-draw ELBO estimates
-reported in the trace (:func:`refined_elbo`): domains in catalogue order,
-each domain's blocks are one scrambled Sobol point set over its
-attributes × latents, whose scramble the substream draws. Identical seeds
-give bit-identical trajectories.
+Substream 1 drives the per-iteration eps draws (:func:`draw_eps`): one
+(stacked rows, latents, draws) standard normal block in row-major order,
+so domain after domain, draw index innermost. Substream 2 drives the
+64-draw ELBO estimates reported in the trace (:func:`refined_elbo`):
+domains in catalogue order, each domain's blocks are one scrambled Sobol
+point set over its attributes × latents, whose scramble the substream
+draws. Identical seeds give bit-identical trajectories.
 """
 
 from __future__ import annotations
@@ -90,6 +96,9 @@ class TrainConfig:
             if count is None:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             setattr(self, name, count)
+        for name in ("learning_rate", "convergence_tol"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not 0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be positive and finite")
         if self.max_iters < 0:
@@ -168,18 +177,13 @@ class AdamOptimizer:
 def draw_eps(state: ModelState, rng: np.random.Generator, n_samples: int):
     """Standard-normal draws for reparameterized weights.
 
-    Returns a list over sample index of per-domain (local attributes,
-    latents) blocks. Domains are visited in catalogue order; within a
-    domain the block is drawn row-major with the sample index innermost.
+    Returns one (draws, stacked rows, latents) array over every domain's
+    catalogue rows stacked in catalogue order (:meth:`ModelState.catalogue`).
+    It is drawn as one (stacked rows, latents, draws) block in row-major
+    order, so domain after domain, with the draw index innermost.
     """
-    per_domain = {}
-    for v in state.domain_ids:
-        Sv = len(state.domain_attributes[v])
-        per_domain[v] = rng.standard_normal((Sv, state.num_latents, n_samples))
-    return [
-        {v: per_domain[v][:, :, t] for v in state.domain_ids}
-        for t in range(n_samples)
-    ]
+    shape = (len(state.catalogue().rows), state.num_latents, n_samples)
+    return np.ascontiguousarray(np.moveaxis(rng.standard_normal(shape), 2, 0))
 
 
 def _latent_blocks(domain_data, length_scales, want_grad):
@@ -203,53 +207,39 @@ def _domain_loglik(domain_data, weights, latents, dlatents, noise_log_var):
     grad_weights, grad_log_scales, grad_noise_log_var); gradient slots
     are None when not requested.
     """
-    L = len(latents)
     C = assemble_from_latents(domain_data, weights, latents, noise_log_var)
     chol, _ = chol_with_jitter(C)
     y = domain_data.y
     # yᵀC⁻¹y as |L⁻¹y|², one triangular solve; it solves a 1-D
     # right-hand side in place, so it gets a copy.
     z = lower_solve(chol, y.copy())
-    ll = float(
-        -0.5 * z @ z - np.sum(np.log(np.diag(chol))) - 0.5 * y.size * _LOG_2PI
-    )
+    ll = float(-0.5 * z @ z - np.log(chol.diagonal()).sum() - 0.5 * y.size * _LOG_2PI)
     if dlatents is None:
         return ll, None, None, None
     P = chol_inverse(chol)
     alpha = P @ y
-    G = 0.5 * (np.outer(alpha, alpha) - P)
-    W = np.asarray(weights)
-    grad_W = np.zeros_like(W)
-    grad_scales = np.zeros(L)
-    for l in range(L):
-        u = domain_data.expand_rows(W[:, l])
+    G = 0.5 * (alpha[:, None] * alpha - P)
+    rows, n_attrs = domain_data.block_of_row, domain_data.n_attrs
+    # Each latent's weights on the observation rows, as contiguous rows:
+    # gemv rounds a strided vector differently.
+    U = np.ascontiguousarray(weights.T[:, rows])
+    grad_W = np.zeros_like(weights)
+    grad_scales = np.zeros(len(latents))
+    for l, u in enumerate(U):
         grad_u = 2.0 * ((G * latents[l]) @ u)
-        grad_W[:, l] = domain_data.reduce_rows(grad_u)
+        grad_W[:, l] = np.bincount(rows, weights=grad_u, minlength=n_attrs)
         grad_scales[l] = u @ ((G * dlatents[l]) @ u)
-    diag_G = np.diag(G)
     grad_noise = (
-        domain_data.reduce_rows(diag_G)
+        np.bincount(rows, weights=G.diagonal(), minlength=n_attrs)
         * floor_var(noise_log_var)
         * floor_active(noise_log_var)
     )
     return ll, grad_W, grad_scales, grad_noise
 
 
-def _kl_terms(state: ModelState):
-    """``(rows, blocks, parts)``: :func:`~aggmogp.model.kl_parts` of every
-    domain's weights against its prior rows, stacked in catalogue order
-    (``ModelState.stacked_rows``)."""
-    rows, blocks = state.stacked_rows()
-    q_mean, q_log_var = (
-        np.concatenate([arrays[v] for v in state.domain_ids])
-        for arrays in (state.q_mean, state.q_log_var)
-    )
-    p_mean, p_log_var = state.prior_mean[rows], state.prior_log_var[rows]
-    return rows, blocks, kl_parts(q_mean, q_log_var, p_mean, p_log_var)
-
-
 def estimate_elbo(dataset: AggregatedDataset, state: ModelState, eps_draws) -> float:
-    """Monte Carlo ELBO estimate at fixed eps draws."""
+    """Monte Carlo ELBO estimate at fixed eps draws, a (draws, stacked
+    rows, latents) array as :func:`draw_eps` returns."""
     return _elbo_impl(dataset, state, eps_draws, want_grad=False)[0]
 
 
@@ -265,62 +255,70 @@ def elbo_with_grad(dataset: AggregatedDataset, state: ModelState, eps_draws):
 
 
 def _elbo_impl(dataset, state, eps_draws, want_grad):
-    n_samples = len(eps_draws)
-    if n_samples == 0:
+    eps = np.asarray(eps_draws, dtype=float)
+    if len(eps) == 0:
         raise ValueError("need at least one eps draw")
+    cat = state.catalogue()
+    if eps.shape[1:] != cat.q_mean.shape:
+        raise DimensionMismatch(
+            f"eps draws of shape {eps.shape}, expected (draws, %d, %d)" % cat.q_mean.shape
+        )
+    n_samples = len(eps)
+    ids, blocks = state.domain_ids, list(cat.blocks.values())
     scales = np.exp(state.log_length_scales)
-    prepared = {v: dataset.prepared(v) for v in state.domain_ids}
-    covs = {v: _latent_blocks(prepared[v], scales, want_grad) for v in prepared}
-    rows, blocks, (vq, vp, dm, t, kl) = _kl_terms(state)
-    # sample_weights' sqrt(floor_var(q_log_var)), once per domain.
-    sd = {v: np.sqrt(vq[b]) for v, b in blocks.items()}
+    prepared = [dataset.prepared(v) for v in ids]
+    covs = [_latent_blocks(dd, scales, want_grad) for dd in prepared]
+    # Every domain's weights and prior rows, stacked in catalogue order.
+    q_mean = np.concatenate([state.q_mean[v] for v in ids])
+    q_log_var = np.concatenate([state.q_log_var[v] for v in ids])
+    p_log_var = state.prior_log_var[cat.rows]
+    vq, vp, dm, t, kl = kl_parts(q_mean, q_log_var, state.prior_mean[cat.rows], p_log_var)
+    # sample_weights for every draw at once.
+    sd = np.sqrt(vq)
+    W = q_mean + eps * sd
 
-    def one_term(args):
-        v, eps = args
-        if np.shape(eps) != sd[v].shape:
-            raise DimensionMismatch(f"eps draw of shape {np.shape(eps)} for {v!r}")
-        W = state.q_mean[v] + eps * sd[v]
-        return _domain_loglik(prepared[v], W, *covs[v], state.noise_log_var[v])
+    def one_term(task):
+        draw, k = task
+        noise = state.noise_log_var[ids[k]]
+        return _domain_loglik(prepared[k], W[draw, blocks[k]], *covs[k], noise)
 
-    tasks = [(v, eps_t[v]) for eps_t in eps_draws for v in state.domain_ids]
+    tasks = [(draw, k) for draw in range(n_samples) for k in range(len(ids))]
     results = utils.parallel_map(one_term, tasks)
-    if want_grad:
-        acc = state.view(np.zeros(state.n_params))
-    total_ll = 0.0
-    for (v, eps), (ll, grad_W, grad_scales, grad_noise) in zip(tasks, results):
-        total_ll += ll
-        if want_grad:
-            acc.log_length_scales += grad_scales
-            acc.q_mean[v] += grad_W
-            acc.q_log_var[v] += grad_W * eps
-            acc.noise_log_var[v] += grad_noise
-    total_ll /= n_samples
+    total_ll = sum(ll for ll, *_ in results) / n_samples
     # Each domain's (Sv, L) block of the KL is summed on its own, then in order.
-    kl_total = 0.0
-    for b in blocks.values():
-        kl_total += float(np.sum(kl[b]))
-    value = total_ll - kl_total
+    value = total_ll - sum(float(kl[b].sum()) for b in blocks)
     if not want_grad:
         return value, None
+    grad = np.zeros(state.n_params)
+    g_scales = grad[: state.num_latents]
+    # Likelihood gradients, stacked, added in task order.
+    g_mean, g_log_var = np.zeros_like(q_mean), np.zeros_like(q_mean)
+    g_noise = np.zeros(len(cat.rows))
+    for (draw, k), (_, grad_W, grad_scales, grad_noise) in zip(tasks, results):
+        b = blocks[k]
+        g_scales += grad_scales
+        g_mean[b] += grad_W
+        g_log_var[b] += grad_W * eps[draw, b]
+        g_noise[b] += grad_noise
     inv = 1.0 / n_samples
-    acc.log_length_scales *= inv
-    # KL gradients, stacked; the ELBO subtracts the KL.
-    g_mean = dm / vp
-    g_var = 0.5 * (vq / vp - 1.0)
-    g_prior_var = 0.5 * t * floor_active(state.prior_log_var[rows])
-    for v, b in blocks.items():
-        acc.noise_log_var[v] *= inv
-        acc.q_mean[v] *= inv
-        # Chain through w = mean + eps sqrt(var): d w / d log var is
-        # eps sqrt(var) / 2, masked at the floor.
-        active = floor_active(state.q_log_var[v])
-        acc.q_log_var[v] *= inv * 0.5 * sd[v] * active
-        acc.q_mean[v] -= g_mean[b]
-        acc.q_log_var[v] -= g_var[b] * active
-        # A domain's rows are distinct: plain indexed adds, in domain order.
-        acc.prior_mean[rows[b]] += g_mean[b]
-        acc.prior_log_var[rows[b]] += g_prior_var[b]
-    return value, acc
+    g_scales *= inv
+    g_noise *= inv
+    g_mean *= inv
+    # Chain through w = mean + eps sqrt(var): d w / d log var is
+    # eps sqrt(var) / 2, masked at the floor.
+    active = floor_active(q_log_var)
+    g_log_var *= inv * 0.5 * sd * active
+    # KL gradients; the ELBO subtracts the KL.
+    kl_mean = dm / vp
+    g_mean -= kl_mean
+    g_log_var -= 0.5 * (vq / vp - 1.0) * active
+    grad[cat.q_mean] = g_mean
+    grad[cat.q_log_var] = g_log_var
+    grad[cat.noise] = g_noise
+    # Shared prior rows add domain after domain, in stack order.
+    np.add.at(grad, cat.prior_mean, kl_mean)
+    np.add.at(grad, cat.prior_log_var, 0.5 * t * floor_active(p_log_var))
+    return value, state.view(grad)
 
 
 _REFINED_DRAWS = 64
@@ -343,13 +341,11 @@ def refined_elbo(
     n_samples = utils.count_request(n_samples, "n_samples")
     rng = utils.stream(seed, 2)
     L = state.num_latents
-    blocks = {}
+    blocks = []
     for v in state.domain_ids:
         Sv = len(state.domain_attributes[v])
-        points = utils.sobol_normals(rng, n_samples, Sv * L)
-        blocks[v] = points.reshape(n_samples, Sv, L)
-    eps = [{v: blocks[v][t] for v in state.domain_ids} for t in range(n_samples)]
-    return estimate_elbo(dataset, state, eps)
+        blocks.append(utils.sobol_normals(rng, n_samples, Sv * L).reshape(n_samples, Sv, L))
+    return estimate_elbo(dataset, state, np.concatenate(blocks, axis=1))
 
 
 def _align_orientation(state: ModelState, theta: np.ndarray, adam: AdamOptimizer):
@@ -357,16 +353,17 @@ def _align_orientation(state: ModelState, theta: np.ndarray, adam: AdamOptimizer
 
     Applies :func:`latent_sign_flips` to the parameter vector ``theta``
     and negates the matching entries of it and of Adam's first moment in
-    place, so the optimizer keeps moving each reflected column the way it
-    was moving before. Returns ``theta``.
+    place, through the catalogue's index maps, so the optimizer keeps
+    moving each reflected column the way it was moving before. Returns
+    ``theta``.
     """
-    current = state.view(theta)
-    flips = latent_sign_flips(current)
+    flips = latent_sign_flips(state, theta)
     if any(f.any() for f in flips.values()):
-        moment = state.view(adam.m)
+        cat = state.catalogue()
         for v, f in flips.items():
-            current.q_mean[v][:, f] *= -1.0
-            moment.q_mean[v][:, f] *= -1.0
+            at = cat.q_mean[cat.blocks[v]][:, f]
+            theta[at] *= -1.0
+            adam.m[at] *= -1.0
     return theta
 
 
@@ -426,6 +423,7 @@ def fit(
     prev_adam = adam.snapshot()
     best_value = -np.inf
     window = config.convergence_window
+    elbo = np.empty(config.max_iters)
     it = 0
     while it < config.max_iters:
         eps = draw_eps(init, rng, config.num_elbo_samples)
@@ -445,6 +443,7 @@ def fit(
             it += 1
             continue
         trace.iterations.append(it)
+        elbo[len(trace.elbo)] = value
         trace.elbo.append(value)
         trace.learning_rate.append(adam.learning_rate)
         if config.log_every and it % config.log_every == 0:
@@ -460,8 +459,8 @@ def fit(
             theta = _align_orientation(init, theta, adam)
         n_done = len(trace.elbo)
         if n_done >= 2 * window:
-            recent = np.mean(trace.elbo[n_done - window :])
-            older = np.mean(trace.elbo[n_done - 2 * window : n_done - window])
+            recent = np.mean(elbo[n_done - window : n_done])
+            older = np.mean(elbo[n_done - 2 * window : n_done - window])
             denom = max(1.0, abs(older))
             if abs(recent - older) / denom < config.convergence_tol:
                 trace.stop_reason = "converged"

@@ -24,7 +24,8 @@ one distinct row. The distinct rows are numbered by kind, so each kind
 below is one contiguous block. Every grid support, and every prediction
 target (:func:`weight_rows`), is a row of a sparse weight matrix over
 the grid cells (:class:`WeightRows`), and ``K`` is a Kronecker product
-of per-axis grams (``se_value`` and ``se_value_dlog`` on each axis).
+of per-axis grams (``se_value`` on each axis, and from its values the
+log-length-scale derivative that ``se_value_dlog`` gives).
 Training's covariances ``A K Aᵀ`` come from per-axis grams of each
 row's rank-one terms, its fibres along the last axis merged where they
 repeat (:meth:`SupportCovTable.grid_block`); prediction's cross
@@ -43,6 +44,7 @@ import math
 import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
@@ -110,7 +112,7 @@ def kl_parts(q_mean, q_log_var, p_mean, p_log_var):
     return vq, vp, dm, t, 0.5 * (t + lp - lq)
 
 
-def latent_sign_flips(state: "ModelState") -> dict[str, np.ndarray]:
+def latent_sign_flips(state: "ModelState", vector: np.ndarray) -> dict[str, np.ndarray]:
     """Per domain, a mask of the latent columns to reflect toward the prior.
 
     A domain's likelihood is unchanged when one of its latent columns of
@@ -118,16 +120,17 @@ def latent_sign_flips(state: "ModelState") -> dict[str, np.ndarray]:
     v is marked when its reflected variational mean is strictly closer to
     the prior in the prior's own metric, sum_s (mu + p)^2 / var_p <
     sum_s (mu - p)^2 / var_p. Reflecting a marked column lowers the KL
-    term and leaves everything else in the ELBO unchanged.
+    term and leaves everything else in the ELBO unchanged. Reads the
+    parameters from ``vector``, in the state's :meth:`~ModelState.pack`
+    order, through the catalogue's index maps (:meth:`ModelState.catalogue`).
     """
-    rows, blocks = state.stacked_rows()
-    mu = np.concatenate([state.q_mean[v] for v in state.domain_ids])
-    p = state.prior_mean[rows]
-    vp = floor_var(state.prior_log_var[rows])
+    cat = state.catalogue()
+    mu, p = vector[cat.q_mean], vector[cat.prior_mean]
+    vp = floor_var(vector[cat.prior_log_var])
     keep = (mu - p) ** 2 / vp
     flip = (-mu - p) ** 2 / vp
     # Summed per domain block, so each column sum adds the rows in order.
-    return {v: flip[b].sum(axis=0) < keep[b].sum(axis=0) for v, b in blocks.items()}
+    return {v: flip[b].sum(axis=0) < keep[b].sum(axis=0) for v, b in cat.blocks.items()}
 
 
 def chol_with_jitter(C: np.ndarray):
@@ -286,7 +289,9 @@ def _grid_factors(grid, length_scale: float, with_grad: bool = False):
     grams = [se_value(d2, length_scale) for d2 in sq]
     if not with_grad:
         return grams, None
-    return grams, [se_value_dlog(d2, length_scale) for d2 in sq]
+    # se_value_dlog's exp(-d²/2b²) (d²/b²), from the grams' own exp.
+    b2 = length_scale * length_scale
+    return grams, [G * (d2 / b2) for G, d2 in zip(grams, sq)]
 
 
 class WeightRows:
@@ -745,12 +750,6 @@ class DomainData:
         """Spread per-attribute values onto observation rows."""
         return np.asarray(per_attr)[self.block_of_row]
 
-    def reduce_rows(self, per_row: np.ndarray) -> np.ndarray:
-        """Sum observation-row values into per-attribute totals."""
-        return np.bincount(
-            self.block_of_row, weights=np.asarray(per_row), minlength=self.n_attrs
-        )
-
 
 class AggregatedDataset:
     """Validated collection of aggregated observation series.
@@ -887,6 +886,24 @@ class AggregatedDataset:
         )
 
 
+class Catalogue(NamedTuple):
+    """Index maps of a state's catalogue (:meth:`ModelState.catalogue`).
+
+    The stack holds every domain's catalogue rows in catalogue order; a
+    domain's rows are distinct. Each map gives, per stacked entry, its
+    position in the :meth:`ModelState.pack` vector. Arrays are read-only.
+    """
+
+    rows: np.ndarray  # (stacked rows,): the catalogue row of each
+    blocks: dict  # each domain's slice of the stack
+    spans: list  # (start, stop, shape) per parameter array, pack order
+    q_mean: np.ndarray  # (stacked rows, latents)
+    q_log_var: np.ndarray  # (stacked rows, latents)
+    noise: np.ndarray  # (stacked rows,)
+    prior_mean: np.ndarray  # (stacked rows, latents): the row's prior entries
+    prior_log_var: np.ndarray  # (stacked rows, latents)
+
+
 @dataclass
 class ModelState:
     """All free parameters plus the catalogue bookkeeping to index them.
@@ -894,9 +911,9 @@ class ModelState:
     Weight priors are indexed by the global attribute catalogue and are
     shared across domains; variational weights and noise are per domain,
     covering only attributes that domain observes. Variances live as
-    exponents (see :func:`floor_var`). A state from :meth:`view`,
-    :meth:`unpack` or :meth:`copy` holds its arrays as views of one flat
-    ``vector``; rebinding an array detaches it from the vector.
+    exponents (see :func:`floor_var`). A state from :meth:`view` or
+    :meth:`unpack` holds its arrays as views of one flat ``vector``;
+    rebinding an array detaches it from the vector.
     """
 
     attributes: tuple[str, ...]
@@ -930,11 +947,9 @@ class ModelState:
     def length_scales(self) -> np.ndarray:
         return np.exp(self.log_length_scales)
 
-    def _catalogue(self):
-        """Built once per catalogue, shared by the states made from this
-        one: every domain's catalogue rows stacked in catalogue order
-        (read-only), each domain's slice of that stack, and ``(start,
-        stop, shape)`` per parameter array in :meth:`pack` order."""
+    def catalogue(self) -> Catalogue:
+        """The :class:`Catalogue`, built once per catalogue and shared by
+        the states made from this one."""
         if self._index is None:
             ids, S, L = self.domain_ids, len(self.attributes), self.num_latents
             rank = {a: i for i, a in enumerate(self.attributes)}
@@ -942,20 +957,19 @@ class ModelState:
             if any(len(set(a)) != len(a) for a in attrs):
                 raise DataError("a domain lists an attribute twice")
             rows = np.array([rank[a] for a_v in attrs for a in a_v], dtype=np.int64)
-            rows.flags.writeable = False
             ends = np.cumsum([len(a) for a in attrs], dtype=np.int64).tolist()
             blocks = {v: slice(e - len(a), e) for v, a, e in zip(ids, attrs, ends)}
             shapes = [(L,), (S, L), (S, L)]
             for a in attrs:
                 shapes += [(len(a), L), (len(a), L), (len(a),)]
             bounds = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
-            self._index = rows, blocks, list(zip([0] + bounds, bounds, shapes))
+            spans = list(zip([0] + bounds, bounds, shapes))
+            at = [np.arange(a, b).reshape(shape) for a, b, shape in spans]
+            maps = [np.concatenate(at[k::3]) for k in (3, 4, 5)] + [at[1][rows], at[2][rows]]
+            for a in (rows, *maps):
+                a.flags.writeable = False
+            self._index = Catalogue(rows, blocks, spans, *maps)
         return self._index
-
-    def stacked_rows(self) -> tuple[np.ndarray, dict[str, slice]]:
-        """Every domain's catalogue rows stacked in catalogue order, and
-        each domain's slice of the stack. A domain's rows are distinct."""
-        return self._catalogue()[:2]
 
     def draw_weights(self, domain_id: str, eps: np.ndarray) -> np.ndarray:
         return sample_weights(self.q_mean[domain_id], self.q_log_var[domain_id], eps)
@@ -975,14 +989,16 @@ class ModelState:
     def view(self, vector: np.ndarray) -> "ModelState":
         """State whose arrays view a flat vector in :meth:`pack` order, so
         writes through either land in both. A vector that is not float64
-        is converted first, so the views see a copy."""
+        is converted first, so the views see a copy. The catalogue fixes
+        every shape, so the view is not validated again."""
         vector = np.asarray(vector, dtype=float)
         if vector.ndim != 1 or vector.size != self.n_params:
             raise DimensionMismatch(
                 f"parameter vector of length {vector.size}, expected {self.n_params}"
             )
-        arrays = [vector[a:b].reshape(shape) for a, b, shape in self._catalogue()[2]]
-        out = ModelState(
+        arrays = [vector[a:b].reshape(shape) for a, b, shape in self.catalogue().spans]
+        out = object.__new__(ModelState)
+        vars(out).update(
             attributes=self.attributes,
             domain_ids=self.domain_ids,
             domain_attributes=dict(self.domain_attributes),
@@ -993,9 +1009,9 @@ class ModelState:
             q_mean=dict(zip(self.domain_ids, arrays[3::3])),
             q_log_var=dict(zip(self.domain_ids, arrays[4::3])),
             noise_log_var=dict(zip(self.domain_ids, arrays[5::3])),
+            vector=vector,
+            _index=self._index,
         )
-        out.vector = vector
-        out._index = self._index
         return out
 
     def unpack(self, vector: np.ndarray) -> "ModelState":

@@ -10,6 +10,11 @@ one conditional posterior per weight draw, and the leave-one-out oracles
 condition each held-out row on all the others by a direct solve, in
 float64 or at 60 decimal digits.
 
+``elbo_by_domain`` is the training objective and its gradient written
+domain by domain, with per-domain dicts of eps blocks, as the library
+computed it before its one stacked pass; the stacked pass must match it
+bit for bit.
+
 Two references were library functions that no pipeline runs:
 ``log_likelihood``, the exact log evidence of one domain's rows for a
 fixed weight sample (the brute-force evidence of the ELBO's bound), and
@@ -327,3 +332,108 @@ def drop_observation(dataset, domain_id, attribute_id, k):
     )
     records = [reduced if r is target else r for r in dataset.records]
     return dataset.replace_records(records), held
+
+
+def _domain_loglik_by_columns(dd, weights, latents, dlatents, noise_log_var):
+    """One domain's log likelihood and its gradients, one weight column
+    at a time: ``(ll, grad_W, grad_log_scales, grad_noise_log_var)``."""
+    C = model.assemble_from_latents(dd, weights, latents, noise_log_var)
+    chol, _ = model.chol_with_jitter(C)
+    y = dd.y
+    z = model.lower_solve(chol, y.copy())
+    ll = float(
+        -0.5 * z @ z - np.sum(np.log(np.diag(chol))) - 0.5 * y.size * np.log(2.0 * np.pi)
+    )
+    if dlatents is None:
+        return ll, None, None, None
+
+    def reduce_rows(per_row):
+        return np.bincount(dd.block_of_row, weights=per_row, minlength=dd.n_attrs)
+
+    P = model.chol_inverse(chol)
+    alpha = P @ y
+    G = 0.5 * (np.outer(alpha, alpha) - P)
+    W = np.asarray(weights)
+    grad_W = np.zeros_like(W)
+    grad_scales = np.zeros(len(latents))
+    for l in range(len(latents)):
+        u = dd.expand_rows(W[:, l])
+        grad_W[:, l] = reduce_rows(2.0 * ((G * latents[l]) @ u))
+        grad_scales[l] = u @ ((G * dlatents[l]) @ u)
+    grad_noise = (
+        reduce_rows(np.diag(G))
+        * model.floor_var(noise_log_var)
+        * model.floor_active(noise_log_var)
+    )
+    return ll, grad_W, grad_scales, grad_noise
+
+
+def kl_terms_by_domain(state):
+    """``(rows, blocks, parts)``: ``model.kl_parts`` of every domain's
+    weights against its prior rows, stacked in catalogue order."""
+    rows, blocks = state.catalogue()[:2]
+    q_mean, q_log_var = (
+        np.concatenate([arrays[v] for v in state.domain_ids])
+        for arrays in (state.q_mean, state.q_log_var)
+    )
+    p_mean, p_log_var = state.prior_mean[rows], state.prior_log_var[rows]
+    return rows, blocks, model.kl_parts(q_mean, q_log_var, p_mean, p_log_var)
+
+
+def elbo_by_domain(dataset, state, eps_draws, want_grad):
+    """The Monte Carlo ELBO, and with ``want_grad`` its gradient, written
+    domain by domain: ``eps_draws`` is a list over draws of dicts of
+    per-domain (local attributes, latents) blocks; every (draw, domain)
+    term draws its own weights and adds its gradients into a state that
+    views a zero vector, and the KL gradient is scattered one domain at a
+    time. Returns ``(value, gradient state or None)``."""
+    n_samples = len(eps_draws)
+    scales = np.exp(state.log_length_scales)
+    prepared = {v: dataset.prepared(v) for v in state.domain_ids}
+    covs = {}
+    for v, dd in prepared.items():
+        pairs = [dd.cov.latent_cov(s, with_grad=want_grad) for s in scales]
+        covs[v] = (
+            ([p[0] for p in pairs], [p[1] for p in pairs]) if want_grad else (pairs, None)
+        )
+    rows, blocks, (vq, vp, dm, t, kl) = kl_terms_by_domain(state)
+    sd = {v: np.sqrt(vq[b]) for v, b in blocks.items()}
+    tasks = [(v, eps_t[v]) for eps_t in eps_draws for v in state.domain_ids]
+    results = [
+        _domain_loglik_by_columns(
+            prepared[v], state.q_mean[v] + eps * sd[v], *covs[v], state.noise_log_var[v]
+        )
+        for v, eps in tasks
+    ]
+    if want_grad:
+        acc = state.view(np.zeros(state.n_params))
+    total_ll = 0.0
+    for (v, eps), (ll, grad_W, grad_scales, grad_noise) in zip(tasks, results):
+        total_ll += ll
+        if want_grad:
+            acc.log_length_scales += grad_scales
+            acc.q_mean[v] += grad_W
+            acc.q_log_var[v] += grad_W * eps
+            acc.noise_log_var[v] += grad_noise
+    total_ll /= n_samples
+    kl_total = 0.0
+    for b in blocks.values():
+        kl_total += float(np.sum(kl[b]))
+    value = total_ll - kl_total
+    if not want_grad:
+        return value, None
+    inv = 1.0 / n_samples
+    acc.log_length_scales *= inv
+    g_mean = dm / vp
+    g_var = 0.5 * (vq / vp - 1.0)
+    g_prior_var = 0.5 * t * model.floor_active(state.prior_log_var[rows])
+    for v, b in blocks.items():
+        acc.noise_log_var[v] *= inv
+        acc.q_mean[v] *= inv
+        active = model.floor_active(state.q_log_var[v])
+        acc.q_log_var[v] *= inv * 0.5 * sd[v] * active
+        acc.q_mean[v] -= g_mean[b]
+        acc.q_log_var[v] -= g_var[b] * active
+        acc.prior_mean[rows[b]] += g_mean[b]
+        acc.prior_log_var[rows[b]] += g_prior_var[b]
+    return value, acc

@@ -37,9 +37,12 @@ parent commit and at the change, both run on one host.
 With ``--dump DIR`` it also writes every array behind a digest to
 ``DIR/<workload>.<seed>.<output>.<array>.npy``. ``--compare BEFORE
 AFTER`` runs nothing: it reads two such directories, made at two
-commits on one host, and prints per output array the largest change of
-any entry relative to that array's largest magnitude in BEFORE, with
-the workload and seed where it occurs.
+commits on one host, and prints per output array ``identical`` when
+every file of it holds the same bytes on both sides, else the largest
+change of any entry relative to that array's largest magnitude in
+BEFORE, with the workload and seed where it occurs (0 when only the
+bytes differ, as -0.0 against 0.0 do). It names every file found on one
+side only, and exits 1 when any file is missing or differs.
 """
 
 from __future__ import annotations
@@ -151,28 +154,46 @@ def digests(work: workloads.Workload, seed: int, dump: str | None = None):
     return {kind: sha256(*named.values()) for kind, named in got.items()}
 
 
-def compare(before: str, after: str) -> None:
-    """Print, per output array, the largest change between two dumps."""
+def compare(before: str, after: str) -> int:
+    """Print, per output array, ``identical`` when its dumps agree byte
+    for byte at every workload and seed, else the largest change between
+    them; return how many dumps are missing from either directory or
+    differ in bytes."""
+    files = sorted(
+        {os.path.basename(p) for d in (before, after) for p in glob.glob(os.path.join(d, "*.npy"))}
+    )
     worst = {}
-    for path in sorted(glob.glob(os.path.join(before, "*.npy"))):
-        file = os.path.basename(path)
+    failures = 0
+    for file in files:
         name, seed, kind, array = file[: -len(".npy")].rsplit(".", 3)
-        if not os.path.exists(os.path.join(after, file)):
-            print(f"{file} is missing from {after}")
+        key = f"{kind}.{array}"
+        paths = [os.path.join(d, file) for d in (before, after)]
+        missing = [d for d, path in zip((before, after), paths) if not os.path.exists(path)]
+        if missing:
+            print(f"{file} is missing from {missing[0]}")
+            failures += 1
             continue
-        a, b = np.load(path), np.load(os.path.join(after, file))
+        a, b = (np.load(path) for path in paths)
+        if a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes():
+            worst.setdefault(key, None)
+            continue
+        failures += 1
         if a.shape != b.shape:
             change = np.inf
         else:
             scale = np.max(np.abs(a), initial=0.0)
             diff = np.max(np.abs(b - a), initial=0.0)
             change = diff / scale if scale else diff
-        key = f"{kind}.{array}"
-        if key not in worst or change > worst[key][0]:
-            worst[key] = (change, f"{name}/{seed}" if change else "-")
+        # A change of 0 is a difference in bytes alone, such as -0.0 for 0.0.
+        if worst.get(key) is None or change > worst[key][0]:
+            worst[key] = (change, f"{name}/{seed}")
     for key in sorted(worst):
-        change, where = worst[key]
-        print(f"{key} {change:.2g} {where}")
+        if worst[key] is None:
+            print(f"{key} identical")
+        else:
+            print(f"{key} {worst[key][0]:.2g} {worst[key][1]}")
+    print(f"{len(files) - failures} of {len(files)} arrays identical")
+    return failures
 
 
 def main(argv=None) -> int:
@@ -186,8 +207,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     if args.compare:
-        compare(*args.compare)
-        return 0
+        return 1 if compare(*args.compare) else 0
     if args.bench_json is None:
         keys = [f"{name}/{seed}" for name in workloads.WORKLOADS for seed in SEEDS]
         for key in sorted(keys):

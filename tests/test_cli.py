@@ -176,6 +176,9 @@ class TestFit:
             {"training": {"num_elbo_samples": 1.5}},
             {"training": {"convergence_window": 2.5}},
             {"training": {"log_every": 0.5}},
+            # Booleans are no rate or tolerance (True once trained at 1.0).
+            {"training": {"learning_rate": True}},
+            {"training": {"convergence_tol": True}},
         ],
     )
     def test_bad_config_value_exits_one(self, workspace, capsys, section):

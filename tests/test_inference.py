@@ -17,11 +17,13 @@ from conftest import (
     two_series_instance,
     unit_grid_domain,
 )
-from oracles import log_likelihood
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import elbo_by_domain, log_likelihood
 from scipy.optimize import minimize_scalar
 
 from aggmogp import inference, utils
-from aggmogp.errors import DataError, NonFiniteELBO
+from aggmogp.errors import DataError, DimensionMismatch, NonFiniteELBO
 from aggmogp.evaluation import SynthConfig, synth_generate
 from aggmogp.geometry import grid_block_partition, interval_bins
 from aggmogp.inference import (
@@ -48,7 +50,7 @@ from aggmogp.model import (
 def kl_total(state):
     """The ELBO's KL term: each domain's ``kl_parts`` against its prior
     rows, summed per domain, then over domains in catalogue order."""
-    rows, blocks = state.stacked_rows()
+    rows, blocks = state.catalogue()[:2]
     return sum(
         float(
             np.sum(
@@ -183,7 +185,7 @@ class TestElboValue:
         _, dataset, _ = two_series_instance()
         state = randomized_state(dataset, 2, seed=3)
         Sv = len(state.domain_attributes["d0"])
-        eps = [{"d0": np.zeros((Sv, state.num_latents))}]
+        eps = np.zeros((1, Sv, state.num_latents))
         got = estimate_elbo(dataset, state, eps)
         dd = dataset.prepared("d0")
         C = assemble_C(
@@ -565,7 +567,7 @@ class TestOrientationAlignment:
         """Random two-domain state whose d1 columns oppose the prior."""
         dataset = two_domain_instance(seed=2)
         state = randomized_state(dataset, 2, seed=3)
-        rows, blocks = state.stacked_rows()
+        rows, blocks = state.catalogue()[:2]
         state.q_mean["d1"] = -state.prior_mean[rows[blocks["d1"]]] + 0.05
         return dataset, state
 
@@ -575,13 +577,14 @@ class TestOrientationAlignment:
         adam.m = np.random.default_rng(0).normal(size=state.n_params)
         moment = state.unpack(adam.m)
         aligned = state.unpack(inference._align_orientation(state, state.pack(), adam))
-        flips = latent_sign_flips(state)
+        flips = latent_sign_flips(state, state.pack())
         assert flips["d1"].all()
         assert kl_total(aligned) < kl_total(state)
         eps = draw_eps(state, utils.stream(7, 1), 3)
-        eps_aligned = [
-            {v: e[v] * np.where(flips[v], -1.0, 1.0) for v in e} for e in eps
-        ]
+        blocks = state.catalogue().blocks
+        eps_aligned = eps.copy()
+        for v, b in blocks.items():
+            eps_aligned[:, b] *= np.where(flips[v], -1.0, 1.0)
         ll = estimate_elbo(dataset, state, eps) + kl_total(state)
         ll_aligned = estimate_elbo(dataset, aligned, eps_aligned) + kl_total(aligned)
         np.testing.assert_allclose(ll_aligned, ll, rtol=1e-12)
@@ -617,7 +620,7 @@ class TestOrientationAlignment:
         # The iterate after the first step is aligned and, with the KL
         # drop, scores best.
         assert trace.best_iteration == 1
-        flips = latent_sign_flips(state)
+        flips = latent_sign_flips(state, state.pack())
         assert not any(f.any() for f in flips.values())
 
 
@@ -658,7 +661,7 @@ class TestFlatParameterVector:
     def test_alignment_writes_theta_and_moment_in_place(self):
         dataset = two_domain_instance(seed=2)
         state = randomized_state(dataset, 2, seed=3)
-        rows, blocks = state.stacked_rows()
+        rows, blocks = state.catalogue()[:2]
         state.q_mean["d1"] = -state.prior_mean[rows[blocks["d1"]]] + 0.05
         theta = state.pack()
         adam = AdamOptimizer(0.01)
@@ -668,6 +671,107 @@ class TestFlatParameterVector:
         flipped = state.view(moment).q_mean["d1"]
         np.testing.assert_array_equal(flipped, -np.ones_like(flipped))
         np.testing.assert_array_equal(state.view(theta).q_mean["d1"], -state.q_mean["d1"])
+
+
+@st.composite
+def catalogue_worlds(draw):
+    """A dataset on one to three 1-D domains, each observing a non-empty
+    subset of three attributes (so rows are shared or not), on interval
+    bins or cell blocks, and a random state of one to three latents on
+    it: some variances at the floor, a non-contiguous ``q_mean``, and
+    arrays rebound after ``view``, so detached from its vector."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    attributes = ("a0", "a1", "a2")
+    domains, records = {}, []
+    for k in range(draw(st.integers(1, 3))):
+        dom = unit_grid_domain(12, 0.0, 3.0 + k, domain_id=f"d{k}")
+        domains[dom.id] = dom
+        seen = draw(st.sets(st.sampled_from(attributes), min_size=1))
+        for a in sorted(seen):
+            if draw(st.booleans()):
+                part = interval_bins(dom, a, draw(st.sampled_from((2, 3, 4))), id_prefix=a)
+            else:
+                part = grid_block_partition(dom, a, (draw(st.sampled_from((3, 4))),), id_prefix=a)
+            values = rng.standard_normal(len(part.supports))
+            records.append(DatasetRecord(dom.id, a, part, uniform_rules(part), values))
+    dataset = AggregatedDataset(domains, attributes, records)
+    L = draw(st.integers(1, 3))
+    state = randomized_state(dataset, L, seed=draw(st.integers(0, 1000)))
+    floor = -60.0
+    if draw(st.booleans()):
+        state.prior_log_var[0] = floor
+    for v in state.domain_ids:
+        if draw(st.booleans()):
+            state.q_log_var[v][rng.random(state.q_log_var[v].shape) < 0.5] = floor
+    state = state.view(state.pack())
+    state.log_length_scales = state.log_length_scales + 0.1
+    for v in state.domain_ids:
+        # Every other column of a wider array: a strided view.
+        state.q_mean[v] = np.repeat(state.q_mean[v] - 0.05, 2, axis=1)[:, ::2]
+    return dataset, state, draw(st.integers(1, 3))
+
+
+class TestStackedPassMatchesPerDomainOracle:
+    """The stacked pass equals the per-domain bookkeeping it replaced
+    (``oracles.elbo_by_domain``) bit for bit, value and gradient."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(world=catalogue_worlds())
+    def test_value_and_gradient_bit_for_bit(self, world):
+        dataset, state, n_draws = world
+        eps = draw_eps(state, utils.stream(9, 1), n_draws)
+        blocks = state.catalogue().blocks
+        per_domain = [{v: e[b] for v, b in blocks.items()} for e in eps]
+        value, grads = elbo_with_grad(dataset, state, eps)
+        want_value, want = elbo_by_domain(dataset, state, per_domain, want_grad=True)
+        assert value == want_value
+        assert grads.vector.tobytes() == want.vector.tobytes()
+        assert estimate_elbo(dataset, state, eps) == elbo_by_domain(
+            dataset, state, per_domain, want_grad=False
+        )[0]
+
+    def test_draws_are_each_domains_blocks_in_catalogue_order(self):
+        # The old per-domain draw: each domain's (attributes, latents,
+        # draws) block in turn from one generator.
+        dataset = two_domain_instance()
+        state = init_state(dataset, 2, seed=0)
+        rng = utils.stream(4, 1)
+        old = [
+            rng.standard_normal((len(state.domain_attributes[v]), 2, 3))
+            for v in state.domain_ids
+        ]
+        eps = draw_eps(state, utils.stream(4, 1), 3)
+        assert eps.shape == (3, 4, 2) and eps.flags.c_contiguous
+        for v, block in zip(state.domain_ids, old):
+            b = state.catalogue().blocks[v]
+            np.testing.assert_array_equal(eps[:, b], np.moveaxis(block, 2, 0))
+
+    def test_misshaped_draws_refused(self):
+        dataset = two_domain_instance()
+        state = init_state(dataset, 2, seed=0)
+        eps = draw_eps(state, utils.stream(4, 1), 2)
+        with pytest.raises(DimensionMismatch):
+            estimate_elbo(dataset, state, eps[:, 1:])
+        with pytest.raises(ValueError):
+            estimate_elbo(dataset, state, eps[:0])
+
+    def test_fit_draws_from_substream_one(self, monkeypatch):
+        dataset = two_domain_instance()
+        init = init_state(dataset, 2, seed=0)
+        seen = []
+        real = inference.elbo_with_grad
+
+        def recording(ds, state, eps):
+            seen.append(eps.copy())
+            return real(ds, state, eps)
+
+        monkeypatch.setattr(inference, "elbo_with_grad", recording)
+        config = TrainConfig(max_iters=5, num_elbo_samples=2, seed=3, learning_rate=0.01)
+        fit(dataset, config, init)
+        rng = utils.stream(3, 1)
+        assert len(seen) == 5
+        for eps in seen:
+            np.testing.assert_array_equal(eps, draw_eps(init, rng, 2))
 
 
 class TestTrainConfigValidation:
@@ -689,6 +793,10 @@ class TestTrainConfigValidation:
             TrainConfig(convergence_tol=-1e-6)
         with pytest.raises(ValueError):
             TrainConfig(log_every=-1)
+        for name in ("learning_rate", "convergence_tol"):
+            for flag in (True, False, np.True_):
+                with pytest.raises(ValueError, match=name):
+                    TrainConfig(**{name: flag})
         # Zero stays valid: it turns logging and the convergence stop off.
         TrainConfig(convergence_tol=0.0, log_every=0)
 

@@ -664,7 +664,7 @@ class TestModelState:
     def test_attr_rows(self):
         _, dataset, _ = two_series_instance()
         state = init_state(dataset, 2, seed=0)
-        rows, blocks = state.stacked_rows()
+        rows, blocks = state.catalogue()[:2]
         np.testing.assert_array_equal(rows[blocks["d0"]], [0, 1])
 
     def test_override_length_scales(self):
@@ -764,14 +764,23 @@ class TestFlatVectorViews:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(state=random_states())
     def test_catalogue_rows(self, state):
-        rows, blocks = state.stacked_rows()
+        rows, blocks = state.catalogue()[:2]
         assert list(blocks) == list(state.domain_ids)
         for v in state.domain_ids:
             want = [state.attributes.index(a) for a in state.domain_attributes[v]]
             np.testing.assert_array_equal(rows[blocks[v]], want)
         assert not rows.flags.writeable
         # States made from this one share the rows, built once.
-        assert state.view(state.pack()).stacked_rows()[0] is rows
+        assert state.view(state.pack()).catalogue().rows is rows
+        # Each map reads the stacked entries out of the flat vector.
+        cat, theta = state.catalogue(), state.pack()
+        for name in ("q_mean", "q_log_var", "noise_log_var"):
+            stacked = np.concatenate([getattr(state, name)[v] for v in state.domain_ids])
+            at = getattr(cat, "noise" if name == "noise_log_var" else name)
+            np.testing.assert_array_equal(theta[at], stacked)
+            assert not at.flags.writeable
+        np.testing.assert_array_equal(theta[cat.prior_mean], state.prior_mean[rows])
+        np.testing.assert_array_equal(theta[cat.prior_log_var], state.prior_log_var[rows])
 
     def test_wrong_vectors_refused(self):
         _, dataset, _ = two_series_instance()
@@ -785,7 +794,7 @@ class TestFlatVectorViews:
         state = init_state(dataset, 1, seed=0)
         state.domain_attributes["d0"] = ("a0", "a0")
         with pytest.raises(DataError, match="twice"):
-            state.stacked_rows()
+            state.catalogue()
 
 
 def random_two_domain_state(seed):
@@ -801,7 +810,7 @@ def random_two_domain_state(seed):
 
 
 def domain_kl(state, v):
-    rows, blocks = state.stacked_rows()
+    rows, blocks = state.catalogue()[:2]
     rows = rows[blocks[v]]
     return kl_weights(
         state.q_mean[v],
@@ -832,7 +841,7 @@ class TestLatentOrientation:
         n_flipped = 0
         for seed in range(20):
             _, state = random_two_domain_state(seed)
-            flips = latent_sign_flips(state)
+            flips = latent_sign_flips(state, state.pack())
             for v in state.domain_ids:
                 before = domain_kl(state, v)
                 for l in range(state.num_latents):
@@ -848,10 +857,10 @@ class TestLatentOrientation:
 
     def test_no_flip_at_the_prior(self):
         _, state = random_two_domain_state(seed=4)
-        rows, blocks = state.stacked_rows()
+        rows, blocks = state.catalogue()[:2]
         for v in state.domain_ids:
             state.q_mean[v] = state.prior_mean[rows[blocks[v]]].copy()
-        flips = latent_sign_flips(state)
+        flips = latent_sign_flips(state, state.pack())
         assert not any(f.any() for f in flips.values())
 
 
