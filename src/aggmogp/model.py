@@ -26,22 +26,23 @@ target (:func:`weight_rows`), is a row of a sparse weight matrix over
 the grid cells (:class:`WeightRows`), and ``K`` is a Kronecker product
 of per-axis grams (``se_value`` on each axis, and from its values the
 log-length-scale derivative that ``se_value_dlog`` gives).
-Training's covariances ``A K Aᵀ`` come from per-axis grams of each
-row's rank-one terms, its fibres along the last axis merged where they
-repeat (:meth:`SupportCovTable.grid_block`); prediction's cross
-covariances from the product ``left K Aᵀ``, applied to a block of
-columns of ``Aᵀ`` at a time; target priors need only the diagonal of
-``A K Aᵀ``, summed over pairs of cells within each row. Average-rule
-interval supports on 1-D domains take the closed-form erf integrals
-(the kernels module's ``se_antideriv2`` and ``se_antideriv2_dlog``,
-once per distinct argument, and ``se_point_interval`` at a point).
+Each grid row is a sum of rank-one terms, its fibres along the last
+axis merged where they repeat, and both roles of ``K`` take the per-axis
+grams to those terms: training's covariances ``A K Aᵀ`` through their
+Gram entries (:meth:`SupportCovTable.grid_block`), prediction's cross
+covariances ``left K Aᵀ`` through the terms' columns of ``K Aᵀ``, a
+block of terms at a time (:meth:`SupportCovTable.cross`); target priors
+need only the diagonal of ``A K Aᵀ``, summed over pairs of cells within
+each row. Average-rule interval supports on 1-D domains take the
+closed-form erf integrals (the kernels module's ``se_antideriv2`` and
+``se_antideriv2_dlog``, once per distinct argument, and
+``se_point_interval`` at a point).
 Point observations at support centroids evaluate ``se_value`` directly.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -70,8 +71,8 @@ LOG_VARIANCE_FLOOR = float(np.log(VARIANCE_FLOOR))
 JITTER_BASE = 1e-8
 JITTER_MAX = 1e-4
 
-# Bytes of work arrays per weight-row operator (see WeightRows), and of
-# the temporaries of one block of training's grid covariances.
+# Bytes of the temporaries of one block of terms of the grid covariances
+# (SupportCovTable.grid_block and SupportCovTable.cross).
 WORK_BYTES = 1 << 20
 
 # Kinds of support covariance table rows, in the table's row order.
@@ -279,8 +280,9 @@ def _grid_factors(grid, length_scale: float, with_grad: bool = False):
     … ⊗ G_D`` with ``G_d`` the 1-D gram of axis d (C order: the last axis
     varies fastest), and its log-length-scale derivative follows by the
     product rule. Only the D small grams are ever evaluated; they are
-    applied one axis at a time (:meth:`WeightRows.product`) or to the
-    factors of rank-one terms (:meth:`SupportCovTable.grid_block`).
+    applied to the parts of rank-one terms (:meth:`SupportCovTable.grid_block`,
+    :meth:`SupportCovTable.cross`) and to the fibres of target rows
+    (:meth:`WeightRows.diagonal`).
     """
     # Recomputed per call: kept on every table, they raised the peak
     # memory of runs that rebuild datasets, and they cost little.
@@ -300,19 +302,16 @@ class WeightRows:
     Row r holds one support's weights over the flat grid cells (CSR), the
     next ``sizes[r]`` entries of ``cells`` and ``weights``, so every rule
     and every observed or target support share one representation. The
-    first ``n_cols`` rows (default all) are the column rows of ``K Aᵀ``;
-    the others are only multiplied against it. The entries group into
-    fibres, one per (cell over the leading axes, row), each a weight
-    vector over the last axis.
+    first ``n_cols`` rows (default all) are the column rows, the rows
+    that :meth:`diagonal` covers and whose terms :func:`_rank_one_terms`
+    builds operators for. The entries group into fibres, one per (cell
+    over the leading axes, row), each a weight vector over the last axis.
 
-    Its operations are prediction's :meth:`product` and :meth:`diagonal`,
-    which builds no ``K Aᵀ`` and no work array; training takes ``A K
-    Aᵀ`` from the rows' rank-one terms (:meth:`SupportCovTable.grid_block`).
-    ``K Aᵀ`` is never held whole: :meth:`_chunks` builds it a block of
-    columns at a time in work arrays that the first call allocates,
-    within :data:`WORK_BYTES`, together with each chunk's views of them,
-    and every later call reuses. A lock gives them to one caller at a
-    time.
+    It computes only the diagonal of ``A K Aᵀ`` (:meth:`diagonal`), for
+    target priors. Every other product with ``K`` takes the rows'
+    rank-one terms (:func:`_rank_one_terms`): training's ``A K Aᵀ``
+    (:meth:`SupportCovTable.grid_block`) and prediction's ``left K Aᵀ``
+    (:meth:`SupportCovTable.cross`).
     """
 
     def __init__(self, grid, cells, weights, sizes, n_cols: int | None = None):
@@ -331,87 +330,6 @@ class WeightRows:
         self.fibre_lead, self.fibre_row = np.divmod(key, max(n_rows, 1))
         self.fibres = np.zeros((key.size, grid.shape[-1]))
         self.fibres[fibre.ravel(), last] = weights
-        self._lock = threading.Lock()
-        self._work = None
-
-    def _work_arrays(self):
-        """``(chunks, product, plan, views)``, made on first use.
-
-        ``product`` holds the fibres times the last axis's gram. Each row
-        of ``chunks`` holds ``width`` columns over the grid: the scatter
-        target (zero outside the fibres it receives), and per further
-        grid axis up to two ping-pong rows for the mode products.
-        ``width`` is as many columns as the rest of :data:`WORK_BYTES`
-        allows for these rows and one more, the chunk of ``left K Aᵀ``
-        that a left of one row per cell makes, and at least two. ``plan``
-        holds per chunk its columns, its fibres, and their leading-axes
-        cells and rows within the chunk; ``views`` holds per chunk the
-        rows of ``chunks`` shaped ``grid.shape + (columns,)`` and the
-        scatter target shaped (leading cells, last axis, columns), so no
-        call reshapes them again.
-        """
-        if self._work is None:
-            grid = self.grid
-            product = np.zeros(self.fibres.shape)
-            n_work = 1 + min(grid.ndim - 1, 2)
-            width = (WORK_BYTES - product.nbytes) // ((n_work + 1) * grid.n_points * 8)
-            width = min(max(2, width), self.n_cols)
-            order = np.argsort(self.fibre_row, kind="stable")
-            bounds = np.searchsorted(
-                self.fibre_row[order], np.arange(self.n_cols + 1)
-            )
-            chunks = np.zeros((n_work, grid.n_points * width))
-            plan, views = [], []
-            for start in range(0, self.n_cols, width):
-                # One column would take numpy's and scipy's matrix-vector
-                # paths, which round differently from the matrix products
-                # of wider chunks; a last chunk of one repeats a column.
-                start = max(min(start, self.n_cols - 2), 0)
-                stop = min(start + width, self.n_cols)
-                fibres = order[bounds[start] : bounds[stop]]
-                at = self.fibre_lead[fibres], self.fibre_row[fibres] - start
-                plan.append((slice(start, stop), fibres, at))
-                n = stop - start
-                shaped = [
-                    c[: grid.n_points * n].reshape(grid.shape + (n,)) for c in chunks
-                ]
-                views.append((shaped, shaped[0].reshape(-1, grid.shape[-1], n)))
-            self._work = chunks, product, plan, views
-        return self._work
-
-    def _chunks(self, length_scale: float):
-        """``K Aᵀ`` over the column rows, one chunk of columns at a time.
-
-        Yields ``(cols, KAᵀ[:, cols])`` as (all cells, chunk) views into
-        the work arrays that the next chunk overwrites. The caller holds
-        the lock. The last axis acts on the fibres of ``Aᵀ``; every other
-        axis is a dense mode product.
-        """
-        grid = self.grid
-        grams, _ = _grid_factors(grid, length_scale)
-        _, product, plan, views = self._work_arrays()
-        # Every fibre in one product: a subset of a matrix product's rows
-        # can round differently from the same rows of the whole product.
-        np.matmul(self.fibres, grams[-1], out=product)
-        for (cols, fibres, (lead, rows)), (shaped, target) in zip(plan, views):
-            value, *pairs = shaped
-            try:
-                target[lead, :, rows] = product[fibres]
-                for step, axis in enumerate(range(grid.ndim - 2, -1, -1)):
-                    value = _mode_product(grams[axis], value, axis, pairs[step % 2])
-                yield cols, value.reshape(grid.n_points, cols.stop - cols.start)
-            finally:
-                target[lead, :, rows] = 0.0
-
-    def product(self, left, length_scale: float) -> np.ndarray:
-        """``left K Aᵀ`` for sparse weight rows ``left`` over the grid
-        cells, a (left rows, n_cols) array in Fortran order (so its
-        transpose is C-contiguous)."""
-        value = np.empty((self.n_cols, left.shape[0])).T
-        with self._lock:
-            for cols, KAt in self._chunks(length_scale):
-                value[:, cols] = left @ KAt
-        return value
 
     def diagonal(self, length_scale: float) -> np.ndarray:
         """``diag(A K Aᵀ)`` over the column rows, without ``K Aᵀ``.
@@ -421,8 +339,7 @@ class WeightRows:
         gram, the leading axes through their grams' entries at the two
         fibres' cells. Rows are batched by fibre count, so temporaries
         grow with the sum of each row's squared fibre count, never with
-        that sum times the last axis's length. Only arrays fixed at
-        construction are read, so no lock is taken.
+        that sum times the last axis's length.
         """
         grams, _ = _grid_factors(self.grid, length_scale)
         along = self.fibres @ grams[-1]
@@ -707,17 +624,47 @@ class SupportCovTable:
         sparse weight rows ``left`` over the grid cells, an (all rows,
         left rows) array.
 
-        Grid rows take ``(left K Aᵀ)ᵀ`` (:meth:`WeightRows.product`); the
-        other rows take :meth:`_direct` at the cells, pooled by ``left``.
-        Both are taken over the distinct rows and gathered at ``index``.
+        Grid rows take ``A K leftᵀ`` from their rank-one terms
+        (:func:`_rank_one_terms`): term u's column of ``K Aᵀ`` is ``(G_lead
+        lead_u) ⊗ (G_last last_u)`` (:func:`_lead_grams`). The columns are
+        built a block of terms at a time, within about :data:`WORK_BYTES`
+        for a ``left`` of up to one row per cell, and each block is
+        multiplied by ``left``; when some row has more than one term, a
+        0/1 product sums each row's terms. The other rows take
+        :meth:`_direct` at the cells, pooled by ``left``. Both are taken
+        over the distinct rows and gathered at ``index``. It shares no
+        work arrays between calls, so it takes no lock.
         """
         out = np.empty((self.n, left.shape[0]))
-        if self.n_grid:
-            out[: self.n_grid] = self.A.product(left, length_scale).T
-        at_cells = self._direct(
-            self.grid.points, length_scale, self.point_grid_sq_dists
-        )
-        out[self.n_grid :] = (left @ at_cells.T).T
+        grid, g = self.grid, self.n_grid
+        if g:
+            (last, *_, row), ((lead_g, _, _), _) = self.terms
+            grams, _ = _grid_factors(grid, length_scale)
+            m = lead_g.shape[0]
+            # Each grid term's parts times their grams, over the leading
+            # cells and over the last axis, one column per term.
+            lead = _lead_grams(grid, grams, None, lead_g.T.toarray())[:, None, :]
+            along = grams[-1] @ last[:m].T
+            # Bytes per term of a block: its column over the cells and its
+            # product with a left of one row per cell.
+            step = max(1, WORK_BYTES // (16 * grid.n_points))
+            several = m > g  # some row has more than one term
+            if several:
+                out[:g] = 0.0
+            for a in range(0, m, step):
+                b = min(a + step, m)
+                # C order, as scipy's sparse product is slow on any other.
+                columns = (lead[..., a:b] * along[:, a:b]).reshape(grid.n_points, -1)
+                block = left @ columns
+                if several:
+                    r0, r1 = row[a], row[b - 1] + 1
+                    sums = np.zeros((b - a, r1 - r0))
+                    sums[np.arange(b - a), row[a:b] - r0] = 1.0
+                    out[r0:r1] += (block @ sums).T
+                else:
+                    out[a:b] = block.T
+        at_cells = self._direct(grid.points, length_scale, self.point_grid_sq_dists)
+        out[g:] = (left @ at_cells.T).T
         return out[self.index]
 
 

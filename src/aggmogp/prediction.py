@@ -18,13 +18,13 @@ leave-one-out fold), then pool the draws' means and variances
 per-latent support covariances ``S_l``, the integrals ``h_l`` of the
 observation rows against the targets, and the targets' priors. Target
 supports are weight rows ``A_t`` over the grid cells, like observed
-grid supports (:func:`~aggmogp.model.weight_rows`); the default query of
-:func:`predict_grid` is the one-hot row of every cell. Their ``h_l``
+grid supports (:func:`~aggmogp.model.weight_rows`); the targets of
+:func:`predict_grid` are the one-hot rows of the cells. Their ``h_l``
 come from the observed rows' product with the grid kernel
 (:meth:`~aggmogp.model.SupportCovTable.cross`) and their priors, the
 diagonal of ``A_t K_l A_tᵀ``, from pairs of cells within each target
-(:meth:`~aggmogp.model.WeightRows.diagonal`); explicit query points take
-their ``h_l`` from the same table
+(:meth:`~aggmogp.model.WeightRows.diagonal`); the point queries of
+:func:`conditional_posterior` take their ``h_l`` from the same table
 (:meth:`~aggmogp.model.SupportCovTable.at_points`). Each draw only
 mixes these blocks with its weights into ``C`` and the cross covariance
 ``H``, so a support prediction's ``H`` has one column per support. It
@@ -467,23 +467,20 @@ def predict_grid(
     attribute_id: str,
     n_samples: int,
     seed: int,
-    query_points=None,
 ):
-    """Pooled mean and per-point variance on the domain grid.
+    """Pooled mean and per-point variance at every cell of the domain
+    grid, each cell a one-hot weight row.
 
-    Returns ``(query, mean, variance, clamped)`` where variance is the
-    diagonal of the pooled mixture covariance and ``clamped`` counts the
-    per-draw variances floored at zero, as in
-    :class:`SupportPrediction`.
+    Returns ``(query, mean, variance, clamped)``: the cell centres, and
+    per cell the pooled mean, the diagonal of the pooled mixture
+    covariance and ``clamped``, the per-draw variances floored at zero,
+    as in :class:`SupportPrediction`. Point queries off the cells go to
+    :func:`conditional_posterior`.
     """
     dd = dataset.prepared(domain_id)
-    if query_points is None:
-        query = dd.domain.grid.points
-        n = query.shape[0]
-        # One-hot rows of the cells; never a product's right-hand side.
-        at = model.WeightRows(dd.domain.grid, np.arange(n), np.ones(n), [1] * n, 0)
-    else:
-        query = at = _as_query_array(query_points, dd.domain)
+    query = dd.domain.grid.points
+    n = query.shape[0]
+    at = model.WeightRows(dd.domain.grid, np.arange(n), np.ones(n), [1] * n)
     attr_idx, _ = _local_attr_indices(state, dd, [attribute_id])
     # Unit-weight point variances: every kernel is one at zero distance.
     priors = np.ones((state.num_latents, query.shape[0]))

@@ -26,7 +26,9 @@ ALLOWED = {
 def definitions_and_uses(paths):
     """``(qualified name, name)`` of every function, method and class
     defined in ``paths``, and how often each identifier is used there: as
-    a name, an attribute or an imported name."""
+    a name or an attribute that is read, or an imported name. Assignment
+    targets are not uses, so a local ``product = …`` hides no unused
+    ``product`` method."""
     defs, uses = [], {}
 
     def visit(node, prefix):
@@ -42,6 +44,8 @@ def definitions_and_uses(paths):
             tree = ast.parse(fh.read(), filename=path)
         visit(tree, "")
         for node in ast.walk(tree):
+            if isinstance(getattr(node, "ctx", None), ast.Store):
+                continue
             if isinstance(node, ast.Name):
                 name = node.id
             elif isinstance(node, ast.Attribute):
@@ -77,12 +81,19 @@ def test_scan_sees_an_unused_definition(tmp_path):
     path.write_text(
         "class Used:\n"
         "    def method(self):\n"
+        "        self.stored = None\n"
         "        return helper()\n\n"
         "    def orphan(self):\n"
+        "        pass\n\n"
+        "    def stored(self):\n"
+        "        pass\n\n"
+        "    def local(self):\n"
         "        pass\n\n"
         "    def __repr__(self):\n"
         "        return 'Used'\n\n"
         "def helper():\n"
+        "    local = Used()\n"
         "    return Used().method\n"
     )
-    assert unused([str(path)]) == ["Used.orphan"]
+    # ``stored`` and ``local`` are named only as assignment targets.
+    assert unused([str(path)]) == ["Used.local", "Used.orphan", "Used.stored"]

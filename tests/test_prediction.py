@@ -272,23 +272,15 @@ class TestQueryValidation:
             conditional_posterior([[-0.5]], W, state, dataset, "d0")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("helper", ["conditional_posterior", "predict_grid"])
+    @pytest.mark.parametrize("helper", ["conditional_posterior"])
     def test_non_finite_query_raises(self, helper, bad):
         # Every extent comparison with NaN is false, so a NaN query would
         # otherwise reach the kernels and come back as a NaN prediction.
         _, dataset, _ = two_series_instance()
         state = reference_state(dataset)
         query = [[1.0], [bad]]
-        calls = {
-            "conditional_posterior": lambda: conditional_posterior(
-                query, np.ones((2, 2)), state, dataset, "d0"
-            ),
-            "predict_grid": lambda: predict_grid(
-                state, dataset, "d0", "a0", 2, 0, query_points=query
-            ),
-        }
         with pytest.raises(OutOfBounds, match="non-finite"):
-            calls[helper]()
+            conditional_posterior(query, np.ones((2, 2)), state, dataset, "d0")
 
     @pytest.mark.parametrize("shape", [(3, 3), (2, 5), (1, 2)])
     @pytest.mark.parametrize("observed", [True, False], ids=["data", "empty"])
@@ -366,10 +358,7 @@ class TestPredictiveMixture:
     def test_single_sample_pooling_identity(self):
         _, dataset, _ = two_series_instance()
         state = reference_state(dataset)
-        q = np.array([[1.0], [3.0]])
-        _, mean, var, clamped = predict_grid(
-            state, dataset, "d0", "a0", 1, seed=9, query_points=q
-        )
+        q, mean, var, clamped = predict_grid(state, dataset, "d0", "a0", 1, seed=9)
         (W,) = draw_weight_samples(state, "d0", 1, seed=9)
         comp = conditional_posterior(q, W, state, dataset, "d0", ["a0"])
         np.testing.assert_allclose(mean, comp.mean, atol=1e-12)
@@ -379,9 +368,8 @@ class TestPredictiveMixture:
     def test_same_seed_reproducible(self):
         _, dataset, _ = two_series_instance()
         state = reference_state(dataset)
-        q = np.array([[0.5], [6.5]])
-        a = predict_grid(state, dataset, "d0", "a1", 4, seed=21, query_points=q)
-        b = predict_grid(state, dataset, "d0", "a1", 4, seed=21, query_points=q)
+        a = predict_grid(state, dataset, "d0", "a1", 4, seed=21)
+        b = predict_grid(state, dataset, "d0", "a1", 4, seed=21)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
@@ -474,21 +462,11 @@ class TestPredictGrid:
         expected = float(np.sum(m * m + v))
         np.testing.assert_allclose(var, expected, rtol=0.25)
 
-    def test_custom_query_points(self):
-        _, dataset, _ = two_series_instance()
-        state = reference_state(dataset)
-        query, mean, var, _ = predict_grid(
-            state, dataset, "d0", "a1", n_samples=2, seed=0,
-            query_points=[0.5, 7.5],
-        )
-        assert query.shape == (2, 1)
-        assert mean.shape == (2,)
-        assert np.all(var >= 0.0)
-
     def test_grid_cells_match_member_sums(self):
-        # The default query takes the point-support integrals from the
-        # table's K Aᵀ at grid cells; explicit query points sum the kernel
-        # over member points. Custom weights exercise the general rows.
+        # The grid's cells take the point-support integrals from the
+        # table's cross covariance with one-hot rows (cross); the oracle's
+        # points sum the kernel over member points (at_points). Custom
+        # weights exercise the general rows.
         domain = square_grid_domain(6)
         rng = np.random.default_rng(5)
         records = []
@@ -511,13 +489,13 @@ class TestPredictGrid:
         dataset = AggregatedDataset({"d0": domain}, ("a0", "a1"), records)
         state = reference_state(dataset, scales=(0.4, 0.2))
         query, mean, var, clamped = predict_grid(state, dataset, "d0", "a1", 4, 2)
-        q2, mean2, var2, clamped2 = predict_grid(
-            state, dataset, "d0", "a1", 4, 2, query_points=domain.grid.points
+        mix = pooled_point_mixture(
+            domain.grid.points, state, dataset, "d0", 4, 2, attributes=["a1"]
         )
-        np.testing.assert_array_equal(query, q2)
-        np.testing.assert_allclose(mean, mean2, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(var, var2, rtol=1e-12, atol=1e-12)
-        assert clamped == clamped2
+        np.testing.assert_array_equal(query, domain.grid.points)
+        np.testing.assert_allclose(mean, mix.mean, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(var, np.diag(mix.cov), rtol=1e-12, atol=1e-12)
+        assert clamped == mix.clamped
 
 
 class TestPriorSpread:
@@ -586,9 +564,6 @@ class TestDrawInvariantBlocks:
         ),
         "predict_grid": lambda state, ds, recs: predict_grid(
             state, ds, "d0", "a0", n_samples=5, seed=1
-        ),
-        "grid_at_points": lambda state, ds, recs: predict_grid(
-            state, ds, "d0", "a0", n_samples=5, seed=1, query_points=[[0.5], [4.0]]
         ),
         "conditional_posterior": lambda state, ds, recs: conditional_posterior(
             [[0.5], [4.0]], np.ones((2, 2)), state, ds, "d0"
@@ -700,24 +675,6 @@ class TestPredictSupports:
         pred = predict_supports(target, state, dataset, n_samples=7, seed=13)
         assert np.all(pred.variances >= 0.0)
         assert pred.clamped >= 0
-
-    def test_target_rows_allocate_no_work_arrays(self, monkeypatch):
-        # Target priors come from pairs of cells within each target, so
-        # the targets' weight rows never run a product.
-        made = []
-        real = model.weight_rows
-
-        def weight_rows(*args):
-            made.append(real(*args))
-            return made[-1]
-
-        monkeypatch.setattr(model, "weight_rows", weight_rows)
-        domain, dataset, _ = two_series_instance()
-        state = reference_state(dataset)
-        target = grid_block_partition(domain, "a1", (4,), id_prefix="w")
-        predict_supports(target, state, dataset, n_samples=2, seed=0)
-        (rows,) = made
-        assert rows._work is None
 
     def test_rule_count_mismatch(self):
         domain, dataset, _ = two_series_instance()

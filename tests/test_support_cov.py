@@ -588,14 +588,23 @@ class TestAssembledCovariance:
         check_against_oracle(domain, records, length_scale)
 
 
-def budget_for(domain_data, width):
-    """A ``model.WORK_BYTES`` that gives the table's chunks ``width``
-    columns: the fibre product, then ``width`` columns of every work
-    row (the scatter target and the ping-pong rows) and of a chunk of
-    ``left K Aᵀ`` with one left row per cell."""
-    A = domain_data.cov.A
-    rows = 2 + min(domain_data.domain.ndim - 1, 2)
-    return A.fibres.nbytes + rows * domain_data.domain.grid.n_points * 8 * width
+def budget_for(domain_data, terms):
+    """A ``model.WORK_BYTES`` that gives ``cross`` blocks of ``terms``
+    terms: per term, a column over the grid cells and its product with a
+    left of one row per cell."""
+    return terms * 16 * domain_data.domain.grid.n_points
+
+
+class RecordingLeft:
+    """A sparse ``left`` for ``cross`` that records the column count of
+    every dense block it multiplies, in order."""
+
+    def __init__(self, matrix):
+        self.matrix, self.shape, self.widths = matrix, matrix.shape, []
+
+    def __matmul__(self, dense):
+        self.widths.append(dense.shape[1])
+        return self.matrix @ dense
 
 
 def labelled_supports(rng, n_cells, n_groups, prefix):
@@ -673,31 +682,31 @@ CHUNKED_WORLDS = {
 }
 
 
-def ragged_width(n_cols):
-    """The narrowest width of at least two columns that splits ``n_cols``
-    into three or more chunks, the last of two or more columns but
-    narrower than the rest."""
-    for width in range(2, n_cols):
-        if -(-n_cols // width) >= 3 and n_cols % width >= 2:
-            return width
-    raise AssertionError(f"{n_cols} columns have no ragged split")
+def ragged_block(n_terms):
+    """The smallest block of at least two terms that splits ``n_terms``
+    into three or more blocks, the last narrower than the rest."""
+    for size in range(2, n_terms):
+        if -(-n_terms // size) >= 3 and n_terms % size:
+            return size
+    raise AssertionError(f"{n_terms} terms have no ragged split")
 
 
 class TestChunkedOperator:
-    """``K Aᵀ`` built a few columns at a time, across chunk boundaries,
-    equals the whole-grid oracles."""
+    """``cross`` builds the grid rows' columns of ``K Aᵀ`` a few terms at a
+    time; across block boundaries, with a row's terms split between
+    blocks, it equals the whole-grid oracles, and so does ``latent_cov``
+    at the same ``WORK_BYTES``."""
 
     @pytest.mark.parametrize("world", sorted(CHUNKED_WORLDS))
     @pytest.mark.parametrize("ragged", [True, False])
     def test_latent_cov_and_grid_cross(self, world, ragged):
         domain, records = CHUNKED_WORLDS[world]()
-        n_cols = domain_data(domain, records).cov.n_grid
-        # A width of two leaves a last chunk of one column on an odd
-        # count; that chunk then repeats a column of the one before.
-        width = ragged_width(n_cols) if ragged else 2
         dd = domain_data(domain, records)
+        # The grid rows' terms lead the terms (``ptr``, a row's offset).
+        n_terms = dd.cov.terms[0][3][dd.cov.n_grid]
+        size = ragged_block(n_terms) if ragged else 2
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(model, "WORK_BYTES", budget_for(dd, width))
+            mp.setattr(model, "WORK_BYTES", budget_for(dd, size))
             for length_scale in (0.4, 1.3):
                 S, dS = dd.cov.latent_cov(length_scale, with_grad=True)
                 S_o, dS_o, scale = oracle_latent_cov(domain, records, length_scale)
@@ -705,31 +714,41 @@ class TestChunkedOperator:
                 np.testing.assert_allclose(dS, dS_o, rtol=TOL, atol=TOL * scale)
                 np.testing.assert_array_equal(S, dd.cov.latent_cov(length_scale))
                 check_cross(dd, length_scale)
-        widths = [cols.stop - cols.start for cols, _, _ in dd.cov.A._work[2]]
-        assert len(widths) >= 3 and min(widths) >= 2
-        assert widths[:-1] == [width] * (len(widths) - 1)
+            cells = csr_matrix(np.eye(domain.grid.n_points))
+            left = RecordingLeft(cells)
+            np.testing.assert_array_equal(
+                dd.cov.cross(left, 0.4), dd.cov.cross(cells, 0.4)
+            )
+        # The last product is the other rows' integrals at the cells.
+        blocks = left.widths[:-1]
+        assert len(blocks) >= 3 and sum(blocks) == n_terms
+        assert blocks[:-1] == [size] * (len(blocks) - 1)
         if ragged:
-            assert 2 <= widths[-1] < width
-        assert max(cols.stop for cols, _, _ in dd.cov.A._work[2]) == n_cols
+            assert 1 <= blocks[-1] < size
+        # Every row of a line is one term; elsewhere some row's terms
+        # straddle two blocks.
+        row = dd.cov.terms[0][5]
+        starts = np.arange(size, n_terms, size)
+        assert np.any(row[starts - 1] == row[starts]) == (domain.ndim > 1)
 
 
 class TestAllGridTableIsBitIdentical:
     """A table whose rows are all grid rows writes the averaged
     ``A K Aᵀ`` into ``S`` and ``dS`` by slices; that equals, byte for
     byte, averaging the block and scattering it by ``np.ix_``, over 1-,
-    2- and 3-D grids and chunks of any width, ragged last ones too."""
+    2- and 3-D grids and any ``WORK_BYTES``."""
 
     @PROPERTY
     @given(
         world=st.sampled_from([1, 2, 3]).flatmap(cell_set_worlds),
-        width=st.integers(2, 12),
+        terms=st.integers(2, 12),
     )
-    def test_latent_cov_equals_scattered_average(self, world, width):
+    def test_latent_cov_equals_scattered_average(self, world, terms):
         domain, records, length_scale = world
         dd = domain_data(domain, records)
         assert dd.cov.n_grid == dd.cov.n
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(model, "WORK_BYTES", budget_for(dd, width))
+            mp.setattr(model, "WORK_BYTES", budget_for(dd, terms))
             S, dS = dd.cov.latent_cov(length_scale, with_grad=True)
             S_o, dS_o = scattered_grid_cov(dd.cov, length_scale)
         assert S.tobytes() == S_o.tobytes()
@@ -841,14 +860,16 @@ def region_world(shape, seed):
 
 class TestPartialMerges:
     """Rows whose fibres merge into one term, into a few, or not at all
-    equal the dense oracle, with the blocks of rows the default
-    ``WORK_BYTES`` gives and with one row per block."""
+    equal the dense oracles in ``latent_cov`` and ``cross``, with the
+    blocks the default ``WORK_BYTES`` gives and with the smallest: one
+    row per block of ``grid_block``, one term per block of ``cross``."""
 
     @pytest.mark.parametrize("shape, seed", [((11, 9), 7), ((6, 5, 7), 8)])
-    @pytest.mark.parametrize("one_row_blocks", [False, True])
-    def test_against_oracle(self, shape, seed, one_row_blocks):
+    @pytest.mark.parametrize("smallest_blocks", [False, True])
+    def test_against_oracle(self, shape, seed, smallest_blocks):
         domain, records = region_world(shape, seed)
-        table = domain_data(domain, records).cov
+        dd = domain_data(domain, records)
+        table = dd.cov
         merges = set()
         for r in range(table.n):
             terms, cells = row_terms(table, r)
@@ -858,28 +879,17 @@ class TestPartialMerges:
                            "none" if terms.size == fibres else "some")
         assert merges == {"one", "some", "none"}
         with pytest.MonkeyPatch.context() as mp:
-            if one_row_blocks:
+            if smallest_blocks:
                 mp.setattr(model, "WORK_BYTES", 1)
             for length_scale in (0.5, 2.0):
                 check_against_oracle(domain, records, length_scale)
+                check_cross(dd, length_scale)
 
 
 class TestTrainingWorkArrays:
-    """Training takes its grid covariances from the rows' terms, so it
-    never allocates the work arrays of prediction's ``left K Aᵀ``, and
-    the terms' temporaries stay within about two ``WORK_BYTES``."""
-
-    def test_fit_allocates_no_work_arrays(self):
-        domain, records = cell_set_world((9, 7), 6)
-        rng = np.random.default_rng(6)
-        records = [
-            replace(r, values=rng.standard_normal(r.values.size)) for r in records
-        ]
-        dataset = AggregatedDataset({"d0": domain}, ("a0", "a1", "a2"), records)
-        fit(dataset, TrainConfig(max_iters=3, seed=0), init_state(dataset, 2))
-        table = dataset.prepared("d0").cov
-        assert table.n_grid > 0
-        assert table.A._work is None
+    """Training takes its grid covariances from the rows' terms a block of
+    rows at a time, so their temporaries stay within about two
+    ``WORK_BYTES``."""
 
     def test_peak_memory_within_outputs_and_two_budgets(self):
         grid = GridSpec(origin=(0.5, 0.5), cell_size=(1.0, 1.0), shape=(64, 64))
@@ -942,7 +952,10 @@ def check_cross(dd, length_scale):
 
 
 class TestSharedWorkArrays:
-    """Concurrent callers of one table take turns with its work arrays."""
+    """Concurrent callers of one table, training's covariances and
+    prediction's cross covariances among them, get the results of
+    sequential calls: calls share only the table's terms, which they
+    read, and keep no work arrays between them."""
 
     def test_threads_match_sequential_calls(self):
         domain, records = cell_set_world((12, 10), 5)
@@ -961,7 +974,7 @@ class TestSharedWorkArrays:
         def grid():
             return predict_grid(state, dataset, "d0", "a0", 3, seed=1)
 
-        # Three threads on two cores, switching often, over many chunks.
+        # Three threads on two cores, switching often, over many blocks.
         jobs = [(covariances, 30), (covariances, 30), (grid, 10)]
         results = [[] for _ in jobs]
         start = threading.Barrier(len(jobs))
@@ -1004,7 +1017,7 @@ def flat_arrays(result):
 class TestTargetDiagonal:
     """``WeightRows.diagonal`` sums the kernel over pairs of cells within
     each row, one fibre pair at a time, and equals the diagonal of the
-    full product ``A K Aᵀ`` without building it."""
+    dense ``A K Aᵀ`` without building ``K Aᵀ``."""
 
     @pytest.mark.parametrize("ndim", [1, 2, 3])
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -1022,7 +1035,11 @@ class TestTargetDiagonal:
         # Three decades of length scale, in units of the smallest cell.
         scale = 10.0 ** data.draw(st.floats(-1.0, 2.0)) * min(domain.grid.cell_size)
         rows = model.weight_rows(domain, supports, rules)
-        want = np.diagonal(rows.product(rows.matrix, scale))
+        points = domain.grid.points
+        diff = points[:, None, :] - points[None, :, :]
+        K = np.exp(-(diff * diff).sum(axis=2) / (2.0 * scale**2))
+        A = rows.matrix.toarray()
+        want = np.diagonal(A @ K @ A.T)
         np.testing.assert_allclose(rows.diagonal(scale), want, rtol=1e-13, atol=0)
 
     def test_peak_memory_below_product(self):
@@ -1031,16 +1048,23 @@ class TestTargetDiagonal:
         domain = Domain(id="d0", extent=grid.extent_box(), grid=grid)
         support = cells_support(range(grid.n_points), "all")
         rows = model.weight_rows(domain, [support], [AVERAGE])
-
-        def peak(call):
-            tracemalloc.start()
-            try:
-                call()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        diagonal = peak(lambda: rows.diagonal(40.0))
-        assert rows._work is None
-        product = peak(lambda: rows.product(rows.matrix, 40.0))
-        assert diagonal < product
+        # The arrays ``diagonal``'s docstring names, in bytes: per axis
+        # its squared distances and gram, the fibres' product with the
+        # last gram and the two gathers of a batch's fibres, and per row
+        # its fibre pairs and one gathered block of leading-axes gram
+        # entries (Σ_r k_r² each). Twice that bounds the peak; summed
+        # pairs that grew with the last axis's length too would take
+        # 256 times the pairs' share, 128 MiB here.
+        k = np.bincount(rows.fibre_row)
+        named = (
+            16 * sum(n * n for n in grid.shape)
+            + 3 * rows.fibres.nbytes
+            + 16 * int(np.sum(k * k))
+        )
+        tracemalloc.start()
+        try:
+            rows.diagonal(40.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * named
