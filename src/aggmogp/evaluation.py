@@ -327,12 +327,13 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
             attrs = cfg.attrs_of(dom.id)
             for a_idx, a in enumerate(attrs):
                 part = _build_partition(dom, a, spec, label)
-                pooled = np.empty(len(part.supports))
-                for n, support in enumerate(part.supports):
-                    members, w = geometry.support_weights(
-                        support, dom.grid, geometry.AVERAGE
-                    )
-                    pooled[n] = w @ fields[dom.id][a_idx, members]
+                rules = uniform_rules(part)
+                cells, w, sizes = geometry.support_rows(part.supports, dom.grid, rules)
+                values, ends = fields[dom.id][a_idx, cells], np.cumsum(sizes).tolist()
+                # One dot per support, as each support's own w @ field[cells].
+                pooled = np.array(
+                    [w[i:j] @ values[i:j] for i, j in zip([0] + ends, ends)]
+                )
                 sigma = cfg.noise_of(dom.id, a)
                 noisy = pooled + math.sqrt(sigma) * n_rng.standard_normal(
                     pooled.size
@@ -344,7 +345,7 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
                         domain_id=dom.id,
                         attribute_id=a,
                         partition=part,
-                        rules=uniform_rules(part),
+                        rules=rules,
                         values=noisy,
                     )
                 )

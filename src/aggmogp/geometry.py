@@ -14,6 +14,9 @@ Conventions used throughout the package:
   in C order). There is no polygon geometry.
 * A partition is a collection of pairwise disjoint supports for one
   attribute on one domain. It does not have to cover the domain.
+* Each partition is one array pass, never a loop over its supports or
+  their pairs: :func:`support_rows` gives its weight rows over the grid
+  cells, and disjointness is checked by sorting bounds and cells.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -220,9 +224,36 @@ class Domain:
         return hi - lo
 
 
-def _interval_overlap(a: Interval, b: Interval) -> bool:
-    # Half-open test: touching endpoints do not overlap.
-    return a.lo < b.hi and b.lo < a.hi
+def _bodies(supports):
+    """``supports`` as arrays ``(is_iv, lo, hi, counts, cells)``: which are
+    intervals, the intervals' bounds, and the cell sets' cell counts and
+    sorted cells, concatenated, each in support order."""
+    is_iv = [isinstance(s.body, Interval) for s in supports]
+    ivs = [s.body for s, i in zip(supports, is_iv) if i]
+    sets = [s.body.cells for s, i in zip(supports, is_iv) if not i]
+    counts = np.array([len(c) for c in sets], dtype=np.int64)
+    cells = np.fromiter(chain.from_iterable(sets), np.int64, counts.sum())
+    lo = np.array([b.lo for b in ivs], dtype=float)
+    hi = np.array([b.hi for b in ivs], dtype=float)
+    return np.array(is_iv, dtype=bool), lo, hi, counts, cells
+
+
+def _overlapping_intervals(lo, hi):
+    """The first pair ``(i, j)`` of the intervals ``[lo, hi]`` that overlap
+    (half-open), lowest i then lowest j, or None. An interval meets those
+    starting before its end less those ending by its start, itself one."""
+    meets = np.sort(lo).searchsorted(hi) - np.sort(hi).searchsorted(lo, "right")
+    if not (meets > 1).any():
+        return None
+    i = int((meets > 1).argmax())
+    others = (lo < hi[i]) & (lo[i] < hi)
+    others[i] = False
+    return i, int(others.argmax())
+
+
+def _ranges(first, sizes):
+    """The integer ranges ``[first[k], first[k] + sizes[k])``, concatenated."""
+    return (first - sizes.cumsum() + sizes).repeat(sizes) + np.arange(sizes.sum())
 
 
 @dataclass(frozen=True)
@@ -253,20 +284,20 @@ class Partition:
                     f"support {s.id!r} belongs to domain {s.domain_id!r},"
                     f" not {self.domain_id!r}"
                 )
-        for i in range(len(supports)):
-            for j in range(i + 1, len(supports)):
-                a, b = supports[i].body, supports[j].body
-                if isinstance(a, Interval) and isinstance(b, Interval):
-                    if _interval_overlap(a, b):
-                        raise OverlapError(
-                            f"supports {supports[i].id!r} and {supports[j].id!r} overlap"
-                        )
-                elif isinstance(a, CellSet) and isinstance(b, CellSet):
-                    if set(a.cells) & set(b.cells):
-                        raise OverlapError(
-                            f"supports {supports[i].id!r} and {supports[j].id!r}"
-                            " share grid cells"
-                        )
+        is_iv, lo, hi, counts, cells = _bodies(supports)
+        # Sorted stably, the owners of a shared cell are adjacent.
+        order = np.argsort(cells, kind="stable")
+        owner = np.flatnonzero(~is_iv).repeat(counts)[order]
+        same = np.diff(cells[order]) == 0
+        pairs = [*zip(owner[:-1][same].tolist(), owner[1:][same].tolist())]
+        if pair := _overlapping_intervals(lo, hi):
+            pairs.append(tuple(np.flatnonzero(is_iv)[list(pair)].tolist()))
+        if pairs:
+            i, j = min(pairs)
+            what = "overlap" if is_iv[i] else "share grid cells"
+            raise OverlapError(
+                f"supports {supports[i].id!r} and {supports[j].id!r} {what}"
+            )
 
     def __len__(self) -> int:
         return len(self.supports)
@@ -305,51 +336,61 @@ AVERAGE = AggregationRule(AggregationRule.AVERAGE)
 SUM = AggregationRule(AggregationRule.SUM)
 
 
-def membership(support: Support, grid: GridSpec) -> np.ndarray:
-    """Sorted grid-point indices belonging to a support.
+def support_rows(supports, grid: GridSpec, rules):
+    """Supports, one rule each, as weight rows over the flat grid cells:
+    the CSR triple ``(cells, weights, sizes)``, in one pass.
 
-    Interval bodies use closed containment ``lo <= x <= hi``; cell sets are
-    their own membership. Raises :class:`EmptySupport` when no grid point
-    falls inside, which signals a grid too coarse for the support.
+    An interval's members are the cell centres with ``lo <= x <= hi``
+    (binary search on the ascending centres), a cell set's its cells.
+    Weights are 1/count (``average``), 1 (``sum``) or the custom list.
+    The first support without a row raises: an interval on a grid of
+    several axes or holding no centre (a grid too coarse for it), a cell
+    outside the grid, or a custom list of another length.
     """
-    body = support.body
-    if isinstance(body, Interval):
-        if grid.ndim != 1:
-            raise DimensionMismatch(
-                f"interval support {support.id!r} on a {grid.ndim}-D grid"
-            )
+    is_iv, lo, hi, counts, set_cells = _bodies(supports)
+    first = np.zeros(is_iv.size, dtype=np.int64)
+    sizes = np.zeros(is_iv.size, dtype=np.int64)
+    if grid.ndim == 1:
         coords = grid.axis_coords(0)
-        idx = np.nonzero((coords >= body.lo) & (coords <= body.hi))[0]
-        if idx.size == 0:
-            raise EmptySupport(
-                f"support {support.id!r} ([{body.lo}, {body.hi}]) contains"
-                " no grid points"
+        first[is_iv] = start = coords.searchsorted(lo)
+        sizes[is_iv] = coords.searchsorted(hi, "right") - start
+    sizes[~is_iv] = counts
+    bad = sizes == 0
+    bad[~is_iv] = set_cells[counts.cumsum() - 1] >= grid.n_points
+    kinds = [r.kind for r in rules]
+    custom = [k for k, kind in enumerate(kinds) if kind == AggregationRule.CUSTOM]
+    lengths = [len(rules[k].weights) for k in custom]
+    bad[custom] |= sizes[custom] != lengths
+    if bad.any():
+        k = int(bad.argmax())
+        s, n = supports[k], int(sizes[k])
+        if is_iv[k] and grid.ndim != 1:
+            raise DimensionMismatch(
+                f"interval support {s.id!r} on a {grid.ndim}-D grid"
             )
-        return idx.astype(np.int64)
-    cells = np.asarray(body.cells, dtype=np.int64)
-    if cells.max() >= grid.n_points:
-        raise OutOfBounds(
-            f"support {support.id!r} references cell {int(cells.max())}"
-            f" on a grid of {grid.n_points} points"
-        )
-    return cells
-
-
-def support_weights(support: Support, grid: GridSpec, rule: AggregationRule):
-    """``(membership(support, grid), weights)``: the member points and
-    their aggregation weights, from one membership pass."""
-    members = membership(support, grid)
-    n = members.size
-    if rule.kind == AggregationRule.AVERAGE:
-        return members, np.full(n, 1.0 / n)
-    if rule.kind == AggregationRule.SUM:
-        return members, np.ones(n)
-    if len(rule.weights) != n:
+        if is_iv[k] and n == 0:
+            raise EmptySupport(
+                f"support {s.id!r} ([{s.body.lo}, {s.body.hi}]) contains no grid points"
+            )
+        if not is_iv[k] and s.body.cells[-1] >= grid.n_points:
+            raise OutOfBounds(
+                f"support {s.id!r} references cell {s.body.cells[-1]}"
+                f" on a grid of {grid.n_points} points"
+            )
         raise LengthMismatch(
-            f"support {support.id!r} has {n} member points but"
-            f" {len(rule.weights)} custom weights"
+            f"support {s.id!r} has {n} member points but"
+            f" {len(rules[k].weights)} custom weights"
         )
-    return members, np.asarray(rule.weights, dtype=float)
+    cells = _ranges(first, sizes)
+    cells[(~is_iv).repeat(sizes)] = set_cells
+    avg = np.array([kind == AggregationRule.AVERAGE for kind in kinds], dtype=bool)
+    weights = np.where(avg, 1.0 / sizes, 1.0).repeat(sizes)
+    if custom:
+        at = _ranges((sizes.cumsum() - sizes)[custom], sizes[custom])
+        weights[at] = np.fromiter(
+            chain.from_iterable(rules[k].weights for k in custom), float, at.size
+        )
+    return cells, weights, sizes
 
 
 def centroid(support: Support, grid: GridSpec) -> np.ndarray:
@@ -374,49 +415,51 @@ def validate(domain: Domain, partitions) -> None:
                 f"partition for domain {part.domain_id!r} validated against"
                 f" {domain.id!r}"
             )
-        if len(part.supports) == 0:
+        supports = part.supports
+        if len(supports) == 0:
             raise EmptyPartition("partition has no supports")
-        for s in part.supports:
-            body = s.body
-            if isinstance(body, Interval):
-                if domain.ndim != 1:
-                    raise DimensionMismatch(
-                        f"interval support {s.id!r} on {domain.ndim}-D domain"
-                        f" {domain.id!r}"
-                    )
-                lo, hi = domain.extent[0]
-                tol = _REL_TOL * max(hi - lo, 1.0)
-                if body.lo < lo - tol or body.hi > hi + tol:
-                    raise OutOfBounds(
-                        f"support {s.id!r} ([{body.lo}, {body.hi}]) leaves"
-                        f" domain extent [{lo}, {hi}]"
-                    )
-            else:
-                cells = np.asarray(body.cells, dtype=np.int64)
-                if cells.max() >= grid.n_points:
-                    raise OutOfBounds(
-                        f"support {s.id!r} references cell {int(cells.max())}"
-                        f" outside the {grid.n_points}-point grid"
-                    )
-        # Interval / cell-set pairs: compare against half-open cell boxes.
-        if len({type(s.body) for s in part.supports}) == 1:
-            continue
-        for i in range(len(part.supports)):
-            for j in range(i + 1, len(part.supports)):
-                a, b = part.supports[i], part.supports[j]
-                pair = {type(a.body), type(b.body)}
-                if pair != {Interval, CellSet}:
-                    continue
-                iv, cs = (a, b) if isinstance(a.body, Interval) else (b, a)
-                h = grid.cell_size[0]
-                centers = grid.cell_coords(cs.body.cells)[:, 0]
-                overlap = np.maximum(iv.body.lo, centers - h / 2.0) < np.minimum(
-                    iv.body.hi, centers + h / 2.0
+        is_iv, lo, hi, counts, cells = _bodies(supports)
+        elo, ehi = domain.extent[0]
+        tol = _REL_TOL * max(ehi - elo, 1.0)
+        bad = np.empty(is_iv.size, dtype=bool)
+        bad[is_iv] = (lo < elo - tol) | (hi > ehi + tol) | (domain.ndim != 1)
+        bad[~is_iv] = cells[counts.cumsum() - 1] >= grid.n_points
+        if bad.any():
+            s = supports[int(bad.argmax())]
+            if not isinstance(s.body, Interval):
+                raise OutOfBounds(
+                    f"support {s.id!r} references cell {s.body.cells[-1]}"
+                    f" outside the {grid.n_points}-point grid"
                 )
-                if overlap.any():
-                    raise OverlapError(
-                        f"supports {iv.id!r} and {cs.id!r} overlap"
-                    )
+            if domain.ndim != 1:
+                raise DimensionMismatch(
+                    f"interval support {s.id!r} on {domain.ndim}-D domain"
+                    f" {domain.id!r}"
+                )
+            raise OutOfBounds(
+                f"support {s.id!r} ([{s.body.lo}, {s.body.hi}]) leaves"
+                f" domain extent [{elo}, {ehi}]"
+            )
+        if lo.size in (0, is_iv.size):
+            continue
+        # Interval / cell-set pairs, against half-open cell boxes: each
+        # interval against the cells whose boxes it enters or touches.
+        h = grid.cell_size[0]
+        left, right = grid.axis_coords(0) - h / 2.0, grid.axis_coords(0) + h / 2.0
+        start = right.searchsorted(lo, "right")
+        n = left.searchsorted(hi) - start
+        touched = _ranges(start, n)
+        holder = np.full(grid.n_points, -1)
+        holder[cells] = np.flatnonzero(~is_iv).repeat(counts)
+        a, b = np.flatnonzero(is_iv).repeat(n), holder[touched]
+        hit = (b >= 0) & (left[touched] < right[touched])
+        if hit.any():
+            a, b = np.minimum(a, b)[hit].tolist(), np.maximum(a, b)[hit].tolist()
+            i, j = min(zip(a, b))
+            iv, cs = (i, j) if is_iv[i] else (j, i)
+            raise OverlapError(
+                f"supports {supports[iv].id!r} and {supports[cs].id!r} overlap"
+            )
 
 
 def interval_bins(
@@ -460,24 +503,17 @@ def grid_block_partition(
     if any(b < 1 for b in block_shape):
         raise GeometryError("block_shape entries must be >= 1")
     counts = [int(np.ceil(n / b)) for n, b in zip(grid.shape, block_shape)]
-    supports = []
-    for block_idx in np.ndindex(*counts):
-        ranges = [
-            np.arange(
-                i * b, min((i + 1) * b, n)
-            )
-            for i, b, n in zip(block_idx, block_shape, grid.shape)
-        ]
-        mesh = np.meshgrid(*ranges, indexing="ij")
-        flat = np.ravel_multi_index([m.ravel() for m in mesh], grid.shape)
-        label = "_".join(str(i) for i in block_idx)
-        supports.append(
-            Support(
-                id=f"{id_prefix}{label}",
-                domain_id=domain.id,
-                body=CellSet(tuple(int(c) for c in flat)),
-            )
+    # Each cell's block in C order; a stable sort groups cells by block.
+    axes = [np.arange(n) // b for n, b in zip(grid.shape, block_shape)]
+    block = np.ravel_multi_index(np.meshgrid(*axes, indexing="ij"), counts).ravel()
+    order = np.argsort(block, kind="stable")
+    cells = np.split(order, np.cumsum(np.bincount(block))[:-1])
+    supports = tuple(
+        Support(
+            id=f"{id_prefix}{'_'.join(map(str, label))}",
+            domain_id=domain.id,
+            body=CellSet(tuple(c.tolist())),
         )
-    return Partition(
-        attribute_id=attribute_id, domain_id=domain.id, supports=tuple(supports)
+        for label, c in zip(np.ndindex(*counts), cells)
     )
+    return Partition(attribute_id=attribute_id, domain_id=domain.id, supports=supports)

@@ -23,7 +23,9 @@ integrate the same thing (attributes observed on shared supports) share
 one distinct row. The distinct rows are numbered by kind, so each kind
 below is one contiguous block. Every grid support, and every prediction
 target (:func:`weight_rows`), is a row of a sparse weight matrix over
-the grid cells (:class:`WeightRows`), and ``K`` is a Kronecker product
+the grid cells (:class:`WeightRows`); each record's or target's
+partition becomes its rows in one array pass, not one support at a time
+(:func:`~aggmogp.geometry.support_rows`). ``K`` is a Kronecker product
 of per-axis grams (``se_value`` on each axis, and from its values the
 log-length-scale derivative that ``se_value_dlog`` gives).
 Each grid row is a sum of rank-one terms, its fibres along the last
@@ -361,22 +363,11 @@ class WeightRows:
         return out
 
 
-def _stacked(grid, entries, n_cols=None) -> WeightRows:
-    """:class:`WeightRows` of ``(cells, weights)`` pairs, one per row."""
-    cells, weights = zip(*entries)
-    sizes = [c.size for c in cells]
-    return WeightRows(
-        grid, np.concatenate(cells), np.concatenate(weights), sizes, n_cols
-    )
-
-
 def weight_rows(domain: Domain, supports, rules) -> WeightRows:
     """Supports of ``domain``, one aggregation rule each, as the rows of
-    one :class:`WeightRows` over its grid cells."""
-    grid = domain.grid
-    return _stacked(
-        grid, [geometry.support_weights(s, grid, r) for s, r in zip(supports, rules)]
-    )
+    one :class:`WeightRows` over its grid cells, from one array pass
+    (:func:`~aggmogp.geometry.support_rows`)."""
+    return WeightRows(domain.grid, *geometry.support_rows(supports, domain.grid, rules))
 
 
 def _rank_one_terms(rows: WeightRows):
@@ -460,21 +451,26 @@ class SupportCovTable:
     def __init__(self, domain: Domain, records):
         grid = self.grid = domain.grid
         keys, index, firsts = {}, [], []
+        # One pass over every weighted record's supports, which refuses
+        # intervals on grids of more than one axis: closed-form rows are 1-D.
+        weighted = [rec for rec in records if not rec.as_points]
+        supports = [s for rec in weighted for s in rec.partition.supports]
+        rules = [r for rec in weighted for r in rec.rules]
+        cells, weights, sizes = geometry.support_rows(supports, grid, rules)
+        ends = np.cumsum(sizes).tolist()
+        rows = ((cells[a:b], weights[a:b]) for a, b in zip([0] + ends, ends))
         for rec in records:
             for s, r in zip(rec.partition.supports, rec.rules):
                 if rec.as_points:
                     entry = geometry.centroid(s, grid)
                     key = (_POINT, entry.tobytes())
-                # Intervals live on 1-D domains only (membership refuses others).
                 elif isinstance(s.body, Interval) and r.kind == r.AVERAGE:
-                    entry, key = None, (_CLOSED, s.body.lo, s.body.hi)
+                    entry, key = next(rows), (_CLOSED, s.body.lo, s.body.hi)
                 else:
-                    entry = geometry.support_weights(s, grid, r)
+                    entry = next(rows)
                     key = (_GRID, entry[0].tobytes(), entry[1].tobytes())
                 k = keys.setdefault(key, len(keys))
                 if k == len(firsts):  # the first row of a distinct support
-                    if entry is None:  # refuses an interval holding no grid centre
-                        entry = geometry.support_weights(s, grid, r)
                     firsts.append((key[0], s.body, entry))
                 index.append(k)
         # Renumbered by kind, the key's first entry.
@@ -501,8 +497,10 @@ class SupportCovTable:
         # Closed-form rows join A only to meet grid or point rows.
         self.A = None
         if self.n_grid or 0 < self.n_weighted < self.n:
-            entries = [f[2] for f in firsts[: self.n_weighted]]
-            self.A = _stacked(grid, entries, self.n_grid)
+            cells, weights = zip(*(f[2] for f in firsts[: self.n_weighted]))
+            sizes = [c.size for c in cells]
+            stacked = np.concatenate(cells), np.concatenate(weights), sizes
+            self.A = WeightRows(grid, *stacked, self.n_grid)
         centroids = [f[2] for f in firsts[self.n_weighted :]]
         self.centroids = np.reshape(centroids, (-1, domain.ndim))
         self.point_sq_dists = sq_dists(self.centroids, self.centroids)

@@ -7,6 +7,7 @@ check.
 """
 
 import numpy as np
+from oracles import membership, support_weights
 
 from aggmogp.geometry import (
     AVERAGE,
@@ -17,8 +18,6 @@ from aggmogp.geometry import (
     Partition,
     Support,
     grid_block_partition,
-    membership,
-    support_weights,
 )
 from aggmogp.model import AggregatedDataset, DatasetRecord, uniform_rules
 

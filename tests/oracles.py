@@ -15,6 +15,13 @@ domain by domain, with per-domain dicts of eps blocks, as the library
 computed it before its one stacked pass; the stacked pass must match it
 bit for bit.
 
+``membership`` and ``support_weights`` are a support's member cells and
+aggregation weights worked out one support at a time, and
+``overlap_by_pairs`` and ``mixed_overlap_by_pairs`` the disjointness of
+a partition's supports checked pair by pair, as the geometry module did
+before its one array pass per partition; the pass must match them byte
+for byte and name the same support or pair.
+
 Two references were library functions that no pipeline runs:
 ``log_likelihood``, the exact log evidence of one domain's rows for a
 fixed weight sample (the brute-force evidence of the ELBO's bound), and
@@ -29,8 +36,15 @@ import numpy as np
 import scipy.linalg
 
 from aggmogp import model
-from aggmogp.errors import DataError, DimensionMismatch, LengthMismatch
-from aggmogp.geometry import GridSpec
+from aggmogp.errors import (
+    DataError,
+    DimensionMismatch,
+    EmptySupport,
+    LengthMismatch,
+    OutOfBounds,
+    OverlapError,
+)
+from aggmogp.geometry import AggregationRule, CellSet, GridSpec, Interval, Support
 from aggmogp.kernels import se_antideriv2, se_value
 from aggmogp.prediction import conditional_posterior, draw_weight_samples
 
@@ -39,6 +53,93 @@ def multi_index(grid: GridSpec, cells) -> np.ndarray:
     """Per-axis integer indices of flat cells, shape ``(len(cells), ndim)``."""
     idx = np.asarray(cells, dtype=np.int64)
     return np.stack(np.unravel_index(idx, grid.shape), axis=1)
+
+
+def membership(support: Support, grid: GridSpec) -> np.ndarray:
+    """Sorted grid-point indices belonging to a support.
+
+    Interval bodies use closed containment ``lo <= x <= hi``; cell sets are
+    their own membership. Raises :class:`EmptySupport` when no grid point
+    falls inside, which signals a grid too coarse for the support.
+    """
+    body = support.body
+    if isinstance(body, Interval):
+        if grid.ndim != 1:
+            raise DimensionMismatch(
+                f"interval support {support.id!r} on a {grid.ndim}-D grid"
+            )
+        coords = grid.axis_coords(0)
+        idx = np.nonzero((coords >= body.lo) & (coords <= body.hi))[0]
+        if idx.size == 0:
+            raise EmptySupport(
+                f"support {support.id!r} ([{body.lo}, {body.hi}]) contains"
+                " no grid points"
+            )
+        return idx.astype(np.int64)
+    cells = np.asarray(body.cells, dtype=np.int64)
+    if cells.max() >= grid.n_points:
+        raise OutOfBounds(
+            f"support {support.id!r} references cell {int(cells.max())}"
+            f" on a grid of {grid.n_points} points"
+        )
+    return cells
+
+
+def support_weights(support: Support, grid: GridSpec, rule: AggregationRule):
+    """``(membership(support, grid), weights)``: the member points and
+    their aggregation weights, from one membership pass."""
+    members = membership(support, grid)
+    n = members.size
+    if rule.kind == AggregationRule.AVERAGE:
+        return members, np.full(n, 1.0 / n)
+    if rule.kind == AggregationRule.SUM:
+        return members, np.ones(n)
+    if len(rule.weights) != n:
+        raise LengthMismatch(
+            f"support {support.id!r} has {n} member points but"
+            f" {len(rule.weights)} custom weights"
+        )
+    return members, np.asarray(rule.weights, dtype=float)
+
+
+def overlap_by_pairs(supports) -> None:
+    """Same-kind disjointness, every pair in turn: the first pair
+    (lowest i, then lowest j) of intervals sharing a half-open stretch,
+    or of cell sets sharing a cell, raises :class:`OverlapError`."""
+    for i in range(len(supports)):
+        for j in range(i + 1, len(supports)):
+            a, b = supports[i].body, supports[j].body
+            if isinstance(a, Interval) and isinstance(b, Interval):
+                # Half-open test: touching endpoints do not overlap.
+                if a.lo < b.hi and b.lo < a.hi:
+                    raise OverlapError(
+                        f"supports {supports[i].id!r} and {supports[j].id!r} overlap"
+                    )
+            elif isinstance(a, CellSet) and isinstance(b, CellSet):
+                if set(a.cells) & set(b.cells):
+                    raise OverlapError(
+                        f"supports {supports[i].id!r} and {supports[j].id!r}"
+                        " share grid cells"
+                    )
+
+
+def mixed_overlap_by_pairs(grid: GridSpec, supports) -> None:
+    """Interval against cell-set disjointness on a 1-D grid, every pair
+    in turn, against the cells' half-open boxes: the first overlapping
+    pair (lowest i, then lowest j) raises :class:`OverlapError`."""
+    for i in range(len(supports)):
+        for j in range(i + 1, len(supports)):
+            a, b = supports[i], supports[j]
+            if {type(a.body), type(b.body)} != {Interval, CellSet}:
+                continue
+            iv, cs = (a, b) if isinstance(a.body, Interval) else (b, a)
+            h = grid.cell_size[0]
+            centers = grid.cell_coords(cs.body.cells)[:, 0]
+            overlap = np.maximum(iv.body.lo, centers - h / 2.0) < np.minimum(
+                iv.body.hi, centers + h / 2.0
+            )
+            if overlap.any():
+                raise OverlapError(f"supports {iv.id!r} and {cs.id!r} overlap")
 
 
 def kernel_eval(length_scale: float, x, x2) -> float:

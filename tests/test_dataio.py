@@ -16,6 +16,7 @@ from conftest import (
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import membership
 
 from aggmogp.dataio import (
     FORMAT_VERSION,
@@ -41,7 +42,6 @@ from aggmogp.geometry import (
     Partition,
     grid_block_partition,
     interval_bins,
-    membership,
 )
 from aggmogp.inference import TrainConfig, fit
 from aggmogp.model import AggregatedDataset, DatasetRecord, init_state, uniform_rules

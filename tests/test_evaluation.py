@@ -14,6 +14,7 @@ from conftest import (
     two_series_instance,
     unit_grid_domain,
 )
+from oracles import membership, support_weights
 
 from aggmogp import evaluation, prediction
 from aggmogp.errors import (
@@ -33,7 +34,7 @@ from aggmogp.evaluation import (
     run_experiment,
     synth_generate,
 )
-from aggmogp.geometry import AVERAGE, membership, support_weights
+from aggmogp.geometry import AVERAGE
 from aggmogp.inference import TrainConfig
 from dataclasses import replace
 

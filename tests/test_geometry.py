@@ -1,11 +1,15 @@
+import sys
+
 import numpy as np
+import oracles
 import pytest
 from conftest import cells_support, interval_support, unit_grid_domain
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aggmogp import geometry
+from aggmogp import geometry, model
 from aggmogp.errors import (
+    AggmogpError,
     DegenerateInterval,
     DimensionMismatch,
     EmptyPartition,
@@ -28,14 +32,20 @@ from aggmogp.geometry import (
     centroid,
     grid_block_partition,
     interval_bins,
-    membership,
-    support_weights,
+    support_rows,
     validate,
 )
 
 
 def integer_grid(n=8, origin=0.0):
     return GridSpec(origin=(origin,), cell_size=(1.0,), shape=(n,))
+
+
+def one_row(support, grid, rule=AVERAGE):
+    """``(cells, weights)``: one support's row of :func:`support_rows`."""
+    cells, weights, sizes = support_rows([support], grid, [rule])
+    assert sizes.tolist() == [cells.size]
+    return cells, weights
 
 
 class TestGridSpec:
@@ -176,64 +186,64 @@ class TestMembership:
     def test_interval_closed_both_ends(self):
         grid = integer_grid(8)
         s = interval_support(0.0, 4.0, "s")
-        np.testing.assert_array_equal(membership(s, grid), [0, 1, 2, 3, 4])
+        np.testing.assert_array_equal(one_row(s, grid)[0], [0, 1, 2, 3, 4])
 
     def test_cellset_identity(self):
         grid = integer_grid(8)
         s = cells_support([5, 2, 7], "s")
-        np.testing.assert_array_equal(membership(s, grid), [2, 5, 7])
+        np.testing.assert_array_equal(one_row(s, grid)[0], [2, 5, 7])
 
     def test_empty_interval_raises(self):
         grid = integer_grid(8, origin=1.0)
         s = interval_support(0.0, 0.4, "s")
         with pytest.raises(EmptySupport):
-            membership(s, grid)
+            one_row(s, grid)
 
     def test_interval_on_2d_grid_raises(self):
         grid = GridSpec(origin=(0.0, 0.0), cell_size=(1.0, 1.0), shape=(2, 2))
         with pytest.raises(DimensionMismatch):
-            membership(interval_support(0.0, 1.0, "s"), grid)
+            one_row(interval_support(0.0, 1.0, "s"), grid)
 
     def test_cell_index_out_of_grid(self):
         grid = integer_grid(4)
         with pytest.raises(OutOfBounds):
-            membership(cells_support([3, 9], "s"), grid)
+            one_row(cells_support([3, 9], "s"), grid)
 
     def test_membership_sorted(self):
         grid = integer_grid(32)
         rng = np.random.default_rng(7)
         for _ in range(20):
             cells = rng.choice(32, size=rng.integers(1, 10), replace=False)
-            got = membership(cells_support(cells, "s"), grid)
+            got = one_row(cells_support(cells, "s"), grid)[0]
             assert np.all(np.diff(got) > 0)
 
 
 class TestWeightVector:
-    """Aggregation weights of :func:`support_weights`, per rule."""
+    """Aggregation weights of :func:`support_rows`, per rule."""
 
     def test_average(self):
         grid = integer_grid(8)
         s = interval_support(0.0, 4.0, "s")
-        w = support_weights(s, grid, AVERAGE)[1]
+        w = one_row(s, grid, AVERAGE)[1]
         np.testing.assert_allclose(w, np.full(5, 0.2))
 
     def test_sum(self):
         grid = integer_grid(8)
         s = cells_support([1, 2, 3], "s")
-        np.testing.assert_array_equal(support_weights(s, grid, SUM)[1], np.ones(3))
+        np.testing.assert_array_equal(one_row(s, grid, SUM)[1], np.ones(3))
 
     def test_custom(self):
         grid = integer_grid(8)
         s = cells_support([0, 1], "s")
         rule = AggregationRule(AggregationRule.CUSTOM, weights=(0.25, 0.75))
-        np.testing.assert_allclose(support_weights(s, grid, rule)[1], [0.25, 0.75])
+        np.testing.assert_allclose(one_row(s, grid, rule)[1], [0.25, 0.75])
 
     def test_custom_length_mismatch(self):
         grid = integer_grid(8)
         s = cells_support([0, 1, 2], "s")
         rule = AggregationRule(AggregationRule.CUSTOM, weights=(0.5, 0.5))
         with pytest.raises(LengthMismatch):
-            support_weights(s, grid, rule)
+            one_row(s, grid, rule)
 
     def test_average_weights_sum_to_one(self):
         grid = integer_grid(64)
@@ -242,7 +252,7 @@ class TestWeightVector:
             lo = float(rng.uniform(0, 50))
             hi = lo + float(rng.uniform(0.5, 12))
             s = interval_support(lo, hi, "s")
-            w = support_weights(s, grid, AVERAGE)[1]
+            w = one_row(s, grid, AVERAGE)[1]
             np.testing.assert_allclose(w.sum(), 1.0, atol=1e-12)
 
 
@@ -490,6 +500,227 @@ class TestPartitionValidationProperties:
             validate(dom, [part])
 
 
+def outcome(call, *args, **kwargs):
+    """``(type, message)`` of the library error ``call`` raises, or None."""
+    try:
+        call(*args, **kwargs)
+    except AggmogpError as err:
+        return type(err), str(err)
+    return None
+
+
+@st.composite
+def rows_worlds(draw):
+    """A 1-D grid, or now and then a 2-D one, with a list of supports and
+    one rule each. Interval edges fall on cell centres, between them or on
+    cell edges; a few cells lie past the grid, a few intervals hold no
+    centre and a few custom lists have the wrong length, so every error
+    the rows can raise turns up."""
+    n = draw(st.integers(1, 12))
+    h = draw(st.sampled_from([1.0, 0.5, 0.3, 2.5]))
+    origin = draw(st.sampled_from([0.0, 0.15, -3.7]))
+    if draw(st.integers(0, 4)) == 0:
+        grid = GridSpec((origin, origin), (h, h), (n, draw(st.integers(1, 4))))
+    else:
+        grid = GridSpec((origin,), (h,), (n,))
+    supports, rules = [], []
+    for k in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            edges = {
+                origin + h * draw(st.integers(-1, n))
+                + h * draw(st.sampled_from([0.0, 0.0, 0.25, -0.4, 0.5]))
+                for _ in range(2)
+            }
+            if len(edges) < 2:
+                edges.add(max(edges) + h * draw(st.sampled_from([0.1, 1.0, 3.0])))
+            support = interval_support(*sorted(edges), f"s{k}")
+        else:
+            top = grid.n_points + (2 if draw(st.integers(0, 5)) == 0 else 0)
+            cells = draw(st.sets(st.integers(0, top - 1), min_size=1, max_size=6))
+            support = cells_support(cells, f"s{k}")
+        kind = draw(st.sampled_from(["average", "sum", "custom"]))
+        if kind != "custom":
+            rule = AggregationRule(kind)
+        else:
+            try:
+                size = oracles.membership(support, grid).size
+            except AggmogpError:
+                size = 1
+            size += draw(st.sampled_from([0, 0, 0, 0, 1, -1])) if size > 1 else 0
+            weights = draw(st.lists(st.floats(-3.0, 3.0), min_size=size, max_size=size))
+            rule = AggregationRule(kind, weights=tuple(weights))
+        supports.append(support)
+        rules.append(rule)
+    return grid, supports, rules
+
+
+class TestRowsMatchPerSupportOracle:
+    """:func:`support_rows` is :func:`oracles.support_weights` applied to
+    each support in turn, byte for byte, and it raises the error the
+    oracle raises on the first support it fails on."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(world=rows_worlds())
+    def test_row_by_row(self, world):
+        grid, supports, rules = world
+        try:
+            expected = [
+                oracles.support_weights(s, grid, r) for s, r in zip(supports, rules)
+            ]
+        except AggmogpError as err:
+            assert outcome(support_rows, supports, grid, rules) == (
+                type(err),
+                str(err),
+            )
+            return
+        cells, weights, sizes = support_rows(supports, grid, rules)
+        assert sizes.tolist() == [c.size for c, _ in expected]
+        ends = np.cumsum(sizes).tolist()
+        for (c, w), a, b in zip(expected, [0] + ends, ends):
+            assert cells[a:b].tobytes() == c.tobytes()
+            assert weights[a:b].tobytes() == w.tobytes()
+        assert cells.dtype == np.int64 and weights.dtype == np.float64
+
+    def test_every_error_kind_is_drawn(self):
+        seen = set()
+
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @given(world=rows_worlds())
+        def record(world):
+            grid, supports, rules = world
+            found = outcome(support_rows, supports, grid, rules)
+            seen.add(None if found is None else found[0])
+
+        record()
+        assert seen == {
+            None,
+            DimensionMismatch,
+            EmptySupport,
+            LengthMismatch,
+            OutOfBounds,
+        }
+
+
+@st.composite
+def overlap_worlds(draw):
+    """One to eight supports on [0, 8] with unit cells: quarter-grid
+    intervals and cell sets. Half of the time each kind is drawn
+    disjoint, so that only interval / cell-set pairs can overlap; else
+    every support is drawn on its own and overlaps abound."""
+    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=8))
+    n_iv = sum(kinds)
+    if draw(st.booleans()):
+        spans, start = [], 0
+        for _ in range(n_iv):
+            lo = start + draw(st.integers(0, 1))
+            start = lo + draw(st.integers(1, 3))
+            spans.append((lo / 4.0, start / 4.0))
+        spans = draw(st.permutations(spans))
+        perm = draw(st.permutations(range(8)))
+        cuts = sorted(
+            draw(
+                st.sets(
+                    st.integers(1, 7),
+                    min_size=len(kinds) - n_iv - 1,
+                    max_size=len(kinds) - n_iv - 1,
+                )
+            )
+        ) if n_iv < len(kinds) else []
+        groups = [perm[a:b] for a, b in zip([0] + cuts, cuts + [8])]
+        sets = [g[: draw(st.integers(1, len(g)))] for g in groups]
+    else:
+        spans = [draw(quarter_intervals()) for _ in range(n_iv)]
+        sets = [
+            draw(st.sets(st.integers(0, 7), min_size=1))
+            for _ in range(len(kinds) - n_iv)
+        ]
+    spans, sets = iter(spans), iter(sets)
+    return tuple(
+        interval_support(*next(spans), f"s{k}")
+        if is_iv
+        else cells_support(next(sets), f"s{k}")
+        for k, is_iv in enumerate(kinds)
+    )
+
+
+class TestDisjointnessMatchesPairwiseOracle:
+    """:class:`Partition` and :func:`validate` refuse exactly the
+    partitions the pair-by-pair checks of ``oracles`` refuse, naming the
+    same first pair (lowest i, then lowest j)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(supports=overlap_worlds())
+    def test_same_first_pair(self, supports):
+        build = outcome(
+            Partition, attribute_id="a", domain_id="d0", supports=supports
+        )
+        assert build == outcome(oracles.overlap_by_pairs, supports)
+        if build is None:
+            dom = unit_grid_domain(8, 0.0, 8.0)
+            part = Partition(attribute_id="a", domain_id="d0", supports=supports)
+            assert outcome(validate, dom, [part]) == outcome(
+                oracles.mixed_overlap_by_pairs, dom.grid, supports
+            )
+
+    def test_both_outcomes_are_drawn(self):
+        seen = set()
+
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @given(supports=overlap_worlds())
+        def record(supports):
+            part = outcome(
+                Partition, attribute_id="a", domain_id="d0", supports=supports
+            )
+            if part is None:
+                dom = unit_grid_domain(8, 0.0, 8.0)
+                built = Partition(attribute_id="a", domain_id="d0", supports=supports)
+                seen.add(("validate", outcome(validate, dom, [built]) is None))
+            else:
+                seen.add(("partition", part[1].endswith("share grid cells")))
+
+        record()
+        assert seen == {
+            ("partition", True),
+            ("partition", False),
+            ("validate", True),
+            ("validate", False),
+        }
+
+
+class TestCallsGrowLinearly:
+    """Building, validating and weighting a partition of 2 x 2 cell
+    blocks makes a number of Python calls that grows about linearly with
+    its supports, counted by a profile hook rather than timed: a loop
+    over pairs of supports would make sixteen times the calls at four
+    times the supports."""
+
+    @staticmethod
+    def calls(blocks_per_axis):
+        from conftest import square_grid_domain
+
+        dom = square_grid_domain(2 * blocks_per_axis)
+        count = 0
+
+        def tally(frame, event, arg):
+            nonlocal count
+            count += event in ("call", "c_call")
+
+        sys.setprofile(tally)
+        try:
+            part = grid_block_partition(dom, "a", (2, 2))
+            validate(dom, [part])
+            rows = model.weight_rows(dom, part.supports, model.uniform_rules(part))
+        finally:
+            sys.setprofile(None)
+        assert len(part) == rows.matrix.shape[0] == blocks_per_axis**2
+        return count
+
+    def test_256_to_1024_supports(self):
+        self.calls(2)  # imports and first-use caches
+        small, large = self.calls(16), self.calls(32)
+        assert large <= 5 * small, (small, large)
+
+
 class TestInterval:
     def test_degenerate(self):
         with pytest.raises(DegenerateInterval):
@@ -523,7 +754,7 @@ class TestPartitionBuilders:
         assert len(part) == 6
         counts = np.zeros(24, dtype=int)
         for s in part.supports:
-            counts[membership(s, dom.grid)] += 1
+            counts[one_row(s, dom.grid)[0]] += 1
         # Bin edges fall between cell centers, so coverage is exact.
         np.testing.assert_array_equal(counts, np.ones(24, dtype=int))
 

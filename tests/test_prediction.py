@@ -29,6 +29,7 @@ from oracles import (
     drop_observation,
     left_out_by_mpmath,
     left_out_by_solves,
+    membership,
     pooled_point_mixture,
 )
 from test_support_cov import cell_set_records, grid_domains, interval_records
@@ -45,7 +46,6 @@ from aggmogp.geometry import (
     Partition,
     grid_block_partition,
     interval_bins,
-    membership,
 )
 from aggmogp.model import AggregatedDataset, DatasetRecord, uniform_rules
 from aggmogp.model import (

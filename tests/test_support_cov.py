@@ -22,7 +22,7 @@ import pytest
 from conftest import cells_support, interval_support
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import scattered_grid_cov, se_double_interval
+from oracles import membership, scattered_grid_cov, se_double_interval, support_weights
 from scipy.sparse import csr_matrix
 from scipy.special import erf
 
@@ -39,8 +39,6 @@ from aggmogp.geometry import (
     Partition,
     centroid,
     grid_block_partition,
-    membership,
-    support_weights,
 )
 from aggmogp.kernels import se_antideriv2_dlog, se_point_interval
 from aggmogp.model import (
