@@ -6,10 +6,10 @@ model and prediction modules use the vectorized building blocks here:
 squared distances (``sq_dists``), the kernel profile and its
 log-length-scale derivative (``se_value``, ``se_value_dlog``), and the
 1-D closed forms via the error function: point to interval
-(``se_point_interval``) and the second antiderivative ``se_antideriv2``
-with its derivative ``se_antideriv2_dlog``, from which the model's
-support covariance table builds interval-to-interval integrals. Grid
-sums are built by the same table from per-axis grams.
+(``se_point_interval``, ``se_point_interval_dlog``) and the second
+antiderivative ``se_antideriv2`` with its derivative ``se_antideriv2_dlog``,
+from which the model's support covariance table builds interval-to-interval
+integrals. Grid sums are built by the same table from per-axis grams.
 
 The closed forms build on the identity that
 ``F(z) = sqrt(pi/2) * b * z * erf(z / (sqrt(2) b)) + b^2 * exp(-z^2 / (2 b^2))``
@@ -73,3 +73,11 @@ def se_point_interval(x, lo, hi, length_scale):
     b = length_scale
     s = np.sqrt(2.0) * b
     return _HALF_SQRT_2PI * b * (erf((hi - x) / s) - erf((lo - x) / s))
+
+
+def se_point_interval_dlog(x, lo, hi, length_scale):
+    """Derivative of :func:`se_point_interval` in log length scale: the
+    integral less ``(t - x) exp(-(t - x)^2 / (2 b^2))`` from t = lo to hi."""
+    u, v, c = hi - x, lo - x, -0.5 / (length_scale * length_scale)
+    edge = u * np.exp(c * u * u) - v * np.exp(c * v * v)
+    return se_point_interval(x, lo, hi, length_scale) - edge

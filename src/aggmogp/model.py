@@ -35,10 +35,11 @@ Gram entries (:meth:`SupportCovTable.grid_block`), prediction's cross
 covariances ``left K Aᵀ`` through the terms' columns of ``K Aᵀ``, a
 block of terms at a time (:meth:`SupportCovTable.cross`); target priors
 need only the diagonal of ``A K Aᵀ``, summed over pairs of cells within
-each row. Average-rule interval supports on 1-D domains take the
-closed-form erf integrals (the kernels module's ``se_antideriv2`` and
-``se_antideriv2_dlog``, once per distinct argument, and
-``se_point_interval`` at a point).
+each row. Average-rule interval supports on 1-D domains take their
+exact erf integral against every row (the kernels module's
+``se_antideriv2`` and its derivative against intervals, once per
+distinct argument, and ``se_point_interval`` and its derivative at a
+centroid or at the cells), so they are not rows of ``A``.
 Point observations at support centroids evaluate ``se_value`` directly.
 """
 
@@ -60,6 +61,7 @@ from .kernels import (
     se_antideriv2,
     se_antideriv2_dlog,
     se_point_interval,
+    se_point_interval_dlog,
     se_value,
     se_value_dlog,
     sq_dists,
@@ -304,10 +306,8 @@ class WeightRows:
     Row r holds one support's weights over the flat grid cells (CSR), the
     next ``sizes[r]`` entries of ``cells`` and ``weights``, so every rule
     and every observed or target support share one representation. The
-    first ``n_cols`` rows (default all) are the column rows, the rows
-    that :meth:`diagonal` covers and whose terms :func:`_rank_one_terms`
-    builds operators for. The entries group into fibres, one per (cell
-    over the leading axes, row), each a weight vector over the last axis.
+    entries group into fibres, one per (cell over the leading axes, row),
+    each a weight vector over the last axis.
 
     It computes only the diagonal of ``A K Aᵀ`` (:meth:`diagonal`), for
     target priors. Every other product with ``K`` takes the rows'
@@ -316,14 +316,13 @@ class WeightRows:
     (:meth:`SupportCovTable.cross`).
     """
 
-    def __init__(self, grid, cells, weights, sizes, n_cols: int | None = None):
+    def __init__(self, grid, cells, weights, sizes):
         # Imported here, on the grid branch only: scipy.sparse adds about
         # 1.6 MiB to the peak memory of every process that loads it.
         from scipy.sparse import csr_matrix
 
         self.grid = grid
         n_rows = len(sizes)
-        self.n_cols = n_rows if n_cols is None else n_cols
         ptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
         self.matrix = csr_matrix((weights, cells, ptr), shape=(n_rows, grid.n_points))
         lead, last = np.divmod(cells, grid.shape[-1])
@@ -334,7 +333,7 @@ class WeightRows:
         self.fibres[fibre.ravel(), last] = weights
 
     def diagonal(self, length_scale: float) -> np.ndarray:
-        """``diag(A K Aᵀ)`` over the column rows, without ``K Aᵀ``.
+        """``diag(A K Aᵀ)``, without ``K Aᵀ``.
 
         Row r's entry sums ``w_c w_c' k(c, c')`` over the pairs of its
         fibres: the last axis through one product of every fibre with its
@@ -348,9 +347,9 @@ class WeightRows:
         # Each fibre's cell index on every leading axis (none on 1-D grids).
         lead = np.unravel_index(self.fibre_lead, self.grid.shape[:-1] or (1,))
         order = np.argsort(self.fibre_row, kind="stable")
-        counts = np.bincount(self.fibre_row, minlength=self.n_cols)[: self.n_cols]
+        counts = np.bincount(self.fibre_row, minlength=self.matrix.shape[0])
         starts = np.cumsum(counts) - counts
-        out = np.zeros(self.n_cols)
+        out = np.zeros(counts.size)
         for k in np.unique(counts[counts > 0]):
             rows = np.flatnonzero(counts == k)
             # (rows, k): the fibres of each row of the batch.
@@ -379,13 +378,13 @@ def _rank_one_terms(rows: WeightRows):
     Returns ``(last, cells, at, ptr, owner, row)``: the terms' last parts
     (dense), their leading parts' cells with each term's offset into
     them, each row's offset into the terms (a row's terms are
-    consecutive), each cell's term and each term's row. Then the column
-    rows' operators (CSR): their terms' leading and last parts and their
+    consecutive), each cell's term and each term's row. Then the rows'
+    operators (CSR): their terms' leading and last parts and their
     term-to-row sums, once and twice down a block diagonal, for a value
     over its derivative."""
     from scipy.sparse import block_diag, csr_matrix
 
-    f, n_rows, n_cols = rows.fibres, rows.matrix.shape[0], rows.n_cols
+    f, n_rows = rows.fibres, rows.matrix.shape[0]
     vector = np.unique(f.view((np.void, f.shape[1] * f.itemsize)), return_inverse=True)
     key = rows.fibre_row * len(f) + vector[1].ravel()
     key, term = np.unique(key, return_inverse=True)
@@ -393,12 +392,12 @@ def _rank_one_terms(rows: WeightRows):
     owner, row, n = term[order], key // len(f), key.size
     at = np.searchsorted(owner, np.arange(n + 1))
     ptr = np.searchsorted(row, np.arange(n_rows + 1))
-    cells, last, m = rows.fibre_lead[order], f[order[at[:-1]]], ptr[n_cols]
+    cells, last = rows.fibre_lead[order], f[order[at[:-1]]]
     width = rows.grid.n_points // f.shape[1]
     ops = [
-        csr_matrix((np.ones(at[m]), cells[: at[m]], at[: m + 1]), shape=(m, width)),
-        csr_matrix(last[:m]),
-        csr_matrix((np.ones(m), np.arange(m), ptr[: n_cols + 1]), shape=(n_cols, m)),
+        csr_matrix((np.ones(cells.size), cells, at), shape=(n, width)),
+        csr_matrix(last),
+        csr_matrix((np.ones(n), np.arange(n), ptr), shape=(n_rows, n)),
     ]
     twice = [block_diag([op, op], format="csr") for op in ops]
     return (last, cells, at, ptr, owner, row), (ops, twice)
@@ -440,12 +439,11 @@ class SupportCovTable:
       with the average rule), keyed by ``(lo, hi)``: pairs of them take
       the erf double integral, with the antiderivative F evaluated once
       per distinct ``|z|`` and gathered (F is even, so this is exact),
-      and points the erf integral (``closed_bounds``); paired with a
-      grid or point row, a closed-form row counts as its row of ``A``,
-      which then holds the leading ``n_weighted`` rows;
+      and any other row the erf integral at its points (``closed_bounds``),
+      a centroid or the cells pooled by ``A``, so ``S`` is a Gram matrix;
     * rows ``[n_weighted, n)`` are point rows (``as_points`` records),
       keyed by their support's centroid (``centroids``), which evaluate
-      the kernel from it directly.
+      the kernel from it directly. ``A`` holds the grid rows alone.
     """
 
     def __init__(self, domain: Domain, records):
@@ -494,51 +492,49 @@ class SupportCovTable:
         self.cf_norm = 1.0 / ((hi - lo)[i] * (hi - lo)[j])
         self.cf_abs_z, inverse = np.unique(np.abs(z).ravel(), return_inverse=True)
         self.cf_inverse = inverse.reshape(z.shape)
-        # Closed-form rows join A only to meet grid or point rows.
         self.A = None
-        if self.n_grid or 0 < self.n_weighted < self.n:
-            cells, weights = zip(*(f[2] for f in firsts[: self.n_weighted]))
+        if self.n_grid:
+            cells, weights = zip(*(f[2] for f in firsts[: self.n_grid]))
             sizes = [c.size for c in cells]
             stacked = np.concatenate(cells), np.concatenate(weights), sizes
-            self.A = WeightRows(grid, *stacked, self.n_grid)
+            self.A = WeightRows(grid, *stacked)
         centroids = [f[2] for f in firsts[self.n_weighted :]]
         self.centroids = np.reshape(centroids, (-1, domain.ndim))
         self.point_sq_dists = sq_dists(self.centroids, self.centroids)
         self.point_grid_sq_dists = sq_dists(self.centroids, grid.points)
 
-    def _fill(self, S, antideriv, profile, length_scale):
-        """Closed-form and point blocks of S for one kernel primitive pair."""
+    def _fill(self, S, antideriv, interval, profile, length_scale):
+        """Every block of S but the grid square: closed-form pairs from
+        ``antideriv``, the rest by :meth:`_direct` (``interval``, ``profile``)."""
         if self.cf_upper.size:
             f = antideriv(self.cf_abs_z, length_scale)[self.cf_inverse]
             vals = ((f[0] + f[3]) - (f[1] + f[2])) * self.cf_norm
             S.reshape(-1)[self.cf_upper] = vals
             S.reshape(-1)[self.cf_lower] = vals
-        w = self.n_weighted
+        g, w, prims = self.n_grid, self.n_weighted, (length_scale, interval, profile)
         if self.n > w:
-            S[w:, w:] = profile(self.point_sq_dists, length_scale)
-            if self.A is not None:
-                to_grid = profile(self.point_grid_sq_dists, length_scale)
-                cross = self.A.matrix @ to_grid.T
-                S[:w, w:] = cross
-                S[w:, :w] = cross.T
+            S[g:, w:] = self._direct(self.centroids, self.point_sq_dists, *prims)
+            S[w:, g:w] = S[g:w, w:].T
+        if 0 < g < self.n:
+            at_cells = self._direct(self.grid.points, self.point_grid_sq_dists, *prims)
+            S[:g, g:] = self.A.matrix @ at_cells.T
+            S[g:, :g] = S[:g, g:].T
 
     @cached_property
     def terms(self):
         """The rank-one terms of ``A``'s rows (:func:`_rank_one_terms`),
-        built on first use, so building a table does not pay for them;
-        the grid rows lead ``A``, so their terms lead the terms."""
+        built on first use, so building a table does not pay for them."""
         return _rank_one_terms(self.A)
 
     def grid_block(self, length_scale: float, outs):
-        """Writes ``A K Aᵀ`` at the grid rows' columns, transposed, into
-        the leading (n_grid, n_weighted) block of ``outs[0]``, and its
-        log-length-scale derivative into ``outs[1]`` if given: rows r, s
-        sum ``(lead_t G_lead lead_uᵀ)(last_t G_last last_uᵀ)`` over their
-        terms t, u (:func:`_rank_one_terms`, :func:`_lead_grams`). The
-        grid rows' sparse term parts multiply the grams applied to the
-        dense parts of a block of rows' terms; blocks keep temporaries
-        within about :data:`WORK_BYTES`. It shares no work arrays between
-        calls, so it takes no lock."""
+        """Writes ``A K Aᵀ`` into the leading (n_grid, n_grid) square of
+        ``outs[0]``, and its log-length-scale derivative into ``outs[1]``
+        if given: rows r, s sum ``(lead_t G_lead lead_uᵀ)(last_t G_last
+        last_uᵀ)`` over their terms t, u (:func:`_rank_one_terms`,
+        :func:`_lead_grams`). The grid rows' sparse term parts multiply the
+        grams applied to the dense parts of a block of rows' terms; blocks
+        keep temporaries within about :data:`WORK_BYTES`. It shares no work
+        arrays between calls, so it takes no lock."""
         grid, k, g = self.grid, len(outs), self.n_grid
         (last, cells, at, ptr, owner, row), operators = self.terms
         lead_g, last_g, rows_g = operators[k - 1]
@@ -550,7 +546,7 @@ class SupportCovTable:
         m, n_lead = operators[0][0].shape
         per_term = 8 * (5 * (n_lead + last.shape[1]) + 4 * (m + g))
         r0 = 0
-        while r0 < self.n_weighted:
+        while r0 < g:
             stop = np.searchsorted(ptr, ptr[r0] + WORK_BYTES // per_term, "right")
             r1 = max(r0 + 1, int(stop) - 1)
             a, b = ptr[r0], ptr[r1]
@@ -579,30 +575,30 @@ class SupportCovTable:
         kernel, optionally with its derivative with respect to the log
         length scale: the distinct rows' matrices, gathered at ``pairs``."""
         outs = [np.zeros((self.n, self.n)) for _ in range(1 + with_grad)]
-        self._fill(outs[0], se_antideriv2, se_value, length_scale)
+        self._fill(outs[0], se_antideriv2, se_point_interval, se_value, length_scale)
         if with_grad:
-            self._fill(outs[1], se_antideriv2_dlog, se_value_dlog, length_scale)
+            prims = se_antideriv2_dlog, se_point_interval_dlog, se_value_dlog
+            self._fill(outs[1], *prims, length_scale)
         if self.n_grid:
             self.grid_block(length_scale, outs)
-            g, w = self.n_grid, self.n_weighted
             for S in outs:
                 # Averaged with its transpose, S is exactly symmetric, as
-                # assembly assumes; the other rows of A mirror the grid rows.
-                square = S[:g, :g]
+                # assembly assumes.
+                square = S[: self.n_grid, : self.n_grid]
                 square += square.T
                 square *= 0.5
-                S[g:w, :g] = S[:g, g:w].T
         if with_grad:
             return outs[0].take(self.pairs), outs[1].take(self.pairs)
         return outs[0].take(self.pairs)
 
-    def _direct(self, x, length_scale: float, point_sq_dists) -> np.ndarray:
+    def _direct(self, x, point_sq_dists, length_scale, interval, profile):
         """Kernel integrals of the closed-form rows, then the point rows, at
-        points ``x``: the erf integral over each interval per unit length,
-        and the kernel from each centroid (``point_sq_dists`` away)."""
+        points ``x``, or their log-length-scale derivatives: ``interval``
+        over each interval per unit length, and ``profile`` from each
+        centroid (``point_sq_dists`` away)."""
         lo, hi = self.closed_bounds
-        closed = se_point_interval(x[:, 0], lo, hi, length_scale) / (hi - lo)
-        return np.concatenate([closed, se_value(point_sq_dists, length_scale)])
+        closed = interval(x[:, 0], lo, hi, length_scale) / (hi - lo)
+        return np.concatenate([closed, profile(point_sq_dists, length_scale)])
 
     def at_points(self, x, length_scale: float) -> np.ndarray:
         """Integrals of one kernel against every row's weights at the (n,
@@ -611,10 +607,11 @@ class SupportCovTable:
         the distinct rows, gathered at ``index``."""
         x = np.asarray(x, dtype=float)
         out = np.empty((self.n, x.shape[0]))
-        out[self.n_grid :] = self._direct(x, length_scale, sq_dists(self.centroids, x))
+        prims = length_scale, se_point_interval, se_value
+        out[self.n_grid :] = self._direct(x, sq_dists(self.centroids, x), *prims)
         if self.n_grid:
             to_cells = se_value(sq_dists(self.grid.points, x), length_scale)
-            out[: self.n_grid] = self.A.matrix[: self.n_grid] @ to_cells
+            out[: self.n_grid] = self.A.matrix @ to_cells
         return out[self.index]
 
     def cross(self, left, length_scale: float) -> np.ndarray:
@@ -642,7 +639,7 @@ class SupportCovTable:
             # Each grid term's parts times their grams, over the leading
             # cells and over the last axis, one column per term.
             lead = _lead_grams(grid, grams, None, lead_g.T.toarray())[:, None, :]
-            along = grams[-1] @ last[:m].T
+            along = grams[-1] @ last.T
             # Bytes per term of a block: its column over the cells and its
             # product with a left of one row per cell.
             step = max(1, WORK_BYTES // (16 * grid.n_points))
@@ -661,7 +658,8 @@ class SupportCovTable:
                     out[r0:r1] += (block @ sums).T
                 else:
                     out[a:b] = block.T
-        at_cells = self._direct(grid.points, length_scale, self.point_grid_sq_dists)
+        prims = length_scale, se_point_interval, se_value
+        at_cells = self._direct(grid.points, self.point_grid_sq_dists, *prims)
         out[g:] = (left @ at_cells.T).T
         return out[self.index]
 

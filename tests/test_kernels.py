@@ -14,6 +14,7 @@ from aggmogp.kernels import (
     se_antideriv2,
     se_antideriv2_dlog,
     se_point_interval,
+    se_point_interval_dlog,
     se_value,
     se_value_dlog,
 )
@@ -100,6 +101,18 @@ class TestPointIntervalIntegral:
         got = se_point_interval(0.0, -50.0, 50.0, k)
         np.testing.assert_allclose(got, 2.5066282746, atol=1e-10)
         np.testing.assert_allclose(got, np.sqrt(2.0 * np.pi), atol=1e-12)
+
+    def test_dlog_matches_finite_differences(self):
+        # Points left of, at, inside and right of [lo, hi].
+        h, lo, hi = 1e-6, -0.4, 1.1
+        x = np.array([-3.0, -1.0, -0.4, 0.0, 0.7, 1.1, 1.6, 4.0])
+        for b in [0.3, 1.0, 2.5]:
+            got = se_point_interval_dlog(x, lo, hi, b)
+            want = (
+                se_point_interval(x, lo, hi, b * np.exp(h))
+                - se_point_interval(x, lo, hi, b * np.exp(-h))
+            ) / (2.0 * h)
+            np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
 
 
 class TestDoubleIntervalIntegral:

@@ -1194,7 +1194,7 @@ class TestOneSolveVariances:
         state, dataset = world
         dd = dataset.prepared("d0")
         n = dd.domain.grid.n_points
-        cells = model.WeightRows(dd.domain.grid, np.arange(n), np.ones(n), [1] * n, 0)
+        cells = model.WeightRows(dd.domain.grid, np.arange(n), np.ones(n), [1] * n)
         attr_idx = np.arange(dd.n_attrs)
         priors = np.ones((state.num_latents, n))
         blocks = prediction._draw_invariants(dd, cells, state.length_scales)

@@ -6,8 +6,11 @@ factors, a sparse weight matrix and distinct-argument closed forms, and
 points. The oracle here shares none of that: it writes every
 observation row as a dense weight row over the grid points and the
 support centroids, builds the full gram over those points, and takes
-``W K Wᵀ``; pairs of closed-form rows (1-D intervals with the average
-rule) take the erf double integral pair by pair.
+``W K Wᵀ``. A closed-form row (a 1-D interval with the average rule) is
+its interval's integral per unit length against every row: the erf
+double integral against another, pair by pair, and its erf point
+integral at the grid points and centroids, pooled by ``W``, against any
+other row.
 """
 
 import os
@@ -19,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import cells_support, interval_support
+from conftest import cells_support, interval_support, se_gram
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import membership, scattered_grid_cov, se_double_interval, support_weights
@@ -101,11 +104,33 @@ def dense_weight_rows(domain, records):
     return W, points
 
 
+def interval_integrals(interval, points, length_scale):
+    """``(k, dk)``: the kernel's integral over ``interval`` per unit length
+    from each of the (n, 1) ``points``, and its log-length-scale derivative.
+
+    ``k`` is ``sqrt(pi/2) b (erf(u_hi) - erf(u_lo)) / length`` for ``u =
+    (t - x) / (sqrt(2) b)`` at t = hi and t = lo. ``b ∂/∂b`` of it is
+    ``k`` plus, at each end, ``sqrt(pi/2) b (2 / sqrt(pi)) exp(-u²)``
+    times ``b ∂u/∂b = -u``, the upper end added, the lower subtracted.
+    """
+    b, x = length_scale, points[:, 0]
+    u = [(t - x) / (np.sqrt(2.0) * b) for t in (interval.hi, interval.lo)]
+    c = np.sqrt(np.pi / 2.0) * b / interval.length
+    k = c * (erf(u[0]) - erf(u[1]))
+    ends = [(2.0 / np.sqrt(np.pi)) * np.exp(-v * v) * -v for v in u]
+    return k, k + c * (ends[0] - ends[1])
+
+
 def oracle_latent_cov(domain, records, length_scale):
     """``(S, dS, scale)`` from dense weight rows over grid points and centroids.
 
-    ``scale`` is the largest entry of ``|W| K |W|ᵀ``, the size of the
-    terms each entry sums, against which cancellation is measured.
+    Rows that are not closed form take ``W K Wᵀ``. Closed-form row i
+    takes ``W k_i`` against every row, ``k_i`` its interval's integral
+    per unit length at every grid point and centroid
+    (:func:`interval_integrals`), except that pairs of closed-form rows
+    take the erf double integral. ``scale`` is the largest entry of ``|W|
+    K |W|ᵀ``, the size of the terms each entry sums, against which
+    cancellation is measured.
     """
     W, points = dense_weight_rows(domain, records)
     diff = points[:, None, :] - points[None, :, :]
@@ -116,6 +141,11 @@ def oracle_latent_cov(domain, records, length_scale):
     S, dS = W @ K @ W.T, W @ dK @ W.T
     scale = float(np.max(np.abs(W) @ K @ np.abs(W).T))
     intervals = closed_form_rows(domain, records)
+    for i, a in enumerate(intervals):
+        if a is not None:
+            k, dk = interval_integrals(a, points, length_scale)
+            S[i], dS[i] = W @ k, W @ dk
+            S[:, i], dS[:, i] = S[i], dS[i]
     for i, a in enumerate(intervals):
         for j, c in enumerate(intervals):
             if a is None or c is None:
@@ -394,10 +424,8 @@ def check_repeated(domain, records, length_scale):
         assert lo <= k < hi
     assert table.closed_bounds[0].shape[0] == distinct["closed"]
     assert table.centroids.shape[0] == distinct["point"]
-    a_rows = distinct["grid"]
-    if distinct["grid"] or distinct["point"]:
-        a_rows += distinct["closed"]
-    assert (0 if table.A is None else table.A.matrix.shape[0]) == a_rows
+    assert (0 if table.A is None else table.A.matrix.shape[0]) == distinct["grid"]
+    assert (table.A is None) == (distinct["grid"] == 0)
 
 
 class TestRepeatedSupports:
@@ -511,7 +539,8 @@ def test_interval_without_a_grid_centre_is_refused():
 
 def test_closed_form_fit_never_loads_scipy_sparse():
     """Only grid supports need the sparse weight matrix; a process that
-    fits closed-form intervals alone must not pay for scipy.sparse."""
+    fits closed-form intervals and point observations alone must not pay
+    for scipy.sparse."""
     script = """
 import sys
 import numpy as np
@@ -523,7 +552,10 @@ dom = geometry.Domain(id="d0", extent=((0.0, 2.0),), grid=grid)
 part = geometry.interval_bins(dom, "a0", 4)
 rec = model.DatasetRecord("d0", "a0", part, model.uniform_rules(part),
                           np.array([1.0, 2.0, 0.5, 1.5]))
-ds = model.AggregatedDataset({"d0": dom}, ("a0",), (rec,))
+bins = geometry.interval_bins(dom, "a1", 3)
+pts = model.DatasetRecord("d0", "a1", bins, model.uniform_rules(bins),
+                          np.array([0.4, -0.3, 0.8]), as_points=True)
+ds = model.AggregatedDataset({"d0": dom}, ("a0", "a1"), (rec, pts))
 config = inference.TrainConfig(max_iters=3, seed=0)
 inference.fit(ds, config, model.init_state(ds, 1, seed=0))
 print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
@@ -584,6 +616,45 @@ class TestAssembledCovariance:
         np.testing.assert_array_equal(S, S.T)
         np.testing.assert_array_equal(dS, dS.T)
         check_against_oracle(domain, records, length_scale)
+
+
+class TestOneMeaningOfAClosedFormRow:
+    """A closed-form row is its interval's exact integral against every
+    row, so ``S`` and the joint prior with the cell values are Gram
+    matrices of linear functionals of one process."""
+
+    def test_mixed_line_is_positive_semidefinite_and_factors(self):
+        """Average-rule intervals beside a sum-rule interval on a line of
+        three cells of size 2: were a closed-form row its member cells
+        against the sum-rule row, ``S`` would have an eigenvalue near
+        -0.25 and ``C`` would not factor at any jitter."""
+        grid = GridSpec(origin=(0.0,), cell_size=(2.0,), shape=(3,))
+        domain = Domain(id="d0", extent=grid.extent_box(), grid=grid)
+        averaged = [interval_support(-0.5, 0.5, "i0"), interval_support(1.5, 4.5, "i1")]
+        records = [
+            record("a0", averaged, [AVERAGE, AVERAGE]),
+            record("a1", [interval_support(-0.5, 4.5, "s")], [SUM]),
+        ]
+        dd = domain_data(domain, records)
+        S = dd.cov.latent_cov(0.3125)
+        assert np.linalg.eigvalsh(S).min() >= -1e-12 * np.max(np.abs(S))
+        C = assemble_from_latents(dd, np.ones((2, 1)), [S], np.log([0.0078, 0.0625]))
+        _, jitter = chol_with_jitter(C)
+        assert jitter == JITTER_BASE * np.mean(np.diag(C))
+        check_against_oracle(domain, records, 0.3125)
+
+    @PROPERTY
+    @given(world=mixed_kind_worlds())
+    def test_joint_prior_with_cells_is_positive_semidefinite(self, world):
+        """``[[S, h], [hᵀ, K]]`` with ``h`` the rows' integrals against
+        every cell (``cross`` with one-hot rows) and ``K`` the cell gram."""
+        domain, records, length_scale = world
+        table = domain_data(domain, records).cov
+        S = table.latent_cov(length_scale)
+        h = table.cross(csr_matrix(np.eye(domain.grid.n_points)), length_scale)
+        K = se_gram(domain.grid.points, length_scale)
+        joint = np.block([[S, h], [h.T, K]])
+        assert np.linalg.eigvalsh(joint).min() >= -1e-12 * np.max(np.abs(S))
 
 
 def budget_for(domain_data, terms):
